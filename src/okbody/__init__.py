@@ -12,8 +12,8 @@ from .linalg import rat_linear_solve
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
                        generation_degree, graded_system_basis, semigroup,
                        semigroup_to_json, value_set, vertex_criterion)
-from .polynomials import (HomogPoly, graded_monomials,
-                          has_projective_common_zero, normal_form,
+from .polynomials import (HomogPoly, graded_monomials, grevlex_order,
+                          has_projective_common_zero, lex_order, normal_form,
                           poly_divmod)
 from .series import PowerSeries, PrecisionError, series_solve_branch
 from .valuation import (Flag, ZeroSectionError, flag_valuation, leading_unit,
@@ -32,8 +32,8 @@ __all__ = [
     "body_estimate", "case_study_from_json", "case_study_to_json",
     "cone_slice", "convex_hull", "dilate", "divisor_class_sum",
     "flag_valuation", "generation_degree", "graded_monomials",
-    "graded_system_basis", "has_projective_common_zero", "in_convex_hull",
-    "leading_unit", "make_case", "make_negative_control", "normal_fan_rays",
+    "graded_system_basis", "grevlex_order", "has_projective_common_zero",
+    "in_convex_hull", "leading_unit", "lex_order", "make_case", "make_negative_control", "normal_fan_rays",
     "normal_form", "ord_at_point_on_curve", "order_along_hypersurface",
     "poly_divmod", "polytope_equal", "polytope_from_json", "polytope_subset",
     "polytope_to_json", "random_divisor", "rat_linear_solve",

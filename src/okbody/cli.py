@@ -60,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="shipped case study")
         group.add_argument("--fixture", type=Path,
                            help="JSON file describing a custom case study")
-        p.add_argument("--c", type=int, default=1,
-                       help="scale of the very ample class (default 1)")
+        p.add_argument("--c", type=int,
+                       help="scale of the very ample class (default 1, or "
+                            "the fixture's own c)")
         p.add_argument("--max-level", type=int, default=4,
                        help="enumerate levels 1..M (default 4)")
         if with_kind:
@@ -108,22 +109,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_case(args) -> CaseStudy:
-    if args.c < 1:
+def _check_sizes(args) -> None:
+    if args.c is not None and args.c < 1:
         raise _UsageError("--c must be a positive integer")
     if getattr(args, "max_level", 1) < 1:
         raise _UsageError("--max-level must be at least 1")
+
+
+def _load_case(args) -> CaseStudy:
+    _check_sizes(args)
     if args.fixture is not None:
         try:
             text = args.fixture.read_text(encoding="utf-8")
             case = case_study_from_json(text)
         except (OSError, ValueError, KeyError) as exc:
             raise _UsageError(f"cannot load fixture: {exc}") from exc
-        if case.c != args.c and args.c != 1:
-            raise _UsageError("fixture files carry their own c; do not pass --c")
+        if args.c is not None and args.c != case.c:
+            raise _UsageError(f"the fixture carries c = {case.c}; "
+                              f"--c {args.c} differs")
         return case
     name = args.case or "p2"
-    return make_case(name, args.c)
+    return make_case(name, 1 if args.c is None else args.c)
 
 
 class _UsageError(Exception):
@@ -265,6 +271,7 @@ def cmd_export_toric(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _check_sizes(args)
     header = (f"{'case':<16}{'n':>2}{'r':>3}{'c':>3}{'d':>3}  "
               f"{'expected vertices':<30}{'computed vertices':<30}"
               f"{'certified':<11}{'gen degree':<10}")

@@ -19,71 +19,31 @@ def _as_fractions(vec: Sequence) -> list[Fraction]:
     return [Fraction(v) for v in vec]
 
 
-class SpanSolver:
-    """Reduced row-echelon form of a fixed list of row vectors, kept together
-    with the combinations that produced each echelon row.  Repeated membership
-    queries against the same span then cost a single reduction pass."""
-
-    def __init__(self, rows: Sequence[Vector]):
-        self.num_rows = len(rows)
-        self.length = len(rows[0]) if rows else 0
-        self._echelon: list[tuple[list[Fraction], list[Fraction], int]] = []
-        for index, row in enumerate(rows):
-            if len(row) != self.length:
-                raise ValueError("rows of unequal length")
-            vec = _as_fractions(row)
-            combo = [Fraction(0)] * self.num_rows
-            combo[index] = Fraction(1)
-            self._reduce(vec, combo)
-            pivot = self._first_nonzero(vec)
-            if pivot is None:
-                continue
-            inv = Fraction(1) / vec[pivot]
-            vec = [v * inv for v in vec]
-            combo = [c * inv for c in combo]
-            for other_vec, other_combo, other_pivot in self._echelon:
-                factor = other_vec[pivot]
-                if factor:
-                    for i in range(self.length):
-                        other_vec[i] -= factor * vec[i]
-                    for i in range(self.num_rows):
-                        other_combo[i] -= factor * combo[i]
-            self._echelon.append((vec, combo, pivot))
-
-    @staticmethod
-    def _first_nonzero(vec: Sequence[Fraction]) -> int | None:
-        for i, v in enumerate(vec):
-            if v:
-                return i
-        return None
-
-    def _reduce(self, vec: list[Fraction], combo: list[Fraction] | None) -> None:
-        for evec, ecombo, pivot in self._echelon:
+def _echelon(rows: Sequence[Vector]
+             ) -> tuple[list[tuple[list[Fraction], int]], list[int]]:
+    """Row echelon form of the rows taken in input order, with first-nonzero
+    pivoting: the echelon rows (pivot entry 1, zero in the pivot columns of
+    the rows before them) with their pivot columns, and the indices of the
+    rows that are independent of the rows before them."""
+    length = len(rows[0]) if rows else 0
+    echelon: list[tuple[list[Fraction], int]] = []
+    kept = []
+    for index, row in enumerate(rows):
+        if len(row) != length:
+            raise ValueError("rows of unequal length")
+        vec = _as_fractions(row)
+        for evec, pivot in echelon:
             factor = vec[pivot]
             if factor:
-                for i in range(self.length):
+                for i in range(pivot, length):
                     vec[i] -= factor * evec[i]
-                if combo is not None:
-                    for i in range(self.num_rows):
-                        combo[i] -= factor * ecombo[i]
-
-    @property
-    def rank(self) -> int:
-        return len(self._echelon)
-
-    def solve(self, target: Vector) -> list[Fraction] | None:
-        """Coefficients c with sum(c_i * rows_i) == target, or None."""
-        if len(target) != self.length and self.num_rows > 0:
-            raise ValueError("target has wrong length")
-        vec = _as_fractions(target)
-        combo = [Fraction(0)] * self.num_rows
-        self._reduce(vec, combo)
-        if any(vec):
-            return None
-        return [-c for c in combo]
-
-    def contains(self, target: Vector) -> bool:
-        return self.solve(target) is not None
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            continue
+        inv = Fraction(1) / vec[pivot]
+        echelon.append(([v * inv for v in vec], pivot))
+        kept.append(index)
+    return echelon, kept
 
 
 def rat_linear_solve(rows: Sequence[Vector], target: Vector
@@ -92,7 +52,8 @@ def rat_linear_solve(rows: Sequence[Vector], target: Vector
     or None when the target is not in the span.
 
     All rows and the target must have equal length.  When the expression is
-    not unique the solution with untouched rows weighted zero is returned,
+    not unique, a row that depends on the rows before it gets weight zero
+    and the rows kept by independent_indices get their unique weights,
     deterministically.
     """
     if rows:
@@ -103,55 +64,47 @@ def rat_linear_solve(rows: Sequence[Vector], target: Vector
         return None
     else:
         return []
-    return SpanSolver(rows).solve(target)
+    kept = independent_indices(rows)
+    # (w, 1) spans the kernel of [kept rows as columns | -target] exactly
+    # when target = sum w_i rows_i; the kept columns are independent, so
+    # the last column is the only possible free one
+    augmented = [[rows[i][j] for i in kept] + [-Fraction(target[j])]
+                 for j in range(length)]
+    kernel = kernel_basis(augmented, len(kept) + 1)
+    if not kernel:
+        return None
+    weights = [Fraction(0)] * len(rows)
+    for column, index in enumerate(kept):
+        weights[index] = kernel[0][column]
+    return weights
 
 
 def rank(vectors: Sequence[Vector]) -> int:
-    if not vectors:
-        return 0
-    return SpanSolver(vectors).rank
+    return len(_echelon(vectors)[0])
 
 
 def independent_indices(vectors: Sequence[Vector]) -> list[int]:
     """Indices of a maximal linearly independent subset, chosen greedily in
     input order (deterministic)."""
-    if not vectors:
-        return []
-    length = len(vectors[0])
-    echelon: list[tuple[list[Fraction], int]] = []
-    kept = []
-    for index, row in enumerate(vectors):
-        if len(row) != length:
-            raise ValueError("rows of unequal length")
-        vec = _as_fractions(row)
-        for evec, pivot in echelon:
-            factor = vec[pivot]
-            if factor:
-                for i in range(length):
-                    vec[i] -= factor * evec[i]
-        pivot = SpanSolver._first_nonzero(vec)
-        if pivot is None:
-            continue
-        inv = Fraction(1) / vec[pivot]
-        echelon.append(([v * inv for v in vec], pivot))
-        kept.append(index)
-    return kept
+    return _echelon(vectors)[1]
 
 
 def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : row . x = 0 for every row}."""
-    solver = SpanSolver(rows) if rows else None
-    pivots = {}
-    if solver is not None:
-        for vec, _combo, pivot in solver._echelon:
-            pivots[pivot] = vec
-    free = [j for j in range(length) if j not in pivots]
+    """Basis of the right kernel {x : row . x = 0 for every row}: one vector
+    per free column f, with x_f = 1 and zero on the other free columns."""
+    echelon = _echelon(rows)[0]
+    pivots = {pivot for _vec, pivot in echelon}
     basis = []
-    for f in free:
+    for f in range(length):
+        if f in pivots:
+            continue
         x = [Fraction(0)] * length
         x[f] = Fraction(1)
-        for pivot, vec in pivots.items():
-            x[pivot] = -vec[f]
+        # each echelon row is zero in the pivot columns of the rows before
+        # it, so back-substitution from the last row fixes the pivots
+        for vec, pivot in reversed(echelon):
+            x[pivot] = -sum((vec[j] * x[j] for j in range(pivot + 1, length)
+                             if vec[j] and x[j]), Fraction(0))
         basis.append(x)
     return basis
 

@@ -143,8 +143,9 @@ def value_set(basis: Sequence[HomogPoly], flag: Flag) -> tuple[Vector, ...]:
                              "relation")
         sections[later] = combined
         data[later] = valuation_with_unit(combined, flag)
-    raise RuntimeError("triangularization failed to terminate within the "
-                       "value bound; this indicates an implementation bug")
+    raise RuntimeError(f"triangularization did not terminate within "
+                       f"max_rounds = {max_rounds} rounds (the value bound); "
+                       "this indicates an implementation bug")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -128,10 +128,6 @@ class HomogPoly:
         """Terms in lexicographically decreasing exponent order."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
-    def degree_in(self, index: int) -> int:
-        """Largest exponent of one variable over all terms (0 for zero)."""
-        return max((exps[index] for exps in self.terms), default=0)
-
     def min_degree_in(self, index: int) -> int:
         """Smallest exponent of one variable over all terms (0 for zero)."""
         return min((exps[index] for exps in self.terms), default=0)
@@ -215,26 +211,32 @@ class HomogPoly:
             total += value
         return total
 
-    def eliminate(self, pivot: int, replacement: Sequence[Scalar]) -> HomogPoly:
-        """Substitute x_pivot by the linear form sum(replacement[j] * x_j)
-        and drop the pivot coordinate.  replacement[pivot] must be zero."""
-        if not 0 <= pivot < self.num_vars:
-            raise ValueError("pivot out of range")
-        repl = [Fraction(v) for v in replacement]
-        if len(repl) != self.num_vars or repl[pivot] != 0:
-            raise ValueError("replacement must be a linear form avoiding the pivot")
-        small = repl[:pivot] + repl[pivot + 1:]
-        repl_poly = HomogPoly.linear_form(small) if any(small) \
-            else HomogPoly.zero(self.num_vars - 1, 1)
-        powers: dict[int, HomogPoly] = {0: HomogPoly.constant(self.num_vars - 1, 1)}
-        out = HomogPoly.zero(self.num_vars - 1, self.degree)
+    def substitute(self, index: int, form: HomogPoly) -> HomogPoly:
+        """Substitute x_index by a linear form in the same variables."""
+        if not 0 <= index < self.num_vars:
+            raise ValueError("index out of range")
+        if form.num_vars != self.num_vars or (form and form.degree != 1):
+            raise ValueError("substitute a linear form in the same variables")
+        powers = [HomogPoly.constant(self.num_vars, 1)]
+        out: dict[Exponent, Fraction] = {}
         for exps, c in self.terms.items():
-            e = exps[pivot]
-            if e not in powers:
-                powers[e] = repl_poly ** e
-            base = HomogPoly.monomial(exps[:pivot] + exps[pivot + 1:], c)
-            out = out + base * powers[e]
-        return out
+            e = exps[index]
+            while len(powers) <= e:
+                powers.append(powers[-1] * form)
+            rest = exps[:index] + (0,) + exps[index + 1:]
+            for pe, pc in powers[e].terms.items():
+                key = tuple(a + b for a, b in zip(rest, pe))
+                out[key] = out.get(key, Fraction(0)) + c * pc
+        return HomogPoly(self.num_vars, self.degree, out)
+
+    def coefficient_of(self, index: int, power: int) -> HomogPoly:
+        """The coefficient of x_index^power, a polynomial in the remaining
+        variables (the index coordinate is dropped)."""
+        if self.num_vars < 2:
+            raise ValueError("need a variable to keep")
+        terms = {exps[:index] + exps[index + 1:]: c
+                 for exps, c in self.terms.items() if exps[index] == power}
+        return HomogPoly(self.num_vars - 1, max(self.degree - power, 0), terms)
 
     # -- display -----------------------------------------------------------
 
@@ -260,60 +262,83 @@ class HomogPoly:
 
 # -- division by a single relation ------------------------------------------
 
+MonomialOrder = Callable[[Exponent], tuple[int, ...]]
 
-def _elim_key(exps: Exponent, elim_var: int) -> tuple[int, ...]:
-    """Lex comparison key placing ``elim_var`` first."""
-    return (exps[elim_var],) + exps[:elim_var] + exps[elim_var + 1:]
+
+def lex_order(elim_var: int) -> MonomialOrder:
+    """Sort key of the lexicographic order with ``elim_var`` most
+    significant and the other variables in index order."""
+    def key(exps: Exponent) -> tuple[int, ...]:
+        return (exps[elim_var],) + exps[:elim_var] + exps[elim_var + 1:]
+    return key
+
+
+def grevlex_order(smallest_var: int) -> MonomialOrder:
+    """Sort key of the graded reverse lexicographic order with
+    ``smallest_var`` the smallest variable and the others in index order.
+    A monomial divisible by the smallest variable is below every monomial of
+    the same degree that is not."""
+    def key(exps: Exponent) -> tuple[int, ...]:
+        rest = exps[:smallest_var] + exps[smallest_var + 1:]
+        return (sum(exps), -exps[smallest_var]) + tuple(-e for e in reversed(rest))
+    return key
 
 
 def leading_monomial(poly: HomogPoly, elim_var: int) -> Exponent:
     if not poly:
         raise ValueError("zero polynomial has no leading monomial")
-    return max(poly.terms, key=lambda e: _elim_key(e, elim_var))
+    return max(poly.terms, key=lex_order(elim_var))
 
 
-def poly_divmod(p: HomogPoly, relation: HomogPoly, elim_var: int
+def poly_divmod(p: HomogPoly, relation: HomogPoly, order: MonomialOrder
                 ) -> tuple[HomogPoly, HomogPoly]:
-    """Division of p by a single relation F: returns (q, r) with p = q*F + r
-    and no term of r divisible by the leading monomial of F.
+    """Division of p by a single relation F in the monomial order given as a
+    sort key: returns (q, r) with p = q*F + r and no term of r divisible by
+    the leading monomial of F.
 
-    The monomial order is lexicographic with ``elim_var`` most significant,
-    so when F contains the pure power elim_var^deg(F) this is classical
-    division eliminating high powers of that variable.  A single relation is
-    its own Groebner basis, so the remainder is unique and depends linearly
-    on p.
+    A single relation is its own Groebner basis, so the remainder is unique
+    and depends linearly on p.
     """
     if p.num_vars != relation.num_vars:
         raise ValueError("mixed numbers of variables")
     if not relation:
         raise ValueError("division by the zero polynomial")
-    lm = leading_monomial(relation, elim_var)
+    lm = max(relation.terms, key=order)
     lc = relation.terms[lm]
-    q_degree = max(p.degree - relation.degree, 0)
-    q = HomogPoly.zero(p.num_vars, q_degree)
-    r = p
+    q: dict[Exponent, Fraction] = {}
+    r = dict(p.terms)
     while True:
-        divisible = [e for e in r.terms
-                     if all(a >= b for a, b in zip(e, lm))]
+        divisible = [e for e in r if all(a >= b for a, b in zip(e, lm))]
         if not divisible:
-            return q, r
-        exps = max(divisible, key=lambda e: _elim_key(e, elim_var))
+            break
+        exps = max(divisible, key=order)
         shift = tuple(a - b for a, b in zip(exps, lm))
-        factor = HomogPoly.monomial(shift, r.terms[exps] / lc)
-        q = q + factor
-        r = r - factor * relation
+        factor = r[exps] / lc
+        q[shift] = q.get(shift, Fraction(0)) + factor
+        for e, c in relation.terms.items():
+            key = tuple(a + b for a, b in zip(e, shift))
+            value = r.get(key, Fraction(0)) - factor * c
+            if value:
+                r[key] = value
+            else:
+                r.pop(key, None)
+    q_degree = max(p.degree - relation.degree, 0)
+    return HomogPoly(p.num_vars, q_degree, q), HomogPoly(p.num_vars, p.degree, r)
 
 
 def normal_form(p: HomogPoly, relation: HomogPoly, elim_var: int | None = None
                 ) -> HomogPoly:
-    """Canonical representative of p modulo the principal ideal (relation).
+    """Canonical representative of p modulo the principal ideal (relation),
+    in the lexicographic order with ``elim_var`` most significant.
 
-    ``elim_var`` defaults to the last variable.  The result is zero exactly
-    when p lies in the ideal, and normal_form is idempotent and linear.
+    ``elim_var`` defaults to the last variable, so when F contains the pure
+    power elim_var^deg(F) this is classical division eliminating high powers
+    of that variable.  The result is zero exactly when p lies in the ideal,
+    and normal_form is idempotent and linear.
     """
     if elim_var is None:
         elim_var = p.num_vars - 1
-    return poly_divmod(p, relation, elim_var)[1]
+    return poly_divmod(p, relation, lex_order(elim_var))[1]
 
 
 # -- projective common zeros -------------------------------------------------

@@ -4,11 +4,14 @@ A flag on an n-dimensional hypersurface (or projective space) is a chain of
 subvarieties cut by linear forms, ending in a rational point.  The valuation
 of a nonzero section is computed step by step:
 
-  * the order along the next flag member is the largest k such that the
-    section lies in the graded ideal (h^k) + (F), found by exact linear
-    algebra on monomial coefficient vectors;
-  * the section is divided by h^k and restricted (the linear form h is
-    eliminated by substitution), producing a section on the next member;
+  * a linear change of coordinates turns the step form h into a variable y;
+    in the graded reverse lexicographic order with y smallest the leading
+    monomial of the relation F is free of y, so {y^k, F} is a Groebner basis
+    (Buchberger's coprime leading monomial criterion) and the order along
+    {h = 0} is the smallest y-exponent of the normal form of the section
+    modulo F;
+  * the coefficient of y^k in that normal form is the section divided by
+    h^k and restricted to {h = 0}: a section on the next member;
   * the final entry is the vanishing order at the point, read off from a
     power-series parametrization of the last curve (or directly when the
     last member is a line).
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import SpanSolver
-from .polynomials import HomogPoly, Scalar, graded_monomials, normal_form
+from .polynomials import HomogPoly, Scalar, grevlex_order, poly_divmod
 from .series import (PRECISION_CAP, PrecisionError,
                      affine_chart_expansion, eval_bivar, series_solve_branch)
 
@@ -35,18 +37,55 @@ class ZeroSectionError(ValueError):
     valuation is undefined."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Step:
-    """One restriction step, expressed in the coordinates current when the
-    step is reached."""
+    """Restriction to the divisor {h = 0} of the hypersurface {F = 0} (or of
+    projective space), in coordinates where x_pivot is replaced by
+    y = h(x): ``to_y`` writes the old x_pivot through y and the other
+    coordinates, and ``relation`` is F after that substitution."""
 
-    form: HomogPoly
-    relation: HomogPoly | None
     pivot: int
-    replacement: tuple[Fraction, ...]
+    to_y: HomogPoly
+    relation: HomogPoly | None
 
-    def eliminate(self, poly: HomogPoly) -> HomogPoly:
-        return poly.eliminate(self.pivot, self.replacement)
+    @classmethod
+    def build(cls, h: HomogPoly, relation: HomogPoly | None) -> _Step:
+        coeffs = [h.terms.get(tuple(1 if j == i else 0
+                                    for j in range(h.num_vars)), Fraction(0))
+                  for i in range(h.num_vars)]
+        pivot = max(i for i, c in enumerate(coeffs) if c)
+        to_y = HomogPoly.linear_form(
+            [1 / coeffs[pivot] if i == pivot else -c / coeffs[pivot]
+             for i, c in enumerate(coeffs)])
+        if relation is not None:
+            relation = relation.substitute(pivot, to_y)
+            if not relation.coefficient_of(pivot, 0):
+                raise ValueError("a flag step divides the relation")
+        return cls(pivot, to_y, relation)
+
+    def restrict(self, poly: HomogPoly) -> HomogPoly:
+        """The restriction of a form to {h = 0}."""
+        moved = poly.substitute(self.pivot, self.to_y)
+        return moved.coefficient_of(self.pivot, 0)
+
+    def normal_form(self, section: HomogPoly) -> HomogPoly:
+        """The section in the new coordinates, reduced modulo the relation
+        in the graded reverse lexicographic order with y smallest."""
+        normal = section.substitute(self.pivot, self.to_y)
+        if self.relation is None:
+            return normal
+        order = grevlex_order(self.pivot)
+        return poly_divmod(normal, self.relation, order)[1]
+
+    def order_and_restriction(self, section: HomogPoly
+                              ) -> tuple[int, HomogPoly]:
+        """Order k of a section along {h = 0} and the restriction of
+        section / h^k to it."""
+        normal = self.normal_form(section)
+        if not normal:
+            raise ZeroSectionError("section vanishes modulo the relation")
+        k = normal.min_degree_in(self.pivot)
+        return k, normal.coefficient_of(self.pivot, k)
 
 
 @dataclass
@@ -75,7 +114,6 @@ class Flag:
         self.point = tuple(Fraction(v) for v in point)
         self.chart_var = chart_var
         self.parameter_var = parameter_var
-        self._span_cache: dict[tuple[int, int, int], SpanSolver] = {}
         self._validate()
         self.stages, self.final_stage = self._build_stages()
 
@@ -110,27 +148,17 @@ class Flag:
         point = list(self.point)
         stages: list[_Step] = []
         for index, form in enumerate(pending):
-            coeffs = [form.terms.get(tuple(1 if j == i else 0
-                                           for j in range(form.num_vars)),
-                                     Fraction(0))
-                      for i in range(form.num_vars)]
-            pivot = max(i for i, c in enumerate(coeffs) if c)
-            replacement = tuple(
-                Fraction(0) if i == pivot else -coeffs[i] / coeffs[pivot]
-                for i in range(form.num_vars))
-            step = _Step(form, relation, pivot, replacement)
+            step = _Step.build(form, relation)
             stages.append(step)
-            if alive[pivot] in (self.chart_var, self.parameter_var):
+            if alive[step.pivot] in (self.chart_var, self.parameter_var):
                 raise ValueError("chart or parameter variable is eliminated "
                                  "by a flag step")
             if relation is not None:
-                relation = step.eliminate(relation)
-                if not relation:
-                    raise ValueError("a flag step divides the relation")
-            pending[index + 1:] = [step.eliminate(f) for f in pending[index + 1:]]
-            final_form = step.eliminate(final_form)
-            del point[pivot]
-            del alive[pivot]
+                relation = step.relation.coefficient_of(step.pivot, 0)
+            pending[index + 1:] = [step.restrict(f) for f in pending[index + 1:]]
+            final_form = step.restrict(final_form)
+            del point[step.pivot]
+            del alive[step.pivot]
         num_vars = self.ambient_vars - len(self.steps)
         if num_vars not in (2, 3):
             raise ValueError("flag does not end on a curve")
@@ -145,102 +173,24 @@ class Flag:
         final = _FinalStage(num_vars, relation, tuple(point), chart, param, dep)
         return stages, final
 
-    def membership_solver(self, stage_index: int, k: int, degree: int
-                          ) -> SpanSolver:
-        """Echelonized span of { h^k * monomials } + { F * monomials } in the
-        given degree, cached per flag (the rows do not depend on the
-        section being tested)."""
-        key = (stage_index, k, degree)
-        solver = self._span_cache.get(key)
-        if solver is None:
-            step = self.stages[stage_index]
-            rows = _ideal_rows(step.form, k, step.relation, degree)
-            solver = SpanSolver(rows)
-            self._span_cache[key] = solver
-        return solver
-
-
-def _ideal_rows(h: HomogPoly, k: int, relation: HomogPoly | None, degree: int
-                ) -> list[tuple[Fraction, ...]]:
-    monos = graded_monomials(h.num_vars, degree)
-    rows = []
-    hk = h ** k
-    for mu in graded_monomials(h.num_vars, degree - k):
-        rows.append((hk * HomogPoly.monomial(mu)).coefficient_vector(monos))
-    if relation is not None and degree >= relation.degree:
-        for mu in graded_monomials(h.num_vars, degree - relation.degree):
-            rows.append((relation * HomogPoly.monomial(mu))
-                        .coefficient_vector(monos))
-    return rows
-
-
-def _check_nonzero(section: HomogPoly, relation: HomogPoly | None) -> None:
-    if not section:
-        raise ZeroSectionError("zero section")
-    if relation is not None and not normal_form(section, relation):
-        raise ZeroSectionError("section vanishes modulo the relation")
-
-
-def _order_and_cofactor(section: HomogPoly, h: HomogPoly,
-                        relation: HomogPoly | None,
-                        solver_for_k=None) -> tuple[int, HomogPoly]:
-    """Largest k with section in (h^k) + (relation) in its degree, together
-    with the cofactor t from section = h^k t + relation * g."""
-    degree = section.degree
-    num_vars = section.num_vars
-    if relation is None and len(h.terms) == 1:
-        # h is a single variable (up to scale): the order is the minimal
-        # exponent and the cofactor is an exponent shift.
-        (exps, coeff), = h.terms.items()
-        index = exps.index(1)
-        k = min((e[index] for e in section.terms), default=0)
-        if k == 0:
-            return 0, section
-        shifted = {e[:index] + (e[index] - k,) + e[index + 1:]: c / coeff ** k
-                   for e, c in section.terms.items()}
-        return k, HomogPoly(num_vars, degree - k, shifted)
-    monos = graded_monomials(num_vars, degree)
-    target = section.coefficient_vector(monos)
-    k = 0
-    cofactor = section
-    while k < degree:
-        if solver_for_k is not None:
-            solver = solver_for_k(k + 1)
-        else:
-            solver = SpanSolver(_ideal_rows(h, k + 1, relation, degree))
-        solution = solver.solve(target)
-        if solution is None:
-            break
-        k += 1
-        small = graded_monomials(num_vars, degree - k)
-        terms = {mu: c for mu, c in zip(small, solution[:len(small)]) if c}
-        cofactor = HomogPoly(num_vars, degree - k, terms)
-    return k, cofactor
-
 
 def order_along_hypersurface(section: HomogPoly, h: HomogPoly,
                              relation: HomogPoly | None = None) -> int:
     """Vanishing order of a section along the divisor cut by the linear form
     h on the hypersurface {relation = 0} (or on projective space)."""
-    _check_nonzero(section, relation)
-    return _order_and_cofactor(section, h, relation)[0]
+    return _Step.build(h, relation).order_and_restriction(section)[0]
 
 
 def restrict_section(section: HomogPoly, h: HomogPoly, k: int,
                      relation: HomogPoly | None = None) -> HomogPoly:
     """Divide a section by h^k and restrict to {h = 0}: writes
-    section = h^k t + relation * g and returns t with the variable pivoted by
-    h eliminated.  Requires k to be the actual vanishing order."""
-    _check_nonzero(section, relation)
-    order, cofactor = _order_and_cofactor(section, h, relation)
+    section = h^k t + relation * g and returns t restricted to {h = 0}, in
+    the variables other than the one pivoted by h.  Requires k to be the
+    actual vanishing order."""
+    order, restricted = _Step.build(h, relation).order_and_restriction(section)
     if order != k:
         raise ValueError(f"section has order {order} along the divisor, not {k}")
-    coeffs = [h.terms.get(tuple(1 if j == i else 0 for j in range(h.num_vars)),
-                          Fraction(0)) for i in range(h.num_vars)]
-    pivot = max(i for i, c in enumerate(coeffs) if c)
-    replacement = tuple(Fraction(0) if i == pivot else -coeffs[i] / coeffs[pivot]
-                        for i in range(h.num_vars))
-    return cofactor.eliminate(pivot, replacement)
+    return restricted
 
 
 def _ord_unit_on_line(section: HomogPoly, stage: _FinalStage
@@ -284,7 +234,8 @@ def _ord_unit_on_curve(section: HomogPoly, stage: _FinalStage
     precision = 2 * section.degree + 2
     while True:
         if precision > PRECISION_CAP:
-            raise PrecisionError("order search exceeded the precision cap")
+            raise PrecisionError("order search exceeded the precision cap "
+                                 f"PRECISION_CAP = {PRECISION_CAP}")
         branch = series_solve_branch(curve, stage.point, precision,
                                      chart_var=stage.chart,
                                      param_var=stage.param, dep_var=stage.dep)
@@ -314,21 +265,13 @@ def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
 def valuation_with_unit(section: HomogPoly, flag: Flag
                         ) -> tuple[tuple[int, ...], Fraction]:
     """The full valuation vector together with the leading unit."""
-    _check_nonzero(section, flag.relation)
+    if not section:
+        raise ZeroSectionError("zero section")
     entries = []
     current = section
-    for index, step in enumerate(flag.stages):
-        degree = current.degree
-
-        def cached(k: int, _index=index, _degree=degree) -> SpanSolver:
-            return flag.membership_solver(_index, k, _degree)
-
-        use_cache = not (step.relation is None and len(step.form.terms) == 1)
-        k, cofactor = _order_and_cofactor(
-            current, step.form, step.relation,
-            solver_for_k=cached if use_cache else None)
+    for step in flag.stages:
+        k, current = step.order_and_restriction(current)
         entries.append(k)
-        current = step.eliminate(cofactor)
     stage = flag.final_stage
     if stage.num_vars == 2:
         order, unit = _ord_unit_on_line(current, stage)

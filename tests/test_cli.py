@@ -50,6 +50,22 @@ def test_usage_error_bad_c(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_c_must_match_the_fixture(tmp_path, capsys):
+    from okbody.varieties import make_case
+    fixture = tmp_path / "quadric_c2.json"
+    fixture.write_text(case_study_to_json(make_case("quadric_surface", 2)))
+    assert run(["verify-flag", "--fixture", fixture, "--c", "1"]) == 1
+    assert "carries c = 2" in capsys.readouterr().err
+    assert run(["verify-flag", "--fixture", fixture, "--c", "3"]) == 1
+    assert run(["verify-flag", "--fixture", fixture, "--c", "2"]) == 0
+    assert run(["verify-flag", "--fixture", fixture]) == 0
+
+
+def test_demo_usage_error_bad_c(capsys):
+    assert run(["demo", "--c", "0"]) == 1
+    assert "positive" in capsys.readouterr().err
+
+
 def test_usage_error_unknown_flag():
     with pytest.raises(SystemExit) as excinfo:
         run(["compute", "--bogus"])

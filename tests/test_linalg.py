@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.linalg import (SpanSolver, independent_indices, kernel_basis,
+from okbody.linalg import (independent_indices, kernel_basis,
                            nonnegative_solution_exists, rank,
                            rat_linear_solve)
 
@@ -56,12 +56,17 @@ def test_rank_and_independent_indices():
     assert independent_indices(rows) == [0, 2]
 
 
-def test_span_solver_repeated_queries():
-    solver = SpanSolver([(1, 1, 0), (0, 1, 1)])
-    assert solver.contains((1, 2, 1))
-    assert not solver.contains((1, 0, 1))
-    sol = solver.solve((2, 3, 1))
-    assert sol == [2, 1]
+def test_rat_linear_solve_span_membership():
+    rows = [(1, 1, 0), (0, 1, 1)]
+    assert rat_linear_solve(rows, (1, 2, 1)) is not None
+    assert rat_linear_solve(rows, (1, 0, 1)) is None
+    assert rat_linear_solve(rows, (2, 3, 1)) == [2, 1]
+
+
+def test_rat_linear_solve_weights_dependent_rows_zero():
+    rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
+    assert rat_linear_solve(rows, (3, 5, 0)) == [3, 0, 5, 0]
+    assert rat_linear_solve([(0, 0), (0, 2)], (0, 1)) == [0, Fraction(1, 2)]
 
 
 def test_kernel_basis():
@@ -69,6 +74,13 @@ def test_kernel_basis():
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + vec[1] == 0 or vec == [Fraction(0), Fraction(0), Fraction(1)]
+
+
+def test_kernel_basis_unit_on_free_columns():
+    # pivots appear out of column order: (0, 1, 1) first, then (1, 0, 2)
+    rows = [(0, 1, 1), (1, 0, 2), (1, 1, 3)]
+    assert kernel_basis(rows, 3) == [[-2, -1, 1]]
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
 
 
 # -- phase-1 simplex -------------------------------------------------------------

@@ -10,6 +10,7 @@ from okbody.okounkov import (GradedSystem, body_estimate, generation_degree,
                              graded_system_basis, semigroup,
                              semigroup_to_json, value_set, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
+from okbody import okounkov
 
 from oracles import oracle_value_set
 
@@ -250,3 +251,12 @@ def test_semigroup_json_deterministic(fermat):
     assert data["levels"]["1"] == [[0, 0], [0, 1], [0, 3], [1, 0]]
     assert data["M"] == 2
     assert data["kind"] == "complete"
+
+
+def test_value_set_names_the_round_cap(monkeypatch, p2):
+    # a valuation that never separates two sections exhausts the bound
+    monkeypatch.setattr(okounkov, "valuation_with_unit",
+                        lambda section, flag: ((0, 0), Fraction(1)))
+    basis = graded_system_basis(p2, "complete", 1)[:2]
+    with pytest.raises(RuntimeError, match=r"max_rounds = 18 rounds"):
+        value_set(basis, p2.flag)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.polynomials import (HomogPoly, graded_monomials,
-                                has_projective_common_zero, normal_form,
-                                poly_divmod)
+from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
+                                has_projective_common_zero, lex_order,
+                                normal_form, poly_divmod)
 
 x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
@@ -113,9 +113,24 @@ def test_normal_form_quadric_leading_monomial():
     assert normal_form(X * W, quadric) == Y * Z
 
 
+def test_grevlex_leading_monomial_avoids_the_smallest_variable():
+    quadric = X * W - Y * Z
+    # x*w is divisible by w, the smallest variable, so y*z leads
+    assert poly_divmod(X * Y * Z, quadric, grevlex_order(3))[1] == X * X * W
+    assert poly_divmod(X * X * W, quadric, grevlex_order(3))[1] == X * X * W
+
+
+def test_substitute_and_coefficient_of():
+    moved = (X * W + Z * W).substitute(3, X - W)
+    assert moved == X * X - X * W + Z * X - Z * W
+    x, y, z = (HomogPoly.variable(3, i) for i in range(3))
+    assert moved.coefficient_of(3, 0) == x * x + z * x
+    assert moved.coefficient_of(3, 1) == -x - z
+
+
 def test_divmod_reconstructs():
     p = W ** 3 * X + X * Y * Z * W
-    q, r = poly_divmod(p, FERMAT, 3)
+    q, r = poly_divmod(p, FERMAT, lex_order(3))
     assert q * FERMAT + r == p
 
 
@@ -137,7 +152,7 @@ def test_normal_form_linear(p, q):
 @given(homog_cubics())
 @settings(max_examples=60)
 def test_difference_is_divisible_by_relation(p):
-    q, r = poly_divmod(p, FERMAT, 3)
+    q, r = poly_divmod(p, FERMAT, lex_order(3))
     assert p - r == q * FERMAT
 
 

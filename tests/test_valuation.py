@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from okbody import valuation
+from okbody.linalg import rank, rat_linear_solve
+from okbody.okounkov import GradedSystem, value_set
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.series import series_solve_branch, affine_chart_expansion, eval_bivar
-from okbody.valuation import (Flag, ZeroSectionError, flag_valuation,
+from okbody.series import (PrecisionError, affine_chart_expansion, eval_bivar,
+                           series_solve_branch)
+from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
                               leading_unit, ord_at_point_on_curve,
                               order_along_hypersurface, restrict_section,
                               valuation_with_unit)
+from okbody.varieties import CaseStudy, verify_flag
 
 from oracles import oracle_valuation
 
@@ -73,6 +78,134 @@ def test_restrict_with_wrong_order_rejected():
         restrict_section(W ** 2 * X, W, 1, FERMAT)
 
 
+def test_step_dividing_the_relation_rejected():
+    with pytest.raises(ValueError, match="divides the relation"):
+        order_along_hypersurface(X, W, W * FERMAT)
+
+
+# -- independent Groebner-basis oracle (sympy) ------------------------------------
+
+
+def _in_ideal(poly, generators, symbols):
+    """Ideal membership decided by a sympy Groebner basis."""
+    import sympy
+
+    def expr(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}, *symbols).as_expr()
+
+    basis = sympy.groebner([expr(g) for g in generators], *symbols,
+                           order="grevlex")
+    return basis.reduce(expr(poly))[1] == 0
+
+
+def _oracle_sections(rng, h, relation, degree, count):
+    """Random sections with a planted factor h^j, plus multiples of the
+    relation that the order must see through."""
+    out = []
+    while len(out) < count:
+        j = rng.randrange(degree + 1)
+        monos = graded_monomials(4, degree - j)
+        picked = rng.sample(monos, min(2, len(monos)))
+        free = HomogPoly(4, degree - j,
+                         {m: rng.randrange(-3, 4) for m in picked})
+        section = h ** j * free
+        if degree >= relation.degree:
+            monos = graded_monomials(4, degree - relation.degree)
+            section = section + relation * HomogPoly(
+                4, degree - relation.degree,
+                {m: rng.randrange(-2, 3) for m in rng.sample(monos, 1)})
+        if section and _Step.build(h, relation).normal_form(section):
+            out.append(section)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fermat", "quadric"])
+def test_order_and_cofactor_match_groebner_oracle(name, request):
+    sympy = pytest.importorskip("sympy")
+    case = request.getfixturevalue(name)
+    relation = case.relation
+    symbols = sympy.symbols("x y z w")
+    rng = random.Random(29)
+    dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
+    for h in (case.flag.steps[0], dense):
+        step = _Step.build(h, relation)
+        for degree in (2, 3):
+            for section in _oracle_sections(rng, h, relation, degree, 5):
+                k = order_along_hypersurface(section, h, relation)
+                assert _in_ideal(section, [h ** k, relation], symbols)
+                assert not _in_ideal(section, [h ** (k + 1), relation],
+                                     symbols)
+                # the cofactor r / y^k, back in the original coordinates
+                normal = step.normal_form(section)
+                p = step.pivot
+                cofactor = HomogPoly(4, degree - k, {
+                    e[:p] + (e[p] - k,) + e[p + 1:]: c
+                    for e, c in normal.terms.items()}).substitute(p, h)
+                assert _in_ideal(section - h ** k * cofactor, [relation],
+                                 symbols)
+
+
+# -- invariance under projective changes of coordinates ----------------------------
+
+
+def _pull_back(poly, matrix):
+    """poly(A x) for the integer matrix A."""
+    rows = [HomogPoly.linear_form(row) for row in matrix]
+    out = HomogPoly.zero(poly.num_vars, poly.degree)
+    for exps, c in poly.terms.items():
+        term = HomogPoly.constant(poly.num_vars, c)
+        for row, e in zip(rows, exps):
+            term = term * row ** e
+        out = out + term
+    return out
+
+
+def _transformed_case(case, matrix):
+    """The case in coordinates x' with x = A x', or None when the flag is
+    not usable there for any chart and parameter variable."""
+    columns = [[row[j] for row in matrix] for j in range(4)]
+    point = rat_linear_solve(columns, case.flag.point)
+    relation = _pull_back(case.relation, matrix)
+    steps = [_pull_back(s, matrix) for s in case.flag.steps]
+    final = _pull_back(case.flag.final_form, matrix)
+    for chart in range(4):
+        for param in range(4):
+            try:
+                flag = Flag(4, relation, steps, final, point,
+                            chart_var=chart, parameter_var=param)
+            except ValueError:
+                continue
+            moved = CaseStudy(case.name, 4, relation, flag, n=case.n, r=case.r,
+                              c=case.c, d=case.d)
+            if verify_flag(moved).passed:
+                return moved
+    return None
+
+
+def test_value_sets_invariant_under_coordinate_change(quadric):
+    rng = random.Random(41)
+    expected = {m: value_set(GradedSystem(quadric, "complete").basis(m),
+                             quadric.flag) for m in (1, 2, 3)}
+    accepted = dense = 0
+    for _ in range(40):
+        matrix = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
+        if rank(matrix) < 4:
+            continue
+        moved = _transformed_case(quadric, matrix)
+        if moved is None:
+            continue
+        dense += len(moved.flag.steps[0].terms) >= 3
+        system = GradedSystem(moved, "complete")
+        for m in (1, 2, 3):
+            assert value_set(system.basis(m), moved.flag) == expected[m]
+        accepted += 1
+        if accepted == 3:
+            break
+    assert accepted == 3 and dense >= 1
+
+
 # -- vanishing order at a point on a curve ----------------------------------------
 
 
@@ -106,6 +239,15 @@ def test_ord_certified_at_double_precision():
 def test_ord_rejects_section_vanishing_on_curve():
     with pytest.raises(ZeroSectionError):
         ord_at_point_on_curve(PLANE_CUBIC, PLANE_CUBIC, (1, -1, 0),
+                              chart_var=0, param_var=2)
+
+
+def test_order_search_names_the_precision_cap(monkeypatch):
+    # (x+y)^3 needs precision 16 > 8 before its order 9 is certified
+    monkeypatch.setattr(valuation, "PRECISION_CAP", 8)
+    cube = HomogPoly.linear_form([1, 1, 0]) ** 3
+    with pytest.raises(PrecisionError, match=r"PRECISION_CAP = 8"):
+        ord_at_point_on_curve(cube, PLANE_CUBIC, (1, -1, 0),
                               chart_var=0, param_var=2)
 
 
