@@ -3,10 +3,18 @@
 Polytopes are stored by their canonical vertex list: the minimal set of
 points whose convex hull is the polytope, lexicographically sorted.  Two
 polytopes are equal exactly when their canonical lists are identical, so no
-tolerance ever enters.  Hull membership is decided by an exact phase-1
-simplex; facets of full-dimensional polytopes are enumerated from the vertex
-list and carry primitive integer inward normals, which also provide the rays
-of the normal fan (the combinatorial data of the associated toric variety).
+tolerance ever enters.
+
+Hulls are computed by the double-description method (Motzkin et al. 1953;
+Fukuda and Prodon 1996) in integer arithmetic.  The points are scaled to
+integers, projected onto coordinates of their affine hull and lifted to
+(p, 1); the extreme rays of the cone {a : a . (p, 1) >= 0 for every point}
+are then exactly the facet inequalities of the hull, and a point is a
+vertex when its tight facets have full rank.  A polytope computes this
+H-representation once from its vertex list and answers membership, facets
+and the normal fan from it.  Facets carry primitive integer inward normals,
+which are the rays of the normal fan (the combinatorial data of the
+associated toric variety).
 """
 
 from __future__ import annotations
@@ -14,14 +22,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import kernel_basis, nonnegative_solution_exists, rank
+from .linalg import independent_indices, kernel_basis, rank
 from .polynomials import Scalar
 
 Point = tuple[Fraction, ...]
+# (a, beta) for a . x >= beta, or a . x = beta in an equation
+Constraint = tuple[tuple[int, ...], Fraction]
 
 
 @dataclass(frozen=True)
@@ -53,26 +64,32 @@ class RationalPolytope:
         if any(len(v) != self.dim for v in self.vertices):
             raise ValueError("vertex of wrong dimension")
 
+    @cached_property
+    def _hull(self) -> _Hull:
+        return _double_description(self.vertices)
+
     def contains_point(self, point: Sequence[Scalar]) -> bool:
         pt = _as_point(point)
         if len(pt) != self.dim:
             raise ValueError("dimension mismatch")
-        if self.is_full_dimensional():
-            return all(_dot(normal, pt) >= offset
-                       for normal, offset in self.facets())
-        return in_convex_hull(pt, self.vertices)
-
-    def is_full_dimensional(self) -> bool:
         if not self.vertices:
             return False
-        v0 = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-        return rank(diffs) == self.dim
+        hull = self._hull
+        return (all(_dot(normal, pt) == offset
+                    for normal, offset in hull.equations)
+                and all(_dot(normal, pt) >= offset
+                        for normal, offset in hull.inequalities))
 
-    def facets(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    def is_full_dimensional(self) -> bool:
+        return bool(self.vertices) and self._hull.dimension == self.dim
+
+    def facets(self) -> tuple[Constraint, ...]:
         """Inward facet inequalities (a, beta) with a . x >= beta on the
-        polytope, a a primitive integer vector.  Full-dimensional only."""
-        return _facets(self)
+        polytope, a a primitive integer vector, lex-sorted.
+        Full-dimensional only."""
+        if not self.is_full_dimensional():
+            raise ValueError("polytope is not full-dimensional")
+        return self._hull.inequalities
 
     def __str__(self) -> str:
         rows = [" (" + ", ".join(str(c) for c in v) + ")" for v in self.vertices]
@@ -87,45 +104,128 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
+@dataclass(frozen=True)
+class _Hull:
+    """Double-description data of a finite point set: its affine dimension,
+    the indices of the points that are vertices, the equations a . x = beta
+    of the affine hull, and the facet inequalities a . x >= beta.  The
+    inequality normals vanish off the pivot coordinates of the affine hull,
+    so for a full-dimensional hull they are the primitive facet normals."""
+
+    dimension: int
+    vertices: tuple[int, ...]
+    equations: tuple[Constraint, ...]
+    inequalities: tuple[Constraint, ...]
+
+
+def _double_description(points: Sequence[Point]) -> _Hull:
+    """The hull of nonempty points of equal length, in integer arithmetic.
+
+    The extreme rays of the cone {a : a . q >= 0}, q = (p, 1) for the
+    projected points p, are found by inserting one q at a time: rays on the
+    negative side of q are replaced by the combinations of adjacent
+    (positive, negative) pairs that are tight on q.  Two rays are adjacent
+    when no third ray is tight on every point that both are tight on (the
+    combinatorial test).  Inserting the points farthest from the centroid
+    first makes most later points interior, at one dot product per ray.
+    """
+    n = len(points[0])
+    scale = lcm(*(c.denominator for p in points for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p)
+            for p in points]
+    base = ints[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in ints[1:]]
+    # the projection onto a maximal independent set of coordinate columns
+    # of the differences is injective on the affine hull
+    pivots = independent_indices([[d[j] for d in diffs] for j in range(n)])
+    k = len(pivots)
+    equations = []
+    for normal in kernel_basis(diffs, n):
+        prim, factor = _primitive(normal)
+        equations.append((prim, _dot(normal, base) / (factor * scale)))
+    lifted = [tuple(p[j] for j in pivots) + (1,) for p in ints]
+    count = len(lifted)
+    total = [sum(column) for column in zip(*lifted)]
+    order = sorted(range(count), key=lambda i: (
+        -sum((count * a - b) ** 2 for a, b in zip(lifted[i], total)), i))
+    start = [order[i]
+             for i in independent_indices([lifted[i] for i in order])]
+    rays = []
+    for j in start:
+        tight = [lifted[i] for i in start if i != j]
+        ray = _primitive(kernel_basis(tight, k + 1)[0])[0]
+        if _idot(lifted[j], ray) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append((ray, sum(1 << i for i in start if i != j)))
+    started = set(start)
+    for i in order:
+        if i in started:
+            continue
+        q, bit = lifted[i], 1 << i
+        signed = [(_idot(q, ray), ray, mask) for ray, mask in rays]
+        negative = [entry for entry in signed if entry[0] < 0]
+        kept = [(ray, mask | bit if s == 0 else mask)
+                for s, ray, mask in signed if s >= 0]
+        if not negative:
+            rays = kept
+            continue
+        added = []
+        for sp, rp, zp in signed:
+            if sp <= 0:
+                continue
+            for sm, rm, zm in negative:
+                common = zp & zm
+                if common.bit_count() < k - 1 or any(
+                        common & mask == common for _s, ray, mask in signed
+                        if ray is not rp and ray is not rm):
+                    continue
+                added.append((_primitive([sp * b - sm * a
+                                          for a, b in zip(rp, rm)])[0],
+                              common | bit))
+        rays = kept + added
+    # a point is a vertex when the facets through it cut out its lifted ray
+    vertices = []
+    for i in range(count):
+        tight = [ray for ray, mask in rays if mask >> i & 1]
+        if len(tight) >= k and rank(tight) == k:
+            vertices.append(i)
+    inequalities = []
+    for ray, _mask in rays:
+        normal = [0] * n
+        for j, a in zip(pivots, ray):
+            normal[j] = a
+        if any(normal):
+            prim, factor = _primitive(normal)
+            inequalities.append((prim, -ray[-1] / (factor * scale)))
+    return _Hull(k, tuple(vertices), tuple(equations),
+                 tuple(sorted(inequalities)))
+
+
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
 def in_convex_hull(point: Sequence[Scalar], generators: Iterable[Sequence[Scalar]]
                    ) -> bool:
     """Exact membership of a point in the convex hull of finitely many
-    points, via nonnegative solvability of the barycentric system."""
-    gens = [_as_point(g) for g in generators]
+    points."""
+    gens = list(generators)
     if not gens:
         return False
-    pt = _as_point(point)
-    columns = [g + (Fraction(1),) for g in gens]
-    return nonnegative_solution_exists(columns, pt + (Fraction(1),))
+    return convex_hull(gens).contains_point(point)
 
 
 def convex_hull(points: Iterable[Sequence[Scalar]]) -> RationalPolytope:
-    """Minimal vertex set of the convex hull, exactly.
-
-    Points far from the centroid are inserted first so that the incremental
-    candidate set stays small; a final pass removes every candidate that lies
-    in the hull of the others, which handles all degeneracies (collinear
-    points, repeated points, lower-dimensional hulls).
-    """
+    """Minimal vertex set of the convex hull, exactly; repeated points and
+    lower-dimensional hulls are allowed."""
     pts = sorted({_as_point(p) for p in points})
     if not pts:
         raise ValueError("empty point set")
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise ValueError("mixed dimensions")
-    centroid = tuple(sum(p[i] for p in pts) / len(pts) for i in range(dim))
-    pts.sort(key=lambda p: (sum((a - b) ** 2 for a, b in zip(p, centroid)), p),
-             reverse=True)
-    candidates: list[Point] = []
-    for p in pts:
-        if not in_convex_hull(p, candidates):
-            candidates.append(p)
-    vertices = list(candidates)
-    for p in candidates:
-        rest = [q for q in vertices if q != p]
-        if in_convex_hull(p, rest):
-            vertices = rest
-    return RationalPolytope(dim, tuple(sorted(vertices)))
+    hull = _double_description(pts)
+    return RationalPolytope(dim, tuple(pts[i] for i in hull.vertices))
 
 
 def cone_slice(points: Iterable[GradedPoint]) -> RationalPolytope:
@@ -166,52 +266,21 @@ def scaled_simplex(n: int, c: int, d: int) -> RationalPolytope:
     return RationalPolytope(n, tuple(sorted(verts)))
 
 
-def _primitive(vector: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
+def _primitive(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], Fraction]:
     """Scale a rational vector to a primitive integer vector; returns the
     integer vector and the positive factor that was divided out."""
-    denom = 1
-    for v in vector:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in vector))
     ints = [int(v * denom) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints), Fraction(g, denom)
 
 
-def _facets(polytope: RationalPolytope
-            ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    n = polytope.dim
-    verts = polytope.vertices
-    if not polytope.is_full_dimensional():
-        raise ValueError("polytope is not full-dimensional")
-    found: dict[tuple[tuple[int, ...], Fraction], None] = {}
-    for subset in combinations(verts, n):
-        base = subset[0]
-        rows = [tuple(a - b for a, b in zip(v, base)) for v in subset[1:]]
-        kernel = kernel_basis(rows, n)
-        if len(kernel) != 1:
-            continue  # the subset does not span a hyperplane
-        normal = kernel[0]
-        offset = _dot(normal, base)
-        signs = {(_dot(normal, v) - offset > 0) - (_dot(normal, v) - offset < 0)
-                 for v in verts}
-        if 1 in signs and -1 in signs:
-            continue
-        if -1 in signs:  # flip to make the normal inward
-            normal = [-x for x in normal]
-            offset = -offset
-        prim, scale = _primitive(normal)
-        found[(prim, offset / scale)] = None
-    return tuple(sorted(found))
-
-
 def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:
     """Primitive inward facet normals, lex-sorted: the rays of the normal fan
     of the polytope, i.e. the fan of the toric variety it defines."""
-    return tuple(sorted(normal for normal, _offset in _facets(polytope)))
+    return tuple(normal for normal, _offset in polytope.facets())
 
 
 def polytope_to_json(polytope: RationalPolytope) -> str:

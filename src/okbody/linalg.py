@@ -1,10 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Everything here runs on plain sequences of ``Fraction`` with Gaussian
-elimination and first-nonzero pivoting, so results are exact and
-deterministic.  The phase-1 simplex at the bottom decides nonnegative
-solvability of a rational linear system and is the engine behind exact
-convex-hull membership.
+Everything here runs on plain sequences of ``Fraction`` with one Gaussian
+elimination routine and first-nonzero pivoting, so results are exact and
+deterministic: ranks, independent subsets, kernels and span membership.
 """
 
 from __future__ import annotations
@@ -108,64 +106,3 @@ def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:
         basis.append(x)
     return basis
 
-
-def nonnegative_solution_exists(columns: Sequence[Vector], rhs: Vector) -> bool:
-    """Decide feasibility of {x >= 0 : sum x_j * columns_j = rhs} exactly.
-
-    Phase-1 simplex with Bland's rule; termination is guaranteed and every
-    pivot is carried out in rational arithmetic.
-    """
-    m = len(rhs)
-    k = len(columns)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("dimension mismatch")
-    rows = [[Fraction(columns[j][i]) for j in range(k)] for i in range(m)]
-    b = _as_fractions(rhs)
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            b[i] = -b[i]
-    # tableau columns: k structural, m artificial, then the rhs.  Artificial
-    # columns never re-enter the basis once they leave (sound for a pure
-    # feasibility question), so Bland's rule on the structural columns
-    # guarantees termination.
-    width = k + m
-    tableau = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]]
-               for i in range(m)]
-    basis = [k + i for i in range(m)]
-    while True:
-        in_basis = set(basis)
-        objective = [Fraction(0)] * (width + 1)
-        for i in range(m):
-            if basis[i] >= k:
-                row = tableau[i]
-                for j in range(width + 1):
-                    objective[j] += row[j]
-        entering = None
-        for j in range(k):
-            if j not in in_basis and objective[j] > 0:
-                entering = j
-                break
-        if entering is None:
-            return objective[width] == 0
-        leaving = None
-        best = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:  # cannot happen: the objective is bounded below
-            raise RuntimeError("unbounded phase-1 simplex")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for i in range(m):
-            if i != leaving and tableau[i][entering]:
-                factor = tableau[i][entering]
-                tableau[i] = [v - factor * w
-                              for v, w in zip(tableau[i], tableau[leaving])]
-        basis[leaving] = entering

@@ -23,12 +23,12 @@ valuation be combined into one of strictly larger valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import HomogPoly, Scalar, grevlex_order, poly_divmod
-from .series import (PRECISION_CAP, PrecisionError,
+from .series import (PRECISION_CAP, PowerSeries, PrecisionError,
                      affine_chart_expansion, eval_bivar, series_solve_branch)
 
 
@@ -96,6 +96,18 @@ class _FinalStage:
     chart: int
     param: int
     dep: int | None
+    _branch: PowerSeries | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    def branch(self, precision: int) -> PowerSeries:
+        """The curve's branch at the point to the given precision.  The
+        branch at a smooth point is unique, so the longest one computed so
+        far serves every lower precision by truncation."""
+        if self._branch is None or self._branch.precision < precision:
+            self._branch = series_solve_branch(
+                self.relation, self.point, precision, chart_var=self.chart,
+                param_var=self.param, dep_var=self.dep)
+        return self._branch.truncate(precision)
 
 
 class Flag:
@@ -232,16 +244,13 @@ def _ord_unit_on_curve(section: HomogPoly, stage: _FinalStage
         return 0, section.evaluate(stage.point)
     bound = section.degree * curve.degree
     precision = 2 * section.degree + 2
+    expansion = affine_chart_expansion(section, stage.point, stage.chart,
+                                       stage.param, stage.dep)
     while True:
         if precision > PRECISION_CAP:
             raise PrecisionError("order search exceeded the precision cap "
                                  f"PRECISION_CAP = {PRECISION_CAP}")
-        branch = series_solve_branch(curve, stage.point, precision,
-                                     chart_var=stage.chart,
-                                     param_var=stage.param, dep_var=stage.dep)
-        expansion = affine_chart_expansion(section, stage.point, stage.chart,
-                                           stage.param, stage.dep)
-        values = eval_bivar(expansion, branch)
+        values = eval_bivar(expansion, stage.branch(precision))
         order = values.order()
         if order is not None:
             return order, values[order]

@@ -1,15 +1,19 @@
 """Independent oracles used to pin expected values in the tests.
 
-Nothing here reuses the library's computation paths: the hull oracle is a
-brute-force Caratheodory search, and the surface valuation oracles expand
-sections in explicit local coordinates (bivariate series solved by a
-hand-derived recurrence, or exact polynomial substitution), so agreement
-with the library is meaningful evidence.
+Nothing here reuses the library's computation paths: the hull oracles are
+brute-force Caratheodory searches (in the plane by orientation tests, in n
+dimensions by barycentric solves over simplices) and a facet enumeration
+over vertex subsets, all with their own exact elimination, and the surface
+valuation oracles expand sections in explicit local coordinates (bivariate
+series solved by a hand-derived recurrence, or exact polynomial
+substitution), so agreement with the library is meaningful evidence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 # -- exact 2D hull oracle -----------------------------------------------------
 
@@ -57,6 +61,96 @@ def brute_hull_vertices_2d(points):
     pts = sorted(set(points))
     return sorted(p for p in pts
                   if not in_hull_2d(p, [q for q in pts if q != p]))
+
+
+# -- exact n-dimensional hull oracles -------------------------------------------
+
+
+def row_reduce(matrix):
+    """Reduced row echelon form over Fraction: the nonzero rows and their
+    pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def in_simplex(p, simplex) -> bool:
+    """p is a convex combination of the affinely independent points of the
+    simplex; False also when they are dependent (Caratheodory then finds p
+    in a smaller simplex)."""
+    m = len(simplex)
+    augmented = [[t[j] for t in simplex] + [p[j]] for j in range(len(p))]
+    augmented.append([1] * m + [1])
+    rows, pivots = row_reduce(augmented)
+    if pivots != list(range(m)):  # inconsistent, or dependent columns
+        return False
+    return all(row[m] >= 0 for row in rows)
+
+
+def in_hull_nd(p, points) -> bool:
+    """Caratheodory in n dimensions: p lies in the hull iff it lies in a
+    simplex of at most n + 1 of the points."""
+    p = tuple(Fraction(v) for v in p)
+    pts = sorted({tuple(Fraction(v) for v in q) for q in points})
+    return any(in_simplex(p, simplex)
+               for size in range(1, len(p) + 2)
+               for simplex in combinations(pts, size))
+
+
+def brute_hull_vertices_nd(points):
+    """Minimal vertex set by testing every point against all the others."""
+    pts = sorted({tuple(Fraction(v) for v in q) for q in points})
+    return [p for p in pts if not in_hull_nd(p, [q for q in pts if q != p])]
+
+
+def affine_dimension(points) -> int:
+    base = points[0]
+    differences = [[a - b for a, b in zip(q, base)] for q in points[1:]]
+    return len(row_reduce(differences)[1])
+
+
+def brute_facets(vertices):
+    """Inward facet inequalities (a, beta), a . x >= beta, of the hull of a
+    full-dimensional vertex list, with a primitive integer: every n-subset
+    of vertices spanning a hyperplane with all vertices on one side."""
+    n = len(vertices[0])
+    found = set()
+    for subset in combinations(vertices, n):
+        base = subset[0]
+        rows, pivots = row_reduce([[a - b for a, b in zip(v, base)]
+                                   for v in subset[1:]])
+        if len(pivots) != n - 1:
+            continue  # the subset does not span a hyperplane
+        free = next(j for j in range(n) if j not in pivots)
+        normal = [Fraction(0)] * n
+        normal[free] = Fraction(1)
+        for row, pivot in zip(rows, pivots):
+            normal[pivot] = -row[free]
+        denom = lcm(*(c.denominator for c in normal))
+        ints = [int(c * denom) for c in normal]
+        g = gcd(*ints)
+        ints = [c // g for c in ints]
+        offset = sum(a * c for a, c in zip(ints, base))
+        sides = [sum(a * c for a, c in zip(ints, v)) - offset for v in vertices]
+        if min(sides) < 0 < max(sides):
+            continue
+        if min(sides) < 0:  # flip to make the normal inward
+            ints, offset = [-c for c in ints], -offset
+        found.add((tuple(ints), offset))
+    return sorted(found)
 
 
 # -- truncated bivariate series ----------------------------------------------

@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from okbody.convex import (GradedPoint, RationalPolytope, cone_slice,
@@ -10,7 +11,8 @@ from okbody.convex import (GradedPoint, RationalPolytope, cone_slice,
                            polytope_from_json, polytope_subset,
                            polytope_to_json, scaled_simplex)
 
-from oracles import brute_hull_vertices_2d, in_hull_2d
+from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
+                     brute_hull_vertices_nd, in_hull_2d, in_hull_nd)
 
 F = Fraction
 
@@ -63,6 +65,106 @@ def test_three_dimensional_hull():
     cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
     hull = convex_hull(cube + [(F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0)])
     assert len(hull.vertices) == 8
+
+
+def test_triangle_contains_centroid():
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    assert in_convex_hull((F(1, 3), F(1, 3)), triangle)
+    assert convex_hull(triangle).contains_point((F(1, 3), F(1, 3)))
+
+
+def test_triangle_excludes_outside_point():
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    assert not in_convex_hull((2, 2), triangle)
+    assert not convex_hull(triangle).contains_point((2, 2))
+
+
+def test_repeated_point_hull_membership():
+    repeated = [(1, 1), (1, 1), (1, 1)]
+    assert in_convex_hull((1, 1), repeated)
+    assert not in_convex_hull((1, 2), repeated)
+    assert convex_hull(repeated).contains_point((1, 1))
+    assert not convex_hull(repeated).contains_point((1, 2))
+
+
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=6),
+       st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
+                min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_convex_combinations_are_inside(points, weights):
+    weights = weights[:len(points)] + [F(0)] * (len(points) - len(weights))
+    total = sum(weights)
+    assume(total > 0)
+    point = [sum(w * p[i] for w, p in zip(weights, points)) / total
+             for i in range(2)]
+    assert in_convex_hull(point, points)
+    assert convex_hull(points).contains_point(point)
+
+
+# -- n-dimensional hulls against the Caratheodory and facet oracles -------------
+
+
+def _nd_clouds():
+    rng = random.Random(17)
+    clouds = {}
+    for dim, size in ((3, 8), (4, 7)):
+        for index in range(3):
+            clouds[f"random_{dim}d_{index}"] = [
+                tuple(F(rng.randrange(-4, 5), rng.randrange(1, 3))
+                      for _ in range(dim)) for _ in range(size)]
+    cube = [(i, j, k) for i in (0, 2) for j in (0, 2) for k in (0, 2)]
+    clouds["repeated"] = cube + cube[:3] + [(1, 1, 1), (1, 1, 1)]
+    clouds["coplanar"] = cube + [(1, 1, 0), (1, 0, 0), (2, 1, 1)]
+    clouds["segment"] = [(t, 2 * t, -t, F(3, 2)) for t in (F(1, 2), 0, 2, 1)]
+    clouds["polygon_in_3space"] = [(x, y, x + y) for x, y in (
+        (0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0), (F(1, 2), F(3, 2)),
+        (3, F(1, 2)))]
+    clouds["single_point"] = [(F(1, 3), 2, -1)] * 3
+    clouds["simplex_4d"] = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0),
+                            (0, 0, 2, 0), (0, 0, 0, 2), (F(1, 2),) * 4,
+                            (1, 1, 0, 0)]
+    # points inside edges that lie on four facets: their tight facets have
+    # rank 3 < 4, so only the rank test rejects them as vertices
+    clouds["edge_points_4d"] = [
+        (1, -3, 0, 2), (-2, 0, 2, -3), (1, -2, 3, 0), (0, 1, -2, -1),
+        (-2, 2, -2, 3), (0, -1, -3, 0), (3, 1, 2, -3),
+        (F(3, 2), 0, F(-1, 2), F(-3, 2)), (F(1, 2), -2, F(-3, 2), 1)]
+    # building this hull meets two rays with at least four common tight
+    # vertices that are not adjacent; without the combinatorial adjacency
+    # test their combination would survive as a redundant facet
+    clouds["adjacency_5d"] = [
+        (0, 0, -1, -1, 0), (1, 1, 0, 0, 0), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1),
+        (0, -1, -1, -1, 1), (1, 1, 0, -1, -1), (1, -1, 1, -1, 1),
+        (1, -1, 0, -1, 1), (0, -1, 0, 1, 0)]
+    return clouds
+
+
+ND_CLOUDS = _nd_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(ND_CLOUDS))
+def test_hull_matches_nd_oracles(name):
+    cloud = ND_CLOUDS[name]
+    hull = convex_hull(cloud)
+    vertices = brute_hull_vertices_nd(cloud)
+    assert list(hull.vertices) == vertices
+    full = affine_dimension(vertices) == hull.dim
+    assert hull.is_full_dimensional() == full
+    if full:
+        facets = brute_facets(vertices)
+        assert list(hull.facets()) == facets
+        assert list(normal_fan_rays(hull)) == sorted(a for a, _b in facets)
+    else:
+        with pytest.raises(ValueError):
+            hull.facets()
+    rng = random.Random(name)
+    probes = list(cloud) + [
+        tuple((a + b) / 2 for a, b in zip(*rng.sample(vertices, 2)))
+        for _ in range(3 if len(vertices) > 1 else 0)] + [
+        tuple(F(rng.randrange(-3, 6), 2) for _ in range(hull.dim))
+        for _ in range(4)]
+    for probe in probes:
+        assert hull.contains_point(probe) == in_hull_nd(probe, cloud)
 
 
 # -- cone slice ------------------------------------------------------------------

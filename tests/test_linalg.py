@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.linalg import (independent_indices, kernel_basis,
-                           nonnegative_solution_exists, rank,
+from okbody.linalg import (independent_indices, kernel_basis, rank,
                            rat_linear_solve)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -82,34 +81,3 @@ def test_kernel_basis_unit_on_free_columns():
     assert kernel_basis(rows, 3) == [[-2, -1, 1]]
     assert kernel_basis([], 2) == [[1, 0], [0, 1]]
 
-
-# -- phase-1 simplex -------------------------------------------------------------
-
-
-def test_feasible_convex_combination():
-    cols = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-    assert nonnegative_solution_exists(cols, (Fraction(1, 3), Fraction(1, 3), 1))
-
-
-def test_infeasible_outside():
-    cols = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
-    assert not nonnegative_solution_exists(cols, (2, 2, 1))
-
-
-def test_degenerate_duplicate_columns():
-    cols = [(1, 1), (1, 1), (1, 1)]
-    assert nonnegative_solution_exists(cols, (3, 3))
-    assert not nonnegative_solution_exists(cols, (1, 2))
-
-
-@given(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=1,
-                max_size=6),
-       st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
-                min_size=1, max_size=6))
-@settings(max_examples=80)
-def test_nonnegative_combinations_are_feasible(cols, weights):
-    cols = [tuple(c) for c in cols]
-    weights = (weights[:len(cols)]
-               + [Fraction(0)] * (len(cols) - len(weights)))
-    rhs = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(2)]
-    assert nonnegative_solution_exists(cols, rhs)

@@ -57,6 +57,19 @@ def test_branch_at_scaled_point():
     assert u1 == u2
 
 
+def test_branch_truncates_to_every_lower_precision(quadric):
+    stage = quadric.flag.final_stage
+    for curve, point, chart, param, dep in (
+            (PLANE_CUBIC, (1, -1, 0), 0, 2, 1),
+            (stage.relation, stage.point, stage.chart, stage.param, stage.dep)):
+        longest = series_solve_branch(curve, point, 32, chart_var=chart,
+                                      param_var=param, dep_var=dep)
+        for precision in range(1, 33):
+            assert longest.truncate(precision) == series_solve_branch(
+                curve, point, precision, chart_var=chart, param_var=param,
+                dep_var=dep)
+
+
 def test_point_off_curve_rejected():
     with pytest.raises(ValueError, match="not lie on the curve"):
         series_solve_branch(PLANE_CUBIC, (1, 1, 1), 4,

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from okbody import valuation
+from okbody import make_case, valuation
 from okbody.linalg import rank, rat_linear_solve
-from okbody.okounkov import GradedSystem, value_set
+from okbody.okounkov import GradedSystem, body_estimate, semigroup
 from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.series import (PrecisionError, affine_chart_expansion, eval_bivar,
                            series_solve_branch)
@@ -15,7 +15,7 @@ from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
                               valuation_with_unit)
 from okbody.varieties import CaseStudy, verify_flag
 
-from oracles import oracle_valuation
+from oracles import oracle_valuation, oracle_value_set
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -184,29 +184,53 @@ def _transformed_case(case, matrix):
     return None
 
 
-def test_value_sets_invariant_under_coordinate_change(quadric):
-    rng = random.Random(41)
-    expected = {m: value_set(GradedSystem(quadric, "complete").basis(m),
-                             quadric.flag) for m in (1, 2, 3)}
-    accepted = dense = 0
-    for _ in range(40):
-        matrix = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
-        if rank(matrix) < 4:
-            continue
-        moved = _transformed_case(quadric, matrix)
-        if moved is None:
-            continue
-        dense += len(moved.flag.steps[0].terms) >= 3
-        system = GradedSystem(moved, "complete")
-        for m in (1, 2, 3):
-            assert value_set(system.basis(m), moved.flag) == expected[m]
-        accepted += 1
-        if accepted == 3:
-            break
-    assert accepted == 3 and dense >= 1
+def test_value_sets_invariant_under_coordinate_change(quadric, fermat):
+    for case in (quadric, fermat):
+        rng = random.Random(41)
+        expected = semigroup(case, "complete", 3)
+        accepted = dense = 0
+        for _ in range(40):
+            matrix = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
+            if rank(matrix) < 4:
+                continue
+            moved = _transformed_case(case, matrix)
+            if moved is None:
+                continue
+            dense += len(moved.flag.steps[0].terms) >= 3
+            computed = semigroup(moved, "complete", 3)
+            assert computed.levels == expected.levels
+            assert body_estimate(computed) == body_estimate(expected)
+            accepted += 1
+            if accepted == 3:
+                break
+        assert accepted == 3 and dense >= 1
 
 
 # -- vanishing order at a point on a curve ----------------------------------------
+
+
+def test_branch_computed_once_per_precision(monkeypatch):
+    case = make_case("quadric_surface")
+    system = GradedSystem(case, "complete")
+    expected = {m: oracle_value_set(case, system.basis(m)) for m in range(1, 5)}
+    computed, requested = [], set()
+    branch = valuation._FinalStage.branch
+
+    def counting(curve, point, precision, **kwargs):
+        computed.append(precision)
+        return series_solve_branch(curve, point, precision, **kwargs)
+
+    def recording(stage, precision):
+        requested.add(precision)
+        return branch(stage, precision)
+
+    monkeypatch.setattr(valuation, "series_solve_branch", counting)
+    monkeypatch.setattr(valuation._FinalStage, "branch", recording)
+    assert semigroup(case, "complete", 4).levels == expected
+    # each call extends the longest branch so far; lower precisions are
+    # served by truncation
+    assert computed == sorted(set(computed))
+    assert 0 < len(computed) <= len(requested)
 
 
 def test_ord_of_coordinate_at_flex():
