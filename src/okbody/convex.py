@@ -10,11 +10,11 @@ Fukuda and Prodon 1996) in integer arithmetic.  The points are scaled to
 integers, projected onto coordinates of their affine hull and lifted to
 (p, 1); the extreme rays of the cone {a : a . (p, 1) >= 0 for every point}
 are then exactly the facet inequalities of the hull, and a point is a
-vertex when its tight facets have full rank.  A polytope computes this
-H-representation once from its vertex list and answers membership, facets
-and the normal fan from it.  Facets carry primitive integer inward normals,
-which are the rays of the normal fan (the combinatorial data of the
-associated toric variety).
+vertex when no other point is tight on all of its facets.  A polytope
+computes this H-representation once from its vertex list and answers
+membership, facets and the normal fan from it.  Facets carry primitive
+integer inward normals, which are the rays of the normal fan (the
+combinatorial data of the associated toric variety).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import independent_indices, kernel_basis, rank
+from .linalg import independent_indices, kernel_basis
 from .polynomials import Scalar
 
 Point = tuple[Fraction, ...]
@@ -183,12 +183,17 @@ def _double_description(points: Sequence[Point]) -> _Hull:
                                           for a, b in zip(rp, rm)])[0],
                               common | bit))
         rays = kept + added
-    # a point is a vertex when the facets through it cut out its lifted ray
-    vertices = []
-    for i in range(count):
-        tight = [ray for ray, mask in rays if mask >> i & 1]
-        if len(tight) >= k and rank(tight) == k:
-            vertices.append(i)
+    # a vertex is the only point on all of its facets; any other point lies
+    # inside a face of dimension >= 1 that another input point spans, so
+    # some other point is tight on all of its facets
+    tight = [0] * count
+    for r, (_ray, mask) in enumerate(rays):
+        for i in range(count):
+            if mask >> i & 1:
+                tight[i] |= 1 << r
+    vertices = [i for i in range(count)
+                if not any(tight[j] & tight[i] == tight[i]
+                           for j in range(count) if j != i)]
     inequalities = []
     for ray, _mask in rays:
         normal = [0] * n

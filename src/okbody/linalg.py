@@ -1,45 +1,54 @@
 """Exact linear algebra over the rationals.
 
-Everything here runs on plain sequences of ``Fraction`` with one Gaussian
-elimination routine and first-nonzero pivoting, so results are exact and
-deterministic: ranks, independent subsets, kernels and span membership.
+Vectors are plain sequences of rationals (``int`` or ``Fraction``).  One
+fraction-free Gaussian elimination with first-nonzero pivoting serves
+everything, so results are exact and deterministic: ranks, independent
+subsets, pivot columns, kernels and span membership.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = Sequence[Fraction]
 
 
-def _as_fractions(vec: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in vec]
+def _integer_row(row: Vector) -> list[int]:
+    """The row scaled to integers by the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def _echelon(rows: Sequence[Vector]
-             ) -> tuple[list[tuple[list[Fraction], int]], list[int]]:
+             ) -> tuple[list[tuple[list[int], int]], list[int]]:
     """Row echelon form of the rows taken in input order, with first-nonzero
-    pivoting: the echelon rows (pivot entry 1, zero in the pivot columns of
-    the rows before them) with their pivot columns, and the indices of the
-    rows that are independent of the rows before them."""
+    pivoting, computed fraction-free: each row is scaled to integers,
+    eliminated against the echelon rows by integer cross-multiplication and
+    divided by its content.  Returns the echelon rows (primitive integer
+    rows, zero before their pivot and in the pivot columns of the rows
+    before them) with their pivot columns, and the indices of the rows that
+    are independent of the rows before them."""
     length = len(rows[0]) if rows else 0
-    echelon: list[tuple[list[Fraction], int]] = []
+    echelon: list[tuple[list[int], int]] = []
     kept = []
     for index, row in enumerate(rows):
         if len(row) != length:
             raise ValueError("rows of unequal length")
-        vec = _as_fractions(row)
+        vec = _integer_row(row)
         for evec, pivot in echelon:
-            factor = vec[pivot]
-            if factor:
-                for i in range(pivot, length):
-                    vec[i] -= factor * evec[i]
-        pivot = next((i for i, v in enumerate(vec) if v), None)
-        if pivot is None:
+            b = vec[pivot]
+            if b:
+                a = evec[pivot]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                vec = [a * v - b * e for v, e in zip(vec, evec)]
+        content = gcd(*vec)
+        if not content:
             continue
-        inv = Fraction(1) / vec[pivot]
-        echelon.append(([v * inv for v in vec], pivot))
+        pivot = next(i for i, v in enumerate(vec) if v)
+        echelon.append(([v // content for v in vec], pivot))
         kept.append(index)
     return echelon, kept
 
@@ -87,6 +96,12 @@ def independent_indices(vectors: Sequence[Vector]) -> list[int]:
     return _echelon(vectors)[1]
 
 
+def pivot_columns(vectors: Sequence[Vector]) -> list[int]:
+    """The pivot columns of the row echelon form, in increasing order: the
+    set of first nonzero positions of the nonzero vectors in the span."""
+    return sorted(pivot for _vec, pivot in _echelon(vectors)[0])
+
+
 def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:
     """Basis of the right kernel {x : row . x = 0 for every row}: one vector
     per free column f, with x_f = 1 and zero on the other free columns."""
@@ -102,7 +117,7 @@ def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:
         # it, so back-substitution from the last row fixes the pivots
         for vec, pivot in reversed(echelon):
             x[pivot] = -sum((vec[j] * x[j] for j in range(pivot + 1, length)
-                             if vec[j] and x[j]), Fraction(0))
+                             if vec[j] and x[j]), Fraction(0)) / vec[pivot]
         basis.append(x)
     return basis
 

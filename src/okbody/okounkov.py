@@ -7,12 +7,12 @@ systems are available at each level m:
   powers    the span of all m-fold products of level-1 elements.
 
 The value set of a level is the set of valuation vectors of the nonzero
-elements of its span.  It is computed by triangularization: whenever two
-basis elements share a valuation vector, the ratio of their leading units
-gives the unique combination that strictly increases the later element's
-vector (lexicographically), and the process stops when all vectors are
-distinct.  The value set then has exactly as many elements as the dimension
-of the span.
+elements of its span.  The flag valuation of a section is the lex-first
+nonzero position of its flag expansion, a linear map, so the value set is
+the set of pivot columns of one exact echelon of the basis's expansions,
+with the columns in lex order (Lazarsfeld and Mustata 2009, section 1;
+Kaveh and Khovanskii 2012).  It has exactly as many elements as the
+dimension of the span.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; its cone slice at height one is an inner estimate of the
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .convex import GradedPoint, RationalPolytope, cone_slice
-from .linalg import independent_indices
-from .polynomials import (HomogPoly, graded_monomials, leading_monomial,
-                          normal_form)
-from .valuation import Flag, valuation_with_unit
+from .linalg import independent_indices, pivot_columns
+from .polynomials import HomogPoly, graded_monomials, leading_monomial
+from .valuation import Flag, flag_expansion
 from .varieties import CaseStudy
 
 KINDS = ("powers", "complete")
@@ -109,43 +109,29 @@ def value_set(basis: Sequence[HomogPoly], flag: Flag) -> tuple[Vector, ...]:
     lex-sorted.  The basis must be linearly independent modulo the relation;
     the result has exactly len(basis) elements.
 
-    Ties are always broken at the lexicographically smallest shared vector,
-    replacing the later of the two basis elements by the unit-ratio
-    combination that strictly increases its vector.
+    The valuation of a nonzero section is the first nonzero position of its
+    flag expansion with the positions in lex order, and the expansion is
+    linear, so the value set is the set of pivot columns of one echelon of
+    the basis's expansions.  Each block degree d' is certified first: no
+    nonzero form of degree d' on the final curve may have all of its
+    expansion coefficients zero.
     """
-    sections = list(basis)
-    if not sections:
-        return ()
-    data = [valuation_with_unit(s, flag) for s in sections]
-    degree = sections[0].degree
-    relation = flag.relation
-    curve_degree = (flag.final_stage.relation.degree
-                    if flag.final_stage.relation is not None else 1)
-    # each recombination strictly increases one vector inside the box
-    # bounded by the section degree (times the curve degree in the last
-    # coordinate), so the lattice size bounds the number of rounds
-    lattice = (degree + 1) ** (flag.n - 1) * (degree * curve_degree + 1)
-    max_rounds = len(sections) * lattice + 10
-    for _round in range(max_rounds):
-        groups: dict[Vector, list[int]] = {}
-        for index, (vec, _unit) in enumerate(data):
-            groups.setdefault(vec, []).append(index)
-        collisions = sorted(v for v, idxs in groups.items() if len(idxs) > 1)
-        if not collisions:
-            return tuple(sorted(vec for vec, _unit in data))
-        first, later = groups[collisions[0]][:2]
-        ratio = data[later][1] / data[first][1]
-        combined = sections[later] - ratio * sections[first]
-        if relation is not None:
-            combined = normal_form(combined, relation)
-        if not combined:
-            raise ValueError("basis is not linearly independent modulo the "
-                             "relation")
-        sections[later] = combined
-        data[later] = valuation_with_unit(combined, flag)
-    raise RuntimeError(f"triangularization did not terminate within "
-                       f"max_rounds = {max_rounds} rounds (the value bound); "
-                       "this indicates an implementation bug")
+    stage = flag.final_stage
+    rows = []
+    for section in basis:
+        row: dict[Vector, Fraction] = {}
+        for prefix, block in flag_expansion(section, flag):
+            stage.certify(block.degree)
+            row.update((prefix + (j,), c)
+                       for j, c in enumerate(stage.series(block)) if c)
+        rows.append(row)
+    columns = sorted(set().union(*rows))
+    pivots = pivot_columns([[row.get(col, 0) for col in columns]
+                            for row in rows])
+    if len(pivots) < len(rows):
+        raise ValueError("basis is not linearly independent modulo the "
+                         "relation")
+    return tuple(columns[i] for i in pivots)
 
 
 @dataclass(frozen=True)

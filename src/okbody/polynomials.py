@@ -128,10 +128,6 @@ class HomogPoly:
         """Terms in lexicographically decreasing exponent order."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
-    def min_degree_in(self, index: int) -> int:
-        """Smallest exponent of one variable over all terms (0 for zero)."""
-        return min((exps[index] for exps in self.terms), default=0)
-
     def coefficient_vector(self, monomials: Sequence[Exponent]) -> tuple[Fraction, ...]:
         return tuple(self.terms.get(m, Fraction(0)) for m in monomials)
 

@@ -1,35 +1,46 @@
-"""Flag valuations of sections by iterated vanishing orders.
+"""Flag valuations of sections through the flag expansion.
 
 A flag on an n-dimensional hypersurface (or projective space) is a chain of
-subvarieties cut by linear forms, ending in a rational point.  The valuation
-of a nonzero section is computed step by step:
+subvarieties cut by linear forms, ending in a rational point.  The flag
+expansion of a section is a linear map, built step by step:
 
   * a linear change of coordinates turns the step form h into a variable y;
     in the graded reverse lexicographic order with y smallest the leading
     monomial of the relation F is free of y, so {y^k, F} is a Groebner basis
-    (Buchberger's coprime leading monomial criterion) and the order along
-    {h = 0} is the smallest y-exponent of the normal form of the section
-    modulo F;
-  * the coefficient of y^k in that normal form is the section divided by
-    h^k and restricted to {h = 0}: a section on the next member;
-  * the final entry is the vanishing order at the point, read off from a
-    power-series parametrization of the last curve (or directly when the
-    last member is a line).
+    (Buchberger's coprime leading monomial criterion) and the normal form of
+    the section modulo F splits into its y^k coefficients, each a section on
+    the next member (for the smallest k, the section divided by h^k and
+    restricted to {h = 0});
+  * recursing through the steps gives one block per prefix
+    (k_1, ..., k_{n-1}), taken in lex order; a final block of degree d' is
+    expanded as a power series at the point of the last curve of degree e
+    (or line, e = 1), coefficients j = 0 .. d'*e, through cached series of
+    the monomials in the chart.
 
-The leading unit is the first nonzero series coefficient after all orders
-have been divided out; it is the datum that lets two sections with equal
-valuation be combined into one of strictly larger valuation.
+The valuation of a nonzero section is the lex-first nonzero position
+(k_1, ..., k_{n-1}, j) of its expansion, and the leading unit is the entry
+there.  The orders along the members are exact for every section; the order
+at the point is exact whenever the section does not vanish on the curve,
+since d'*e bounds it, and this covers every block when the truncated series
+map is injective on forms of degree d' modulo the curve, which
+``_FinalStage.certify`` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from math import comb
+from typing import Iterator, Sequence
 
-from .polynomials import HomogPoly, Scalar, grevlex_order, poly_divmod
+from .linalg import rank
+from .polynomials import (Exponent, HomogPoly, Scalar, graded_monomials,
+                          grevlex_order, poly_divmod)
 from .series import (PRECISION_CAP, PowerSeries, PrecisionError,
-                     affine_chart_expansion, eval_bivar, series_solve_branch)
+                     series_solve_branch)
+
+# nonzero series coefficients (j, c) by increasing j
+Sparse = tuple[tuple[int, Fraction], ...]
 
 
 class ZeroSectionError(ValueError):
@@ -77,15 +88,26 @@ class _Step:
         order = grevlex_order(self.pivot)
         return poly_divmod(normal, self.relation, order)[1]
 
+    def blocks(self, section: HomogPoly) -> Iterator[tuple[int, HomogPoly]]:
+        """The nonzero coefficients of y^k in the section's normal form, by
+        increasing k, as sections on {h = 0}.  The first one is the order k
+        along {h = 0} with the restriction of section / h^k."""
+        normal = self.normal_form(section)
+        p = self.pivot
+        split: dict[int, dict[Exponent, Fraction]] = {}
+        for exps, c in normal.terms.items():
+            split.setdefault(exps[p], {})[exps[:p] + exps[p + 1:]] = c
+        for k in sorted(split):
+            yield k, HomogPoly(normal.num_vars - 1, normal.degree - k,
+                               split[k])
+
     def order_and_restriction(self, section: HomogPoly
                               ) -> tuple[int, HomogPoly]:
         """Order k of a section along {h = 0} and the restriction of
         section / h^k to it."""
-        normal = self.normal_form(section)
-        if not normal:
-            raise ZeroSectionError("section vanishes modulo the relation")
-        k = normal.min_degree_in(self.pivot)
-        return k, normal.coefficient_of(self.pivot, k)
+        for k, restriction in self.blocks(section):
+            return k, restriction
+        raise ZeroSectionError("section vanishes modulo the relation")
 
 
 @dataclass
@@ -98,6 +120,16 @@ class _FinalStage:
     dep: int | None
     _branch: PowerSeries | None = field(default=None, init=False, repr=False,
                                         compare=False)
+    _series: dict[Exponent, Sparse] = field(default_factory=dict, init=False,
+                                            repr=False, compare=False)
+    _series_precision: int = field(default=0, init=False, repr=False,
+                                   compare=False)
+    _certified: set[int] = field(default_factory=set, init=False,
+                                 repr=False, compare=False)
+
+    @property
+    def curve_degree(self) -> int:
+        return self.relation.degree if self.relation is not None else 1
 
     def branch(self, precision: int) -> PowerSeries:
         """The curve's branch at the point to the given precision.  The
@@ -108,6 +140,105 @@ class _FinalStage:
                 self.relation, self.point, precision, chart_var=self.chart,
                 param_var=self.param, dep_var=self.dep)
         return self._branch.truncate(precision)
+
+    def _coordinate_series(self, var: int) -> Sparse:
+        """A coordinate in the chart (the chart coordinate scaled to 1) as a
+        series in the parameter t: t0 + t for the parameter and u0 + u(t)
+        along the branch for the dependent coordinate."""
+        offset = self.point[var] / self.point[self.chart]
+        if var == self.chart:
+            return ((0, offset),)
+        if var == self.param:
+            tail = ((1, Fraction(1)),)
+        else:
+            branch = self.branch(self._series_precision).coefficients
+            tail = tuple((j, c) for j, c in enumerate(branch) if j and c)
+        return ((0, offset),) + tail if offset else tail
+
+    def _monomial_series(self, mono: Exponent, precision: int) -> Sparse:
+        """The series of a monomial to at least the given precision, cached.
+        A monomial divisible by the chart coordinate has the series of its
+        quotient; otherwise it is a smaller monomial's series times the
+        parameter's series, or times the dependent coordinate's series for
+        a pure power of it.  This is the dehomogenisation of
+        ``affine_chart_expansion`` evaluated along the branch."""
+        if precision > self._series_precision:
+            self._series_precision = precision
+            self._series = {(0,) * self.num_vars: ((0, Fraction(1)),)}
+        series = self._series.get(mono)
+        if series is not None:
+            return series
+        if sum(mono) == 1:
+            series = self._coordinate_series(mono.index(1))
+        else:
+            var = next(v for v in (self.chart, self.param, self.dep)
+                       if mono[v])
+            unit = tuple(int(i == var) for i in range(self.num_vars))
+            rest = tuple(e - u for e, u in zip(mono, unit))
+            series = self._monomial_series(rest, precision)
+            if var != self.chart:
+                series = _times(series, self._monomial_series(unit, precision),
+                                self._series_precision)
+        self._series[mono] = series
+        return series
+
+    def series(self, form: HomogPoly) -> list[Fraction]:
+        """Series coefficients j = 0 .. deg(form) * e of a form at the point
+        in the parameter t; they cover the order of every form that does not
+        vanish on the curve."""
+        precision = form.degree * self.curve_degree + 1
+        if precision > PRECISION_CAP:
+            raise PrecisionError(
+                f"a section of degree {form.degree} needs precision "
+                f"{precision} above the cap PRECISION_CAP = {PRECISION_CAP}")
+        out = [Fraction(0)] * precision
+        for exps, c in form.terms.items():
+            for j, s in self._monomial_series(exps, precision):
+                if j >= precision:
+                    break
+                out[j] += c * s
+        return out
+
+    def order_and_unit(self, form: HomogPoly) -> tuple[int, Fraction]:
+        """Order and leading series coefficient of a form at the point."""
+        curve = "line" if self.relation is None else "curve"
+        if not form:
+            raise ZeroSectionError(f"zero restriction on the final {curve}")
+        for j, c in enumerate(self.series(form)):
+            if c:
+                return j, c
+        # a nonzero binary form has a nonzero coefficient at any point
+        raise ZeroSectionError("section vanishes identically on the final "
+                               "curve")
+
+    def certify(self, degree: int) -> None:
+        """Check, once per degree, that no nonzero form of the given degree
+        modulo the curve has all of its series coefficients j = 0 .. d'*e
+        zero: the series of the degree-d' monomials have rank
+        C(d'+2, 2) - C(d'-e+2, 2), the dimension of that graded piece.  It
+        fails when the point lies on a component of a reducible curve."""
+        if degree in self._certified or self.relation is None:
+            return
+        rows = [self.series(HomogPoly.monomial(mono))
+                for mono in graded_monomials(3, degree)]
+        expected = comb(degree + 2, 2) - comb(
+            max(degree - self.curve_degree + 2, 0), 2)
+        if rank(rows) != expected:
+            raise ZeroSectionError(
+                f"some form of degree d' = {degree} vanishes on the final "
+                "curve's branch at the point without vanishing on the curve")
+        self._certified.add(degree)
+
+
+def _times(a: Sparse, b: Sparse, precision: int) -> Sparse:
+    """The product of two sparse series, truncated to the precision."""
+    out: dict[int, Fraction] = {}
+    for i, x in a:
+        for j, y in b:
+            if i + j >= precision:
+                break
+            out[i + j] = out.get(i + j, 0) + x * y
+    return tuple((j, c) for j, c in sorted(out.items()) if c)
 
 
 class Flag:
@@ -205,61 +336,6 @@ def restrict_section(section: HomogPoly, h: HomogPoly, k: int,
     return restricted
 
 
-def _ord_unit_on_line(section: HomogPoly, stage: _FinalStage
-                      ) -> tuple[int, Fraction]:
-    """Order and leading coefficient of a binary form at a point of a line."""
-    if not section:
-        raise ZeroSectionError("zero restriction on the final line")
-    if section.degree == 0:
-        return 0, section.evaluate(stage.point)
-    scale = stage.point[stage.chart]
-    offset = stage.point[stage.param] / scale
-    coeffs = [Fraction(0)] * (section.degree + 1)
-    from math import comb
-    for exps, c in section.terms.items():
-        a = exps[stage.param]
-        for i in range(a + 1):
-            coeffs[i] += c * comb(a, i) * offset ** (a - i)
-    for k, c in enumerate(coeffs):
-        if c:
-            return k, c
-    raise ZeroSectionError("zero restriction on the final line")
-
-
-def _ord_unit_on_curve(section: HomogPoly, stage: _FinalStage
-                       ) -> tuple[int, Fraction]:
-    """Order and leading series coefficient of a section at the flag point of
-    the final plane curve.
-
-    The precision starts at twice the section degree and doubles on an
-    all-zero prefix; the product of the section degree and the curve degree
-    bounds the order of any section not vanishing on the curve, so an
-    all-zero prefix past that bound certifies a zero restriction.
-    """
-    curve = stage.relation
-    assert curve is not None and stage.dep is not None
-    if not section:
-        raise ZeroSectionError("zero restriction on the final curve")
-    if section.degree == 0:
-        return 0, section.evaluate(stage.point)
-    bound = section.degree * curve.degree
-    precision = 2 * section.degree + 2
-    expansion = affine_chart_expansion(section, stage.point, stage.chart,
-                                       stage.param, stage.dep)
-    while True:
-        if precision > PRECISION_CAP:
-            raise PrecisionError("order search exceeded the precision cap "
-                                 f"PRECISION_CAP = {PRECISION_CAP}")
-        values = eval_bivar(expansion, stage.branch(precision))
-        order = values.order()
-        if order is not None:
-            return order, values[order]
-        if precision > bound:
-            raise ZeroSectionError("section vanishes identically on the "
-                                   "final curve")
-        precision *= 2
-
-
 def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
                           point: Sequence[Scalar], *, chart_var: int,
                           param_var: int) -> int:
@@ -268,26 +344,36 @@ def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
     dep = next(i for i in range(3) if i not in (chart_var, param_var))
     stage = _FinalStage(3, curve, tuple(Fraction(v) for v in point),
                         chart_var, param_var, dep)
-    return _ord_unit_on_curve(section, stage)[0]
+    return stage.order_and_unit(section)[0]
+
+
+def flag_expansion(section: HomogPoly, flag: Flag
+                   ) -> Iterator[tuple[tuple[int, ...], HomogPoly]]:
+    """The blocks of a section's flag expansion, lazily: the prefix
+    (k_1, ..., k_{n-1}) and the final block (a section on the last curve or
+    line) for every nonzero block, in lex order of the prefix.  The block's
+    coefficients are ``flag.final_stage.series(block)``; all of it is linear
+    in the section, and a section zero modulo the relation has no blocks."""
+    def expand(stages: Sequence[_Step], current: HomogPoly,
+               prefix: tuple[int, ...]):
+        if not stages:
+            yield prefix, current
+            return
+        for k, block in stages[0].blocks(current):
+            yield from expand(stages[1:], block, prefix + (k,))
+    return expand(flag.stages, section, ())
 
 
 def valuation_with_unit(section: HomogPoly, flag: Flag
                         ) -> tuple[tuple[int, ...], Fraction]:
-    """The full valuation vector together with the leading unit."""
+    """The full valuation vector together with the leading unit: the
+    lex-first nonzero position of the flag expansion and its entry."""
     if not section:
         raise ZeroSectionError("zero section")
-    entries = []
-    current = section
-    for step in flag.stages:
-        k, current = step.order_and_restriction(current)
-        entries.append(k)
-    stage = flag.final_stage
-    if stage.num_vars == 2:
-        order, unit = _ord_unit_on_line(current, stage)
-    else:
-        order, unit = _ord_unit_on_curve(current, stage)
-    entries.append(order)
-    return tuple(entries), unit
+    for prefix, block in flag_expansion(section, flag):
+        order, unit = flag.final_stage.order_and_unit(block)
+        return prefix + (order,), unit
+    raise ZeroSectionError("section vanishes modulo the relation")
 
 
 def flag_valuation(section: HomogPoly, flag: Flag) -> tuple[int, ...]:

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 import hypothesis.strategies as st
 
-from okbody.linalg import (independent_indices, kernel_basis, rank,
-                           rat_linear_solve)
+from okbody.linalg import (independent_indices, kernel_basis, pivot_columns,
+                           rank, rat_linear_solve)
+
+from oracles import row_reduce
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+large = st.fractions(min_value=-10**9, max_value=10**9,
+                     max_denominator=10**12)
 
 
 def test_standard_basis_solve():
@@ -81,3 +85,46 @@ def test_kernel_basis_unit_on_free_columns():
     assert kernel_basis(rows, 3) == [[-2, -1, 1]]
     assert kernel_basis([], 2) == [[1, 0], [0, 1]]
 
+
+
+@st.composite
+def matrices(draw):
+    """A width and rows with large denominators, zero rows, repeated rows
+    and combinations of earlier rows mixed in."""
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), rationals, large)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "repeat", "combine")))
+        if kind == "zero" or not rows:
+            row = [Fraction(0)] * width
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(large)
+            row = [x + c * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return width, rows
+
+
+@seed(20261018)
+@given(matrices())
+@settings(max_examples=120, deadline=None)
+def test_elimination_matches_row_reduce_oracle(matrix):
+    width, rows = matrix
+    reduced, pivots = row_reduce(rows)
+    assert rank(rows) == len(pivots)
+    assert pivot_columns(rows) == pivots
+    # greedy in input order: a row is kept when it raises the rank
+    ranks = [len(row_reduce(rows[:i])[1]) for i in range(len(rows) + 1)]
+    expected = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+    assert independent_indices(rows) == expected
+    kernel = []
+    for f in (j for j in range(width) if j not in pivots):
+        x = [Fraction(int(j == f)) for j in range(width)]
+        for row, pivot in zip(reduced, pivots):
+            x[pivot] = -row[f]
+        kernel.append(x)
+    assert kernel_basis(rows, width) == kernel

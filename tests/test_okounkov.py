@@ -5,12 +5,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from okbody.convex import dilate, polytope_equal, polytope_subset, scaled_simplex
-from okbody.linalg import rat_linear_solve
+from okbody.linalg import rank, rat_linear_solve
 from okbody.okounkov import (GradedSystem, body_estimate, generation_degree,
                              graded_system_basis, semigroup,
                              semigroup_to_json, value_set, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody import okounkov
+from okbody.valuation import Flag, ZeroSectionError, valuation_with_unit
+from okbody.varieties import CaseStudy
 
 from oracles import oracle_value_set
 
@@ -95,9 +96,11 @@ def test_value_set_cardinality_equals_dimension(p2, p3, quadric, fermat):
                 system.dimension(m)
 
 
-def test_value_set_invariant_under_basis_change(quadric, fermat):
+def test_value_set_invariant_under_basis_change(p3, quadric, fermat):
+    # p3 ends on a line; the others end on a conic and a cubic
     rng = random.Random(23)
-    for case, m in ((quadric, 2), (fermat, 1)):
+    for case, m in ((quadric, 2), (fermat, 1), (quadric, 4), (fermat, 3),
+                    (p3, 3)):
         basis = list(graded_system_basis(case, "complete", m))
         reference = value_set(basis, case.flag)
         dim = len(basis)
@@ -105,9 +108,7 @@ def test_value_set_invariant_under_basis_change(quadric, fermat):
             while True:
                 matrix = [[rng.randrange(-3, 4) for _ in range(dim)]
                           for _ in range(dim)]
-                identity = [[Fraction(int(i == j)) for j in range(dim)]
-                            for i in range(dim)]
-                if all(rat_linear_solve(matrix, row) for row in identity):
+                if rank(matrix) == dim:
                     break  # invertible
             recombined = []
             for row in matrix:
@@ -117,6 +118,30 @@ def test_value_set_invariant_under_basis_change(quadric, fermat):
                     section = section + coeff * vec
                 recombined.append(case.reduce(section))
             assert value_set(recombined, case.flag) == reference
+
+
+def _reducible_final_curve_case():
+    # {z = 0} cuts the quadric xw - yz in the conic xw, the lines {x = 0}
+    # and {w = 0}; the point (0:1:0:1) lies on {x = 0} only, where the
+    # branch is x = 0, so every form divisible by x has an all-zero
+    # expansion there without vanishing on the conic
+    x, y, z, w = (HomogPoly.variable(4, i) for i in range(4))
+    relation = x * w - y * z
+    flag = Flag(4, relation, [z], x, (0, 1, 0, 1), chart_var=1,
+                parameter_var=3)
+    return CaseStudy("reducible", 4, relation, flag, n=2, r=2, c=1, d=2), x
+
+
+def test_reducible_final_curve_rejected():
+    case, x = _reducible_final_curve_case()
+    basis = graded_system_basis(case, "complete", 1)
+    with pytest.raises(ZeroSectionError, match="d' = 1"):
+        value_set(basis, case.flag)
+    with pytest.raises(ZeroSectionError):
+        semigroup(case, "complete", 2)
+    with pytest.raises(ZeroSectionError,
+                       match="vanishes identically on the final curve"):
+        valuation_with_unit(x, case.flag)
 
 
 def test_dependent_basis_rejected(fermat):
@@ -251,12 +276,3 @@ def test_semigroup_json_deterministic(fermat):
     assert data["levels"]["1"] == [[0, 0], [0, 1], [0, 3], [1, 0]]
     assert data["M"] == 2
     assert data["kind"] == "complete"
-
-
-def test_value_set_names_the_round_cap(monkeypatch, p2):
-    # a valuation that never separates two sections exhausts the bound
-    monkeypatch.setattr(okounkov, "valuation_with_unit",
-                        lambda section, flag: ((0, 0), Fraction(1)))
-    basis = graded_system_basis(p2, "complete", 1)[:2]
-    with pytest.raises(RuntimeError, match=r"max_rounds = 18 rounds"):
-        value_set(basis, p2.flag)

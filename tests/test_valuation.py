@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -231,6 +232,48 @@ def test_branch_computed_once_per_precision(monkeypatch):
     # served by truncation
     assert computed == sorted(set(computed))
     assert 0 < len(computed) <= len(requested)
+
+
+def _random_form(rng, num_vars, degree):
+    monos = graded_monomials(num_vars, degree)
+    terms = {m: rng.randrange(1, 4)
+             for m in rng.sample(monos, min(4, len(monos)))}
+    return HomogPoly(num_vars, degree, terms)
+
+
+@pytest.mark.parametrize("stage", [
+    make_case("quadric_surface").flag.final_stage,
+    make_case("fermat_cubic").flag.final_stage,
+    # the flex (1:-1:0) with its chart coordinate scaled to 2
+    valuation._FinalStage(3, PLANE_CUBIC, (Fraction(2), Fraction(-2),
+                                           Fraction(0)), 0, 2, 1),
+], ids=["quadric", "fermat", "scaled_flex"])
+def test_final_series_matches_chart_expansion(stage):
+    # the cached monomial series, combined term by term, equal the
+    # dehomogenised form evaluated along the branch; the degrees go up and
+    # down so the cache is rebuilt and then read at lower precisions
+    rng = random.Random(7)
+    for degree in (3, 1, 5, 0, 2):
+        form = _random_form(rng, 3, degree)
+        precision = degree * stage.relation.degree + 1
+        expansion = affine_chart_expansion(form, stage.point, stage.chart,
+                                           stage.param, stage.dep)
+        expected = eval_bivar(expansion, stage.branch(precision))
+        assert stage.series(form) == list(expected.coefficients)
+
+
+def test_final_series_on_a_line():
+    # at (3:2) in the chart x0 = 1 a binary form is f(1, 2/3 + t)
+    stage = valuation._FinalStage(2, None, (Fraction(3), Fraction(2)), 0, 1,
+                                  None)
+    rng = random.Random(8)
+    for degree in (2, 0, 4, 1):
+        form = _random_form(rng, 2, degree)
+        expected = [sum((c * math.comb(e[1], j) * Fraction(2, 3) ** (e[1] - j)
+                         for e, c in form.terms.items() if e[1] >= j),
+                        Fraction(0))
+                    for j in range(degree + 1)]
+        assert stage.series(form) == expected
 
 
 def test_ord_of_coordinate_at_flex():
