@@ -33,8 +33,7 @@ def sweep(primes, degrees, samples, seed):
                         divisor_class_sum(curve, divisor)
                     found += 1
             rates.append(found / samples)
-            image = {curve.mul(d, point) for point in curve.points}
-            exact.append(len(image) / curve.order())
+            exact.append(len(curve.division_witnesses(d)) / curve.order())
         print(f"{p:>5} {curve.order():>5}  " +
               " ".join(f"{rate:6.2f}" for rate in rates))
         print(f"{'':>5} {'exact':>5}  " +

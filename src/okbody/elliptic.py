@@ -7,13 +7,21 @@ effective divisor gives its class, and a degree-d divisor is linearly
 equivalent to d times a single point exactly when that class is divisible by
 d in the group.  Over a finite field the division may fail; over an
 algebraically closed field it never does.
+
+Membership is answered from a per-curve table of d*E(F_p), built on the
+first query of each degree d: it maps each class d*P to the first P in the
+enumeration order of the points, so a query costs one group-law sum and one
+lookup.  Points are checked once, where they enter the group law (``add``,
+``mul``, ``negate``, ``divisor_class_sum``): a point is INFINITY or a pair
+of integers reduced modulo p that satisfies the equation.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 
 class _Infinity:
@@ -60,6 +68,7 @@ class EllipticCurveFp:
         self.p = p
         self.a = a
         self.b = b
+        self._division: dict[int, Mapping[Point, Point]] = {}
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -80,8 +89,12 @@ class EllipticCurveFp:
     def is_on_curve(self, point: Point) -> bool:
         if point is INFINITY:
             return True
+        if not isinstance(point, tuple) or len(point) != 2:
+            return False
         x, y = point
-        return (y * y - (x ** 3 + self.a * x + self.b)) % self.p == 0
+        return (isinstance(x, int) and isinstance(y, int)
+                and 0 <= x < self.p and 0 <= y < self.p
+                and (y * y - (x ** 3 + self.a * x + self.b)) % self.p == 0)
 
     def _require(self, point: Point) -> None:
         if not self.is_on_curve(point):
@@ -98,36 +111,56 @@ class EllipticCurveFp:
         """Chord-tangent addition with the point at infinity as identity."""
         self._require(p1)
         self._require(p2)
+        return self._add(p1, p2)
+
+    def _add(self, p1: Point, p2: Point) -> Point:
+        """``add`` on points already checked to lie on the curve."""
         if p1 is INFINITY:
             return p2
         if p2 is INFINITY:
             return p1
+        p = self.p
         x1, y1 = p1
         x2, y2 = p2
-        if x1 == x2 and (y1 + y2) % self.p == 0:
+        if x1 == x2 and (y1 + y2) % p == 0:
             return INFINITY
         if p1 == p2:
-            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, self.p - 2, self.p)
+            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p)
         else:
-            slope = (y2 - y1) * pow(x2 - x1, self.p - 2, self.p)
-        slope %= self.p
-        x3 = (slope * slope - x1 - x2) % self.p
-        y3 = (slope * (x1 - x3) - y1) % self.p
+            slope = (y2 - y1) * pow(x2 - x1, -1, p)
+        slope %= p
+        x3 = (slope * slope - x1 - x2) % p
+        y3 = (slope * (x1 - x3) - y1) % p
         return (x3, y3)
 
     def mul(self, k: int, point: Point) -> Point:
         """k-fold sum by double-and-add; negative k uses the inverse."""
-        self._require(point)
         if k < 0:
             return self.mul(-k, self.negate(point))
+        self._require(point)
         result: Point = INFINITY
         addend = point
         while k:
             if k & 1:
-                result = self.add(result, addend)
-            addend = self.add(addend, addend)
+                result = self._add(result, addend)
+            addend = self._add(addend, addend)
             k >>= 1
         return result
+
+    def division_witnesses(self, d: int) -> Mapping[Point, Point]:
+        """Read-only map from each class of d*E(F_p) to its first witness,
+        the first P in the enumeration order of ``points`` with d*P equal to
+        the class.  Built with one ``mul`` per point on the first query of
+        each degree, then kept with the curve."""
+        if d < 1:
+            raise ValueError("the degree must be positive")
+        table = self._division.get(d)
+        if table is None:
+            witnesses: dict[Point, Point] = {}
+            for point in self.points:
+                witnesses.setdefault(self.mul(d, point), point)
+            table = self._division[d] = MappingProxyType(witnesses)
+        return table
 
     def __repr__(self) -> str:
         return f"EllipticCurveFp(p={self.p}, a={self.a}, b={self.b})"
@@ -139,26 +172,20 @@ def divisor_class_sum(curve: EllipticCurveFp, points: Sequence[Point]) -> Point:
     linearly equivalent exactly when their sums agree."""
     total: Point = INFINITY
     for point in points:
-        total = curve.add(total, point)
+        curve._require(point)
+        total = curve._add(total, point)
     return total
 
 
 def single_point_member(curve: EllipticCurveFp, points: Sequence[Point]
                         ) -> Optional[Point]:
     """A point P with d*P linearly equivalent to the given degree-d effective
-    divisor, found by exhaustive search of E(F_p) in enumeration order, or
-    None when no F_p-rational witness exists."""
+    divisor, the first one in the enumeration order of E(F_p), or None when
+    no F_p-rational witness exists."""
     if not points:
         raise ValueError("the divisor must have positive degree")
-    for point in points:
-        if not curve.is_on_curve(point):
-            raise ValueError(f"{point} is not a point of the curve")
-    d = len(points)
     target = divisor_class_sum(curve, points)
-    for candidate in curve.points:
-        if curve.mul(d, candidate) == target:
-            return candidate
-    return None
+    return curve.division_witnesses(len(points)).get(target)
 
 
 def random_divisor(curve: EllipticCurveFp, degree: int,

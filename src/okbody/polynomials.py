@@ -76,6 +76,18 @@ class HomogPoly:
         self.degree = degree
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, num_vars: int, degree: int,
+                 terms: Mapping[Exponent, Fraction]) -> HomogPoly:
+        """The constructor for terms computed from valid polynomials: int
+        exponent tuples of length num_vars and total degree ``degree`` with
+        Fraction coefficients.  Only zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.num_vars = num_vars
+        poly.degree = degree
+        poly.terms = {exps: c for exps, c in terms.items() if c}
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -147,19 +159,19 @@ class HomogPoly:
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + c
         degree = self.degree if self.terms else other.degree
-        return HomogPoly(self.num_vars, degree, out)
+        return HomogPoly._trusted(self.num_vars, degree, out)
 
     def __sub__(self, other: HomogPoly) -> HomogPoly:
         return self + (-other)
 
     def __neg__(self) -> HomogPoly:
-        return HomogPoly(self.num_vars, self.degree,
-                         {e: -c for e, c in self.terms.items()})
+        return HomogPoly._trusted(self.num_vars, self.degree,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union[HomogPoly, Scalar]) -> HomogPoly:
         if isinstance(other, (int, Fraction)):
-            return HomogPoly(self.num_vars, self.degree,
-                             {e: c * other for e, c in self.terms.items()})
+            terms = {e: c * other for e, c in self.terms.items()}
+            return HomogPoly._trusted(self.num_vars, self.degree, terms)
         if not isinstance(other, HomogPoly):
             return NotImplemented
         if self.num_vars != other.num_vars:
@@ -169,7 +181,8 @@ class HomogPoly:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return HomogPoly(self.num_vars, self.degree + other.degree, out)
+        return HomogPoly._trusted(self.num_vars, self.degree + other.degree,
+                                  out)
 
     def __rmul__(self, other: Scalar) -> HomogPoly:
         return self.__mul__(other)
@@ -192,7 +205,8 @@ class HomogPoly:
                 continue
             key = exps[:index] + (e - 1,) + exps[index + 1:]
             out[key] = out.get(key, Fraction(0)) + c * e
-        return HomogPoly(self.num_vars, max(self.degree - 1, 0), out)
+        return HomogPoly._trusted(self.num_vars, max(self.degree - 1, 0),
+                                  out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.num_vars:
@@ -223,7 +237,7 @@ class HomogPoly:
             for pe, pc in powers[e].terms.items():
                 key = tuple(a + b for a, b in zip(rest, pe))
                 out[key] = out.get(key, Fraction(0)) + c * pc
-        return HomogPoly(self.num_vars, self.degree, out)
+        return HomogPoly._trusted(self.num_vars, self.degree, out)
 
     def coefficient_of(self, index: int, power: int) -> HomogPoly:
         """The coefficient of x_index^power, a polynomial in the remaining
@@ -232,7 +246,8 @@ class HomogPoly:
             raise ValueError("need a variable to keep")
         terms = {exps[:index] + exps[index + 1:]: c
                  for exps, c in self.terms.items() if exps[index] == power}
-        return HomogPoly(self.num_vars - 1, max(self.degree - power, 0), terms)
+        degree = max(self.degree - power, 0)
+        return HomogPoly._trusted(self.num_vars - 1, degree, terms)
 
     # -- display -----------------------------------------------------------
 
@@ -319,7 +334,8 @@ def poly_divmod(p: HomogPoly, relation: HomogPoly, order: MonomialOrder
             else:
                 r.pop(key, None)
     q_degree = max(p.degree - relation.degree, 0)
-    return HomogPoly(p.num_vars, q_degree, q), HomogPoly(p.num_vars, p.degree, r)
+    return (HomogPoly._trusted(p.num_vars, q_degree, q),
+            HomogPoly._trusted(p.num_vars, p.degree, r))
 
 
 def normal_form(p: HomogPoly, relation: HomogPoly, elim_var: int | None = None

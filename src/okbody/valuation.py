@@ -98,8 +98,8 @@ class _Step:
         for exps, c in normal.terms.items():
             split.setdefault(exps[p], {})[exps[:p] + exps[p + 1:]] = c
         for k in sorted(split):
-            yield k, HomogPoly(normal.num_vars - 1, normal.degree - k,
-                               split[k])
+            yield k, HomogPoly._trusted(normal.num_vars - 1, normal.degree - k,
+                                        split[k])
 
     def order_and_restriction(self, section: HomogPoly
                               ) -> tuple[int, HomogPoly]:

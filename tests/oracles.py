@@ -6,7 +6,10 @@ dimensions by barycentric solves over simplices) and a facet enumeration
 over vertex subsets, all with their own exact elimination, and the surface
 valuation oracles expand sections in explicit local coordinates (bivariate
 series solved by a hand-derived recurrence, or exact polynomial
-substitution), so agreement with the library is meaningful evidence.
+substitution), so agreement with the library is meaningful evidence.  The
+single-point oracle is the one exception: it scans E(F_p) with the library's
+group law, which has its own tests, so it checks the witness tables of
+okbody.elliptic rather than the arithmetic.
 """
 
 from __future__ import annotations
@@ -323,3 +326,19 @@ def oracle_value_set(case, basis):
         sections[later] = combined
         data[later] = oracle_valuation(case.name, combined)
     raise RuntimeError("oracle triangularization did not terminate")
+
+
+# -- single-point divisor representatives ------------------------------------
+
+
+def oracle_single_point_member(curve, points):
+    """The exhaustive scan: the first point P of E(F_p), in enumeration
+    order, with d*P equal to the class of the degree-d divisor, or None."""
+    from okbody.elliptic import divisor_class_sum
+
+    d = len(points)
+    target = divisor_class_sum(curve, points)
+    for candidate in curve.points:
+        if curve.mul(d, candidate) == target:
+            return candidate
+    return None

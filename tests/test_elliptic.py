@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from oracles import oracle_single_point_member
 
 from okbody.elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                              is_prime, random_divisor, single_point_member)
@@ -79,6 +80,23 @@ def test_point_membership_enforced(e101):
         e101.mul(2, (3, 5))
 
 
+@pytest.mark.parametrize("bad", [(105, 41), (4, 41 - 101), (4, 142),
+                                 (4.0, 41), [4, 41], (4, 41, 0)])
+def test_unreduced_or_malformed_coordinates_rejected(e101, bad):
+    # (4, 41) is on the curve; each bad form names the same residues or is
+    # not a pair of integers, and would miss every table key
+    assert e101.is_on_curve((4, 41))
+    assert not e101.is_on_curve(bad)
+    with pytest.raises(ValueError):
+        e101.add(bad, e101.negate((4, 41)))
+    with pytest.raises(ValueError):
+        e101.mul(3, bad)
+    with pytest.raises(ValueError):
+        divisor_class_sum(e101, [INFINITY, bad])
+    with pytest.raises(ValueError):
+        single_point_member(e101, [bad])
+
+
 def test_bad_curves_rejected():
     with pytest.raises(ValueError):
         EllipticCurveFp(10, 1, 1)
@@ -144,3 +162,47 @@ def test_empty_divisor_rejected(e101):
 def test_divisor_point_off_curve_rejected(e101):
     with pytest.raises(ValueError):
         single_point_member(e101, [(1, 1)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 102, 103, 204])
+def test_table_matches_scan_on_every_class(e101, d):
+    for point in e101.points:
+        divisor = [point] + [INFINITY] * (d - 1)
+        assert single_point_member(e101, divisor) == \
+            oracle_single_point_member(e101, divisor)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_table_matches_scan_on_seeded_classes(d):
+    curve = EllipticCurveFp(1009, 0, 1)
+    rng = random.Random(20261018 + d)
+    for _ in range(200):
+        divisor = random_divisor(curve, d, rng)
+        assert single_point_member(curve, divisor) == \
+            oracle_single_point_member(curve, divisor)
+
+
+def test_division_table_built_once_per_degree(monkeypatch):
+    calls = []
+    mul = EllipticCurveFp.mul
+
+    def counted(self, k, point):
+        calls.append(k)
+        return mul(self, k, point)
+
+    monkeypatch.setattr(EllipticCurveFp, "mul", counted)
+    curve = EllipticCurveFp(101, 0, 1)
+    assert curve.order() == 102 and calls == []
+    rng = random.Random(7)
+    for d in (3, 2):
+        table = curve.division_witnesses(d)
+        assert calls == [d] * curve.order()
+        calls.clear()
+        for _ in range(20):
+            single_point_member(curve, random_divisor(curve, d, rng))
+        assert curve.division_witnesses(d) is table and calls == []
+    with pytest.raises(TypeError):
+        table[INFINITY] = INFINITY
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            curve.division_witnesses(d)
