@@ -11,12 +11,12 @@ from pathlib import Path
 
 from okbody.convex import normal_fan_rays, polytope_to_json
 from okbody.okounkov import body_estimate, semigroup, semigroup_to_json
-from okbody.varieties import available_case_names, make_case
+from okbody.varieties import CASE_NAMES, make_case
 
 
 def export(out_dir: Path, c: int, max_level: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in available_case_names():
+    for name in CASE_NAMES:
         case = make_case(name, c)
         for kind in ("powers", "complete"):
             sg = semigroup(case, kind, max_level)

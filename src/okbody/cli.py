@@ -9,9 +9,11 @@ Subcommands:
   verify-flag       run the exact flag verifier and print its report
   ec-single-point   sweep random divisor classes on an elliptic curve over
                     F_p, searching single-point representatives
-                    (alias: lemma-ec)
   export-toric      write the normal fan rays of the computed body
   demo              one table row per shipped case study
+
+A case's dimension n, index r and degree d are read off its flag; a
+--fixture may still carry them, but only with those values.
 
 Exit codes: 0 success / equality, 1 usage error, 2 certification or
 verification failure, 3 computational failure.
@@ -32,7 +34,7 @@ from .elliptic import EllipticCurveFp, divisor_class_sum, random_divisor, \
 from .okounkov import (KINDS, body_estimate, generation_degree, semigroup,
                        semigroup_to_json, vertex_criterion)
 from .series import PrecisionError
-from .varieties import (CaseStudy, available_case_names, case_study_from_json,
+from .varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
                         make_case, verify_flag)
 
 EXIT_OK = 0
@@ -54,23 +56,25 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_case_options(p: argparse.ArgumentParser, with_kind: bool = True):
+    def add_case_options(p: argparse.ArgumentParser, computes: bool = True,
+                         writes: bool = True):
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--case", choices=available_case_names(),
+        group.add_argument("--case", choices=CASE_NAMES,
                            help="shipped case study")
         group.add_argument("--fixture", type=Path,
                            help="JSON file describing a custom case study")
         p.add_argument("--c", type=int,
                        help="scale of the very ample class (default 1, or "
                             "the fixture's own c)")
-        p.add_argument("--max-level", type=int, default=4,
-                       help="enumerate levels 1..M (default 4)")
-        if with_kind:
+        if computes:
+            p.add_argument("--max-level", type=int, default=4,
+                           help="enumerate levels 1..M (default 4)")
             p.add_argument("--kind", choices=(*KINDS, "both"),
                            default="complete")
-        p.add_argument("--out", type=Path, default=Path("out"),
-                       help="output directory (default ./out)")
-        p.add_argument("--verbose", action="store_true")
+            p.add_argument("--verbose", action="store_true")
+        if writes:
+            p.add_argument("--out", type=Path, default=Path("out"),
+                           help="output directory (default ./out)")
 
     p_compute = sub.add_parser("compute", help="semigroup, body and the "
                                "comparison with the expected simplex")
@@ -78,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser("certify", help="vertex-criterion "
                                "certification and generation degree")
-    add_case_options(p_certify)
+    add_case_options(p_certify, writes=False)
 
     p_verify = sub.add_parser("verify-flag", help="exact flag verification")
-    add_case_options(p_verify, with_kind=False)
+    add_case_options(p_verify, computes=False, writes=False)
 
-    p_ec = sub.add_parser("ec-single-point", aliases=["lemma-ec"],
+    p_ec = sub.add_parser("ec-single-point",
                           help="single-point representatives of divisor "
                                "classes on an elliptic curve over F_p")
     p_ec.add_argument("--p", type=int, default=101, help="field prime")
@@ -103,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--c", type=int, default=1)
     p_demo.add_argument("--max-level", type=int, default=4)
     p_demo.add_argument("--kind", choices=KINDS, default="complete")
-    p_demo.add_argument("--out", type=Path, default=Path("out"))
-    p_demo.add_argument("--verbose", action="store_true")
 
     return parser
 
@@ -122,7 +124,8 @@ def _load_case(args) -> CaseStudy:
         try:
             text = args.fixture.read_text(encoding="utf-8")
             case = case_study_from_json(text)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError,
+                ZeroDivisionError) as exc:
             raise _UsageError(f"cannot load fixture: {exc}") from exc
         if args.c is not None and args.c != case.c:
             raise _UsageError(f"the fixture carries c = {case.c}; "
@@ -217,8 +220,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify_flag(args) -> int:
-    case = _load_case(args)
-    report = verify_flag(case)
+    report = verify_flag(_load_case(args))
     print(report)
     return EXIT_OK if report.passed else EXIT_FAILED
 
@@ -272,13 +274,10 @@ def cmd_export_toric(args) -> int:
 
 def cmd_demo(args) -> int:
     _check_sizes(args)
-    header = (f"{'case':<16}{'n':>2}{'r':>3}{'c':>3}{'d':>3}  "
-              f"{'expected vertices':<30}{'computed vertices':<30}"
-              f"{'certified':<11}{'gen degree':<10}")
-    print(header)
-    print("-" * len(header))
+    rows = [("case", "n", "r", "c", "d", "expected vertices",
+             "computed vertices", "certified", "gen degree")]
     ok = True
-    for name in available_case_names():
+    for name in CASE_NAMES:
         case = make_case(name, args.c)
         report = verify_flag(case)
         sg = semigroup(case, args.kind, args.max_level)
@@ -288,10 +287,15 @@ def cmd_demo(args) -> int:
         certified = vertex_criterion(expected, sg.level(1))
         degree = generation_degree(sg, kmax=args.max_level)
         ok = ok and equal and certified and report.passed
-        print(f"{case.name:<16}{case.n:>2}{case.r:>3}{case.c:>3}{case.d:>3}  "
-              f"{_format_vertices(expected):<30}{_format_vertices(body):<30}"
-              f"{'yes' if certified else 'NO':<11}"
-              f"{degree if degree is not None else '-':<10}")
+        rows.append((case.name, *map(str, (case.n, case.r, case.c, case.d)),
+                     _format_vertices(expected), _format_vertices(body),
+                     "yes" if certified else "NO",
+                     "-" if degree is None else str(degree)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, tuple("-" * w for w in widths))
+    for row in rows:
+        print("  ".join(cell.ljust(w)
+                        for cell, w in zip(row, widths)).rstrip())
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -300,7 +304,6 @@ _HANDLERS = {
     "certify": cmd_certify,
     "verify-flag": cmd_verify_flag,
     "ec-single-point": cmd_ec_single_point,
-    "lemma-ec": cmd_ec_single_point,
     "export-toric": cmd_export_toric,
     "demo": cmd_demo,
 }

@@ -66,11 +66,11 @@ class GradedSystem:
     def _standard_monomials(self, degree: int) -> tuple[Vector, ...]:
         """Monomials of the given degree that are reduced modulo the
         relation (not divisible by its leading monomial)."""
-        case = self.case
-        monos = graded_monomials(case.ambient_vars, degree)
-        if case.relation is None:
+        flag = self.case.flag
+        monos = graded_monomials(flag.ambient_vars, degree)
+        if flag.relation is None:
             return monos
-        lm = leading_monomial(case.relation, case.ambient_vars - 1)
+        lm = leading_monomial(flag.relation, flag.ambient_vars - 1)
         return tuple(m for m in monos
                      if not all(a >= b for a, b in zip(m, lm)))
 

@@ -278,6 +278,10 @@ class Flag:
                 raise ValueError("relation must be a nonzero ambient form")
             if self.relation.evaluate(self.point):
                 raise ValueError("the flag point must lie on the hypersurface")
+        if not (0 <= self.chart_var < self.ambient_vars
+                and 0 <= self.parameter_var < self.ambient_vars):
+            raise ValueError("chart or parameter variable is outside the "
+                             f"ambient variables 0..{self.ambient_vars - 1}")
         if self.chart_var == self.parameter_var:
             raise ValueError("chart and parameter variables must differ")
         if self.point[self.chart_var] == 0:

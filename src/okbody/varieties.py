@@ -3,19 +3,23 @@ body computations run, plus the exact flag verifier.
 
 Shipped cases (name, ambient equation, flag):
 
-  p2              projective plane, coordinate flag
-  p3              projective 3-space, coordinate flag
-  quadric_surface {x*w - y*z = 0} in P^3; the flag member is the smooth conic
-                  plane section {x = w}, the point is (0:1:0:0) and the final
-                  form is the tangent plane {z = 0}, which meets the conic in
-                  that single point with contact order 2.
-  fermat_cubic    {x^3 + y^3 + z^3 + w^3 = 0} in P^3; the flag member is the
-                  smooth plane cubic {w = 0}, the point is the rational flex
-                  (1:-1:0:0) and the final form is the flex tangent plane
-                  {x + y = 0}, contact order 3.
+  p2                projective plane, coordinate flag
+  p3                projective 3-space, coordinate flag
+  quadric_surface   {x*w - y*z = 0} in P^3; the flag member is the smooth
+                    conic plane section {x = w}, the point is (0:1:0:0) and
+                    the final form is the tangent plane {z = 0}, which meets
+                    the conic in that single point with contact order 2.
+  fermat_cubic      {x^3 + y^3 + z^3 + w^3 = 0} in P^3; the flag member is
+                    the smooth plane cubic {w = 0}, the point is the rational
+                    flex (1:-1:0:0) and the final form is the flex tangent
+                    plane {x + y = 0}, contact order 3.
+  quadric_threefold {x*w - y*z + v^2 = 0} in P^4, cut by {v = 0} down to the
+                    quadric surface and then flagged as quadric_surface.
 
-A fifth case, quadric_threefold, shares the same machinery but is gated
-behind an experimental flag.
+A case is its flag and the scale c of the very ample class c*H.  The
+dimension n, the index r and the degree d are read off the flag: n is the
+number of flag steps plus one, d the degree of the relation (1 on P^n) and
+r the number of ambient variables minus that degree (minus 0 on P^n).
 
 verify_flag checks each case with exact arithmetic: the final curve is
 smooth (no common projective zero of the partials, a full-rank resultant
@@ -27,7 +31,6 @@ full intersection number d).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,31 +38,42 @@ from .polynomials import (HomogPoly, has_projective_common_zero,
                           normal_form)
 from .valuation import Flag, ZeroSectionError, valuation_with_unit
 
-CASE_NAMES = ("p2", "p3", "quadric_surface", "fermat_cubic")
-EXPERIMENTAL_CASE_NAMES = ("quadric_threefold",)
-_EXPERIMENTAL_ENV = "OKBODY_EXPERIMENTAL"
+CASE_NAMES = ("p2", "p3", "quadric_surface", "fermat_cubic",
+              "quadric_threefold")
 
 
 @dataclass
 class CaseStudy:
-    """A variety with its defining relation, flag and numerical metadata:
-    n = dimension, r = index, c scales the very ample class, d is the top
-    self-intersection of the primitive class."""
+    """A flagged variety (P^n, or the hypersurface {flag.relation = 0}) and
+    the scale c >= 1 of its very ample class c*H.  The flag gives the
+    dimension n, the degree d = H^n and the index r, with -K = r*H."""
 
     name: str
-    ambient_vars: int
-    relation: HomogPoly | None
     flag: Flag
-    n: int
-    r: int
     c: int
-    d: int
+
+    def __post_init__(self):
+        if self.c < 1:
+            raise ValueError(f"c must be a positive integer, not {self.c}")
+
+    @property
+    def n(self) -> int:
+        return self.flag.n
+
+    @property
+    def d(self) -> int:
+        return self.flag.final_stage.curve_degree
+
+    @property
+    def r(self) -> int:
+        relation = self.flag.relation
+        return self.flag.ambient_vars - (relation.degree if relation else 0)
 
     def reduce(self, section: HomogPoly) -> HomogPoly:
         """Canonical representative of a section modulo the relation."""
-        if self.relation is None:
+        if self.flag.relation is None:
             return section
-        return normal_form(section, self.relation)
+        return normal_form(section, self.flag.relation)
 
     def section_degree(self, level: int) -> int:
         return level * self.c
@@ -75,39 +89,24 @@ def _scale_monic(relation: HomogPoly) -> HomogPoly:
     return relation * (Fraction(1) / relation.terms[lm])
 
 
-def experimental_cases_enabled() -> bool:
-    return os.environ.get(_EXPERIMENTAL_ENV, "") not in ("", "0")
-
-
-def available_case_names() -> tuple[str, ...]:
-    if experimental_cases_enabled():
-        return CASE_NAMES + EXPERIMENTAL_CASE_NAMES
-    return CASE_NAMES
-
-
-def make_case(name: str, c: int = 1, *, experimental: bool = False) -> CaseStudy:
+def make_case(name: str, c: int = 1) -> CaseStudy:
     """Construct a shipped case study with its hard-coded verified flag."""
-    if c < 1:
-        raise ValueError("c must be a positive integer")
     if name == "p2":
         x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
         flag = Flag(3, None, [x1], x2, (1, 0, 0),
                     chart_var=0, parameter_var=2)
-        return CaseStudy("p2", 3, None, flag, n=2, r=3, c=c, d=1)
-    if name == "p3":
+    elif name == "p3":
         x0, x1, x2, x3 = (HomogPoly.variable(4, i) for i in range(4))
         flag = Flag(4, None, [x1, x2], x3, (1, 0, 0, 0),
                     chart_var=0, parameter_var=3)
-        return CaseStudy("p3", 4, None, flag, n=3, r=4, c=c, d=1)
-    if name == "quadric_surface":
+    elif name == "quadric_surface":
         relation = _scale_monic(HomogPoly(4, 2, {(1, 0, 0, 1): 1,
                                                  (0, 1, 1, 0): -1}))
         step = HomogPoly.linear_form([1, 0, 0, -1])       # the plane {x = w}
         final = HomogPoly.variable(4, 2)                  # tangent plane {z = 0}
         flag = Flag(4, relation, [step], final, (0, 1, 0, 0),
                     chart_var=1, parameter_var=0)
-        return CaseStudy("quadric_surface", 4, relation, flag, n=2, r=2, c=c, d=2)
-    if name == "fermat_cubic":
+    elif name == "fermat_cubic":
         relation = _scale_monic(HomogPoly(4, 3, {(3, 0, 0, 0): 1,
                                                  (0, 3, 0, 0): 1,
                                                  (0, 0, 3, 0): 1,
@@ -116,12 +115,7 @@ def make_case(name: str, c: int = 1, *, experimental: bool = False) -> CaseStudy
         final = HomogPoly.linear_form([1, 1, 0, 0])       # flex tangent {x+y=0}
         flag = Flag(4, relation, [step], final, (1, -1, 0, 0),
                     chart_var=0, parameter_var=2)
-        return CaseStudy("fermat_cubic", 4, relation, flag, n=2, r=1, c=c, d=3)
-    if name == "quadric_threefold":
-        if not (experimental or experimental_cases_enabled()):
-            raise ValueError(
-                "quadric_threefold is experimental; pass experimental=True "
-                f"or set {_EXPERIMENTAL_ENV}=1")
+    elif name == "quadric_threefold":
         relation = _scale_monic(HomogPoly(5, 2, {(1, 0, 0, 1, 0): 1,
                                                  (0, 1, 1, 0, 0): -1,
                                                  (0, 0, 0, 0, 2): 1}))
@@ -130,22 +124,20 @@ def make_case(name: str, c: int = 1, *, experimental: bool = False) -> CaseStudy
         final = HomogPoly.variable(5, 2)
         flag = Flag(5, relation, steps, final, (0, 1, 0, 0, 0),
                     chart_var=1, parameter_var=0)
-        return CaseStudy("quadric_threefold", 5, relation, flag,
-                         n=3, r=3, c=c, d=2)
-    raise ValueError(f"unknown case study {name!r}")
+    else:
+        raise ValueError(f"unknown case study {name!r}")
+    return CaseStudy(name, flag, c)
 
 
 def make_negative_control(c: int = 1) -> CaseStudy:
     """The quadric surface flag with a non-tangent final plane {x = 0}: the
     point still lies on it, but the contact order with the conic is 1 < 2,
     so the single-point condition fails.  Shipped for verifier tests."""
-    good = make_case("quadric_surface", c)
-    bad_final = HomogPoly.variable(4, 0)
-    flag = Flag(4, good.relation, list(good.flag.steps), bad_final,
-                good.flag.point, chart_var=good.flag.chart_var,
-                parameter_var=good.flag.parameter_var)
-    return CaseStudy("quadric_surface_negative_control", 4, good.relation,
-                     flag, n=2, r=2, c=c, d=2)
+    good = make_case("quadric_surface", c).flag
+    flag = Flag(4, good.relation, list(good.steps), HomogPoly.variable(4, 0),
+                good.point, chart_var=good.chart_var,
+                parameter_var=good.parameter_var)
+    return CaseStudy("quadric_surface_negative_control", flag, c)
 
 
 # -- flag verification -------------------------------------------------------
@@ -189,19 +181,16 @@ def verify_flag(case: CaseStudy) -> FlagReport:
     flag = case.flag
     checks: list[FlagCheck] = []
 
-    if case.relation is not None:
-        smooth = _smooth_hypersurface(case.relation)
+    if flag.relation is not None:
+        smooth = _smooth_hypersurface(flag.relation)
         checks.append(FlagCheck(
             "ambient hypersurface smooth", smooth,
             "partials of the relation have no common projective zero"
             if smooth else "the relation defines a singular hypersurface"))
 
-    on_all = True
-    for form in (*flag.steps, flag.final_form):
-        if form.evaluate(flag.point):
-            on_all = False
-    if case.relation is not None and case.relation.evaluate(flag.point):
-        on_all = False
+    members = (*flag.steps, flag.final_form,
+               *(() if flag.relation is None else (flag.relation,)))
+    on_all = not any(form.evaluate(flag.point) for form in members)
     checks.append(FlagCheck(
         "point on all flag members", on_all,
         "the point satisfies the relation, every step and the final form"
@@ -263,12 +252,9 @@ def _poly_from_obj(obj, num_vars: int, what: str) -> HomogPoly:
 def case_study_to_json(case: CaseStudy) -> str:
     payload = {
         "name": case.name,
-        "ambient_vars": case.ambient_vars,
-        "n": case.n,
-        "r": case.r,
+        "ambient_vars": case.flag.ambient_vars,
         "c": case.c,
-        "d": case.d,
-        "relation": _poly_to_obj(case.relation),
+        "relation": _poly_to_obj(case.flag.relation),
         "steps": [_poly_to_obj(s) for s in case.flag.steps],
         "final_form": _poly_to_obj(case.flag.final_form),
         "point": [f"{v.numerator}/{v.denominator}" for v in case.flag.point],
@@ -280,8 +266,11 @@ def case_study_to_json(case: CaseStudy) -> str:
 
 def case_study_from_json(text: str) -> CaseStudy:
     """Load a custom hypersurface case study.  The caller is expected to run
-    verify_flag on the result before using it."""
+    verify_flag on the result before using it.  The flag determines n, r and
+    d; a fixture may still carry them, but only with the derived values."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a fixture is a JSON object")
     nv = int(data["ambient_vars"])
     relation = None
     if data.get("relation") is not None:
@@ -292,6 +281,9 @@ def case_study_from_json(text: str) -> CaseStudy:
     flag = Flag(nv, relation, steps, final, point,
                 chart_var=int(data["chart_var"]),
                 parameter_var=int(data["parameter_var"]))
-    return CaseStudy(str(data["name"]), nv, relation, flag,
-                     n=int(data["n"]), r=int(data["r"]),
-                     c=int(data["c"]), d=int(data["d"]))
+    case = CaseStudy(str(data["name"]), flag, int(data["c"]))
+    for key in ("n", "r", "d"):
+        if key in data and data[key] != getattr(case, key):
+            raise ValueError(f"the fixture carries {key} = {data[key]!r}, "
+                             f"but its flag gives {key} = {getattr(case, key)}")
+    return case

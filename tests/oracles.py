@@ -320,8 +320,8 @@ def oracle_value_set(case, basis):
         _vec, first, later = collision
         ratio = data[later][1] / data[first][1]
         combined = sections[later] - ratio * sections[first]
-        if case.relation is not None:
-            combined = normal_form(combined, case.relation)
+        if case.flag.relation is not None:
+            combined = normal_form(combined, case.flag.relation)
         assert combined, "oracle basis collapsed"
         sections[later] = combined
         data[later] = oracle_valuation(case.name, combined)

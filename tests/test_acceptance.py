@@ -181,13 +181,13 @@ def test_criterion_09_property_suites():
     for name in GENERATION_DEGREES:
         case = cached_case(name)
         rng = random.Random(zlib.crc32(name.encode()))
-        monos = graded_monomials(case.ambient_vars, 1)
+        monos = graded_monomials(case.flag.ambient_vars, 1)
         checked = 0
         while checked < 100:
             terms_s = {m: rng.randrange(-3, 4) for m in rng.sample(monos, 2)}
             terms_t = {m: rng.randrange(-3, 4) for m in rng.sample(monos, 2)}
-            s = HomogPoly(case.ambient_vars, 1, terms_s)
-            t = HomogPoly(case.ambient_vars, 1, terms_t)
+            s = HomogPoly(case.flag.ambient_vars, 1, terms_s)
+            t = HomogPoly(case.flag.ambient_vars, 1, terms_t)
             if not s or not t:
                 continue
             vs, us = valuation_with_unit(s, case.flag)
@@ -223,7 +223,8 @@ def test_criterion_09_property_suites():
                 break
         recombined = []
         for row in matrix:
-            section = HomogPoly.zero(case.ambient_vars, case.section_degree(m))
+            section = HomogPoly.zero(case.flag.ambient_vars,
+                                     case.section_degree(m))
             for coeff, vec in zip(row, basis):
                 section = section + coeff * vec
             recombined.append(case.reduce(section))

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from okbody.cli import main
 from okbody.convex import polytope_from_json, polytope_equal, scaled_simplex
-from okbody.varieties import case_study_to_json, make_negative_control
+from okbody.varieties import (case_study_to_json, make_case,
+                              make_negative_control)
 
 
 def run(argv):
@@ -51,7 +53,6 @@ def test_usage_error_bad_c(capsys):
 
 
 def test_c_must_match_the_fixture(tmp_path, capsys):
-    from okbody.varieties import make_case
     fixture = tmp_path / "quadric_c2.json"
     fixture.write_text(case_study_to_json(make_case("quadric_surface", 2)))
     assert run(["verify-flag", "--fixture", fixture, "--c", "1"]) == 1
@@ -78,9 +79,9 @@ def test_usage_error_unknown_case():
     assert excinfo.value.code == 1
 
 
-def test_certify_quadric(tmp_path, capsys):
+def test_certify_quadric(capsys):
     code = run(["certify", "--case", "quadric_surface", "--max-level", "2",
-                "--kind", "both", "--out", tmp_path])
+                "--kind", "both"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("CERTIFIED finitely generated (vertex criterion)") == 2
@@ -90,8 +91,7 @@ def test_certify_quadric(tmp_path, capsys):
 def test_certify_refuses_failing_fixture(tmp_path, capsys):
     fixture = tmp_path / "control.json"
     fixture.write_text(case_study_to_json(make_negative_control()))
-    code = run(["certify", "--fixture", fixture, "--max-level", "2",
-                "--out", tmp_path])
+    code = run(["certify", "--fixture", fixture, "--max-level", "2"])
     assert code == 2
     err = capsys.readouterr()
     assert "FAIL" in err.out
@@ -113,13 +113,52 @@ def test_verify_flag_unreadable_fixture(tmp_path, capsys):
     assert run(["verify-flag", "--fixture", fixture]) == 1
 
 
-def test_ec_single_point_and_alias(capsys):
+def _fixture_text(edit):
+    data = json.loads(case_study_to_json(make_case("quadric_surface")))
+    return json.dumps(edit(data))
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+    return edit
+
+
+def _set_coefficient(data):
+    data["final_form"][0][0] = "1/0"
+    return data
+
+
+BAD_FIXTURES = {
+    "wrong_n": _set("n", 5),
+    "wrong_d": _set("d", 3),
+    "c_zero": _set("c", 0),
+    "top_level_list": lambda data: [data],
+    "steps_not_a_list": _set("steps", 5),
+    "zero_denominator": _set_coefficient,
+    "chart_var_outside": _set("chart_var", 9),
+}
+
+
+@pytest.mark.parametrize("command", ["verify-flag", "compute", "certify"])
+@pytest.mark.parametrize("fixture", sorted(BAD_FIXTURES))
+def test_bad_fixture_is_a_usage_error(tmp_path, capsys, command, fixture):
+    path = tmp_path / f"{fixture}.json"
+    path.write_text(_fixture_text(BAD_FIXTURES[fixture]))
+    argv = [command, "--fixture", path]
+    if command == "compute":
+        argv += ["--out", tmp_path]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "cannot load fixture" in err
+    assert "Traceback" not in err
+
+
+def test_ec_single_point(capsys):
     assert run(["ec-single-point", "--d", "2", "--samples", "10",
                 "--seed", "3"]) == 0
-    first = capsys.readouterr().out
-    assert "102 points" in first
-    assert run(["lemma-ec", "--d", "2", "--samples", "10", "--seed", "3"]) == 0
-    assert capsys.readouterr().out == first
+    assert "102 points" in capsys.readouterr().out
 
 
 def test_ec_usage_errors(capsys):
@@ -135,12 +174,18 @@ def test_export_toric_p2(tmp_path, capsys):
     assert data["rays"] == [[-1, -1], [0, 1], [1, 0]]
 
 
-def test_demo(tmp_path, capsys):
-    code = run(["demo", "--max-level", "2", "--out", tmp_path])
+def test_demo(capsys):
+    code = run(["demo", "--max-level", "2"])
     assert code == 0
-    out = capsys.readouterr().out
-    for name in ("p2", "p3", "quadric_surface", "fermat_cubic"):
-        assert name in out
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == [
+        "p2", "p3", "quadric_surface", "fermat_cubic", "quadric_threefold"]
+    # the rule underlines each column; every gap in it is a space in
+    # every line, so no two columns run together
+    gaps = [m.start() for m in re.finditer(" ", rule)]
+    assert len(re.findall("-+", rule)) == 9
+    for line in (header, *rows):
+        assert all(i >= len(line) or line[i] == " " for i in gaps), line
 
 
 def test_computational_failure_exit_code(monkeypatch, tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_value_set_invariant_under_basis_change(p3, quadric, fermat):
                     break  # invertible
             recombined = []
             for row in matrix:
-                section = HomogPoly.zero(case.ambient_vars,
+                section = HomogPoly.zero(case.flag.ambient_vars,
                                          case.section_degree(m))
                 for coeff, vec in zip(row, basis):
                     section = section + coeff * vec
@@ -129,7 +129,7 @@ def _reducible_final_curve_case():
     relation = x * w - y * z
     flag = Flag(4, relation, [z], x, (0, 1, 0, 1), chart_var=1,
                 parameter_var=3)
-    return CaseStudy("reducible", 4, relation, flag, n=2, r=2, c=1, d=2), x
+    return CaseStudy("reducible", flag, c=1), x
 
 
 def test_reducible_final_curve_rejected():

@@ -126,7 +126,7 @@ def _oracle_sections(rng, h, relation, degree, count):
 def test_order_and_cofactor_match_groebner_oracle(name, request):
     sympy = pytest.importorskip("sympy")
     case = request.getfixturevalue(name)
-    relation = case.relation
+    relation = case.flag.relation
     symbols = sympy.symbols("x y z w")
     rng = random.Random(29)
     dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
@@ -168,7 +168,7 @@ def _transformed_case(case, matrix):
     not usable there for any chart and parameter variable."""
     columns = [[row[j] for row in matrix] for j in range(4)]
     point = rat_linear_solve(columns, case.flag.point)
-    relation = _pull_back(case.relation, matrix)
+    relation = _pull_back(case.flag.relation, matrix)
     steps = [_pull_back(s, matrix) for s in case.flag.steps]
     final = _pull_back(case.flag.final_form, matrix)
     for chart in range(4):
@@ -178,8 +178,7 @@ def _transformed_case(case, matrix):
                             chart_var=chart, parameter_var=param)
             except ValueError:
                 continue
-            moved = CaseStudy(case.name, 4, relation, flag, n=case.n, r=case.r,
-                              c=case.c, d=case.d)
+            moved = CaseStudy(case.name, flag, case.c)
             if verify_flag(moved).passed:
                 return moved
     return None
@@ -365,9 +364,9 @@ def test_zero_section_rejected(fermat):
 def test_valuations_match_oracles_on_monomial_bases(p2, p3, quadric, fermat):
     for case in (p2, p3, quadric, fermat):
         for degree in (1, 2):
-            for mono in graded_monomials(case.ambient_vars, degree):
+            for mono in graded_monomials(case.flag.ambient_vars, degree):
                 section = HomogPoly.monomial(mono)
-                if case.relation is not None and not case.reduce(section):
+                if case.flag.relation is not None and not case.reduce(section):
                     continue
                 assert valuation_with_unit(section, case.flag) == \
                     oracle_valuation(case.name, section)
@@ -391,12 +390,12 @@ def test_valuations_match_oracles_on_random_sections(quadric, fermat):
 
 def _random_sections(case, degree, count, seed):
     rng = random.Random(seed)
-    monos = graded_monomials(case.ambient_vars, degree)
+    monos = graded_monomials(case.flag.ambient_vars, degree)
     out = []
     while len(out) < count:
         terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, 2)}
-        section = HomogPoly(case.ambient_vars, degree, terms)
-        if section and (case.relation is None or case.reduce(section)):
+        section = HomogPoly(case.flag.ambient_vars, degree, terms)
+        if section and (case.flag.relation is None or case.reduce(section)):
             out.append(section)
     return out
 

@@ -1,9 +1,18 @@
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+from okbody.convex import polytope_equal
+from okbody.okounkov import body_estimate, semigroup, vertex_criterion
 from okbody.polynomials import HomogPoly
-from okbody.varieties import (CASE_NAMES, case_study_from_json,
+from okbody.valuation import Flag
+from okbody.varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
                               case_study_to_json, make_case,
                               make_negative_control, verify_flag)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_case_metadata():
@@ -12,12 +21,24 @@ def test_case_metadata():
         "p3": (3, 4, 1),
         "quadric_surface": (2, 2, 2),
         "fermat_cubic": (2, 1, 3),
+        "quadric_threefold": (3, 3, 2),
     }
+    assert set(expectations) == set(CASE_NAMES)
     for name, (n, r, d) in expectations.items():
         case = make_case(name)
         assert (case.n, case.r, case.d) == (n, r, d)
         assert case.c == 1
         assert case.flag.n == case.n
+
+
+def test_case_study_fields():
+    assert [f.name for f in fields(CaseStudy)] == ["name", "flag", "c"]
+
+
+def test_shipped_cases_have_coindex_at_most_two():
+    for name in CASE_NAMES:
+        case = make_case(name)
+        assert 0 <= case.n + 1 - case.r <= 2, name
 
 
 def test_index_matches_dimension_pattern():
@@ -35,13 +56,15 @@ def test_unknown_case_rejected():
 def test_nonpositive_c_rejected():
     with pytest.raises(ValueError):
         make_case("p2", 0)
+    with pytest.raises(ValueError, match="positive"):
+        CaseStudy("p2", make_case("p2").flag, 0)
 
 
 def test_relation_scaled_monic():
     fermat = make_case("fermat_cubic")
-    assert fermat.relation.terms[(0, 0, 0, 3)] == 1
+    assert fermat.flag.relation.terms[(0, 0, 0, 3)] == 1
     quadric = make_case("quadric_surface")
-    assert quadric.relation.evaluate((0, 1, 0, 0)) == 0
+    assert quadric.flag.relation.evaluate((0, 1, 0, 0)) == 0
 
 
 def test_verify_flag_passes_on_shipped_cases():
@@ -70,19 +93,8 @@ def test_negative_control_fails_contact_check():
     assert all(c.passed for c in others)
 
 
-def test_experimental_case_gated(monkeypatch):
-    monkeypatch.delenv("OKBODY_EXPERIMENTAL", raising=False)
-    with pytest.raises(ValueError, match="experimental"):
-        make_case("quadric_threefold")
-    case = make_case("quadric_threefold", experimental=True)
-    assert (case.n, case.r, case.d) == (3, 3, 2)
-    assert verify_flag(case).passed
-
-
-def test_experimental_case_body():
-    from okbody.okounkov import body_estimate, semigroup, vertex_criterion
-    from okbody.convex import polytope_equal
-    case = make_case("quadric_threefold", experimental=True)
+def test_quadric_threefold_body():
+    case = make_case("quadric_threefold")
     sg = semigroup(case, "complete", 2)
     assert polytope_equal(body_estimate(sg), case.expected_body())
     assert vertex_criterion(case.expected_body(), sg.level(1))
@@ -96,10 +108,39 @@ def test_fixture_round_trip(tmp_path):
     text = case_study_to_json(case)
     loaded = case_study_from_json(text)
     assert loaded.name == case.name
-    assert loaded.relation == case.relation
+    assert loaded.flag.relation == case.flag.relation
     assert (loaded.n, loaded.r, loaded.c, loaded.d) == (2, 1, 2, 3)
     assert verify_flag(loaded).passed
     assert case_study_to_json(loaded) == text
+
+
+def test_fixture_carries_no_derived_metadata():
+    for name in CASE_NAMES:
+        data = json.loads(case_study_to_json(make_case(name)))
+        assert list(data) == ["name", "ambient_vars", "c", "relation",
+                              "steps", "final_form", "point", "chart_var",
+                              "parameter_var"]
+
+
+def test_fixture_with_matching_metadata_loads():
+    # written by the earlier writer, which also stored n, r and d
+    text = (FIXTURES / "quadric_surface_with_metadata.json").read_text()
+    loaded = case_study_from_json(text)
+    assert (loaded.n, loaded.r, loaded.c, loaded.d) == (2, 2, 1, 2)
+    assert verify_flag(loaded).passed
+    assert case_study_to_json(loaded) == \
+        case_study_to_json(make_case("quadric_surface"))
+
+
+@pytest.mark.parametrize("key,value,derived",
+                         [("n", 5, 2), ("r", 7, 2), ("d", 3, 2)])
+def test_fixture_with_wrong_metadata_rejected(key, value, derived):
+    data = json.loads(case_study_to_json(make_case("quadric_surface")))
+    data[key] = value
+    with pytest.raises(ValueError,
+                       match=f"{key} = {value}, but its flag gives "
+                             f"{key} = {derived}"):
+        case_study_from_json(json.dumps(data))
 
 
 def test_fixture_negative_control_round_trip():
@@ -109,7 +150,6 @@ def test_fixture_negative_control_round_trip():
 
 
 def test_fixture_rejects_inhomogeneous_relation():
-    import json
     case = make_case("fermat_cubic")
     data = json.loads(case_study_to_json(case))
     data["relation"].append(["1", [1, 0, 0, 0]])
@@ -118,7 +158,6 @@ def test_fixture_rejects_inhomogeneous_relation():
 
 
 def test_fixture_rejects_point_off_flag():
-    import json
     case = make_case("fermat_cubic")
     data = json.loads(case_study_to_json(case))
     data["point"] = ["1", "1", "0", "0"]
@@ -130,3 +169,14 @@ def test_reduce_is_identity_without_relation():
     p2 = make_case("p2")
     section = HomogPoly.variable(3, 0) ** 2
     assert p2.reduce(section) == section
+
+
+@pytest.mark.parametrize("var", [-1, 4])
+def test_flag_rejects_variable_outside_ambient(var):
+    flag = make_case("quadric_surface").flag
+    with pytest.raises(ValueError, match="outside"):
+        Flag(4, flag.relation, flag.steps, flag.final_form, flag.point,
+             chart_var=var, parameter_var=0)
+    with pytest.raises(ValueError, match="outside"):
+        Flag(4, flag.relation, flag.steps, flag.final_form, flag.point,
+             chart_var=1, parameter_var=var)
