@@ -22,6 +22,7 @@ verification failure, 3 computational failure.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from pathlib import Path
@@ -258,17 +259,14 @@ def cmd_ec_single_point(args) -> int:
 
 def cmd_export_toric(args) -> int:
     case = _checked(_load_case(args), args.verbose)
-    kind = args.kind if args.kind != "both" else "complete"
-    sg = semigroup(case, kind, args.max_level)
-    body = body_estimate(sg)
-    rays = normal_fan_rays(body)
-    stem = _stem(case, args, kind)
-    payload = {"dim": body.dim, "rays": [list(r) for r in rays]}
-    import json
-    _write(args.out / f"{stem}_fan.json",
-           json.dumps(payload, indent=2) + "\n", args.verbose)
-    print(f"{case.name}: normal fan rays "
-          + " ".join("(" + ",".join(map(str, r)) + ")" for r in rays))
+    for kind in _kinds(args):
+        body = body_estimate(semigroup(case, kind, args.max_level))
+        rays = normal_fan_rays(body)
+        payload = {"dim": body.dim, "rays": [list(r) for r in rays]}
+        _write(args.out / f"{_stem(case, args, kind)}_fan.json",
+               json.dumps(payload, indent=2) + "\n", args.verbose)
+        print(f"{case.name} ({kind}): normal fan rays "
+              + " ".join("(" + ",".join(map(str, r)) + ")" for r in rays))
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ A :class:`PowerSeries` knows its coefficients below an explicit precision
 bound; arithmetic results carry the minimum precision of their inputs.  The
 branch solver writes one affine coordinate of a plane curve as a series in a
 chosen local parameter by Newton iteration on the dehomogenized equation,
-doubling the working precision each step.
+doubling the working precision each step; it can resume from a shorter
+branch computed earlier, so extending a branch costs only the new steps.
 """
 
 from __future__ import annotations
@@ -201,16 +202,26 @@ def eval_bivar(poly: BivarPoly, u: PowerSeries) -> PowerSeries:
 
 def series_solve_branch(curve: HomogPoly, point: Sequence[Scalar],
                         precision: int, *, chart_var: int, param_var: int,
-                        dep_var: int) -> PowerSeries:
+                        dep_var: int, start: tuple[Fraction, ...] = ()
+                        ) -> PowerSeries:
     """Local parametrization of a plane curve at a smooth rational point.
 
     Returns the series u(t) with the dependent affine coordinate expressed in
     the parameter t, normalized so that u(0) = 0 (u is the offset from the
     point).  The series satisfies f(t, u(t)) = 0 to the requested precision,
     where f is the dehomogenized curve equation.
+
+    Newton doubling continues from ``start``, the branch's coefficients
+    below some shorter precision (a tuple, so that calls stay hashable).
+    The branch is the only solution with u(0) = 0, so a start whose first
+    coefficient is nonzero, or whose Newton residual does not vanish below
+    its length, raises ValueError.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
+    if len(start) >= precision or (start and start[0]):
+        raise ValueError("a branch start must be shorter than the precision "
+                         "and have u(0) = 0")
     if precision > PRECISION_CAP:
         raise PrecisionError(f"requested precision {precision} exceeds the "
                              f"cap {PRECISION_CAP}")
@@ -224,10 +235,15 @@ def series_solve_branch(curve: HomogPoly, point: Sequence[Scalar],
             raise ValueError("point is a singular point of the curve")
         raise ValueError("chosen parameter is not transversal at the point")
     df = bivar_partial_u(f)
-    u = PowerSeries([Fraction(0)])
+    u = PowerSeries(start or [Fraction(0)])
     while u.precision < precision:
-        target = min(2 * u.precision, precision)
-        u = PowerSeries(u.coefficients + (Fraction(0),) * (target - u.precision))
-        correction = eval_bivar(f, u) * eval_bivar(df, u).inverse()
+        known = u.precision
+        target = min(2 * known, precision)
+        u = u.pad(target)
+        residual = eval_bivar(f, u)
+        if any(residual.coefficients[:known]):
+            raise ValueError("the branch start does not solve the curve "
+                             f"equation to precision {known}")
+        correction = residual * eval_bivar(df, u).inverse()
         u = (u - correction).truncate(target)
     return u

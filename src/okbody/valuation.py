@@ -10,12 +10,15 @@ expansion of a section is a linear map, built step by step:
     (Buchberger's coprime leading monomial criterion) and the normal form of
     the section modulo F splits into its y^k coefficients, each a section on
     the next member (for the smallest k, the section divided by h^k and
-    restricted to {h = 0});
+    restricted to {h = 0}); the normal form is linear, so each step keeps a
+    table of monomial normal forms, and a degree-m entry is a degree-(m-1)
+    entry times one coordinate, reduced (the multiplication step of FGLM);
   * recursing through the steps gives one block per prefix
     (k_1, ..., k_{n-1}), taken in lex order; a final block of degree d' is
     expanded as a power series at the point of the last curve of degree e
     (or line, e = 1), coefficients j = 0 .. d'*e, through cached series of
-    the monomials in the chart.
+    the monomials in the chart and one branch of the curve, which Newton's
+    iteration extends when a higher degree needs more coefficients.
 
 The valuation of a nonzero section is the lex-first nonzero position
 (k_1, ..., k_{n-1}, j) of its expansion, and the leading unit is the entry
@@ -58,6 +61,14 @@ class _Step:
     pivot: int
     to_y: HomogPoly
     relation: HomogPoly | None
+    # the normal form of each monomial met so far, filled lazily
+    _table: dict[Exponent, HomogPoly] = field(default_factory=dict,
+                                              init=False, repr=False,
+                                              compare=False)
+
+    def __post_init__(self):
+        one = (0,) * self.to_y.num_vars
+        self._table[one] = HomogPoly.constant(self.to_y.num_vars, 1)
 
     @classmethod
     def build(cls, h: HomogPoly, relation: HomogPoly | None) -> _Step:
@@ -79,14 +90,43 @@ class _Step:
         moved = poly.substitute(self.pivot, self.to_y)
         return moved.coefficient_of(self.pivot, 0)
 
+    def _monomial_normal_form(self, mono: Exponent) -> HomogPoly:
+        """The normal form of a monomial, from the table.  A missing entry
+        is the entry of the monomial with one coordinate peeled off, times
+        that coordinate and reduced: NF(x_i m) = NF(x_i' NF(m)), the
+        multiplication step of FGLM.  A coordinate other than the pivot is
+        peeled when there is one, since multiplying by it only shifts
+        exponents; the pivot coordinate becomes ``to_y``."""
+        chain = []
+        while mono not in self._table:
+            var = next((i for i, e in enumerate(mono)
+                        if e and i != self.pivot), self.pivot)
+            chain.append((mono, var))
+            mono = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
+        normal = self._table[mono]
+        for mono, var in reversed(chain):
+            if var == self.pivot:
+                normal = normal * self.to_y
+            else:
+                normal = HomogPoly._trusted(
+                    normal.num_vars, normal.degree + 1,
+                    {e[:var] + (e[var] + 1,) + e[var + 1:]: c
+                     for e, c in normal.terms.items()})
+            if self.relation is not None:
+                normal = poly_divmod(normal, self.relation,
+                                     grevlex_order(self.pivot))[1]
+            self._table[mono] = normal
+        return normal
+
     def normal_form(self, section: HomogPoly) -> HomogPoly:
         """The section in the new coordinates, reduced modulo the relation
-        in the graded reverse lexicographic order with y smallest."""
-        normal = section.substitute(self.pivot, self.to_y)
-        if self.relation is None:
-            return normal
-        order = grevlex_order(self.pivot)
-        return poly_divmod(normal, self.relation, order)[1]
+        in the graded reverse lexicographic order with y smallest: the sum
+        of its terms' table entries, since the remainder is linear."""
+        out: dict[Exponent, Fraction] = {}
+        for mono, c in section.terms.items():
+            for e, v in self._monomial_normal_form(mono).terms.items():
+                out[e] = out.get(e, 0) + c * v
+        return HomogPoly._trusted(section.num_vars, section.degree, out)
 
     def blocks(self, section: HomogPoly) -> Iterator[tuple[int, HomogPoly]]:
         """The nonzero coefficients of y^k in the section's normal form, by
@@ -134,11 +174,13 @@ class _FinalStage:
     def branch(self, precision: int) -> PowerSeries:
         """The curve's branch at the point to the given precision.  The
         branch at a smooth point is unique, so the longest one computed so
-        far serves every lower precision by truncation."""
+        far serves every lower precision by truncation, and a longer one
+        continues Newton's iteration from it."""
         if self._branch is None or self._branch.precision < precision:
+            start = self._branch.coefficients if self._branch else ()
             self._branch = series_solve_branch(
                 self.relation, self.point, precision, chart_var=self.chart,
-                param_var=self.param, dep_var=self.dep)
+                param_var=self.param, dep_var=self.dep, start=start)
         return self._branch.truncate(precision)
 
     def _coordinate_series(self, var: int) -> Sparse:

@@ -236,16 +236,16 @@ def _poly_to_obj(poly: HomogPoly | None):
             for exps, c in poly.sorted_terms()]
 
 
-def _poly_from_obj(obj, num_vars: int, what: str) -> HomogPoly:
+def _poly_from_obj(obj, num_vars: int) -> HomogPoly:
     terms = {}
     for coeff, exps in obj:
         exps = tuple(int(e) for e in exps)
         if len(exps) != num_vars:
-            raise ValueError(f"{what}: exponent tuple of wrong length")
+            raise ValueError("exponent tuple of wrong length")
         terms[exps] = terms.get(exps, Fraction(0)) + Fraction(coeff)
     degrees = {sum(e) for e in terms}
     if len(degrees) != 1:
-        raise ValueError(f"{what}: terms are not homogeneous")
+        raise ValueError("terms are not homogeneous")
     return HomogPoly(num_vars, degrees.pop(), terms)
 
 
@@ -271,17 +271,37 @@ def case_study_from_json(text: str) -> CaseStudy:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a fixture is a JSON object")
-    nv = int(data["ambient_vars"])
+
+    def entry(key: str, parse, *, listed: bool = False):
+        """data[key] parsed, with every failure naming the key."""
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+        if listed and not isinstance(data[key], list):
+            raise ValueError(f"{key!r} must be a list")
+        try:
+            return parse(data[key])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {key!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed {key!r}: {exc}") from None
+
+    nv = entry("ambient_vars", int)
+
+    def poly(obj) -> HomogPoly:
+        return _poly_from_obj(obj, nv)
+
     relation = None
     if data.get("relation") is not None:
-        relation = _scale_monic(_poly_from_obj(data["relation"], nv, "relation"))
-    steps = [_poly_from_obj(s, nv, "step") for s in data["steps"]]
-    final = _poly_from_obj(data["final_form"], nv, "final_form")
-    point = tuple(Fraction(v) for v in data["point"])
+        relation = _scale_monic(entry("relation", poly, listed=True))
+    steps = entry("steps", lambda objs: [poly(obj) for obj in objs],
+                  listed=True)
+    final = entry("final_form", poly, listed=True)
+    point = entry("point", lambda objs: tuple(map(Fraction, objs)),
+                  listed=True)
     flag = Flag(nv, relation, steps, final, point,
-                chart_var=int(data["chart_var"]),
-                parameter_var=int(data["parameter_var"]))
-    case = CaseStudy(str(data["name"]), flag, int(data["c"]))
+                chart_var=entry("chart_var", int),
+                parameter_var=entry("parameter_var", int))
+    case = CaseStudy(entry("name", str), flag, entry("c", int))
     for key in ("n", "r", "d"):
         if key in data and data[key] != getattr(case, key):
             raise ValueError(f"the fixture carries {key} = {data[key]!r}, "

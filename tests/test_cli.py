@@ -130,28 +130,47 @@ def _set_coefficient(data):
     return data
 
 
+def _set_point(data):
+    data["point"][1] = "1/0"
+    return data
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+        return data
+    return edit
+
+
+# each malformed fixture, and the part of the message that names its fault
 BAD_FIXTURES = {
-    "wrong_n": _set("n", 5),
-    "wrong_d": _set("d", 3),
-    "c_zero": _set("c", 0),
-    "top_level_list": lambda data: [data],
-    "steps_not_a_list": _set("steps", 5),
-    "zero_denominator": _set_coefficient,
-    "chart_var_outside": _set("chart_var", 9),
+    "wrong_n": (_set("n", 5), "carries n = 5"),
+    "wrong_d": (_set("d", 3), "carries d = 3"),
+    "c_zero": (_set("c", 0), "c must be a positive integer"),
+    "missing_c": (_drop("c"), "missing key 'c'"),
+    "top_level_list": (lambda data: [data], "a fixture is a JSON object"),
+    "steps_not_a_list": (_set("steps", 5), "'steps' must be a list"),
+    "zero_denominator": (_set_coefficient,
+                         "zero denominator in 'final_form'"),
+    "point_zero_denominator": (_set_point, "zero denominator in 'point'"),
+    "chart_var_outside": (_set("chart_var", 9),
+                          "outside the ambient variables"),
 }
 
 
 @pytest.mark.parametrize("command", ["verify-flag", "compute", "certify"])
 @pytest.mark.parametrize("fixture", sorted(BAD_FIXTURES))
 def test_bad_fixture_is_a_usage_error(tmp_path, capsys, command, fixture):
+    edit, fault = BAD_FIXTURES[fixture]
     path = tmp_path / f"{fixture}.json"
-    path.write_text(_fixture_text(BAD_FIXTURES[fixture]))
+    path.write_text(_fixture_text(edit))
     argv = [command, "--fixture", path]
     if command == "compute":
         argv += ["--out", tmp_path]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "cannot load fixture" in err
+    assert fault in err
     assert "Traceback" not in err
 
 
@@ -172,6 +191,19 @@ def test_export_toric_p2(tmp_path, capsys):
     assert code == 0
     data = json.loads((tmp_path / "p2_c1_M2_complete_fan.json").read_text())
     assert data["rays"] == [[-1, -1], [0, 1], [1, 0]]
+
+
+def test_export_toric_both_kinds(tmp_path, capsys):
+    for kind in ("both", "complete"):
+        assert run(["export-toric", "--case", "quadric_surface",
+                    "--max-level", "2", "--kind", kind,
+                    "--out", tmp_path / kind]) == 0
+    stem = "quadric_surface_c1_M2"
+    assert sorted(p.name for p in (tmp_path / "both").iterdir()) == [
+        f"{stem}_complete_fan.json", f"{stem}_powers_fan.json"]
+    name = f"{stem}_complete_fan.json"
+    assert (tmp_path / "both" / name).read_bytes() == \
+        (tmp_path / "complete" / name).read_bytes()
 
 
 def test_demo(capsys):

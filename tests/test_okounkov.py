@@ -6,12 +6,12 @@ import pytest
 
 from okbody.convex import dilate, polytope_equal, polytope_subset, scaled_simplex
 from okbody.linalg import rank, rat_linear_solve
-from okbody.okounkov import (GradedSystem, body_estimate, generation_degree,
-                             graded_system_basis, semigroup,
+from okbody.okounkov import (KINDS, GradedSystem, body_estimate,
+                             generation_degree, graded_system_basis, semigroup,
                              semigroup_to_json, value_set, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.valuation import Flag, ZeroSectionError, valuation_with_unit
-from okbody.varieties import CaseStudy
+from okbody.varieties import CASE_NAMES, CaseStudy, make_case
 
 from oracles import oracle_value_set
 
@@ -194,12 +194,20 @@ def test_kind_agreement(p2, p3, quadric, fermat):
         assert a.levels == b.levels
 
 
-def test_outer_bound(p2, quadric, fermat):
-    for case in (p2, quadric, fermat):
-        sg = semigroup(case, "complete", 3)
-        simplex = case.expected_body()
-        for point in sg.graded_points():
-            assert simplex.contains_point(point.quotient())
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_levels_lie_in_the_bezout_simplex(name, kind):
+    # every column of a degree-cm expansion is a prefix (k_1, ..., k_{n-1})
+    # and j <= (cm - sum k_i) * e, with e the degree of the final curve, so
+    # the level-m vectors lie in m * S, S = scaled_simplex(n, c, e)
+    for c, max_level in ((1, 4), (2, 2)):
+        case = make_case(name, c)
+        stage = case.flag.final_stage
+        simplex = scaled_simplex(len(case.flag.steps) + 1, c,
+                                 stage.curve_degree)
+        for m, vectors in semigroup(case, kind, max_level).levels.items():
+            bound = dilate(simplex, m)
+            assert all(bound.contains_point(v) for v in vectors), m
 
 
 # -- bodies and certification ----------------------------------------------------------

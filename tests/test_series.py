@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,43 @@ def test_branch_truncates_to_every_lower_precision(quadric):
             assert longest.truncate(precision) == series_solve_branch(
                 curve, point, precision, chart_var=chart, param_var=param,
                 dep_var=dep)
+
+
+@pytest.mark.parametrize("curve, point, chart, param, dep", [
+    (CONIC, (0, 0, 1), 2, 0, 1),
+    (PLANE_CUBIC, (1, -1, 0), 0, 2, 1),
+], ids=["conic", "flex"])
+def test_warm_branch_matches_cold_branch(curve, point, chart, param, dep):
+    kwargs = dict(chart_var=chart, param_var=param, dep_var=dep)
+    cold = {precision: series_solve_branch(curve, point, precision, **kwargs)
+            for precision in range(1, 33)}
+    rng = random.Random(11)
+    for precision in range(2, 33):
+        lengths = {1, precision // 2, precision - 1,
+                   rng.randrange(1, precision)}
+        for length in sorted(lengths):
+            start = cold[length].coefficients
+            assert series_solve_branch(curve, point, precision, start=start,
+                                       **kwargs) == cold[precision]
+
+
+def test_wrong_branch_start_rejected():
+    kwargs = dict(chart_var=0, param_var=2, dep_var=1)
+    branch = series_solve_branch(PLANE_CUBIC, (1, -1, 0), 8, **kwargs)
+    wrong = list(branch.coefficients)
+    wrong[3] += 1                          # the flex branch is -t^3/3 + ...
+    for start, precision in ((tuple(wrong[:5]), 9),
+                             (tuple(wrong[:4]), 6),
+                             ((Fraction(1),), 4),
+                             (branch.coefficients, 8),
+                             (branch.coefficients, 5)):
+        with pytest.raises(ValueError, match="branch start"):
+            series_solve_branch(PLANE_CUBIC, (1, -1, 0), precision,
+                                start=start, **kwargs)
+    # a correct start is accepted
+    assert series_solve_branch(PLANE_CUBIC, (1, -1, 0), 9,
+                               start=branch.coefficients[:5], **kwargs) == \
+        series_solve_branch(PLANE_CUBIC, (1, -1, 0), 9, **kwargs)
 
 
 def test_point_off_curve_rejected():

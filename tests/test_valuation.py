@@ -7,7 +7,8 @@ import pytest
 from okbody import make_case, valuation
 from okbody.linalg import rank, rat_linear_solve
 from okbody.okounkov import GradedSystem, body_estimate, semigroup
-from okbody.polynomials import HomogPoly, graded_monomials
+from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
+                                leading_monomial, poly_divmod)
 from okbody.series import (PrecisionError, affine_chart_expansion, eval_bivar,
                            series_solve_branch)
 from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
@@ -82,6 +83,74 @@ def test_restrict_with_wrong_order_rejected():
 def test_step_dividing_the_relation_rejected():
     with pytest.raises(ValueError, match="divides the relation"):
         order_along_hypersurface(X, W, W * FERMAT)
+
+
+# -- the per-step table of monomial normal forms ---------------------------------
+
+
+def _divided_normal_form(step, section):
+    """The normal form by substitution and one division, without the
+    table."""
+    moved = section.substitute(step.pivot, step.to_y)
+    if step.relation is None:
+        return moved
+    return poly_divmod(moved, step.relation, grevlex_order(step.pivot))[1]
+
+
+def _steps_with_inputs():
+    """The steps of four shipped flags and a dense step on the Fermat
+    cubic, each with the relation its sections are taken modulo (None on
+    projective space)."""
+    out = {}
+    for name in ("p3", "quadric_surface", "fermat_cubic", "quadric_threefold"):
+        flag = make_case(name).flag
+        relation = flag.relation
+        for index, step in enumerate(flag.stages):
+            out[f"{name}_{index + 1}"] = (step, relation)
+            if relation is not None:
+                relation = step.relation.coefficient_of(step.pivot, 0)
+    rng = random.Random(31)
+    dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
+    out["fermat_dense"] = (_Step.build(dense, FERMAT), FERMAT)
+    return out
+
+
+STEPS = _steps_with_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_step_table_matches_substitute_and_divide(name):
+    # seeded monomials, including ones divisible by the relation's leading
+    # monomial, and multi-term sections, with the degrees out of order so
+    # that the table is filled both from scratch and from smaller entries
+    step, relation = STEPS[name]
+    num_vars = step.to_y.num_vars
+    rng = random.Random(name)
+    for degree in (4, 1, 6, 0, 3, 7, 2):
+        monos = graded_monomials(num_vars, degree)
+        picked = rng.sample(monos, min(6, len(monos)))
+        if relation is not None and degree >= relation.degree:
+            lm = leading_monomial(relation, num_vars - 1)
+            rest = rng.choice(graded_monomials(num_vars,
+                                               degree - relation.degree))
+            picked.append(tuple(a + b for a, b in zip(lm, rest)))
+        sections = [HomogPoly.monomial(m) for m in picked]
+        for _ in range(4):
+            terms = {m: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                     for m in rng.sample(monos, min(5, len(monos)))}
+            sections.append(HomogPoly(num_vars, degree, terms))
+        for section in sections:
+            assert step.normal_form(section) == \
+                _divided_normal_form(step, section)
+
+
+def test_step_table_is_not_part_of_equality():
+    flag = make_case("fermat_cubic").flag
+    filled = _Step.build(flag.steps[0], flag.relation)
+    filled.normal_form(HomogPoly.monomial((2, 0, 1, 3)))
+    fresh = _Step.build(flag.steps[0], flag.relation)
+    assert len(filled._table) > len(fresh._table)
+    assert filled == fresh
 
 
 # -- independent Groebner-basis oracle (sympy) ------------------------------------
