@@ -7,12 +7,19 @@ systems are available at each level m:
   powers    the span of all m-fold products of level-1 elements.
 
 The value set of a level is the set of valuation vectors of the nonzero
-elements of its span.  The flag valuation of a section is the lex-first
-nonzero position of its flag expansion, a linear map, so the value set is
-the set of pivot columns of one exact echelon of the basis's expansions,
-with the columns in lex order (Lazarsfeld and Mustata 2009, section 1;
-Kaveh and Khovanskii 2012).  It has exactly as many elements as the
-dimension of the span.
+elements of its span (Lazarsfeld and Mustata 2009, section 1; Kaveh and
+Khovanskii 2012); it has as many elements as the span has dimensions.  For
+a basis it is the set of pivot columns of one echelon of the flag
+expansions.  A full graded piece needs no echelon: in a step's coordinates
+(grevlex, y = h smallest, the relation's leading monomial free of y) the
+standard monomials of degree D are y^k mu, mu standard on the next member,
+each its own normal form, so the degree-D piece has the value set
+
+  {(k_1, ..., k_{n-1}, j) : sum k_i <= D, j in V(D - sum k_i)}
+
+in lex order, V(d') being the value set of the degree-d' forms on the final
+curve or line.  A powers level lies in the full piece, so it has this value
+set exactly when its dimension is the full piece's.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; its cone slice at height one is an inner estimate of the
@@ -112,16 +119,18 @@ def value_set(basis: Sequence[HomogPoly], flag: Flag) -> tuple[Vector, ...]:
     The valuation of a nonzero section is the first nonzero position of its
     flag expansion with the positions in lex order, and the expansion is
     linear, so the value set is the set of pivot columns of one echelon of
-    the basis's expansions.  Each block degree d' is certified first: no
-    nonzero form of degree d' on the final curve may have all of its
-    expansion coefficients zero.
+    the basis's expansions.  Each block degree d' is certified first, by
+    the final stage's value set of that degree: no nonzero form of degree
+    d' on the final curve may have all of its expansion coefficients zero.
+    This serves any subspace; ``semigroup`` reads full graded pieces off
+    the final stage directly.
     """
     stage = flag.final_stage
     rows = []
     for section in basis:
         row: dict[Vector, Fraction] = {}
         for prefix, block in flag_expansion(section, flag):
-            stage.certify(block.degree)
+            stage.value_set(block.degree)
             row.update((prefix + (j,), c)
                        for j, c in enumerate(stage.series(block)) if c)
         rows.append(row)
@@ -154,12 +163,31 @@ class OkounkovSemigroup:
 
 
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
-    """Enumerate value sets for all levels 1..max_level."""
+    """Enumerate value sets for all levels 1..max_level, each assembled from
+    the final stage's value sets V(d') as in the module docstring.  V is
+    filled from the top degree down, so that the branch and the monomial
+    series are built once, at full precision.  A level whose system's
+    dimension is not the full piece's raises ValueError."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     system = GradedSystem(case, kind)
-    levels = {m: value_set(system.basis(m), case.flag)
+    stage = case.flag.final_stage
+    curve = {d: stage.value_set(d)
+             for d in range(case.section_degree(max_level), -1, -1)}
+
+    def piece(degree: int, steps: int) -> list[Vector]:
+        if not steps:
+            return [(j,) for j in curve[degree]]
+        return [(k,) + rest for k in range(degree + 1)
+                for rest in piece(degree - k, steps - 1)]
+
+    levels = {m: tuple(piece(case.section_degree(m), len(case.flag.stages)))
               for m in range(1, max_level + 1)}
+    for m, level in levels.items():
+        if len(level) != system.dimension(m):
+            raise ValueError(f"level {m}: the {kind} system's dimension "
+                             f"{system.dimension(m)} is not {len(level)}, "
+                             "that of the full graded piece")
     return OkounkovSemigroup(case, kind, max_level, levels)
 
 

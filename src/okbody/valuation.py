@@ -25,8 +25,10 @@ The valuation of a nonzero section is the lex-first nonzero position
 there.  The orders along the members are exact for every section; the order
 at the point is exact whenever the section does not vanish on the curve,
 since d'*e bounds it, and this covers every block when the truncated series
-map is injective on forms of degree d' modulo the curve, which
-``_FinalStage.certify`` checks.
+map is injective on forms of degree d' modulo the curve: the final stage's
+value set of degree d', the pivot columns of the degree-d' monomials'
+series, then has as many elements as that graded piece has dimensions,
+which it checks.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-from .linalg import rank
+from .linalg import pivot_columns
 from .polynomials import (Exponent, HomogPoly, Scalar, graded_monomials,
                           grevlex_order, poly_divmod)
 from .series import (PRECISION_CAP, PowerSeries, PrecisionError,
@@ -164,8 +166,8 @@ class _FinalStage:
                                             repr=False, compare=False)
     _series_precision: int = field(default=0, init=False, repr=False,
                                    compare=False)
-    _certified: set[int] = field(default_factory=set, init=False,
-                                 repr=False, compare=False)
+    _value_sets: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def curve_degree(self) -> int:
@@ -205,7 +207,9 @@ class _FinalStage:
         a pure power of it.  This is the dehomogenisation of
         ``affine_chart_expansion`` evaluated along the branch."""
         if precision > self._series_precision:
-            self._series_precision = precision
+            # doubling bounds the recomputation under rising precisions
+            self._series_precision = min(
+                max(precision, 2 * self._series_precision), PRECISION_CAP)
             self._series = {(0,) * self.num_vars: ((0, Fraction(1)),)}
         series = self._series.get(mono)
         if series is not None:
@@ -253,23 +257,27 @@ class _FinalStage:
         raise ZeroSectionError("section vanishes identically on the final "
                                "curve")
 
-    def certify(self, degree: int) -> None:
-        """Check, once per degree, that no nonzero form of the given degree
-        modulo the curve has all of its series coefficients j = 0 .. d'*e
-        zero: the series of the degree-d' monomials have rank
-        C(d'+2, 2) - C(d'-e+2, 2), the dimension of that graded piece.  It
-        fails when the point lies on a component of a reducible curve."""
-        if degree in self._certified or self.relation is None:
-            return
+    def value_set(self, degree: int) -> tuple[int, ...]:
+        """The orders at the point of the nonzero forms of degree d' modulo
+        the curve, increasing, cached: the pivot columns of one echelon of
+        the degree-d' monomials' series.  Their number must be the graded
+        piece's dimension C(d'+2, 2) - C(d'-e+2, 2) (d'+1 on a line), else
+        some form has all of its coefficients j = 0 .. d'*e zero, as when
+        the point lies on a component of a reducible curve."""
+        cached = self._value_sets.get(degree)
+        if cached is not None:
+            return cached
         rows = [self.series(HomogPoly.monomial(mono))
-                for mono in graded_monomials(3, degree)]
-        expected = comb(degree + 2, 2) - comb(
-            max(degree - self.curve_degree + 2, 0), 2)
-        if rank(rows) != expected:
+                for mono in graded_monomials(self.num_vars, degree)]
+        pivots = tuple(pivot_columns(rows))
+        expected = degree + 1 if self.relation is None else comb(
+            degree + 2, 2) - comb(max(degree - self.curve_degree + 2, 0), 2)
+        if len(pivots) != expected:
             raise ZeroSectionError(
                 f"some form of degree d' = {degree} vanishes on the final "
                 "curve's branch at the point without vanishing on the curve")
-        self._certified.add(degree)
+        self._value_sets[degree] = pivots
+        return pivots
 
 
 def _times(a: Sparse, b: Sparse, precision: int) -> Sparse:

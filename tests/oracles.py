@@ -328,6 +328,26 @@ def oracle_value_set(case, basis):
     raise RuntimeError("oracle triangularization did not terminate")
 
 
+# -- Riemann-Roch prediction on the final curve -------------------------------
+
+
+def riemann_roch_orders(curve_degree: int, degree: int) -> tuple[int, ...]:
+    """The orders at the flag point of the degree-d' forms on a final line
+    (e = 1), conic (e = 2) or plane cubic at a flex (e = 3), predicted by
+    Riemann-Roch.  The forms are the sections of L = O(d'), of degree d'e,
+    and j is an order exactly when h^0(L - jp) > h^0(L - (j+1)p).  On a
+    line or conic (genus 0) h^0(L - jp) = d'e - j + 1, so every j in
+    0 .. d'e occurs.  On a cubic (genus 1) the flex tangent cuts 3p, so
+    L - jp ~ (3d' - j)p, with h^0 = 3d' - j for j < 3d' and 1 for j = 3d'
+    (the trivial divisor): j = 3d' - 1 is missing when d' >= 1."""
+    top = curve_degree * degree
+    if curve_degree <= 2 or degree == 0:
+        return tuple(range(top + 1))
+    if curve_degree == 3:
+        return tuple(range(top - 1)) + (top,)
+    raise ValueError("the prediction covers curves of degree at most 3")
+
+
 # -- single-point divisor representatives ------------------------------------
 
 

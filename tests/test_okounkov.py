@@ -1,16 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from okbody import okounkov, valuation
 from okbody.convex import dilate, polytope_equal, polytope_subset, scaled_simplex
 from okbody.linalg import rank, rat_linear_solve
 from okbody.okounkov import (KINDS, GradedSystem, body_estimate,
                              generation_degree, graded_system_basis, semigroup,
                              semigroup_to_json, value_set, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.valuation import Flag, ZeroSectionError, valuation_with_unit
+from okbody.valuation import (Flag, ZeroSectionError, _Step,
+                              valuation_with_unit)
 from okbody.varieties import CASE_NAMES, CaseStudy, make_case
 
 from oracles import oracle_value_set
@@ -208,6 +211,50 @@ def test_levels_lie_in_the_bezout_simplex(name, kind):
         for m, vectors in semigroup(case, kind, max_level).levels.items():
             bound = dilate(simplex, m)
             assert all(bound.contains_point(v) for v in vectors), m
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_semigroup_matches_level_echelon(name, kind):
+    # the levels assembled from the final curve's value sets equal the
+    # pivot columns of each level's echelon of flag expansions
+    for c, max_level in ((1, 4), (2, 2)):
+        levels = semigroup(make_case(name, c), kind, max_level).levels
+        case = make_case(name, c)
+        system = GradedSystem(case, kind)
+        for m in range(1, max_level + 1):
+            assert levels[m] == value_set(system.basis(m), case.flag), m
+
+
+def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
+                                                          quadric):
+    dimension = GradedSystem.dimension
+    monkeypatch.setattr(GradedSystem, "dimension",
+                        lambda system, level: dimension(system, level)
+                        - (level == 2))
+    with pytest.raises(ValueError, match="level 2"):
+        semigroup(quadric, "powers", 3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
+    calls = Counter()
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[owner.__name__, attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(_Step, "normal_form")
+    counted(okounkov, "pivot_columns")
+    counted(valuation, "pivot_columns")
+    case = make_case("quadric_surface", 2)
+    semigroup(case, kind, 3)
+    semigroup(case, kind, 3)
+    assert calls == {("okbody.valuation", "pivot_columns"): 7}
 
 
 # -- bodies and certification ----------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from okbody import make_case, valuation
 from okbody.linalg import rank, rat_linear_solve
-from okbody.okounkov import GradedSystem, body_estimate, semigroup
+from okbody.okounkov import GradedSystem, body_estimate, semigroup, value_set
 from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
                                 leading_monomial, poly_divmod)
 from okbody.series import (PrecisionError, affine_chart_expansion, eval_bivar,
@@ -15,9 +15,9 @@ from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
                               leading_unit, ord_at_point_on_curve,
                               order_along_hypersurface, restrict_section,
                               valuation_with_unit)
-from okbody.varieties import CaseStudy, verify_flag
+from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import oracle_valuation, oracle_value_set
+from oracles import oracle_valuation, oracle_value_set, riemann_roch_orders
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -342,6 +342,38 @@ def test_final_series_on_a_line():
                         Fraction(0))
                     for j in range(degree + 1)]
         assert stage.series(form) == expected
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_final_value_sets_match_riemann_roch(name):
+    # a line (p2, p3), a conic (the quadrics) and a cubic at a flex
+    stage = make_case(name).flag.final_stage
+    for degree in range(13):
+        assert stage.value_set(degree) == riemann_roch_orders(
+            stage.curve_degree, degree), degree
+
+
+def test_monomial_series_cache_survives_rising_precision(monkeypatch):
+    # the monomials whose series a call computes rather than reads from
+    # the cache
+    computed = []
+    original = valuation._FinalStage._monomial_series
+
+    def counting(stage, mono, precision):
+        if precision > stage._series_precision or mono not in stage._series:
+            computed.append(mono)
+        return original(stage, mono, precision)
+
+    monkeypatch.setattr(valuation._FinalStage, "_monomial_series", counting)
+    case = make_case("fermat_cubic")
+    system = GradedSystem(case, "complete")
+    for m in range(1, 13):
+        value_set(system.basis(m), case.flag)
+    assert len(computed) <= 2 * len(set(computed))
+    # semigroup asks for the top degree first, so nothing is recomputed
+    computed.clear()
+    semigroup(make_case("fermat_cubic"), "complete", 12)
+    assert len(computed) == len(set(computed))
 
 
 def test_ord_of_coordinate_at_flex():
