@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import independent_indices, kernel_basis
+from .linalg import Echelon, kernel_basis
 from .polynomials import Scalar
 
 Point = tuple[Fraction, ...]
@@ -66,7 +66,7 @@ class RationalPolytope:
 
     @cached_property
     def _hull(self) -> _Hull:
-        return _double_description(self.vertices)
+        return _double_description(*_lattice(self.vertices))
 
     def contains_point(self, point: Sequence[Scalar]) -> bool:
         pt = _as_point(point)
@@ -118,29 +118,50 @@ class _Hull:
     inequalities: tuple[Constraint, ...]
 
 
-def _double_description(points: Sequence[Point]) -> _Hull:
-    """The hull of nonempty points of equal length, in integer arithmetic.
+def _lattice(points: Iterable[Sequence[Scalar]]
+             ) -> tuple[list[tuple[int, ...]], int]:
+    """The points scaled to integer points by the lcm L of their
+    coordinates' denominators, and L."""
+    rows = [tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in p) for p in points]
+    scale = lcm(*(c.denominator for p in rows for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p)
+            for p in rows], scale
 
-    The extreme rays of the cone {a : a . q >= 0}, q = (p, 1) for the
-    projected points p, are found by inserting one q at a time: rays on the
+
+def _double_description(ints: Sequence[tuple[int, ...]], scale: int) -> _Hull:
+    """The hull of the points p / scale, for nonempty integer points p of
+    equal length, in integer arithmetic.
+
+    The points are projected onto the pivot coordinates of their
+    differences, an echelon grown only until its rank is the dimension
+    (or the differences run out), and lifted to q = (p, 1).  The extreme
+    rays of the cone {a : a . q >= 0} are found by inserting one q at a
+    time, starting from the first independent lifted points: rays on the
     negative side of q are replaced by the combinations of adjacent
     (positive, negative) pairs that are tight on q.  Two rays are adjacent
     when no third ray is tight on every point that both are tight on (the
     combinatorial test).  Inserting the points farthest from the centroid
     first makes most later points interior, at one dot product per ray.
     """
-    n = len(points[0])
-    scale = lcm(*(c.denominator for p in points for c in p))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p)
-            for p in points]
+    n = len(ints[0])
     base = ints[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in ints[1:]]
-    # the projection onto a maximal independent set of coordinate columns
-    # of the differences is injective on the affine hull
-    pivots = independent_indices([[d[j] for d in diffs] for j in range(n)])
+    # the pivot columns of the differences' echelon are a maximal
+    # independent set of coordinate columns, so the projection onto them is
+    # injective on the affine hull, and its kernel holds the normals of the
+    # hull's equations; both depend only on the span, so the differences
+    # stop at rank n, and they are taken from the lex-last point back,
+    # since the points nearest the lex-first base often share its first
+    # coordinates and add no rank
+    differences = Echelon(n)
+    for p in reversed(ints):
+        if differences.rank == n:
+            break
+        differences.add([a - b for a, b in zip(p, base)])
+    pivots = differences.pivots()
     k = len(pivots)
     equations = []
-    for normal in kernel_basis(diffs, n):
+    for normal in differences.kernel():
         prim, factor = _primitive(normal)
         equations.append((prim, _dot(normal, base) / (factor * scale)))
     lifted = [tuple(p[j] for j in pivots) + (1,) for p in ints]
@@ -148,8 +169,13 @@ def _double_description(points: Sequence[Point]) -> _Hull:
     total = [sum(column) for column in zip(*lifted)]
     order = sorted(range(count), key=lambda i: (
         -sum((count * a - b) ** 2 for a, b in zip(lifted[i], total)), i))
-    start = [order[i]
-             for i in independent_indices([lifted[i] for i in order])]
+    independent = Echelon(k + 1)
+    start = []
+    for i in order:
+        if independent.rank == k + 1:
+            break
+        if independent.add(lifted[i]):
+            start.append(i)
     rays = []
     for j in start:
         tight = [lifted[i] for i in start if i != j]
@@ -222,24 +248,33 @@ def in_convex_hull(point: Sequence[Scalar], generators: Iterable[Sequence[Scalar
 
 def convex_hull(points: Iterable[Sequence[Scalar]]) -> RationalPolytope:
     """Minimal vertex set of the convex hull, exactly; repeated points and
-    lower-dimensional hulls are allowed."""
-    pts = sorted({_as_point(p) for p in points})
-    if not pts:
+    lower-dimensional hulls are allowed.  The points are scaled to integer
+    points by one positive factor, which keeps their lex order, so they are
+    deduplicated, sorted and hulled as plain integer tuples."""
+    ints, scale = _lattice(points)
+    if not ints:
         raise ValueError("empty point set")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(ints[0])
+    if any(len(p) != dim for p in ints):
         raise ValueError("mixed dimensions")
-    hull = _double_description(pts)
-    return RationalPolytope(dim, tuple(pts[i] for i in hull.vertices))
+    ints = sorted(set(ints))
+    hull = _double_description(ints, scale)
+    return RationalPolytope(dim, tuple(
+        tuple(Fraction(c, scale) for c in ints[i]) for i in hull.vertices))
 
 
 def cone_slice(points: Iterable[GradedPoint]) -> RationalPolytope:
     """Height-one slice of the cone generated by finitely many graded
-    points: the convex hull of value/level over the input."""
-    quotients = [p.quotient() for p in points]
-    if not quotients:
+    points: the convex hull of value/level over the input.  Each value/level
+    is the lattice point value * (L/level) shrunk by L, the lcm of the
+    levels, so the hull is taken over integer points and only its vertices
+    become fractions."""
+    graded = list(points)
+    if not graded:
         raise ValueError("empty input")
-    return convex_hull(quotients)
+    scale = lcm(*(p.level for p in graded))
+    lattice = [tuple(v * (scale // p.level) for v in p.value) for p in graded]
+    return dilate(convex_hull(lattice), Fraction(1, scale))
 
 
 def dilate(polytope: RationalPolytope, factor: Scalar) -> RationalPolytope:

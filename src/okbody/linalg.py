@@ -21,23 +21,34 @@ def _integer_row(row: Vector) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _echelon(rows: Sequence[Vector]
-             ) -> tuple[list[tuple[list[int], int]], list[int]]:
-    """Row echelon form of the rows taken in input order, with first-nonzero
-    pivoting, computed fraction-free: each row is scaled to integers,
+class Echelon:
+    """A row echelon form grown one row at a time, with first-nonzero
+    pivoting, computed fraction-free: each added row is scaled to integers,
     eliminated against the echelon rows by integer cross-multiplication and
-    divided by its content.  Returns the echelon rows (primitive integer
-    rows, zero before their pivot and in the pivot columns of the rows
-    before them) with their pivot columns, and the indices of the rows that
-    are independent of the rows before them."""
-    length = len(rows[0]) if rows else 0
-    echelon: list[tuple[list[int], int]] = []
-    kept = []
-    for index, row in enumerate(rows):
-        if len(row) != length:
+    divided by its content.  ``rows`` holds the echelon rows (primitive
+    integer rows, zero before their pivot and in the pivot columns of the
+    rows before them) with their pivot columns; the pivots are the first
+    nonzero positions of the nonzero vectors in the span of the rows added
+    so far, whatever their order."""
+
+    def __init__(self, length: int):
+        self.length = length
+        self.rows: list[tuple[list[int], int]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def pivots(self) -> list[int]:
+        """The pivot columns, in increasing order."""
+        return sorted(pivot for _vec, pivot in self.rows)
+
+    def add(self, row: Vector) -> bool:
+        """Add a row; True when it is independent of the rows before it."""
+        if len(row) != self.length:
             raise ValueError("rows of unequal length")
         vec = _integer_row(row)
-        for evec, pivot in echelon:
+        for evec, pivot in self.rows:
             b = vec[pivot]
             if b:
                 a = evec[pivot]
@@ -46,11 +57,40 @@ def _echelon(rows: Sequence[Vector]
                 vec = [a * v - b * e for v, e in zip(vec, evec)]
         content = gcd(*vec)
         if not content:
-            continue
+            return False
         pivot = next(i for i, v in enumerate(vec) if v)
-        echelon.append(([v // content for v in vec], pivot))
-        kept.append(index)
-    return echelon, kept
+        self.rows.append(([v // content for v in vec], pivot))
+        return True
+
+    def kernel(self) -> list[list[Fraction]]:
+        """Basis of the right kernel {x : row . x = 0 for every row}: one
+        vector per free column f, with x_f = 1 and zero on the other free
+        columns."""
+        length = self.length
+        pivots = {pivot for _vec, pivot in self.rows}
+        basis = []
+        for f in range(length):
+            if f in pivots:
+                continue
+            x = [Fraction(0)] * length
+            x[f] = Fraction(1)
+            # each echelon row is zero in the pivot columns of the rows
+            # before it, so back-substitution from the last row fixes the
+            # pivots
+            for vec, pivot in reversed(self.rows):
+                x[pivot] = -sum((vec[j] * x[j]
+                                 for j in range(pivot + 1, length)
+                                 if vec[j] and x[j]), Fraction(0)) / vec[pivot]
+            basis.append(x)
+        return basis
+
+
+def _echelon(rows: Sequence[Vector]) -> tuple[Echelon, list[int]]:
+    """The echelon form of the rows taken in input order, and the indices of
+    the rows that are independent of the rows before them."""
+    form = Echelon(len(rows[0]) if rows else 0)
+    kept = [index for index, row in enumerate(rows) if form.add(row)]
+    return form, kept
 
 
 def rat_linear_solve(rows: Sequence[Vector], target: Vector
@@ -87,7 +127,7 @@ def rat_linear_solve(rows: Sequence[Vector], target: Vector
 
 
 def rank(vectors: Sequence[Vector]) -> int:
-    return len(_echelon(vectors)[0])
+    return _echelon(vectors)[0].rank
 
 
 def independent_indices(vectors: Sequence[Vector]) -> list[int]:
@@ -99,25 +139,13 @@ def independent_indices(vectors: Sequence[Vector]) -> list[int]:
 def pivot_columns(vectors: Sequence[Vector]) -> list[int]:
     """The pivot columns of the row echelon form, in increasing order: the
     set of first nonzero positions of the nonzero vectors in the span."""
-    return sorted(pivot for _vec, pivot in _echelon(vectors)[0])
+    return _echelon(vectors)[0].pivots()
 
 
 def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:
     """Basis of the right kernel {x : row . x = 0 for every row}: one vector
     per free column f, with x_f = 1 and zero on the other free columns."""
-    echelon = _echelon(rows)[0]
-    pivots = {pivot for _vec, pivot in echelon}
-    basis = []
-    for f in range(length):
-        if f in pivots:
-            continue
-        x = [Fraction(0)] * length
-        x[f] = Fraction(1)
-        # each echelon row is zero in the pivot columns of the rows before
-        # it, so back-substitution from the last row fixes the pivots
-        for vec, pivot in reversed(echelon):
-            x[pivot] = -sum((vec[j] * x[j] for j in range(pivot + 1, length)
-                             if vec[j] and x[j]), Fraction(0)) / vec[pivot]
-        basis.append(x)
-    return basis
-
+    form = Echelon(length)
+    for row in rows:
+        form.add(row)
+    return form.kernel()

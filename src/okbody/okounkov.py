@@ -68,6 +68,13 @@ class GradedSystem:
         return cached
 
     def dimension(self, level: int) -> int:
+        """The number of basis elements; a complete level, and level 1 of
+        either kind, counts its standard monomials without building them."""
+        if level < 1:
+            raise ValueError("levels start at 1")
+        if self.kind == "complete" or level == 1:
+            return len(self._standard_monomials(
+                self.case.section_degree(level)))
         return len(self.basis(level))
 
     def _standard_monomials(self, degree: int) -> tuple[Vector, ...]:

@@ -26,9 +26,10 @@ there.  The orders along the members are exact for every section; the order
 at the point is exact whenever the section does not vanish on the curve,
 since d'*e bounds it, and this covers every block when the truncated series
 map is injective on forms of degree d' modulo the curve: the final stage's
-value set of degree d', the pivot columns of the degree-d' monomials'
-series, then has as many elements as that graded piece has dimensions,
-which it checks.
+value set of degree d', the pivot set of the degree-d' monomials' series,
+then has as many elements as that graded piece has dimensions, all at most
+d'*e, which it checks.  The chart coordinate's series is 1, so these value
+sets come from one echelon grown degree by degree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-from .linalg import pivot_columns
+from .linalg import Echelon
 from .polynomials import (Exponent, HomogPoly, Scalar, graded_monomials,
                           grevlex_order, poly_divmod)
 from .series import (PRECISION_CAP, PowerSeries, PrecisionError,
@@ -168,6 +169,10 @@ class _FinalStage:
                                    compare=False)
     _value_sets: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # the series of the monomials free of the chart coordinate, of the
+    # degrees 0, 1, ... that _value_sets holds, in one echelon
+    _echelon: Echelon = field(default_factory=lambda: Echelon(0), init=False,
+                              repr=False, compare=False)
 
     @property
     def curve_degree(self) -> int:
@@ -259,25 +264,55 @@ class _FinalStage:
 
     def value_set(self, degree: int) -> tuple[int, ...]:
         """The orders at the point of the nonzero forms of degree d' modulo
-        the curve, increasing, cached: the pivot columns of one echelon of
-        the degree-d' monomials' series.  Their number must be the graded
-        piece's dimension C(d'+2, 2) - C(d'-e+2, 2) (d'+1 on a line), else
-        some form has all of its coefficients j = 0 .. d'*e zero, as when
-        the point lies on a component of a reducible curve."""
+        the curve, increasing, cached.  The chart coordinate's series is 1,
+        so a degree-d' monomial divisible by it has the series of a
+        degree-(d'-1) monomial, and the degree-d' series span is the
+        degree-(d'-1) span plus the series of the d'+1 monomials free of
+        the chart coordinate (one on a line).  One echelon of series of a
+        fixed length of at least d'*e + 1 therefore grows across the
+        degrees, and V(d') is its pivot set after degree d'.
+
+        Each degree is certified as it is added: the pivots must number the
+        graded piece's dimension C(d'+2, 2) - C(d'-e+2, 2) (d'+1 on a line)
+        and all be at most d'*e, which says that the series truncated to
+        j <= d'*e is injective on the forms of degree d' modulo the curve.
+        Else some form has all of its coefficients j = 0 .. d'*e zero, as
+        when the point lies on a component of a reducible curve."""
         cached = self._value_sets.get(degree)
         if cached is not None:
             return cached
-        rows = [self.series(HomogPoly.monomial(mono))
-                for mono in graded_monomials(self.num_vars, degree)]
-        pivots = tuple(pivot_columns(rows))
-        expected = degree + 1 if self.relation is None else comb(
-            degree + 2, 2) - comb(max(degree - self.curve_degree + 2, 0), 2)
-        if len(pivots) != expected:
-            raise ZeroSectionError(
-                f"some form of degree d' = {degree} vanishes on the final "
-                "curve's branch at the point without vanishing on the curve")
-        self._value_sets[degree] = pivots
-        return pivots
+        precision = degree * self.curve_degree + 1
+        if precision > PRECISION_CAP:
+            raise PrecisionError(
+                f"forms of degree {degree} need precision {precision} above "
+                f"the cap PRECISION_CAP = {PRECISION_CAP}")
+        if precision > self._echelon.length:
+            # a longer echelon starts over from degree 0; doubling bounds
+            # the work under rising degrees
+            self._echelon = Echelon(min(
+                max(precision, 2 * self._echelon.length), PRECISION_CAP))
+            self._value_sets.clear()
+        echelon = self._echelon
+        while len(self._value_sets) <= degree:
+            d = len(self._value_sets)
+            for rest in graded_monomials(self.num_vars - 1, d):
+                mono = rest[:self.chart] + (0,) + rest[self.chart:]
+                row = [Fraction(0)] * echelon.length
+                for j, c in self._monomial_series(mono, echelon.length):
+                    if j >= echelon.length:
+                        break
+                    row[j] = c
+                echelon.add(row)
+            pivots = tuple(echelon.pivots())
+            expected = d + 1 if self.relation is None else comb(
+                d + 2, 2) - comb(max(d - self.curve_degree + 2, 0), 2)
+            if len(pivots) != expected or pivots[-1] > d * self.curve_degree:
+                raise ZeroSectionError(
+                    f"some form of degree d' = {d} vanishes on the final "
+                    "curve's branch at the point without vanishing on the "
+                    "curve")
+            self._value_sets[d] = pivots
+        return self._value_sets[degree]
 
 
 def _times(a: Sparse, b: Sparse, precision: int) -> Sparse:

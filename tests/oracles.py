@@ -348,6 +348,18 @@ def riemann_roch_orders(curve_degree: int, degree: int) -> tuple[int, ...]:
     raise ValueError("the prediction covers curves of degree at most 3")
 
 
+def per_degree_value_set(stage, degree: int) -> tuple[int, ...]:
+    """The final stage's value set of degree d' from that degree alone: the
+    pivot columns, by ``row_reduce``, of the series of all degree-d'
+    monomials truncated to j <= d'*e, with no echelon shared across
+    degrees."""
+    from okbody.polynomials import HomogPoly, graded_monomials
+
+    rows = [stage.series(HomogPoly.monomial(mono))
+            for mono in graded_monomials(stage.num_vars, degree)]
+    return tuple(row_reduce(rows)[1])
+
+
 # -- single-point divisor representatives ------------------------------------
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from okbody.convex import (GradedPoint, RationalPolytope, cone_slice,
@@ -202,6 +202,36 @@ graded_points_2d = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_cone_slice_monotone(sub, extra):
     assert polytope_subset(cone_slice(sub), cone_slice(sub + extra))
+
+
+@st.composite
+def graded_clouds(draw):
+    # values in the span of `rank` nonnegative directions, so the quotients
+    # lie in a linear subspace of dimension at most rank <= n
+    n = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, n))
+    directions = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                               min_size=rank, max_size=rank))
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        weights = draw(st.lists(st.integers(0, 3), min_size=rank,
+                                max_size=rank))
+        value = tuple(sum(w * d[j] for w, d in zip(weights, directions))
+                      for j in range(n))
+        points.append(GradedPoint(value, draw(st.integers(1, 6))))
+    return points
+
+
+@given(graded_clouds())
+@example([GradedPoint((0, 0, 0), 1), GradedPoint((2, 4, 0), 4),
+          GradedPoint((3, 0, 3), 5), GradedPoint((5, 4, 3), 6)])
+@example([GradedPoint((1, 2, 0, 3), 2), GradedPoint((2, 4, 0, 6), 3),
+          GradedPoint((0, 0, 0, 0), 6)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cone_slice_matches_hull_of_quotients(points):
+    # the slice hulls the lattice points value * (L/level) and shrinks them
+    # by L; the examples are a plane in 3 dimensions and a segment in 4
+    assert cone_slice(points) == convex_hull([p.quotient() for p in points])
 
 
 # -- dilation and equality --------------------------------------------------------

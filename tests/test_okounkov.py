@@ -5,9 +5,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from okbody import okounkov, valuation
+from okbody import okounkov
 from okbody.convex import dilate, polytope_equal, polytope_subset, scaled_simplex
-from okbody.linalg import rank, rat_linear_solve
+from okbody.linalg import Echelon, rank, rat_linear_solve
 from okbody.okounkov import (KINDS, GradedSystem, body_estimate,
                              generation_degree, graded_system_basis, semigroup,
                              semigroup_to_json, value_set, vertex_criterion)
@@ -140,6 +140,9 @@ def test_reducible_final_curve_rejected():
     basis = graded_system_basis(case, "complete", 1)
     with pytest.raises(ZeroSectionError, match="d' = 1"):
         value_set(basis, case.flag)
+    # the echelon grows from degree 0, so a higher degree names d' = 1 too
+    with pytest.raises(ZeroSectionError, match="d' = 1"):
+        _reducible_final_curve_case()[0].flag.final_stage.value_set(4)
     with pytest.raises(ZeroSectionError):
         semigroup(case, "complete", 2)
     with pytest.raises(ZeroSectionError,
@@ -238,6 +241,9 @@ def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
+    # over two semigroup calls, each monomial free of the chart coordinate
+    # enters the final stage's one echelon once: d'+1 rows for each
+    # d' <= c*M = 6, and no step normal form or level-wide echelon runs
     calls = Counter()
 
     def counted(owner, attr):
@@ -250,11 +256,20 @@ def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
 
     counted(_Step, "normal_form")
     counted(okounkov, "pivot_columns")
-    counted(valuation, "pivot_columns")
     case = make_case("quadric_surface", 2)
+    stage = case.flag.final_stage
+    entered = 0
+    add = Echelon.add
+
+    def counting_add(echelon, row):
+        nonlocal entered
+        entered += echelon is stage._echelon
+        return add(echelon, row)
+    monkeypatch.setattr(Echelon, "add", counting_add)
     semigroup(case, kind, 3)
     semigroup(case, kind, 3)
-    assert calls == {("okbody.valuation", "pivot_columns"): 7}
+    assert calls == {}
+    assert entered == sum(d + 1 for d in range(7))
 
 
 # -- bodies and certification ----------------------------------------------------------

@@ -17,7 +17,8 @@ from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
                               valuation_with_unit)
 from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import oracle_valuation, oracle_value_set, riemann_roch_orders
+from oracles import (oracle_valuation, oracle_value_set, per_degree_value_set,
+                     riemann_roch_orders)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -351,6 +352,20 @@ def test_final_value_sets_match_riemann_roch(name):
     for degree in range(13):
         assert stage.value_set(degree) == riemann_roch_orders(
             stage.curve_degree, degree), degree
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_nested_value_sets_match_per_degree_echelon(name):
+    # the one echelon grown across degrees gives each degree's pivots, asked
+    # on fresh stages in rising, falling and shuffled order
+    reference = make_case(name).flag.final_stage
+    expected = {d: per_degree_value_set(reference, d) for d in range(13)}
+    shuffled = list(range(13))
+    random.Random(9).shuffle(shuffled)
+    for order in (range(13), range(12, -1, -1), shuffled):
+        stage = make_case(name).flag.final_stage
+        for degree in order:
+            assert stage.value_set(degree) == expected[degree], (order, degree)
 
 
 def test_monomial_series_cache_survives_rising_precision(monkeypatch):
