@@ -15,7 +15,7 @@ from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
 from .polynomials import (HomogPoly, graded_monomials, grevlex_order,
                           has_projective_common_zero, lex_order, normal_form,
                           poly_divmod)
-from .series import PowerSeries, PrecisionError, series_solve_branch
+from .series import PrecisionError, series_solve_branch
 from .valuation import (Flag, ZeroSectionError, flag_valuation, leading_unit,
                         ord_at_point_on_curve, order_along_hypersurface,
                         restrict_section, valuation_with_unit)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CASE_NAMES", "CaseStudy", "EllipticCurveFp", "Flag", "FlagReport",
     "GradedPoint", "GradedSystem", "HomogPoly", "INFINITY", "OkounkovSemigroup",
-    "PowerSeries", "PrecisionError", "RationalPolytope", "ZeroSectionError",
+    "PrecisionError", "RationalPolytope", "ZeroSectionError",
     "body_estimate", "case_study_from_json", "case_study_to_json",
     "cone_slice", "convex_hull", "dilate", "divisor_class_sum",
     "flag_valuation", "generation_degree", "graded_monomials",

@@ -17,8 +17,9 @@ expansion of a section is a linear map, built step by step:
     (k_1, ..., k_{n-1}), taken in lex order; a final block of degree d' is
     expanded as a power series at the point of the last curve of degree e
     (or line, e = 1), coefficients j = 0 .. d'*e, through cached series of
-    the monomials in the chart and one branch of the curve, which Newton's
-    iteration extends when a higher degree needs more coefficients.
+    the monomials in the chart and the curve's branch at the point; a
+    higher degree that needs more coefficients recomputes the cache at
+    twice the precision, so the branch is solved once per precision.
 
 The valuation of a nonzero section is the lex-first nonzero position
 (k_1, ..., k_{n-1}, j) of its expansion, and the leading unit is the entry
@@ -42,7 +43,7 @@ from typing import Iterator, Sequence
 from .linalg import Echelon
 from .polynomials import (Exponent, HomogPoly, Scalar, graded_monomials,
                           grevlex_order, poly_divmod)
-from .series import (PRECISION_CAP, PowerSeries, PrecisionError,
+from .series import (PRECISION_CAP, PrecisionError, branch_equation,
                      series_solve_branch)
 
 # nonzero series coefficients (j, c) by increasing j
@@ -161,8 +162,6 @@ class _FinalStage:
     chart: int
     param: int
     dep: int | None
-    _branch: PowerSeries | None = field(default=None, init=False, repr=False,
-                                        compare=False)
     _series: dict[Exponent, Sparse] = field(default_factory=dict, init=False,
                                             repr=False, compare=False)
     _series_precision: int = field(default=0, init=False, repr=False,
@@ -178,18 +177,6 @@ class _FinalStage:
     def curve_degree(self) -> int:
         return self.relation.degree if self.relation is not None else 1
 
-    def branch(self, precision: int) -> PowerSeries:
-        """The curve's branch at the point to the given precision.  The
-        branch at a smooth point is unique, so the longest one computed so
-        far serves every lower precision by truncation, and a longer one
-        continues Newton's iteration from it."""
-        if self._branch is None or self._branch.precision < precision:
-            start = self._branch.coefficients if self._branch else ()
-            self._branch = series_solve_branch(
-                self.relation, self.point, precision, chart_var=self.chart,
-                param_var=self.param, dep_var=self.dep, start=start)
-        return self._branch.truncate(precision)
-
     def _coordinate_series(self, var: int) -> Sparse:
         """A coordinate in the chart (the chart coordinate scaled to 1) as a
         series in the parameter t: t0 + t for the parameter and u0 + u(t)
@@ -200,7 +187,9 @@ class _FinalStage:
         if var == self.param:
             tail = ((1, Fraction(1)),)
         else:
-            branch = self.branch(self._series_precision).coefficients
+            branch = series_solve_branch(
+                self.relation, self.point, self._series_precision,
+                chart_var=self.chart, param_var=self.param, dep_var=self.dep)
             tail = tuple((j, c) for j, c in enumerate(branch) if j and c)
         return ((0, offset),) + tail if offset else tail
 
@@ -429,8 +418,13 @@ def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
                           point: Sequence[Scalar], *, chart_var: int,
                           param_var: int) -> int:
     """Vanishing order of a section of a plane curve at a smooth rational
-    point, in the chosen chart and parameter."""
+    point, in the chosen chart and parameter.  The forms, the point and the
+    chart are checked before any series is computed."""
     dep = next(i for i in range(3) if i not in (chart_var, param_var))
+    if section.num_vars != 3:
+        raise ValueError("expected a form in three variables")
+    branch_equation(curve, point, chart_var=chart_var, param_var=param_var,
+                    dep_var=dep)
     stage = _FinalStage(3, curve, tuple(Fraction(v) for v in point),
                         chart_var, param_var, dep)
     return stage.order_and_unit(section)[0]

@@ -6,7 +6,9 @@ dimensions by barycentric solves over simplices) and a facet enumeration
 over vertex subsets, all with their own exact elimination, and the surface
 valuation oracles expand sections in explicit local coordinates (bivariate
 series solved by a hand-derived recurrence, or exact polynomial
-substitution), so agreement with the library is meaningful evidence.  The
+substitution), and a form is expanded along a curve's branch by sympy
+polynomial substitution, so agreement with the library is meaningful
+evidence.  The
 single-point oracle is the one exception: it scans E(F_p) with the library's
 group law, which has its own tests, so it checks the witness tables of
 okbody.elliptic rather than the arithmetic.
@@ -358,6 +360,39 @@ def per_degree_value_set(stage, degree: int) -> tuple[int, ...]:
     rows = [stage.series(HomogPoly.monomial(mono))
             for mono in graded_monomials(stage.num_vars, degree)]
     return tuple(row_reduce(rows)[1])
+
+
+# -- a form along a curve's branch (sympy) -------------------------------------
+
+
+def form_along_branch(form, point, branch, chart, param, dep):
+    """The coefficients of t^0 .. t^(P-1), P = len(branch), of a form in
+    three variables along a branch at a point: sympy substitutes
+    x_chart = 1, x_param = t0 + t and x_dep = u0 + u(t), with (t0, u0) the
+    point in the chart and u the branch, expands, and reads them off."""
+    import sympy
+
+    t = sympy.Symbol("t")
+
+    def rational(value):
+        value = Fraction(value)
+        return sympy.Rational(value.numerator, value.denominator)
+
+    scale = Fraction(point[chart])
+    values = [None] * 3
+    values[chart] = sympy.Poly(1, t, domain="QQ")
+    values[param] = sympy.Poly(rational(point[param] / scale) + t, t,
+                               domain="QQ")
+    values[dep] = sympy.Poly(rational(point[dep] / scale) + sum(
+        rational(c) * t ** k for k, c in enumerate(branch)), t, domain="QQ")
+    total = sympy.Poly(0, t, domain="QQ")
+    for exps, c in form.terms.items():
+        term = sympy.Poly(rational(c), t, domain="QQ")
+        for value, e in zip(values, exps):
+            term = term * value ** e
+        total = total + term
+    coefficients = [total.coeff_monomial(t ** k) for k in range(len(branch))]
+    return [Fraction(int(c.p), int(c.q)) for c in coefficients]
 
 
 # -- single-point divisor representatives ------------------------------------

@@ -9,16 +9,15 @@ from okbody.linalg import rank, rat_linear_solve
 from okbody.okounkov import GradedSystem, body_estimate, semigroup, value_set
 from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
                                 leading_monomial, poly_divmod)
-from okbody.series import (PrecisionError, affine_chart_expansion, eval_bivar,
-                           series_solve_branch)
+from okbody.series import PrecisionError, series_solve_branch
 from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
                               leading_unit, ord_at_point_on_curve,
                               order_along_hypersurface, restrict_section,
                               valuation_with_unit)
 from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import (oracle_valuation, oracle_value_set, per_degree_value_set,
-                     riemann_roch_orders)
+from oracles import (form_along_branch, oracle_valuation, oracle_value_set,
+                     per_degree_value_set, riemann_roch_orders)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -283,24 +282,18 @@ def test_branch_computed_once_per_precision(monkeypatch):
     case = make_case("quadric_surface")
     system = GradedSystem(case, "complete")
     expected = {m: oracle_value_set(case, system.basis(m)) for m in range(1, 5)}
-    computed, requested = [], set()
-    branch = valuation._FinalStage.branch
+    computed = []
 
     def counting(curve, point, precision, **kwargs):
         computed.append(precision)
         return series_solve_branch(curve, point, precision, **kwargs)
 
-    def recording(stage, precision):
-        requested.add(precision)
-        return branch(stage, precision)
-
     monkeypatch.setattr(valuation, "series_solve_branch", counting)
-    monkeypatch.setattr(valuation._FinalStage, "branch", recording)
-    assert semigroup(case, "complete", 4).levels == expected
-    # each call extends the longest branch so far; lower precisions are
-    # served by truncation
-    assert computed == sorted(set(computed))
-    assert 0 < len(computed) <= len(requested)
+    fresh = make_case("quadric_surface")
+    assert semigroup(fresh, "complete", 4).levels == expected
+    # the top degree fills the monomial series at full precision first, and
+    # the lower degrees read them from the cache
+    assert len(computed) == 1
 
 
 def _random_form(rng, num_vars, degree):
@@ -325,10 +318,11 @@ def test_final_series_matches_chart_expansion(stage):
     for degree in (3, 1, 5, 0, 2):
         form = _random_form(rng, 3, degree)
         precision = degree * stage.relation.degree + 1
-        expansion = affine_chart_expansion(form, stage.point, stage.chart,
-                                           stage.param, stage.dep)
-        expected = eval_bivar(expansion, stage.branch(precision))
-        assert stage.series(form) == list(expected.coefficients)
+        branch = series_solve_branch(stage.relation, stage.point, precision,
+                                     chart_var=stage.chart,
+                                     param_var=stage.param, dep_var=stage.dep)
+        assert stage.series(form) == form_along_branch(
+            form, stage.point, branch, stage.chart, stage.param, stage.dep)
 
 
 def test_final_series_on_a_line():
@@ -414,8 +408,34 @@ def test_ord_certified_at_double_precision():
     for precision in (8, 16):
         u = series_solve_branch(PLANE_CUBIC, (1, -1, 0), precision,
                                 chart_var=0, param_var=2, dep_var=1)
-        f = affine_chart_expansion(tangent, (1, -1, 0), 0, 2, 1)
-        assert eval_bivar(f, u).order() == 3
+        series = form_along_branch(tangent, (1, -1, 0), u, 0, 2, 1)
+        assert next(j for j, c in enumerate(series) if c) == 3
+
+
+@pytest.mark.parametrize("section, curve, point, chart, param, message", [
+    (HomogPoly.linear_form([1, 0, -1]), PLANE_CUBIC, (1, 1, 1), 0, 2,
+     "not lie on the curve"),
+    (HomogPoly.variable(3, 0),
+     HomogPoly.variable(3, 1) ** 2 * HomogPoly.variable(3, 2)
+     - HomogPoly.variable(3, 0) ** 3
+     - HomogPoly.variable(3, 0) ** 2 * HomogPoly.variable(3, 2),
+     (0, 0, 1), 2, 0, "singular"),
+    (HomogPoly.variable(3, 0), FERMAT, (1, -1, 0, 0), 0, 2,
+     "three variables"),
+    (X, PLANE_CUBIC, (1, -1, 0), 0, 2, "three variables"),
+    (HomogPoly.variable(3, 2), PLANE_CUBIC, (1, -1, 0), 2, 0,
+     "not in the chosen affine chart"),
+    (HomogPoly.variable(3, 2), PLANE_CUBIC, (1, -1, 0), -1, 2,
+     "partition the three coordinates"),
+], ids=["off_curve", "node", "four_variable_curve", "four_variable_section",
+        "chart_coordinate_zero", "chart_index_negative"])
+def test_ord_checks_its_input_first(section, curve, point, chart, param,
+                                    message):
+    # none of these sections involves the dependent coordinate, so the
+    # branch is never needed to find an order
+    with pytest.raises(ValueError, match=message):
+        ord_at_point_on_curve(section, curve, point, chart_var=chart,
+                              param_var=param)
 
 
 def test_ord_rejects_section_vanishing_on_curve():
