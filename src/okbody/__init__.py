@@ -8,10 +8,9 @@ from .convex import (GradedPoint, RationalPolytope, cone_slice, convex_hull,
                      scaled_simplex)
 from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                        random_divisor, single_point_member)
-from .linalg import rat_linear_solve
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
-                       generation_degree, graded_system_basis, semigroup,
-                       semigroup_to_json, value_set, vertex_criterion)
+                       generation_degree, semigroup, semigroup_to_json,
+                       value_set, vertex_criterion)
 from .polynomials import (HomogPoly, graded_monomials, grevlex_order,
                           has_projective_common_zero, lex_order, normal_form,
                           poly_divmod)
@@ -32,11 +31,11 @@ __all__ = [
     "body_estimate", "case_study_from_json", "case_study_to_json",
     "cone_slice", "convex_hull", "dilate", "divisor_class_sum",
     "flag_valuation", "generation_degree", "graded_monomials",
-    "graded_system_basis", "grevlex_order", "has_projective_common_zero",
+    "grevlex_order", "has_projective_common_zero",
     "in_convex_hull", "leading_unit", "lex_order", "make_case", "make_negative_control", "normal_fan_rays",
     "normal_form", "ord_at_point_on_curve", "order_along_hypersurface",
     "poly_divmod", "polytope_equal", "polytope_from_json", "polytope_subset",
-    "polytope_to_json", "random_divisor", "rat_linear_solve",
+    "polytope_to_json", "random_divisor",
     "restrict_section", "scaled_simplex", "semigroup", "semigroup_to_json",
     "series_solve_branch", "single_point_member", "value_set",
     "valuation_with_unit", "verify_flag",

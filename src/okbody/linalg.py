@@ -2,8 +2,8 @@
 
 Vectors are plain sequences of rationals (``int`` or ``Fraction``).  One
 fraction-free Gaussian elimination with first-nonzero pivoting serves
-everything, so results are exact and deterministic: ranks, independent
-subsets, pivot columns, kernels and span membership.
+everything, so results are exact and deterministic: ranks, pivot columns
+and kernels.
 """
 
 from __future__ import annotations
@@ -85,61 +85,17 @@ class Echelon:
         return basis
 
 
-def _echelon(rows: Sequence[Vector]) -> tuple[Echelon, list[int]]:
-    """The echelon form of the rows taken in input order, and the indices of
-    the rows that are independent of the rows before them."""
-    form = Echelon(len(rows[0]) if rows else 0)
-    kept = [index for index, row in enumerate(rows) if form.add(row)]
-    return form, kept
-
-
-def rat_linear_solve(rows: Sequence[Vector], target: Vector
-                     ) -> list[Fraction] | None:
-    """Exact coefficients expressing ``target`` in the span of ``rows``,
-    or None when the target is not in the span.
-
-    All rows and the target must have equal length.  When the expression is
-    not unique, a row that depends on the rows before it gets weight zero
-    and the rows kept by independent_indices get their unique weights,
-    deterministically.
-    """
-    if rows:
-        length = len(rows[0])
-        if any(len(r) != length for r in rows) or len(target) != length:
-            raise ValueError("dimension mismatch")
-    elif any(Fraction(v) for v in target):
-        return None
-    else:
-        return []
-    kept = independent_indices(rows)
-    # (w, 1) spans the kernel of [kept rows as columns | -target] exactly
-    # when target = sum w_i rows_i; the kept columns are independent, so
-    # the last column is the only possible free one
-    augmented = [[rows[i][j] for i in kept] + [-Fraction(target[j])]
-                 for j in range(length)]
-    kernel = kernel_basis(augmented, len(kept) + 1)
-    if not kernel:
-        return None
-    weights = [Fraction(0)] * len(rows)
-    for column, index in enumerate(kept):
-        weights[index] = kernel[0][column]
-    return weights
-
-
 def rank(vectors: Sequence[Vector]) -> int:
-    return _echelon(vectors)[0].rank
-
-
-def independent_indices(vectors: Sequence[Vector]) -> list[int]:
-    """Indices of a maximal linearly independent subset, chosen greedily in
-    input order (deterministic)."""
-    return _echelon(vectors)[1]
+    return len(pivot_columns(vectors))
 
 
 def pivot_columns(vectors: Sequence[Vector]) -> list[int]:
     """The pivot columns of the row echelon form, in increasing order: the
     set of first nonzero positions of the nonzero vectors in the span."""
-    return _echelon(vectors)[0].pivots()
+    form = Echelon(len(vectors[0]) if vectors else 0)
+    for row in vectors:
+        form.add(row)
+    return form.pivots()
 
 
 def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:

@@ -6,6 +6,11 @@ systems are available at each level m:
   complete  the full degree-(m*c) graded piece of the coordinate ring,
   powers    the span of all m-fold products of level-1 elements.
 
+On a hypersurface (or projective space) the two are the same piece: every
+standard monomial of degree m*c is a product of m standard monomials of
+degree c (see GradedSystem), so both kinds have the standard monomials as
+basis and the same value sets.
+
 The value set of a level is the set of valuation vectors of the nonzero
 elements of its span (Lazarsfeld and Mustata 2009, section 1; Kaveh and
 Khovanskii 2012); it has as many elements as the span has dimensions.  For
@@ -18,8 +23,7 @@ each its own normal form, so the degree-D piece has the value set
   {(k_1, ..., k_{n-1}, j) : sum k_i <= D, j in V(D - sum k_i)}
 
 in lex order, V(d') being the value set of the degree-d' forms on the final
-curve or line.  A powers level lies in the full piece, so it has this value
-set exactly when its dimension is the full piece's.
+curve or line.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; its cone slice at height one is an inner estimate of the
@@ -34,11 +38,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .convex import GradedPoint, RationalPolytope, cone_slice
-from .linalg import independent_indices, pivot_columns
+from .linalg import pivot_columns
 from .polynomials import HomogPoly, graded_monomials, leading_monomial
 from .valuation import Flag, flag_expansion
 from .varieties import CaseStudy
@@ -49,73 +52,41 @@ Vector = tuple[int, ...]
 
 
 class GradedSystem:
-    """Per-level bases of one graded linear system, cached."""
+    """The per-level bases of one graded linear system: the standard
+    monomials of degree c*m, for either kind.
+
+    A complete level is the full graded piece, which the standard monomials
+    span.  A powers level is the span of the m-fold products of level-1
+    sections, and it is the full piece too: a standard monomial of degree
+    c*m factors into m monomials of degree c, and the relation's leading
+    monomial divides none of them, since each divides the whole product, so
+    every standard monomial of degree c*m is such a product."""
 
     def __init__(self, case: CaseStudy, kind: str):
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         self.case = case
         self.kind = kind
-        self._bases: dict[int, tuple[HomogPoly, ...]] = {}
 
     def basis(self, level: int) -> tuple[HomogPoly, ...]:
-        if level < 1:
-            raise ValueError("levels start at 1")
-        cached = self._bases.get(level)
-        if cached is None:
-            cached = self._compute_basis(level)
-            self._bases[level] = cached
-        return cached
+        return tuple(map(HomogPoly.monomial, self._standard_monomials(level)))
 
     def dimension(self, level: int) -> int:
-        """The number of basis elements; a complete level, and level 1 of
-        either kind, counts its standard monomials without building them."""
+        return len(self._standard_monomials(level))
+
+    def _standard_monomials(self, level: int) -> tuple[Vector, ...]:
+        """Monomials of degree c*level that are reduced modulo the relation
+        (not divisible by its leading monomial)."""
         if level < 1:
             raise ValueError("levels start at 1")
-        if self.kind == "complete" or level == 1:
-            return len(self._standard_monomials(
-                self.case.section_degree(level)))
-        return len(self.basis(level))
-
-    def _standard_monomials(self, degree: int) -> tuple[Vector, ...]:
-        """Monomials of the given degree that are reduced modulo the
-        relation (not divisible by its leading monomial)."""
         flag = self.case.flag
-        monos = graded_monomials(flag.ambient_vars, degree)
+        monos = graded_monomials(flag.ambient_vars,
+                                 self.case.section_degree(level))
         if flag.relation is None:
             return monos
         lm = leading_monomial(flag.relation, flag.ambient_vars - 1)
         return tuple(m for m in monos
                      if not all(a >= b for a, b in zip(m, lm)))
-
-    def _compute_basis(self, level: int) -> tuple[HomogPoly, ...]:
-        case = self.case
-        degree = case.section_degree(level)
-        if self.kind == "complete" or level == 1:
-            return tuple(HomogPoly.monomial(m)
-                         for m in self._standard_monomials(degree))
-        level_one = self.basis(1)
-        coords = self._standard_monomials(degree)
-        products = []
-        seen = set()
-        for combo in combinations_with_replacement(level_one, level):
-            product = combo[0]
-            for factor in combo[1:]:
-                product = product * factor
-            product = case.reduce(product)
-            key = tuple(sorted(product.terms.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            products.append(product)
-        vectors = [p.coefficient_vector(coords) for p in products]
-        keep = independent_indices(vectors)
-        return tuple(products[i] for i in keep)
-
-
-def graded_system_basis(case: CaseStudy, kind: str, level: int
-                        ) -> tuple[HomogPoly, ...]:
-    return GradedSystem(case, kind).basis(level)
 
 
 def value_set(basis: Sequence[HomogPoly], flag: Flag) -> tuple[Vector, ...]:

@@ -229,13 +229,23 @@ def _poly_to_obj(poly: HomogPoly | None):
             for exps, c in poly.sorted_terms()]
 
 
+def _checked(value, types: tuple[type, ...] = (int,)):
+    """The JSON value itself when its type is one of the given types: a
+    bool is no int here, and no float is ever read."""
+    if type(value) not in types:
+        raise ValueError(f"{value!r} is not of type "
+                         + " or ".join(t.__name__ for t in types))
+    return value
+
+
 def _poly_from_obj(obj, num_vars: int) -> HomogPoly:
     terms = {}
     for coeff, exps in obj:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(_checked, exps))
         if len(exps) != num_vars:
             raise ValueError("exponent tuple of wrong length")
-        terms[exps] = terms.get(exps, Fraction(0)) + Fraction(coeff)
+        terms[exps] = (terms.get(exps, Fraction(0))
+                       + Fraction(_checked(coeff, (int, str))))
     degrees = {sum(e) for e in terms}
     if len(degrees) != 1:
         raise ValueError("terms are not homogeneous")
@@ -260,7 +270,9 @@ def case_study_to_json(case: CaseStudy) -> str:
 def case_study_from_json(text: str) -> CaseStudy:
     """Load a custom hypersurface case study.  The caller is expected to run
     verify_flag on the result before using it.  The flag determines n, r and
-    d; a fixture may still carry them, but only with the derived values."""
+    d; a fixture may still carry them, but only with the derived values.
+    Integer fields and exponents are JSON integers, coefficients and
+    coordinates integers or strings such as "-3/4"; nothing is coerced."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a fixture is a JSON object")
@@ -278,7 +290,7 @@ def case_study_from_json(text: str) -> CaseStudy:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed {key!r}: {exc}") from None
 
-    nv = entry("ambient_vars", int)
+    nv = entry("ambient_vars", _checked)
 
     def poly(obj) -> HomogPoly:
         return _poly_from_obj(obj, nv)
@@ -289,14 +301,15 @@ def case_study_from_json(text: str) -> CaseStudy:
     steps = entry("steps", lambda objs: [poly(obj) for obj in objs],
                   listed=True)
     final = entry("final_form", poly, listed=True)
-    point = entry("point", lambda objs: tuple(map(Fraction, objs)),
-                  listed=True)
+    point = entry("point", lambda objs: tuple(
+        Fraction(_checked(v, (int, str))) for v in objs), listed=True)
     flag = Flag(nv, relation, steps, final, point,
-                chart_var=entry("chart_var", int),
-                parameter_var=entry("parameter_var", int))
-    case = CaseStudy(entry("name", str), flag, entry("c", int))
+                chart_var=entry("chart_var", _checked),
+                parameter_var=entry("parameter_var", _checked))
+    case = CaseStudy(entry("name", lambda v: _checked(v, (str,))), flag,
+                     entry("c", _checked))
     for key in ("n", "r", "d"):
-        if key in data and data[key] != getattr(case, key):
+        if key in data and entry(key, _checked) != getattr(case, key):
             raise ValueError(f"the fixture carries {key} = {data[key]!r}, "
                              f"but its flag gives {key} = {getattr(case, key)}")
     return case

@@ -8,7 +8,9 @@ valuation oracles expand sections in explicit local coordinates (bivariate
 series solved by a hand-derived recurrence, or exact polynomial
 substitution), and a form is expanded along a curve's branch by sympy
 polynomial substitution, so agreement with the library is meaningful
-evidence.  The
+evidence.  The same exact elimination solves linear systems and gives the
+powers system's bases, multiplied out from level-1 monomials instead of
+counted by the library's standard-monomial argument.  The
 single-point oracle is the one exception: it scans E(F_p) with the library's
 group law, which has its own tests, so it checks the witness tables of
 okbody.elliptic rather than the arithmetic.
@@ -17,7 +19,7 @@ okbody.elliptic rather than the arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 # -- exact 2D hull oracle -----------------------------------------------------
@@ -90,6 +92,23 @@ def row_reduce(matrix):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
     return rows[:len(pivots)], pivots
+
+
+def linear_solve(rows, target):
+    """Weights w with sum w_i rows_i = target, or None when the target is
+    not in the span of the rows; a row that depends on the rows before it
+    gets weight zero."""
+    if any(len(row) != len(target) for row in rows):
+        raise ValueError("dimension mismatch")
+    augmented = [[row[j] for row in rows] + [target[j]]
+                 for j in range(len(target))]
+    reduced, pivots = row_reduce(augmented)
+    if len(rows) in pivots:
+        return None
+    weights = [Fraction(0)] * len(rows)
+    for row, pivot in zip(reduced, pivots):
+        weights[pivot] = row[-1]
+    return weights
 
 
 def in_simplex(p, simplex) -> bool:
@@ -328,6 +347,26 @@ def oracle_value_set(case, basis):
         sections[later] = combined
         data[later] = oracle_valuation(case.name, combined)
     raise RuntimeError("oracle triangularization did not terminate")
+
+
+def powers_basis(case, level):
+    """A basis of the powers system's level: of the distinct level-fold
+    products of the degree-c monomials that are their own normal forms,
+    reduced modulo the relation, those independent of the products before
+    them (the pivot columns of the products as columns).  Its size is the
+    level's dimension, found by elimination and not by counting standard
+    monomials."""
+    from okbody.polynomials import HomogPoly, graded_monomials
+
+    level_one = [m for m in graded_monomials(case.flag.ambient_vars, case.c)
+                 if case.reduce(HomogPoly.monomial(m)).terms == {m: 1}]
+    monomials = sorted({tuple(map(sum, zip(*combo))) for combo
+                        in combinations_with_replacement(level_one, level)})
+    products = [case.reduce(HomogPoly.monomial(m)) for m in monomials]
+    coords = sorted({e for p in products for e in p.terms})
+    _rows, pivots = row_reduce([[p.terms.get(e, 0) for p in products]
+                                for e in coords])
+    return tuple(products[i] for i in pivots)
 
 
 # -- Riemann-Roch prediction on the final curve -------------------------------

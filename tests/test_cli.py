@@ -118,21 +118,15 @@ def _fixture_text(edit):
     return json.dumps(edit(data))
 
 
-def _set(key, value):
+def _set(value, *path):
+    """An edit that sets the entry of data at the path to the value."""
     def edit(data):
-        data[key] = value
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
         return data
     return edit
-
-
-def _set_coefficient(data):
-    data["final_form"][0][0] = "1/0"
-    return data
-
-
-def _set_point(data):
-    data["point"][1] = "1/0"
-    return data
 
 
 def _drop(key):
@@ -144,17 +138,35 @@ def _drop(key):
 
 # each malformed fixture, and the part of the message that names its fault
 BAD_FIXTURES = {
-    "wrong_n": (_set("n", 5), "carries n = 5"),
-    "wrong_d": (_set("d", 3), "carries d = 3"),
-    "c_zero": (_set("c", 0), "c must be a positive integer"),
+    "wrong_n": (_set(5, "n"), "carries n = 5"),
+    "wrong_d": (_set(3, "d"), "carries d = 3"),
+    "c_zero": (_set(0, "c"), "c must be a positive integer"),
     "missing_c": (_drop("c"), "missing key 'c'"),
     "top_level_list": (lambda data: [data], "a fixture is a JSON object"),
-    "steps_not_a_list": (_set("steps", 5), "'steps' must be a list"),
-    "zero_denominator": (_set_coefficient,
+    "steps_not_a_list": (_set(5, "steps"), "'steps' must be a list"),
+    "zero_denominator": (_set("1/0", "final_form", 0, 0),
                          "zero denominator in 'final_form'"),
-    "point_zero_denominator": (_set_point, "zero denominator in 'point'"),
-    "chart_var_outside": (_set("chart_var", 9),
+    "point_zero_denominator": (_set("1/0", "point", 1),
+                               "zero denominator in 'point'"),
+    "chart_var_outside": (_set(9, "chart_var"),
                           "outside the ambient variables"),
+    # no value is coerced: integers stay integers, and no float is read
+    "c_float": (_set(1.7, "c"), "malformed 'c'"),
+    "c_bool": (_set(True, "c"), "malformed 'c'"),
+    "chart_var_float": (_set(1.9, "chart_var"), "malformed 'chart_var'"),
+    "parameter_var_string": (_set("3", "parameter_var"),
+                             "malformed 'parameter_var'"),
+    "ambient_vars_string": (_set("4", "ambient_vars"),
+                            "malformed 'ambient_vars'"),
+    "exponent_string": (_set("1001", "final_form", 0, 1),
+                        "malformed 'final_form'"),
+    "exponent_float": (_set([1.0, 0, 0, 0], "final_form", 0, 1),
+                       "malformed 'final_form'"),
+    "coefficient_float": (_set(0.1, "final_form", 0, 0),
+                          "malformed 'final_form'"),
+    "point_float": (_set(0.1, "point", 1), "malformed 'point'"),
+    "name_not_a_string": (_set(5, "name"), "malformed 'name'"),
+    "n_float": (_set(2.0, "n"), "malformed 'n'"),
 }
 
 

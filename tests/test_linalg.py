@@ -4,39 +4,41 @@ import pytest
 from hypothesis import given, seed, settings
 import hypothesis.strategies as st
 
-from okbody.linalg import (independent_indices, kernel_basis, pivot_columns,
-                           rank, rat_linear_solve)
+from okbody.linalg import Echelon, kernel_basis, pivot_columns, rank
 
-from oracles import row_reduce
+from oracles import linear_solve, row_reduce
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 large = st.fractions(min_value=-10**9, max_value=10**9,
                      max_denominator=10**12)
 
 
+# -- the oracles' linear solve, which the tests use for span membership --------
+
+
 def test_standard_basis_solve():
-    assert rat_linear_solve([(1, 0), (0, 1)], (3, 5)) == [3, 5]
+    assert linear_solve([(1, 0), (0, 1)], (3, 5)) == [3, 5]
 
 
 def test_rank_deficient_no_solution():
-    assert rat_linear_solve([(1, 1)], (1, 2)) is None
+    assert linear_solve([(1, 1)], (1, 2)) is None
 
 
 def test_solve_with_fractional_coefficients():
-    sol = rat_linear_solve([(2, 4), (1, 3)], (0, 1))
+    sol = linear_solve([(2, 4), (1, 3)], (0, 1))
     assert sol == [Fraction(-1, 2), Fraction(1)]
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        rat_linear_solve([(1, 0), (0, 1, 2)], (1, 1))
+        linear_solve([(1, 0), (0, 1, 2)], (1, 1))
     with pytest.raises(ValueError):
-        rat_linear_solve([(1, 0)], (1, 0, 0))
+        linear_solve([(1, 0)], (1, 0, 0))
 
 
 def test_empty_row_list():
-    assert rat_linear_solve([], (0, 0)) == []
-    assert rat_linear_solve([], (1, 0)) is None
+    assert linear_solve([], (0, 0)) == []
+    assert linear_solve([], (1, 0)) is None
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
@@ -47,29 +49,33 @@ def test_solve_reconstructs_combination(rows, coeffs):
     rows = [tuple(r) for r in rows]
     coeffs = coeffs[:len(rows)] + [Fraction(0)] * (len(rows) - len(coeffs))
     target = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(3)]
-    sol = rat_linear_solve(rows, target)
+    sol = linear_solve(rows, target)
     assert sol is not None
     recombined = [sum(c * r[i] for c, r in zip(sol, rows)) for i in range(3)]
     assert recombined == target
 
 
-def test_rank_and_independent_indices():
-    rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert rank(rows) == 2
-    assert independent_indices(rows) == [0, 2]
-
-
 def test_rat_linear_solve_span_membership():
     rows = [(1, 1, 0), (0, 1, 1)]
-    assert rat_linear_solve(rows, (1, 2, 1)) is not None
-    assert rat_linear_solve(rows, (1, 0, 1)) is None
-    assert rat_linear_solve(rows, (2, 3, 1)) == [2, 1]
+    assert linear_solve(rows, (1, 2, 1)) is not None
+    assert linear_solve(rows, (1, 0, 1)) is None
+    assert linear_solve(rows, (2, 3, 1)) == [2, 1]
 
 
 def test_rat_linear_solve_weights_dependent_rows_zero():
     rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert rat_linear_solve(rows, (3, 5, 0)) == [3, 0, 5, 0]
-    assert rat_linear_solve([(0, 0), (0, 2)], (0, 1)) == [0, Fraction(1, 2)]
+    assert linear_solve(rows, (3, 5, 0)) == [3, 0, 5, 0]
+    assert linear_solve([(0, 0), (0, 2)], (0, 1)) == [0, Fraction(1, 2)]
+
+
+# -- the library's elimination -------------------------------------------------
+
+
+def test_rank_and_independent_indices():
+    rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
+    assert rank(rows) == 2
+    form = Echelon(3)
+    assert [form.add(row) for row in rows] == [True, False, True, False]
 
 
 def test_kernel_basis():
@@ -119,8 +125,9 @@ def test_elimination_matches_row_reduce_oracle(matrix):
     assert pivot_columns(rows) == pivots
     # greedy in input order: a row is kept when it raises the rank
     ranks = [len(row_reduce(rows[:i])[1]) for i in range(len(rows) + 1)]
-    expected = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
-    assert independent_indices(rows) == expected
+    form = Echelon(width)
+    assert [form.add(row) for row in rows] == \
+        [ranks[i + 1] > ranks[i] for i in range(len(rows))]
     kernel = []
     for f in (j for j in range(width) if j not in pivots):
         x = [Fraction(int(j == f)) for j in range(width)]

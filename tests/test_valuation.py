@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from okbody import make_case, valuation
-from okbody.linalg import rank, rat_linear_solve
+from okbody.linalg import rank
 from okbody.okounkov import GradedSystem, body_estimate, semigroup, value_set
 from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
                                 leading_monomial, poly_divmod)
@@ -16,8 +16,9 @@ from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
                               valuation_with_unit)
 from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import (form_along_branch, oracle_valuation, oracle_value_set,
-                     per_degree_value_set, riemann_roch_orders)
+from oracles import (form_along_branch, linear_solve, oracle_valuation,
+                     oracle_value_set, per_degree_value_set,
+                     riemann_roch_orders)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -236,7 +237,7 @@ def _transformed_case(case, matrix):
     """The case in coordinates x' with x = A x', or None when the flag is
     not usable there for any chart and parameter variable."""
     columns = [[row[j] for row in matrix] for j in range(4)]
-    point = rat_linear_solve(columns, case.flag.point)
+    point = linear_solve(columns, case.flag.point)
     relation = _pull_back(case.flag.relation, matrix)
     steps = [_pull_back(s, matrix) for s in case.flag.steps]
     final = _pull_back(case.flag.final_form, matrix)
