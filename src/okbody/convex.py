@@ -15,6 +15,14 @@ computes this H-representation once from its vertex list and answers
 membership, facets and the normal fan from it.  Facets carry primitive
 integer inward normals, which are the rays of the normal fan (the
 combinatorial data of the associated toric variety).
+
+A cone slice is hulled over the lattice points value * (L/level), after
+one pass per axis drops each point strictly inside an axis-parallel segment
+between two points that stay: it is their convex combination and never a
+vertex, so the hull and its vertices are exactly those of all the points.
+A graded piece is a union of segments along the last axis, so this
+leaves about two points per prefix.  Coordinates are ints or Fractions;
+anything else, a float included, is a TypeError.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ class GradedPoint:
     level: int
 
     def __post_init__(self) -> None:
+        if {type(self.level), *map(type, self.value)} != {int}:
+            raise TypeError(f"graded point ({self.value!r}, {self.level!r}) "
+                            "needs an int level and int value entries")
         if self.level < 1:
             raise ValueError("graded points live at level >= 1")
         if any(v < 0 for v in self.value):
@@ -97,7 +108,15 @@ class RationalPolytope:
 
 
 def _as_point(values: Sequence[Scalar]) -> Point:
-    return tuple(Fraction(v) for v in values)
+    return tuple(Fraction(_exact(v)) for v in values)
+
+
+def _exact(value: Scalar) -> Scalar:
+    """The value itself when it is an int or a Fraction; no float or string
+    enters the exact arithmetic."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{value!r} is not an int or a Fraction")
+    return value
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -122,8 +141,7 @@ def _lattice(points: Iterable[Sequence[Scalar]]
              ) -> tuple[list[tuple[int, ...]], int]:
     """The points scaled to integer points by the lcm L of their
     coordinates' denominators, and L."""
-    rows = [tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
-                  for c in p) for p in points]
+    rows = [tuple(map(_exact, p)) for p in points]
     scale = lcm(*(c.denominator for p in rows for c in p))
     return [tuple(c.numerator * (scale // c.denominator) for c in p)
             for p in rows], scale
@@ -268,17 +286,39 @@ def cone_slice(points: Iterable[GradedPoint]) -> RationalPolytope:
     points: the convex hull of value/level over the input.  Each value/level
     is the lattice point value * (L/level) shrunk by L, the lcm of the
     levels, so the hull is taken over integer points and only its vertices
-    become fractions."""
+    become fractions; only the ends of its axis-parallel segments reach the
+    hull."""
     graded = list(points)
     if not graded:
         raise ValueError("empty input")
     scale = lcm(*(p.level for p in graded))
-    lattice = [tuple(v * (scale // p.level) for v in p.value) for p in graded]
-    return dilate(convex_hull(lattice), Fraction(1, scale))
+    lattice = list({tuple(v * (scale // p.level) for v in p.value)
+                    for p in graded})
+    if len({len(p) for p in lattice}) > 1:
+        raise ValueError("mixed dimensions")
+    return dilate(convex_hull(_segment_ends(lattice)), Fraction(1, scale))
+
+
+def _segment_ends(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct points of equal length less those strictly inside
+    axis-parallel segments (exact; see the module docstring): one pass per
+    axis, last first, keeps the least and greatest point of each run that
+    agrees off the axis, which are the run's ends on the axis."""
+    for axis in reversed(range(len(points[0]))):
+        ends = {}
+        for p in points:
+            rest = p[:axis] + p[axis + 1:]
+            low, high = ends.setdefault(rest, (p, p))
+            if p < low:
+                ends[rest] = p, high
+            elif p > high:
+                ends[rest] = low, p
+        points = list({p for pair in ends.values() for p in pair})
+    return points
 
 
 def dilate(polytope: RationalPolytope, factor: Scalar) -> RationalPolytope:
-    c = Fraction(factor)
+    c = Fraction(_exact(factor))
     if c <= 0:
         raise ValueError("dilation factor must be positive")
     scaled = [tuple(c * x for x in v) for v in polytope.vertices]

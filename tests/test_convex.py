@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,8 @@ from okbody.convex import (GradedPoint, RationalPolytope, cone_slice,
                            normal_fan_rays, polytope_equal,
                            polytope_from_json, polytope_subset,
                            polytope_to_json, scaled_simplex)
+from okbody.okounkov import semigroup
+from okbody.varieties import CASE_NAMES, make_case
 
 from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
                      brute_hull_vertices_nd, in_hull_2d, in_hull_nd)
@@ -34,6 +37,23 @@ def test_mixed_dimensions_rejected():
         convex_hull([(0, 0), (1, 0, 0)])
     with pytest.raises(ValueError):
         convex_hull([])
+
+
+def test_inexact_coordinates_rejected():
+    # a float would enter as its binary expansion, 0.1 as 3602879701896397/2^55
+    unit = scaled_simplex(2, 1, 1)
+    with pytest.raises(TypeError, match="0.1"):
+        convex_hull([(0.1,)])
+    with pytest.raises(TypeError, match="0.5"):
+        convex_hull([(0, 0), (1, 0.5)])
+    with pytest.raises(TypeError, match="'1/2'"):
+        convex_hull([("1/2", 0)])
+    with pytest.raises(TypeError, match="0.25"):
+        unit.contains_point((0.25, 0))
+    with pytest.raises(TypeError, match="0.25"):
+        in_convex_hull((0.25, 0), unit.vertices)
+    with pytest.raises(TypeError, match="0.5"):
+        dilate(unit, 0.5)
 
 
 @given(points_2d)
@@ -184,11 +204,83 @@ def test_cone_slice_empty_rejected():
         cone_slice([])
 
 
+def test_cone_slice_mixed_dimensions_rejected():
+    # the dimensions are checked before the segment ends are taken, which
+    # would index past the end of the shorter points
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        cone_slice([GradedPoint((0, 0), 1), GradedPoint((1, 0, 0), 1)])
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        cone_slice([GradedPoint((0, 0, 5), 1), GradedPoint((1, 0), 2),
+                    GradedPoint((0, 3), 1)])
+
+
 def test_graded_point_validation():
     with pytest.raises(ValueError):
         GradedPoint((0, 0), 0)
     with pytest.raises(ValueError):
         GradedPoint((-1, 0), 1)
+    for value, level in (((1.5,), 1), ((F(1),), 1), ((True, 0), 1),
+                         (("1",), 1), ((1,), 1.0), ((1,), F(1)),
+                         ((1,), True)):
+        with pytest.raises(TypeError):
+            GradedPoint(value, level)
+
+
+def _segment_clouds():
+    """Seeded graded clouds whose quotients are dense along axis-parallel
+    lines, each quotient q given as q * m at a random level m."""
+    rng = random.Random(23)
+    lattice = {}
+    # staircases: one segment from 0 to a random top per prefix, the shape
+    # of a full graded piece
+    for dim, prefixes, top in (
+            (2, [(i,) for i in range(5)], 5),
+            (3, [(i, j) for i in range(3) for j in range(3) if i + j <= 2], 4),
+            (4, [(i, j, k) for i in range(2) for j in range(2)
+                 for k in range(2) if i + j + k <= 1], 5)):
+        lattice[f"staircase_{dim}d"] = [
+            prefix + (j,) for prefix in prefixes
+            for j in range(rng.randrange(1, top))]
+    for shape, holes in (((4, 4), 3), ((3, 2, 2), 2)):
+        grid = list(product(*map(range, shape)))
+        dropped = rng.sample(grid, holes)
+        lattice[f"holed_grid_{len(shape)}d"] = [
+            p for p in grid if p not in dropped]
+    # lines along random axes through random points, each point
+    # listed several times
+    for dim, lines in ((2, 3), (3, 3), (4, 2)):
+        cloud = []
+        for _ in range(lines):
+            base = [rng.randrange(0, 4) for _ in range(dim)]
+            axis = rng.randrange(dim)
+            for t in range(rng.randrange(2, 5)):
+                point = base[:axis] + [base[axis] + t] + base[axis + 1:]
+                cloud += [tuple(point)] * rng.randrange(1, 3)
+        lattice[f"repeated_lines_{dim}d"] = cloud
+    return {name: [GradedPoint(tuple(m * x for x in q), m)
+                   for q in cloud for m in [rng.randrange(1, 4)]]
+            for name, cloud in lattice.items()}
+
+
+SEGMENT_CLOUDS = _segment_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_CLOUDS))
+def test_cone_slice_matches_oracles_on_segments(name):
+    points = SEGMENT_CLOUDS[name]
+    body = cone_slice(points)
+    vertices = brute_hull_vertices_nd([p.quotient() for p in points])
+    assert list(body.vertices) == vertices
+    if affine_dimension(vertices) == body.dim:
+        assert list(body.facets()) == brute_facets(vertices)
+
+
+@pytest.mark.parametrize("max_level", (1, 2))
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_cone_slice_of_shipped_cases_matches_oracle(name, max_level):
+    points = semigroup(make_case(name), "complete", max_level).graded_points()
+    assert list(cone_slice(points).vertices) == brute_hull_vertices_nd(
+        [p.quotient() for p in points])
 
 
 graded_points_2d = st.lists(
