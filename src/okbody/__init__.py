@@ -10,14 +10,12 @@ from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                        random_divisor, single_point_member)
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
                        generation_degree, semigroup, semigroup_to_json,
-                       value_set, vertex_criterion)
+                       vertex_criterion)
 from .polynomials import (HomogPoly, graded_monomials, grevlex_order,
                           has_projective_common_zero, lex_order, normal_form,
                           poly_divmod)
 from .series import PrecisionError, series_solve_branch
-from .valuation import (Flag, ZeroSectionError, flag_valuation, leading_unit,
-                        ord_at_point_on_curve, order_along_hypersurface,
-                        restrict_section, valuation_with_unit)
+from .valuation import Flag, ZeroSectionError, ord_at_point_on_curve
 from .varieties import (CASE_NAMES, CaseStudy, FlagReport,
                         case_study_from_json, case_study_to_json, make_case,
                         make_negative_control, verify_flag)
@@ -30,13 +28,12 @@ __all__ = [
     "PrecisionError", "RationalPolytope", "ZeroSectionError",
     "body_estimate", "case_study_from_json", "case_study_to_json",
     "cone_slice", "convex_hull", "dilate", "divisor_class_sum",
-    "flag_valuation", "generation_degree", "graded_monomials",
-    "grevlex_order", "has_projective_common_zero",
-    "in_convex_hull", "leading_unit", "lex_order", "make_case", "make_negative_control", "normal_fan_rays",
-    "normal_form", "ord_at_point_on_curve", "order_along_hypersurface",
-    "poly_divmod", "polytope_equal", "polytope_from_json", "polytope_subset",
-    "polytope_to_json", "random_divisor",
-    "restrict_section", "scaled_simplex", "semigroup", "semigroup_to_json",
-    "series_solve_branch", "single_point_member", "value_set",
-    "valuation_with_unit", "verify_flag",
+    "generation_degree", "graded_monomials", "grevlex_order",
+    "has_projective_common_zero", "in_convex_hull", "lex_order", "make_case",
+    "make_negative_control", "normal_fan_rays", "normal_form",
+    "ord_at_point_on_curve", "poly_divmod", "polytope_equal",
+    "polytope_from_json", "polytope_subset", "polytope_to_json",
+    "random_divisor", "scaled_simplex", "semigroup", "semigroup_to_json",
+    "series_solve_branch", "single_point_member", "verify_flag",
+    "vertex_criterion",
 ]

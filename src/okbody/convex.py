@@ -28,6 +28,7 @@ anything else, a float included, is a TypeError.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,9 +37,11 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import Echelon, kernel_basis
-from .polynomials import Scalar
+from .polynomials import Scalar, _exact
 
 Point = tuple[Fraction, ...]
+# a "p/q" string with a nonzero denominator, as polytope_to_json writes
+_RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 # (a, beta) for a . x >= beta, or a . x = beta in an equation
 Constraint = tuple[tuple[int, ...], Fraction]
 
@@ -109,14 +112,6 @@ class RationalPolytope:
 
 def _as_point(values: Sequence[Scalar]) -> Point:
     return tuple(Fraction(_exact(v)) for v in values)
-
-
-def _exact(value: Scalar) -> Scalar:
-    """The value itself when it is an int or a Fraction; no float or string
-    enters the exact arithmetic."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"{value!r} is not an int or a Fraction")
-    return value
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -375,6 +370,20 @@ def polytope_to_json(polytope: RationalPolytope) -> str:
 
 
 def polytope_from_json(text: str) -> RationalPolytope:
+    """The polytope of a text that ``polytope_to_json`` wrote: an int dim
+    and vertex entries that are "p/q" strings or ints.  Anything else, a
+    JSON float or bool included, is a ValueError naming the entry."""
     data = json.loads(text)
-    verts = tuple(tuple(Fraction(c) for c in v) for v in data["vertices"])
-    return RationalPolytope(int(data["dim"]), verts)
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim {dim!r} is not an int")
+    return RationalPolytope(dim, tuple(tuple(map(_json_rational, v))
+                                       for v in data["vertices"]))
+
+
+def _json_rational(entry) -> Fraction:
+    if type(entry) is int or (type(entry) is str
+                              and _RATIONAL.fullmatch(entry)):
+        return Fraction(entry)
+    raise ValueError(f"vertex entry {entry!r} is not an int or a "
+                     "\"p/q\" string")

@@ -12,12 +12,20 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .polynomials import _exact
+
 Vector = Sequence[Fraction]
 
 
 def _integer_row(row: Vector) -> list[int]:
-    """The row scaled to integers by the lcm of its denominators."""
-    scale = lcm(*(v.denominator for v in row))
+    """The row scaled to integers by the lcm of its denominators; an entry
+    that is not an int or a Fraction is a TypeError."""
+    try:
+        scale = lcm(*(v.denominator for v in row))
+    except AttributeError:
+        for v in row:
+            _exact(v)
+        raise
     return [v.numerator * (scale // v.denominator) for v in row]
 
 

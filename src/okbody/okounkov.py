@@ -13,9 +13,8 @@ basis and the same value sets.
 
 The value set of a level is the set of valuation vectors of the nonzero
 elements of its span (Lazarsfeld and Mustata 2009, section 1; Kaveh and
-Khovanskii 2012); it has as many elements as the span has dimensions.  For
-a basis it is the set of pivot columns of one echelon of the flag
-expansions.  A full graded piece needs no echelon: in a step's coordinates
+Khovanskii 2012); it has as many elements as the span has dimensions.  A
+full graded piece needs no section's valuation: in a step's coordinates
 (grevlex, y = h smallest, the relation's leading monomial free of y) the
 standard monomials of degree D are y^k mu, mu standard on the next member,
 each its own normal form, so the degree-D piece has the value set
@@ -37,13 +36,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .convex import GradedPoint, RationalPolytope, cone_slice
-from .linalg import pivot_columns
 from .polynomials import HomogPoly, graded_monomials, leading_monomial
-from .valuation import Flag, flag_expansion
 from .varieties import CaseStudy
 
 KINDS = ("powers", "complete")
@@ -87,38 +83,6 @@ class GradedSystem:
         lm = leading_monomial(flag.relation, flag.ambient_vars - 1)
         return tuple(m for m in monos
                      if not all(a >= b for a, b in zip(m, lm)))
-
-
-def value_set(basis: Sequence[HomogPoly], flag: Flag) -> tuple[Vector, ...]:
-    """All valuation vectors of nonzero elements of the span of the basis,
-    lex-sorted.  The basis must be linearly independent modulo the relation;
-    the result has exactly len(basis) elements.
-
-    The valuation of a nonzero section is the first nonzero position of its
-    flag expansion with the positions in lex order, and the expansion is
-    linear, so the value set is the set of pivot columns of one echelon of
-    the basis's expansions.  Each block degree d' is certified first, by
-    the final stage's value set of that degree: no nonzero form of degree
-    d' on the final curve may have all of its expansion coefficients zero.
-    This serves any subspace; ``semigroup`` reads full graded pieces off
-    the final stage directly.
-    """
-    stage = flag.final_stage
-    rows = []
-    for section in basis:
-        row: dict[Vector, Fraction] = {}
-        for prefix, block in flag_expansion(section, flag):
-            stage.value_set(block.degree)
-            row.update((prefix + (j,), c)
-                       for j, c in enumerate(stage.series(block)) if c)
-        rows.append(row)
-    columns = sorted(set().union(*rows))
-    pivots = pivot_columns([[row.get(col, 0) for col in columns]
-                            for row in rows])
-    if len(pivots) < len(rows):
-        raise ValueError("basis is not linearly independent modulo the "
-                         "relation")
-    return tuple(columns[i] for i in pivots)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,14 @@ from typing import Callable, Mapping, Sequence, Union
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+
+def _exact(value: Scalar) -> Scalar:
+    """The value itself when it is an int or a Fraction; no float or string
+    enters the exact arithmetic."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{value!r} is not an int or a Fraction")
+    return value
+
 _VAR_NAMES = "xyzwv"
 
 
@@ -63,7 +71,7 @@ class HomogPoly:
             raise ValueError("degree must be nonnegative")
         clean: dict[Exponent, Fraction] = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = Fraction(_exact(coeff))
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -113,12 +121,8 @@ class HomogPoly:
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> HomogPoly:
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if Fraction(c) != 0:
-                exps = tuple(1 if j == i else 0 for j in range(n))
-                terms[exps] = Fraction(c)
-        return cls(n, 1, terms)
+        return cls(n, 1, {tuple(int(j == i) for j in range(n)): c
+                          for i, c in enumerate(coeffs)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -211,7 +215,7 @@ class HomogPoly:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.num_vars:
             raise ValueError("point has wrong length")
-        pt = [Fraction(v) for v in point]
+        pt = [Fraction(_exact(v)) for v in point]
         total = Fraction(0)
         for exps, c in self.terms.items():
             value = c

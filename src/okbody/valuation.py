@@ -1,36 +1,31 @@
-"""Flag valuations of sections through the flag expansion.
+"""Flags: the restriction through each step and the orders at the point
+on the final curve.
 
 A flag on an n-dimensional hypersurface (or projective space) is a chain of
-subvarieties cut by linear forms, ending in a rational point.  The flag
-expansion of a section is a linear map, built step by step:
+subvarieties cut by linear forms, ending in a rational point.  Each step is
+a linear change of coordinates that turns the step form h into a variable
+y; in the graded reverse lexicographic order with y smallest the leading
+monomial of the relation F is free of y, so {y^k, F} is a Groebner basis
+(Buchberger's coprime leading monomial criterion) and the standard
+monomials of degree D are y^k mu, mu standard on {h = 0}.  Setting y = 0
+restricts a form to {h = 0}; the steps take the relation and the final
+form down to the last curve of degree e (or line, e = 1).
 
-  * a linear change of coordinates turns the step form h into a variable y;
-    in the graded reverse lexicographic order with y smallest the leading
-    monomial of the relation F is free of y, so {y^k, F} is a Groebner basis
-    (Buchberger's coprime leading monomial criterion) and the normal form of
-    the section modulo F splits into its y^k coefficients, each a section on
-    the next member (for the smallest k, the section divided by h^k and
-    restricted to {h = 0}); the normal form is linear, so each step keeps a
-    table of monomial normal forms, and a degree-m entry is a degree-(m-1)
-    entry times one coordinate, reduced (the multiplication step of FGLM);
-  * recursing through the steps gives one block per prefix
-    (k_1, ..., k_{n-1}), taken in lex order; a final block of degree d' is
-    expanded as a power series at the point of the last curve of degree e
-    (or line, e = 1), coefficients j = 0 .. d'*e, through cached series of
-    the monomials in the chart and the curve's branch at the point; a
-    higher degree that needs more coefficients recomputes the cache at
-    twice the precision, so the branch is solved once per precision.
-
-The valuation of a nonzero section is the lex-first nonzero position
-(k_1, ..., k_{n-1}, j) of its expansion, and the leading unit is the entry
-there.  The orders along the members are exact for every section; the order
-at the point is exact whenever the section does not vanish on the curve,
-since d'*e bounds it, and this covers every block when the truncated series
-map is injective on forms of degree d' modulo the curve: the final stage's
-value set of degree d', the pivot set of the degree-d' monomials' series,
-then has as many elements as that graded piece has dimensions, all at most
-d'*e, which it checks.  The chart coordinate's series is 1, so these value
-sets come from one echelon grown degree by degree.
+On that curve a form of degree d' is expanded as a power series at the
+point, coefficients j = 0 .. d'*e, through cached series of the monomials
+in the chart and the curve's branch at the point; a higher degree that
+needs more coefficients recomputes the cache at twice the precision, so
+the branch is solved once per precision.  The order at the point is the
+first nonzero coefficient, exact whenever the form does not vanish on the
+curve, since d'*e bounds it.  The final stage's value set of degree d',
+the orders of the nonzero forms of degree d' modulo the curve, is the pivot
+set of the degree-d' monomials' series; it has as many elements as that
+graded piece has dimensions, all at most d'*e, which it checks.  The chart
+coordinate's series is 1, so these value sets come from one echelon grown
+degree by degree.  The valuation vector (k_1, ..., k_{n-1}, j) of a
+section is never computed one section at a time: okbody.okounkov reads
+each graded piece's value set off these, and the flag verifier takes the
+final form's contact order from the final stage.
 """
 
 from __future__ import annotations
@@ -38,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .linalg import Echelon
-from .polynomials import (Exponent, HomogPoly, Scalar, graded_monomials,
-                          grevlex_order, poly_divmod)
+from .polynomials import (Exponent, HomogPoly, Scalar, _exact,
+                          graded_monomials)
 from .series import (PRECISION_CAP, PrecisionError, branch_equation,
                      series_solve_branch)
 
@@ -65,14 +60,6 @@ class _Step:
     pivot: int
     to_y: HomogPoly
     relation: HomogPoly | None
-    # the normal form of each monomial met so far, filled lazily
-    _table: dict[Exponent, HomogPoly] = field(default_factory=dict,
-                                              init=False, repr=False,
-                                              compare=False)
-
-    def __post_init__(self):
-        one = (0,) * self.to_y.num_vars
-        self._table[one] = HomogPoly.constant(self.to_y.num_vars, 1)
 
     @classmethod
     def build(cls, h: HomogPoly, relation: HomogPoly | None) -> _Step:
@@ -94,65 +81,6 @@ class _Step:
         moved = poly.substitute(self.pivot, self.to_y)
         return moved.coefficient_of(self.pivot, 0)
 
-    def _monomial_normal_form(self, mono: Exponent) -> HomogPoly:
-        """The normal form of a monomial, from the table.  A missing entry
-        is the entry of the monomial with one coordinate peeled off, times
-        that coordinate and reduced: NF(x_i m) = NF(x_i' NF(m)), the
-        multiplication step of FGLM.  A coordinate other than the pivot is
-        peeled when there is one, since multiplying by it only shifts
-        exponents; the pivot coordinate becomes ``to_y``."""
-        chain = []
-        while mono not in self._table:
-            var = next((i for i, e in enumerate(mono)
-                        if e and i != self.pivot), self.pivot)
-            chain.append((mono, var))
-            mono = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
-        normal = self._table[mono]
-        for mono, var in reversed(chain):
-            if var == self.pivot:
-                normal = normal * self.to_y
-            else:
-                normal = HomogPoly._trusted(
-                    normal.num_vars, normal.degree + 1,
-                    {e[:var] + (e[var] + 1,) + e[var + 1:]: c
-                     for e, c in normal.terms.items()})
-            if self.relation is not None:
-                normal = poly_divmod(normal, self.relation,
-                                     grevlex_order(self.pivot))[1]
-            self._table[mono] = normal
-        return normal
-
-    def normal_form(self, section: HomogPoly) -> HomogPoly:
-        """The section in the new coordinates, reduced modulo the relation
-        in the graded reverse lexicographic order with y smallest: the sum
-        of its terms' table entries, since the remainder is linear."""
-        out: dict[Exponent, Fraction] = {}
-        for mono, c in section.terms.items():
-            for e, v in self._monomial_normal_form(mono).terms.items():
-                out[e] = out.get(e, 0) + c * v
-        return HomogPoly._trusted(section.num_vars, section.degree, out)
-
-    def blocks(self, section: HomogPoly) -> Iterator[tuple[int, HomogPoly]]:
-        """The nonzero coefficients of y^k in the section's normal form, by
-        increasing k, as sections on {h = 0}.  The first one is the order k
-        along {h = 0} with the restriction of section / h^k."""
-        normal = self.normal_form(section)
-        p = self.pivot
-        split: dict[int, dict[Exponent, Fraction]] = {}
-        for exps, c in normal.terms.items():
-            split.setdefault(exps[p], {})[exps[:p] + exps[p + 1:]] = c
-        for k in sorted(split):
-            yield k, HomogPoly._trusted(normal.num_vars - 1, normal.degree - k,
-                                        split[k])
-
-    def order_and_restriction(self, section: HomogPoly
-                              ) -> tuple[int, HomogPoly]:
-        """Order k of a section along {h = 0} and the restriction of
-        section / h^k to it."""
-        for k, restriction in self.blocks(section):
-            return k, restriction
-        raise ZeroSectionError("section vanishes modulo the relation")
-
 
 @dataclass
 class _FinalStage:
@@ -162,6 +90,8 @@ class _FinalStage:
     chart: int
     param: int
     dep: int | None
+    # the flag's final form restricted to the curve, when built from a flag
+    form: HomogPoly | None = None
     _series: dict[Exponent, Sparse] = field(default_factory=dict, init=False,
                                             repr=False, compare=False)
     _series_precision: int = field(default=0, init=False, repr=False,
@@ -328,7 +258,7 @@ class Flag:
         self.relation = relation
         self.steps = tuple(steps)
         self.final_form = final_form
-        self.point = tuple(Fraction(v) for v in point)
+        self.point = tuple(Fraction(_exact(v)) for v in point)
         self.chart_var = chart_var
         self.parameter_var = parameter_var
         self._validate()
@@ -391,27 +321,9 @@ class Flag:
         dep = None
         if num_vars == 3:
             dep = next(i for i in range(3) if i not in (chart, param))
-        final = _FinalStage(num_vars, relation, tuple(point), chart, param, dep)
+        final = _FinalStage(num_vars, relation, tuple(point), chart, param,
+                            dep, final_form)
         return stages, final
-
-
-def order_along_hypersurface(section: HomogPoly, h: HomogPoly,
-                             relation: HomogPoly | None = None) -> int:
-    """Vanishing order of a section along the divisor cut by the linear form
-    h on the hypersurface {relation = 0} (or on projective space)."""
-    return _Step.build(h, relation).order_and_restriction(section)[0]
-
-
-def restrict_section(section: HomogPoly, h: HomogPoly, k: int,
-                     relation: HomogPoly | None = None) -> HomogPoly:
-    """Divide a section by h^k and restrict to {h = 0}: writes
-    section = h^k t + relation * g and returns t restricted to {h = 0}, in
-    the variables other than the one pivoted by h.  Requires k to be the
-    actual vanishing order."""
-    order, restricted = _Step.build(h, relation).order_and_restriction(section)
-    if order != k:
-        raise ValueError(f"section has order {order} along the divisor, not {k}")
-    return restricted
 
 
 def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
@@ -428,45 +340,3 @@ def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
     stage = _FinalStage(3, curve, tuple(Fraction(v) for v in point),
                         chart_var, param_var, dep)
     return stage.order_and_unit(section)[0]
-
-
-def flag_expansion(section: HomogPoly, flag: Flag
-                   ) -> Iterator[tuple[tuple[int, ...], HomogPoly]]:
-    """The blocks of a section's flag expansion, lazily: the prefix
-    (k_1, ..., k_{n-1}) and the final block (a section on the last curve or
-    line) for every nonzero block, in lex order of the prefix.  The block's
-    coefficients are ``flag.final_stage.series(block)``; all of it is linear
-    in the section, and a section zero modulo the relation has no blocks."""
-    def expand(stages: Sequence[_Step], current: HomogPoly,
-               prefix: tuple[int, ...]):
-        if not stages:
-            yield prefix, current
-            return
-        for k, block in stages[0].blocks(current):
-            yield from expand(stages[1:], block, prefix + (k,))
-    return expand(flag.stages, section, ())
-
-
-def valuation_with_unit(section: HomogPoly, flag: Flag
-                        ) -> tuple[tuple[int, ...], Fraction]:
-    """The full valuation vector together with the leading unit: the
-    lex-first nonzero position of the flag expansion and its entry."""
-    if not section:
-        raise ZeroSectionError("zero section")
-    for prefix, block in flag_expansion(section, flag):
-        order, unit = flag.final_stage.order_and_unit(block)
-        return prefix + (order,), unit
-    raise ZeroSectionError("section vanishes modulo the relation")
-
-
-def flag_valuation(section: HomogPoly, flag: Flag) -> tuple[int, ...]:
-    """The valuation vector (order along each flag member, then the order at
-    the point).  Additive on products of sections."""
-    return valuation_with_unit(section, flag)[0]
-
-
-def leading_unit(section: HomogPoly, flag: Flag) -> Fraction:
-    """The scalar left after dividing out the full valuation: the first
-    nonzero local series coefficient at the flag point.  Multiplicative on
-    products of sections."""
-    return valuation_with_unit(section, flag)[1]

@@ -24,9 +24,10 @@ r the number of ambient variables minus that degree (minus 0 on P^n).
 verify_flag checks each case with exact arithmetic: the ambient
 hypersurface and the final curve are smooth (no common projective zero of
 the partials, a full-rank resultant certificate), and the final form meets
-the final curve in the single flag point (its vanishing order there equals
-the full intersection number d).  That the point lies on every flag member
-is checked when the flag is built.
+the final curve in the single flag point (the order at the point of its
+restriction to the final curve equals the full intersection number d; a
+final form that contains a flag member restricts to zero and fails).  That
+the point lies on every flag member is checked when the flag is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 from .polynomials import (HomogPoly, has_projective_common_zero,
                           normal_form)
-from .valuation import Flag, ZeroSectionError, valuation_with_unit
+from .valuation import Flag
 
 CASE_NAMES = ("p2", "p3", "quadric_surface", "fermat_cubic",
               "quadric_threefold")
@@ -202,19 +203,21 @@ def verify_flag(case: CaseStudy) -> FlagReport:
             "resultant certificate)" if smooth
             else "the final flag curve is singular"))
 
-    try:
-        value, _unit = valuation_with_unit(flag.final_form, flag)
-    except (ZeroSectionError, ValueError) as exc:
-        checks.append(FlagCheck(
-            "single-point contact", False,
-            f"valuation of the final form failed: {exc}"))
+    curve = "line" if stage.relation is None else "curve"
+    if not stage.form:
+        ok, detail = False, ("the final form contains a flag member: its "
+                             f"restriction to the final {curve} is zero")
     else:
-        expected = (0,) * (flag.n - 1) + (case.d,)
-        ok = value == expected
-        checks.append(FlagCheck(
-            "single-point contact", ok,
-            f"valuation of the final form is {value}, contact order "
-            f"{value[-1]} against required d = {case.d}"))
+        try:
+            order, _unit = stage.order_and_unit(stage.form)
+        except ValueError as exc:
+            ok, detail = False, f"the final form's order at the point: {exc}"
+        else:
+            ok = order == case.d
+            detail = (f"the final form meets the final {curve} at the point "
+                      f"with contact order {order} against required "
+                      f"d = {case.d}")
+    checks.append(FlagCheck("single-point contact", ok, detail))
 
     return FlagReport(case.name, tuple(checks))
 

@@ -10,10 +10,12 @@ substitution), and a form is expanded along a curve's branch by sympy
 polynomial substitution, so agreement with the library is meaningful
 evidence.  The same exact elimination solves linear systems and gives the
 powers system's bases, multiplied out from level-1 monomials instead of
-counted by the library's standard-monomial argument.  The
-single-point oracle is the one exception: it scans E(F_p) with the library's
-group law, which has its own tests, so it checks the witness tables of
-okbody.elliptic rather than the arithmetic.
+counted by the library's standard-monomial argument.  Two oracles
+reuse library parts that have their own tests.  The single-point oracle
+scans E(F_p) with the library's group law, so it checks the witness tables
+of okbody.elliptic rather than the arithmetic.  The flag-expansion value
+set takes each final block's series from the flag's final stage, so it
+checks how a graded piece's value set is assembled from the final curve's.
 """
 
 from __future__ import annotations
@@ -347,6 +349,44 @@ def oracle_value_set(case, basis):
         sections[later] = combined
         data[later] = oracle_valuation(case.name, combined)
     raise RuntimeError("oracle triangularization did not terminate")
+
+
+def expansion_value_set(basis, flag):
+    """The value set of the span of a basis independent modulo the
+    relation, from the sections' flag expansions.  Each step writes a
+    section in its coordinates (x_pivot through y = h), takes the remainder
+    of one division by the relation in grevlex with y smallest, and splits
+    it by the power k of y into sections on the next member; a final block
+    of prefix (k_1, ..., k_{n-1}) puts its series coefficient j at the
+    point in column (k_1, ..., k_{n-1}, j).  The value set is the pivot
+    columns of the sections' rows, by ``row_reduce``, in lex order."""
+    from okbody.polynomials import HomogPoly, grevlex_order, poly_divmod
+
+    def expand(section, stages, prefix):
+        if not stages:
+            series = flag.final_stage.series(section)
+            return {prefix + (j,): c for j, c in enumerate(series) if c}
+        step, split, row = stages[0], {}, {}
+        normal = section.substitute(step.pivot, step.to_y)
+        if step.relation is not None:
+            normal = poly_divmod(normal, step.relation,
+                                 grevlex_order(step.pivot))[1]
+        for e, c in normal.terms.items():
+            split.setdefault(e[step.pivot], {})[
+                e[:step.pivot] + e[step.pivot + 1:]] = c
+        for k, terms in split.items():
+            block = HomogPoly(section.num_vars - 1, section.degree - k, terms)
+            row.update(expand(block, stages[1:], prefix + (k,)))
+        return row
+
+    rows = [expand(section, flag.stages, ()) for section in basis]
+    columns = sorted(set().union(*rows))
+    _reduced, pivots = row_reduce([[row.get(col, 0) for col in columns]
+                                   for row in rows])
+    if len(pivots) < len(rows):
+        raise ValueError("basis is not linearly independent modulo the "
+                         "relation")
+    return tuple(columns[i] for i in pivots)
 
 
 def powers_basis(case, level):

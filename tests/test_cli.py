@@ -107,6 +107,18 @@ def test_verify_flag_pass_and_fail(tmp_path, capsys):
     assert "verification FAILED" in capsys.readouterr().out
 
 
+def test_verify_flag_final_form_on_a_member(tmp_path, capsys):
+    # the final form is the step form {x = w}: a failed check, not an error
+    fixture = tmp_path / "member.json"
+    fixture.write_text(_fixture_text(
+        lambda data: {**data, "final_form": data["steps"][0]}))
+    assert run(["verify-flag", "--fixture", fixture]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] single-point contact: the final form contains a flag " \
+        "member" in out
+    assert "verification FAILED" in out
+
+
 def test_verify_flag_unreadable_fixture(tmp_path, capsys):
     fixture = tmp_path / "broken.json"
     fixture.write_text("{not json")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -414,6 +415,26 @@ def test_polytope_json_round_trip_and_format():
     assert '"0/1"' in text and '"3/1"' in text
     assert polytope_from_json(text) == triangle
     assert polytope_to_json(triangle) == text  # byte-stable
+
+
+@pytest.mark.parametrize("text, entry", [
+    ('{"dim": 1.9, "vertices": [[0.1]]}', "dim 1.9"),
+    ('{"dim": true, "vertices": [[1]]}', "dim True"),
+    ('{"dim": 1, "vertices": [[0.1]]}', "entry 0.1"),
+    ('{"dim": 1, "vertices": [[true]]}', "entry True"),
+    ('{"dim": 1, "vertices": [["0.5"]]}', "entry '0.5'"),
+    ('{"dim": 1, "vertices": [["1/0"]]}', "entry '1/0'"),
+    ('{"dim": 1, "vertices": [[null]]}', "entry None"),
+], ids=["float_dim", "bool_dim", "float_entry", "bool_entry",
+        "decimal_string", "zero_denominator", "null_entry"])
+def test_polytope_json_reads_only_what_it_writes(text, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        polytope_from_json(text)
+
+
+def test_polytope_json_reads_ints_and_signed_fractions():
+    text = '{"dim": 2, "vertices": [[0, "-3/4"], ["10/02", 1]]}'
+    assert polytope_from_json(text).vertices == ((0, F(-3, 4)), (5, 1))
 
 
 def test_contains_point_facet_path():

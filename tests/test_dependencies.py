@@ -5,6 +5,13 @@ from pathlib import Path
 PACKAGE = Path(__file__).parents[1] / "src" / "okbody"
 
 
+def test_public_names_resolve():
+    import okbody
+    assert len(okbody.__all__) == len(set(okbody.__all__))
+    missing = [name for name in okbody.__all__ if not hasattr(okbody, name)]
+    assert not missing
+
+
 def test_package_imports_only_itself_and_the_standard_library():
     # pyproject.toml declares dependencies = []; the test extras (sympy,
     # hypothesis) are installed alongside, so an import of one of them in

@@ -78,6 +78,13 @@ def test_rank_and_independent_indices():
     assert [form.add(row) for row in rows] == [True, False, True, False]
 
 
+def test_inexact_entries_rejected():
+    with pytest.raises(TypeError, match="0.5"):
+        rank([[0.5, 1]])
+    with pytest.raises(TypeError, match="'1/2'"):
+        Echelon(2).add([1, "1/2"])
+
+
 def test_kernel_basis():
     basis = kernel_basis([(1, 1, 0)], 3)
     assert len(basis) == 2

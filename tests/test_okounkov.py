@@ -1,21 +1,19 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from okbody import okounkov
 from okbody.convex import dilate, polytope_equal, polytope_subset, scaled_simplex
 from okbody.linalg import Echelon, rank
 from okbody.okounkov import (KINDS, GradedSystem, body_estimate,
                              generation_degree, semigroup,
-                             semigroup_to_json, value_set, vertex_criterion)
+                             semigroup_to_json, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.valuation import (Flag, ZeroSectionError, _Step,
-                              valuation_with_unit)
-from okbody.varieties import CASE_NAMES, CaseStudy, make_case
+from okbody.valuation import Flag, ZeroSectionError
+from okbody.varieties import CASE_NAMES, CaseStudy, make_case, verify_flag
 
-from oracles import linear_solve, oracle_value_set, powers_basis
+from oracles import (expansion_value_set, linear_solve, oracle_value_set,
+                     powers_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
@@ -86,27 +84,30 @@ def test_unknown_kind_rejected(p2):
 
 def test_p2_level_one_value_set(p2):
     basis = GradedSystem(p2, "complete").basis(1)
-    assert value_set(basis, p2.flag) == ((0, 0), (0, 1), (1, 0))
+    expected = ((0, 0), (0, 1), (1, 0))
+    assert expansion_value_set(basis, p2.flag) == expected
+    assert semigroup(p2, "complete", 1).level(1) == expected
 
 
 def test_fermat_level_one_value_set_golden(fermat):
     basis = GradedSystem(fermat, "complete").basis(1)
-    computed = value_set(basis, fermat.flag)
+    computed = semigroup(fermat, "complete", 1).level(1)
     assert computed == oracle_value_set(fermat, basis)
+    assert expansion_value_set(basis, fermat.flag) == computed
     assert computed == FERMAT_LEVEL_ONE
     assert (0, 2) not in computed
 
 
 def test_singleton_basis(fermat):
     section = HomogPoly.variable(4, 3)
-    assert value_set([section], fermat.flag) == ((1, 0),)
+    assert expansion_value_set([section], fermat.flag) == ((1, 0),)
 
 
 def test_value_set_cardinality_equals_dimension(p2, p3, quadric, fermat):
     for case in (p2, p3, quadric, fermat):
         system = GradedSystem(case, "complete")
         for m in (1, 2, 3):
-            assert len(value_set(system.basis(m), case.flag)) == \
+            assert len(expansion_value_set(system.basis(m), case.flag)) == \
                 system.dimension(m)
 
 
@@ -116,7 +117,8 @@ def test_value_set_invariant_under_basis_change(p3, quadric, fermat):
     for case, m in ((quadric, 2), (fermat, 1), (quadric, 4), (fermat, 3),
                     (p3, 3)):
         basis = list(GradedSystem(case, "complete").basis(m))
-        reference = value_set(basis, case.flag)
+        reference = expansion_value_set(basis, case.flag)
+        assert reference == semigroup(case, "complete", m).level(m)
         dim = len(basis)
         for _trial in range(10):
             while True:
@@ -131,7 +133,7 @@ def test_value_set_invariant_under_basis_change(p3, quadric, fermat):
                 for coeff, vec in zip(row, basis):
                     section = section + coeff * vec
                 recombined.append(case.reduce(section))
-            assert value_set(recombined, case.flag) == reference
+            assert expansion_value_set(recombined, case.flag) == reference
 
 
 def _reducible_final_curve_case():
@@ -148,24 +150,28 @@ def _reducible_final_curve_case():
 
 def test_reducible_final_curve_rejected():
     case, x = _reducible_final_curve_case()
-    basis = GradedSystem(case, "complete").basis(1)
     with pytest.raises(ZeroSectionError, match="d' = 1"):
-        value_set(basis, case.flag)
+        case.flag.final_stage.value_set(1)
     # the echelon grows from degree 0, so a higher degree names d' = 1 too
     with pytest.raises(ZeroSectionError, match="d' = 1"):
         _reducible_final_curve_case()[0].flag.final_stage.value_set(4)
     with pytest.raises(ZeroSectionError):
         semigroup(case, "complete", 2)
+    stage = case.flag.final_stage
     with pytest.raises(ZeroSectionError,
                        match="vanishes identically on the final curve"):
-        valuation_with_unit(x, case.flag)
+        stage.order_and_unit(case.flag.stages[0].restrict(x))
+    # the final form is x, so the contact check fails with that cause
+    contact = verify_flag(case).checks[-1]
+    assert not contact.passed
+    assert "vanishes identically on the final curve" in contact.detail
 
 
 def test_dependent_basis_rejected(fermat):
     x = HomogPoly.variable(4, 0)
     y = HomogPoly.variable(4, 1)
-    with pytest.raises(ValueError):
-        value_set([x, y, x + y], fermat.flag)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        expansion_value_set([x, y, x + y], fermat.flag)
 
 
 # -- semigroups ---------------------------------------------------------------------
@@ -231,7 +237,7 @@ def test_levels_lie_in_the_bezout_simplex(name, kind):
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_semigroup_matches_level_echelon(name, kind):
     # the levels assembled from the final curve's value sets equal the
-    # pivot columns of each level's echelon of flag expansions
+    # pivot columns of each level's flag expansions
     for c, max_level in ((1, 4), (2, 2)):
         levels = semigroup(make_case(name, c), kind, max_level).levels
         case = make_case(name, c)
@@ -239,7 +245,7 @@ def test_semigroup_matches_level_echelon(name, kind):
         for m in range(1, max_level + 1):
             basis = (powers_basis(case, m) if kind == "powers"
                      else system.basis(m))
-            assert levels[m] == value_set(basis, case.flag), m
+            assert levels[m] == expansion_value_set(basis, case.flag), m
 
 
 def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
@@ -256,19 +262,7 @@ def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
 def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
     # over two semigroup calls, each monomial free of the chart coordinate
     # enters the final stage's one echelon once: d'+1 rows for each
-    # d' <= c*M = 6, and no step normal form or level-wide echelon runs
-    calls = Counter()
-
-    def counted(owner, attr):
-        original = getattr(owner, attr)
-
-        def wrapper(*args, **kwargs):
-            calls[owner.__name__, attr] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, attr, wrapper)
-
-    counted(_Step, "normal_form")
-    counted(okounkov, "pivot_columns")
+    # d' <= c*M = 6
     case = make_case("quadric_surface", 2)
     stage = case.flag.final_stage
     entered = 0
@@ -281,7 +275,6 @@ def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
     monkeypatch.setattr(Echelon, "add", counting_add)
     semigroup(case, kind, 3)
     semigroup(case, kind, 3)
-    assert calls == {}
     assert entered == sum(d + 1 for d in range(7))
 
 

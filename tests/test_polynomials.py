@@ -73,6 +73,18 @@ def test_evaluate():
     assert p.evaluate((1, 1, 1, 2)) == 1
 
 
+def test_inexact_coefficients_rejected():
+    # a float would enter as its binary expansion, 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError, match="0.1"):
+        HomogPoly(3, 1, {(1, 0, 0): 0.1})
+    with pytest.raises(TypeError, match="'1/2'"):
+        HomogPoly(3, 1, {(1, 0, 0): "1/2"})
+    with pytest.raises(TypeError, match="0.5"):
+        HomogPoly.linear_form([0.5, 0, 0])
+    with pytest.raises(TypeError, match="0.1"):
+        x0.evaluate((0.1, 0, 0))
+
+
 def test_partial():
     assert FERMAT.partial(3) == 3 * W ** 2
 

@@ -6,18 +6,16 @@ import pytest
 
 from okbody import make_case, valuation
 from okbody.linalg import rank
-from okbody.okounkov import GradedSystem, body_estimate, semigroup, value_set
+from okbody.okounkov import GradedSystem, body_estimate, semigroup
 from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
-                                leading_monomial, poly_divmod)
+                                poly_divmod)
 from okbody.series import PrecisionError, series_solve_branch
-from okbody.valuation import (Flag, ZeroSectionError, _Step, flag_valuation,
-                              leading_unit, ord_at_point_on_curve,
-                              order_along_hypersurface, restrict_section,
-                              valuation_with_unit)
+from okbody.valuation import (Flag, ZeroSectionError, _Step,
+                              ord_at_point_on_curve)
 from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import (form_along_branch, linear_solve, oracle_valuation,
-                     oracle_value_set, per_degree_value_set,
+from oracles import (expansion_value_set, form_along_branch, linear_solve,
+                     oracle_valuation, oracle_value_set, per_degree_value_set,
                      riemann_roch_orders)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
@@ -26,25 +24,35 @@ PLANE_CUBIC = (HomogPoly.variable(3, 0) ** 3 + HomogPoly.variable(3, 1) ** 3
                + HomogPoly.variable(3, 2) ** 3)
 
 
-# -- orders along a hypersurface ------------------------------------------------
+FERMAT_FLAG = make_case("fermat_cubic").flag  # one step, {w = 0}
+
+
+def _valuation(section, flag=FERMAT_FLAG):
+    """The valuation vector of one section, by the flag-expansion oracle
+    that the semigroup tests take as their reference."""
+    (vector,) = expansion_value_set([section], flag)
+    return vector
+
+
+# -- orders along a flag member, by the flag-expansion oracle -------------------
 
 
 def test_order_of_explicit_power():
-    assert order_along_hypersurface(W ** 2 * X, W, FERMAT) == 2
+    assert _valuation(W ** 2 * X)[0] == 2
 
 
 def test_order_found_through_the_relation():
     # x^3+y^3+z^3 = -w^3 on the Fermat cubic
-    assert order_along_hypersurface(X ** 3 + Y ** 3 + Z ** 3, W, FERMAT) == 3
+    assert _valuation(X ** 3 + Y ** 3 + Z ** 3)[0] == 3
 
 
 def test_order_of_nonvanishing_section():
-    assert order_along_hypersurface(X, W, FERMAT) == 0
+    assert _valuation(X)[0] == 0
 
 
 def test_order_rejects_zero_section():
-    with pytest.raises(ZeroSectionError):
-        order_along_hypersurface(FERMAT, W, FERMAT)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        _valuation(FERMAT)
 
 
 def test_order_consistency_multiplying_by_h():
@@ -55,103 +63,38 @@ def test_order_consistency_multiplying_by_h():
         s = HomogPoly(4, 2, terms)
         if not s:
             continue
-        base = order_along_hypersurface(s, W, FERMAT)
-        assert order_along_hypersurface(s * W, W, FERMAT) == base + 1
+        assert _valuation(s * W)[0] == _valuation(s)[0] + 1
 
 
 # -- restriction -----------------------------------------------------------------
 
 
 def test_restrict_explicit_power():
-    restricted = restrict_section(W ** 2 * X, W, 2, FERMAT)
-    assert restricted == HomogPoly.variable(3, 0)
+    # w^2 x divided by w^2 restricts to x, a unit at the point
+    assert _valuation(W ** 2 * X) == (2, 0)
 
 
 def test_restrict_through_relation_gives_constant():
-    restricted = restrict_section(X ** 3 + Y ** 3 + Z ** 3, W, 3, FERMAT)
-    assert restricted == HomogPoly.constant(3, -1)
+    # x^3+y^3+z^3 divided by w^3 restricts to the constant -1
+    assert _valuation(X ** 3 + Y ** 3 + Z ** 3) == (3, 0)
 
 
 def test_restrict_order_zero():
-    assert restrict_section(X, W, 0, FERMAT) == HomogPoly.variable(3, 0)
-
-
-def test_restrict_with_wrong_order_rejected():
-    with pytest.raises(ValueError):
-        restrict_section(W ** 2 * X, W, 1, FERMAT)
+    assert _Step.build(W, FERMAT).restrict(X) == HomogPoly.variable(3, 0)
 
 
 def test_step_dividing_the_relation_rejected():
     with pytest.raises(ValueError, match="divides the relation"):
-        order_along_hypersurface(X, W, W * FERMAT)
-
-
-# -- the per-step table of monomial normal forms ---------------------------------
+        _Step.build(W, W * FERMAT)
 
 
 def _divided_normal_form(step, section):
-    """The normal form by substitution and one division, without the
-    table."""
+    """The normal form of a section in a step's coordinates, by
+    substitution and one division."""
     moved = section.substitute(step.pivot, step.to_y)
     if step.relation is None:
         return moved
     return poly_divmod(moved, step.relation, grevlex_order(step.pivot))[1]
-
-
-def _steps_with_inputs():
-    """The steps of four shipped flags and a dense step on the Fermat
-    cubic, each with the relation its sections are taken modulo (None on
-    projective space)."""
-    out = {}
-    for name in ("p3", "quadric_surface", "fermat_cubic", "quadric_threefold"):
-        flag = make_case(name).flag
-        relation = flag.relation
-        for index, step in enumerate(flag.stages):
-            out[f"{name}_{index + 1}"] = (step, relation)
-            if relation is not None:
-                relation = step.relation.coefficient_of(step.pivot, 0)
-    rng = random.Random(31)
-    dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
-    out["fermat_dense"] = (_Step.build(dense, FERMAT), FERMAT)
-    return out
-
-
-STEPS = _steps_with_inputs()
-
-
-@pytest.mark.parametrize("name", sorted(STEPS))
-def test_step_table_matches_substitute_and_divide(name):
-    # seeded monomials, including ones divisible by the relation's leading
-    # monomial, and multi-term sections, with the degrees out of order so
-    # that the table is filled both from scratch and from smaller entries
-    step, relation = STEPS[name]
-    num_vars = step.to_y.num_vars
-    rng = random.Random(name)
-    for degree in (4, 1, 6, 0, 3, 7, 2):
-        monos = graded_monomials(num_vars, degree)
-        picked = rng.sample(monos, min(6, len(monos)))
-        if relation is not None and degree >= relation.degree:
-            lm = leading_monomial(relation, num_vars - 1)
-            rest = rng.choice(graded_monomials(num_vars,
-                                               degree - relation.degree))
-            picked.append(tuple(a + b for a, b in zip(lm, rest)))
-        sections = [HomogPoly.monomial(m) for m in picked]
-        for _ in range(4):
-            terms = {m: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-                     for m in rng.sample(monos, min(5, len(monos)))}
-            sections.append(HomogPoly(num_vars, degree, terms))
-        for section in sections:
-            assert step.normal_form(section) == \
-                _divided_normal_form(step, section)
-
-
-def test_step_table_is_not_part_of_equality():
-    flag = make_case("fermat_cubic").flag
-    filled = _Step.build(flag.steps[0], flag.relation)
-    filled.normal_form(HomogPoly.monomial((2, 0, 1, 3)))
-    fresh = _Step.build(flag.steps[0], flag.relation)
-    assert len(filled._table) > len(fresh._table)
-    assert filled == fresh
 
 
 # -- independent Groebner-basis oracle (sympy) ------------------------------------
@@ -187,7 +130,8 @@ def _oracle_sections(rng, h, relation, degree, count):
             section = section + relation * HomogPoly(
                 4, degree - relation.degree,
                 {m: rng.randrange(-2, 3) for m in rng.sample(monos, 1)})
-        if section and _Step.build(h, relation).normal_form(section):
+        if section and _divided_normal_form(_Step.build(h, relation),
+                                            section):
             out.append(section)
     return out
 
@@ -204,13 +148,13 @@ def test_order_and_cofactor_match_groebner_oracle(name, request):
         step = _Step.build(h, relation)
         for degree in (2, 3):
             for section in _oracle_sections(rng, h, relation, degree, 5):
-                k = order_along_hypersurface(section, h, relation)
+                normal = _divided_normal_form(step, section)
+                p = step.pivot
+                k = min(e[p] for e in normal.terms)
                 assert _in_ideal(section, [h ** k, relation], symbols)
                 assert not _in_ideal(section, [h ** (k + 1), relation],
                                      symbols)
                 # the cofactor r / y^k, back in the original coordinates
-                normal = step.normal_form(section)
-                p = step.pivot
                 cofactor = HomogPoly(4, degree - k, {
                     e[:p] + (e[p] - k,) + e[p + 1:]: c
                     for e, c in normal.terms.items()}).substitute(p, h)
@@ -375,10 +319,10 @@ def test_monomial_series_cache_survives_rising_precision(monkeypatch):
         return original(stage, mono, precision)
 
     monkeypatch.setattr(valuation._FinalStage, "_monomial_series", counting)
-    case = make_case("fermat_cubic")
-    system = GradedSystem(case, "complete")
-    for m in range(1, 13):
-        value_set(system.basis(m), case.flag)
+    stage = make_case("fermat_cubic").flag.final_stage
+    for degree in range(1, 13):
+        for mono in graded_monomials(3, degree):
+            stage.series(HomogPoly.monomial(mono))
     assert len(computed) <= 2 * len(set(computed))
     # semigroup asks for the top degree first, so nothing is recomputed
     computed.clear()
@@ -462,37 +406,41 @@ def test_ord_beyond_initial_precision():
                                  chart_var=0, param_var=2) == 9
 
 
-# -- full flag valuations ----------------------------------------------------------
+# -- full flag valuations, by the flag-expansion oracle ----------------------------
 
 
 def test_p2_coordinate_valuations(p2):
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
-    assert flag_valuation(x0, p2.flag) == (0, 0)
-    assert flag_valuation(x1, p2.flag) == (1, 0)
-    assert flag_valuation(x2, p2.flag) == (0, 1)
+    assert _valuation(x0, p2.flag) == (0, 0)
+    assert _valuation(x1, p2.flag) == (1, 0)
+    assert _valuation(x2, p2.flag) == (0, 1)
 
 
 def test_fermat_flag_valuations(fermat):
-    assert flag_valuation(W, fermat.flag) == (1, 0)
-    assert flag_valuation(X + Y, fermat.flag) == (0, 3)
+    assert _valuation(W, fermat.flag) == (1, 0)
+    assert _valuation(X + Y, fermat.flag) == (0, 3)
 
 
 def test_nowhere_vanishing_section_has_zero_vector(quadric):
-    assert flag_valuation(Y, quadric.flag) == (0, 0)
+    assert _valuation(Y, quadric.flag) == (0, 0)
 
 
 def test_leading_units(p2, fermat):
-    x2 = HomogPoly.variable(3, 2)
-    assert leading_unit(x2, p2.flag) == 1
-    assert leading_unit(5 * x2, p2.flag) == 5
-    assert leading_unit(X + Y, fermat.flag) == Fraction(-1, 3)
+    # order and leading coefficient at the point of each flag's final form
+    # restricted to the final line or curve
+    line = p2.flag.final_stage
+    assert line.order_and_unit(line.form) == (1, 1)
+    assert line.order_and_unit(5 * line.form) == (1, 5)
+    cubic = fermat.flag.final_stage
+    assert cubic.order_and_unit(cubic.form) == (3, Fraction(-1, 3))
 
 
 def test_zero_section_rejected(fermat):
-    with pytest.raises(ZeroSectionError):
-        flag_valuation(HomogPoly.zero(4, 3), fermat.flag)
-    with pytest.raises(ZeroSectionError):
-        flag_valuation(FERMAT, fermat.flag)
+    stage = fermat.flag.final_stage
+    with pytest.raises(ZeroSectionError, match="zero restriction"):
+        stage.order_and_unit(HomogPoly.zero(3, 1))
+    with pytest.raises(ZeroSectionError, match="vanishes identically"):
+        stage.order_and_unit(stage.relation)
 
 
 # -- agreement with the independent local-expansion oracles --------------------------
@@ -505,8 +453,8 @@ def test_valuations_match_oracles_on_monomial_bases(p2, p3, quadric, fermat):
                 section = HomogPoly.monomial(mono)
                 if case.flag.relation is not None and not case.reduce(section):
                     continue
-                assert valuation_with_unit(section, case.flag) == \
-                    oracle_valuation(case.name, section)
+                assert _valuation(section, case.flag) == \
+                    oracle_valuation(case.name, section)[0]
 
 
 def test_valuations_match_oracles_on_random_sections(quadric, fermat):
@@ -518,36 +466,8 @@ def test_valuations_match_oracles_on_random_sections(quadric, fermat):
             section = HomogPoly(4, 2, terms)
             if not section or not case.reduce(section):
                 continue
-            assert valuation_with_unit(section, case.flag) == \
-                oracle_valuation(case.name, section)
-
-
-# -- additivity and multiplicativity --------------------------------------------------
-
-
-def _random_sections(case, degree, count, seed):
-    rng = random.Random(seed)
-    monos = graded_monomials(case.flag.ambient_vars, degree)
-    out = []
-    while len(out) < count:
-        terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, 2)}
-        section = HomogPoly(case.flag.ambient_vars, degree, terms)
-        if section and (case.flag.relation is None or case.reduce(section)):
-            out.append(section)
-    return out
-
-
-def test_valuation_additive_on_products(p2, quadric, fermat):
-    for case in (p2, quadric, fermat):
-        pairs = zip(_random_sections(case, 1, 20, seed=5),
-                    _random_sections(case, 2, 20, seed=6))
-        for s, t in pairs:
-            vs, us = valuation_with_unit(s, case.flag)
-            vt, ut = valuation_with_unit(t, case.flag)
-            product = case.reduce(s * t)
-            vp, up = valuation_with_unit(product, case.flag)
-            assert vp == tuple(a + b for a, b in zip(vs, vt))
-            assert up == us * ut
+            assert _valuation(section, case.flag) == \
+                oracle_valuation(case.name, section)[0]
 
 
 # -- flag construction validation ------------------------------------------------------
@@ -557,6 +477,12 @@ def test_flag_rejects_point_off_locus():
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
     with pytest.raises(ValueError):
         Flag(3, None, [x1], x2, (1, 1, 0), chart_var=0, parameter_var=2)
+
+
+def test_flag_rejects_inexact_point():
+    x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
+    with pytest.raises(TypeError, match="1.0"):
+        Flag(3, None, [x1], x2, (1.0, 0, 0), chart_var=0, parameter_var=2)
 
 
 def test_flag_rejects_chart_on_eliminated_variable():

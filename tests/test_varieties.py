@@ -74,12 +74,29 @@ def test_verify_flag_passes_on_shipped_cases():
 
 
 def test_verify_flag_contact_orders():
-    for name, d in (("quadric_surface", 2), ("fermat_cubic", 3)):
-        report = verify_flag(make_case(name))
-        contact = next(c for c in report.checks
-                       if c.name == "single-point contact")
-        assert contact.passed
-        assert f"contact order {d}" in contact.detail
+    for name in CASE_NAMES:
+        for c in (1, 2):
+            case = make_case(name, c)
+            report = verify_flag(case)
+            contact = next(check for check in report.checks
+                           if check.name == "single-point contact")
+            assert contact.passed
+            assert f"contact order {case.d} " in contact.detail
+
+
+@pytest.mark.parametrize("name", ["p2", "quadric_surface"])
+def test_final_form_containing_a_flag_member_fails_contact(name):
+    # the final form is the step form: {x1 = 0} on p2, {x = w} on the
+    # quadric surface, so it restricts to zero on the final line or conic
+    flag = make_case(name).flag
+    moved = Flag(flag.ambient_vars, flag.relation, flag.steps, flag.steps[0],
+                 flag.point, chart_var=flag.chart_var,
+                 parameter_var=flag.parameter_var)
+    report = verify_flag(CaseStudy(name, moved, 1))
+    contact = report.checks[-1]
+    assert contact.name == "single-point contact" and not contact.passed
+    assert "the final form contains a flag member" in contact.detail
+    assert all(check.passed for check in report.checks[:-1])
 
 
 def test_negative_control_fails_contact_check():
