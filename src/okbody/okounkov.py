@@ -107,8 +107,8 @@ class OkounkovSemigroup:
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     """Enumerate value sets for all levels 1..max_level, each assembled from
     the final stage's value sets V(d') as in the module docstring.  V is
-    filled from the top degree down, so that the branch and the monomial
-    series are built once, at full precision.  A level whose system's
+    filled from the top degree down, so that the branch and its powers
+    are built once, at full precision.  A level whose system's
     dimension is not the full piece's raises ValueError."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")

@@ -31,6 +31,15 @@ def _exact(value: Scalar) -> Scalar:
         raise TypeError(f"{value!r} is not an int or a Fraction")
     return value
 
+
+def _exponents(exps: Sequence[int]) -> Exponent:
+    """The exponents as a tuple of ints, none truncated or coerced."""
+    exps = tuple(exps)
+    if any(type(e) is not int for e in exps):
+        raise TypeError(f"exponent tuple {exps!r} holds a non-int exponent")
+    return exps
+
+
 _VAR_NAMES = "xyzwv"
 
 
@@ -71,10 +80,10 @@ class HomogPoly:
             raise ValueError("degree must be nonnegative")
         clean: dict[Exponent, Fraction] = {}
         for exps, coeff in terms.items():
+            exps = _exponents(exps)
             coeff = Fraction(_exact(coeff))
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
             if len(exps) != num_vars:
                 raise ValueError(f"exponent tuple {exps} has wrong length")
             if any(e < 0 for e in exps) or sum(exps) != degree:
@@ -108,7 +117,7 @@ class HomogPoly:
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: Scalar = 1) -> HomogPoly:
-        exps = tuple(int(e) for e in exps)
+        exps = _exponents(exps)
         return cls(len(exps), sum(exps), {exps: coeff})
 
     @classmethod

@@ -13,7 +13,6 @@ branch is the tuple of its coefficients below the requested precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from .polynomials import HomogPoly, Scalar
@@ -28,41 +27,30 @@ class PrecisionError(RuntimeError):
     its answer."""
 
 
-def affine_chart_expansion(curve: HomogPoly, point: Sequence[Scalar],
-                           chart_var: int, param_var: int, dep_var: int
-                           ) -> BivarPoly:
-    """Dehomogenize a plane-curve equation at a rational point.
-
-    The chart variable is set to 1 (after scaling the point so its chart
-    coordinate is 1), the parameter and dependent variables are shifted to
-    the point, giving a polynomial f(t, u) with f(0, 0) = curve(point).
-    Keys of the result are (t-exponent, u-exponent).
-    """
-    if curve.num_vars != 3:
-        raise ValueError("expected a form in three variables")
-    if sorted((chart_var, param_var, dep_var)) != [0, 1, 2]:
+def affine_chart_expansion(form: HomogPoly, point: Sequence[Scalar],
+                           chart_var: int, param_var: int,
+                           dep_var: int | None = None) -> BivarPoly:
+    """Dehomogenize a form at a rational point: f(t, u) is the form at
+    x_chart = 1, x_param = t0 + t, x_dep = u0 + u, with (t0, u0) the point
+    in the chart, by the translations x_param -> x_param + t0 x_chart and
+    x_dep -> x_dep + u0 x_chart.  Keys are (t-exponent, u-exponent); on a
+    line dep_var is None and every key is (i, 0)."""
+    shifted = [v for v in (param_var, dep_var) if v is not None]
+    number = "two" if dep_var is None else "three"
+    if sorted((chart_var, *shifted)) != list(range(form.num_vars)):
         raise ValueError("chart, parameter and dependent variables must "
-                         "partition the three coordinates")
+                         f"partition the {number} coordinates")
     pt = [Fraction(v) for v in point]
-    if len(pt) != 3:
-        raise ValueError("point must have three coordinates")
+    if len(pt) != form.num_vars:
+        raise ValueError(f"point must have {number} coordinates")
     if pt[chart_var] == 0:
         raise ValueError("point is not in the chosen affine chart")
-    scale = pt[chart_var]
-    t0 = pt[param_var] / scale
-    u0 = pt[dep_var] / scale
-    out: BivarPoly = {}
-    for exps, c in curve.terms.items():
-        a = exps[param_var]
-        b = exps[dep_var]
-        for i in range(a + 1):
-            for j in range(b + 1):
-                coeff = (c * comb(a, i) * t0 ** (a - i)
-                         * comb(b, j) * u0 ** (b - j))
-                if coeff:
-                    key = (i, j)
-                    out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
+    chart = HomogPoly.variable(form.num_vars, chart_var)
+    for var in shifted:
+        form = form.substitute(var, HomogPoly.variable(form.num_vars, var)
+                               + chart * (pt[var] / pt[chart_var]))
+    return {(exps[param_var], 0 if dep_var is None else exps[dep_var]): c
+            for exps, c in form.terms.items()}
 
 
 def branch_equation(curve: HomogPoly, point: Sequence[Scalar], *,
@@ -71,6 +59,8 @@ def branch_equation(curve: HomogPoly, point: Sequence[Scalar], *,
     """The dehomogenized equation f(t, u) of a plane curve at a rational
     point, checked to have a branch there: the point lies on the curve, is
     smooth, and the parameter is transversal (a_01 != 0)."""
+    if curve.num_vars != 3:
+        raise ValueError("expected a form in three variables")
     f = affine_chart_expansion(curve, point, chart_var, param_var, dep_var)
     if (0, 0) in f:
         raise ValueError("point does not lie on the curve")

@@ -11,18 +11,20 @@ monomials of degree D are y^k mu, mu standard on {h = 0}.  Setting y = 0
 restricts a form to {h = 0}; the steps take the relation and the final
 form down to the last curve of degree e (or line, e = 1).
 
-On that curve a form of degree d' is expanded as a power series at the
-point, coefficients j = 0 .. d'*e, through cached series of the monomials
-in the chart and the curve's branch at the point; a higher degree that
-needs more coefficients recomputes the cache at twice the precision, so
-the branch is solved once per precision.  The order at the point is the
-first nonzero coefficient, exact whenever the form does not vanish on the
-curve, since d'*e bounds it.  The final stage's value set of degree d',
-the orders of the nonzero forms of degree d' modulo the curve, is the pivot
-set of the degree-d' monomials' series; it has as many elements as that
-graded piece has dimensions, all at most d'*e, which it checks.  The chart
-coordinate's series is 1, so these value sets come from one echelon grown
-degree by degree.  The valuation vector (k_1, ..., k_{n-1}, j) of a
+On that curve, in the chart at the point, t is the parameter's offset, u
+the dependent coordinate's and u(t) the curve's branch.  A form of degree
+d' is f = sum f_ab t^a u^b there, so its series at the point, coefficients
+j = 0 .. d'*e, sums powers of the branch shifted by a; the stage caches
+u^0, u^1, ... at one precision, solving the branch again at least doubled
+when more coefficients are asked for.  The order at the point is the first
+nonzero coefficient, exact whenever the form does not vanish on the curve,
+since d'*e bounds it.  As the translation to the point is triangular, the
+forms of degree d' span the polynomials of degree at most d' in t and u,
+so the final stage's value set of degree d', the orders of the nonzero
+forms of degree d' modulo the curve, is the pivot set of the rows t^a u^b,
+a + b <= d', of one echelon grown degree by degree; it has as many
+elements as that graded piece has dimensions, all at most d'*e, which it
+checks.  The valuation vector (k_1, ..., k_{n-1}, j) of a
 section is never computed one section at a time: okbody.okounkov reads
 each graded piece's value set off these, and the flag verifier takes the
 final form's contact order from the final stage.
@@ -36,13 +38,9 @@ from math import comb
 from typing import Sequence
 
 from .linalg import Echelon
-from .polynomials import (Exponent, HomogPoly, Scalar, _exact,
-                          graded_monomials)
-from .series import (PRECISION_CAP, PrecisionError, branch_equation,
-                     series_solve_branch)
-
-# nonzero series coefficients (j, c) by increasing j
-Sparse = tuple[tuple[int, Fraction], ...]
+from .polynomials import HomogPoly, Scalar, _exact
+from .series import (PRECISION_CAP, PrecisionError, affine_chart_expansion,
+                     branch_equation, series_solve_branch)
 
 
 class ZeroSectionError(ValueError):
@@ -92,14 +90,12 @@ class _FinalStage:
     dep: int | None
     # the flag's final form restricted to the curve, when built from a flag
     form: HomogPoly | None = None
-    _series: dict[Exponent, Sparse] = field(default_factory=dict, init=False,
-                                            repr=False, compare=False)
-    _series_precision: int = field(default=0, init=False, repr=False,
-                                   compare=False)
+    # u^0, u^1, ... of the branch to one precision (u^0 alone on a line)
+    _powers: list[list[Fraction]] = field(
+        default_factory=lambda: [[]], init=False, repr=False, compare=False)
     _value_sets: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # the series of the monomials free of the chart coordinate, of the
-    # degrees 0, 1, ... that _value_sets holds, in one echelon
+    # the rows of the degrees that _value_sets holds, in one echelon
     _echelon: Echelon = field(default_factory=lambda: Echelon(0), init=False,
                               repr=False, compare=False)
 
@@ -107,66 +103,54 @@ class _FinalStage:
     def curve_degree(self) -> int:
         return self.relation.degree if self.relation is not None else 1
 
-    def _coordinate_series(self, var: int) -> Sparse:
-        """A coordinate in the chart (the chart coordinate scaled to 1) as a
-        series in the parameter t: t0 + t for the parameter and u0 + u(t)
-        along the branch for the dependent coordinate."""
-        offset = self.point[var] / self.point[self.chart]
-        if var == self.chart:
-            return ((0, offset),)
-        if var == self.param:
-            tail = ((1, Fraction(1)),)
-        else:
-            branch = series_solve_branch(
-                self.relation, self.point, self._series_precision,
-                chart_var=self.chart, param_var=self.param, dep_var=self.dep)
-            tail = tuple((j, c) for j, c in enumerate(branch) if j and c)
-        return ((0, offset),) + tail if offset else tail
+    def _precision(self, degree: int) -> int:
+        """The series length d'*e + 1 that covers the order of every form of
+        degree d' that does not vanish on the curve."""
+        precision = degree * self.curve_degree + 1
+        if precision > PRECISION_CAP:
+            raise PrecisionError(
+                f"forms of degree {degree} need precision {precision} above "
+                f"the cap PRECISION_CAP = {PRECISION_CAP}")
+        return precision
 
-    def _monomial_series(self, mono: Exponent, precision: int) -> Sparse:
-        """The series of a monomial to at least the given precision, cached.
-        A monomial divisible by the chart coordinate has the series of its
-        quotient; otherwise it is a smaller monomial's series times the
-        parameter's series, or times the dependent coordinate's series for
-        a pure power of it.  This is the dehomogenisation of
-        ``affine_chart_expansion`` evaluated along the branch."""
-        if precision > self._series_precision:
-            # doubling bounds the recomputation under rising precisions
-            self._series_precision = min(
-                max(precision, 2 * self._series_precision), PRECISION_CAP)
-            self._series = {(0,) * self.num_vars: ((0, Fraction(1)),)}
-        series = self._series.get(mono)
-        if series is not None:
-            return series
-        if sum(mono) == 1:
-            series = self._coordinate_series(mono.index(1))
-        else:
-            var = next(v for v in (self.chart, self.param, self.dep)
-                       if mono[v])
-            unit = tuple(int(i == var) for i in range(self.num_vars))
-            rest = tuple(e - u for e, u in zip(mono, unit))
-            series = self._monomial_series(rest, precision)
-            if var != self.chart:
-                series = _times(series, self._monomial_series(unit, precision),
-                                self._series_precision)
-        self._series[mono] = series
-        return series
+    def _branch_powers(self, count: int, precision: int
+                       ) -> list[list[Fraction]]:
+        """The powers u^0 .. u^(count-1) of the branch to at least the given
+        precision, cached.  A higher precision solves the branch again, at
+        least doubled, which bounds the work under rising precisions."""
+        powers = self._powers
+        if precision > len(powers[0]):
+            length = min(max(precision, 2 * len(powers[0])), PRECISION_CAP)
+            powers[:] = [[Fraction(1)] + [Fraction(0)] * (length - 1)]
+            if self.relation is not None:
+                powers.append(list(series_solve_branch(
+                    self.relation, self.point, length, chart_var=self.chart,
+                    param_var=self.param, dep_var=self.dep)))
+        length = len(powers[0])
+        while len(powers) < count:
+            power = [Fraction(0)] * length
+            for i, a in enumerate(powers[-1]):
+                if a:
+                    for k, b in enumerate(powers[1][:length - i]):
+                        if b:
+                            power[i + k] += a * b
+            powers.append(power)
+        return powers
 
     def series(self, form: HomogPoly) -> list[Fraction]:
         """Series coefficients j = 0 .. deg(form) * e of a form at the point
-        in the parameter t; they cover the order of every form that does not
-        vanish on the curve."""
-        precision = form.degree * self.curve_degree + 1
-        if precision > PRECISION_CAP:
-            raise PrecisionError(
-                f"a section of degree {form.degree} needs precision "
-                f"{precision} above the cap PRECISION_CAP = {PRECISION_CAP}")
+        in the parameter t: sum f_ab t^a u(t)^b for the form f(t, u) in the
+        chart at the point."""
+        precision = self._precision(form.degree)
+        f = affine_chart_expansion(form, self.point, self.chart, self.param,
+                                   self.dep)
+        powers = self._branch_powers(1 + max((j for _i, j in f), default=0),
+                                     precision)
         out = [Fraction(0)] * precision
-        for exps, c in form.terms.items():
-            for j, s in self._monomial_series(exps, precision):
-                if j >= precision:
-                    break
-                out[j] += c * s
+        for (i, j), c in f.items():
+            for k, p in enumerate(powers[j][:precision - i]):
+                if p:
+                    out[i + k] += c * p
         return out
 
     def order_and_unit(self, form: HomogPoly) -> tuple[int, Fraction]:
@@ -183,13 +167,12 @@ class _FinalStage:
 
     def value_set(self, degree: int) -> tuple[int, ...]:
         """The orders at the point of the nonzero forms of degree d' modulo
-        the curve, increasing, cached.  The chart coordinate's series is 1,
-        so a degree-d' monomial divisible by it has the series of a
-        degree-(d'-1) monomial, and the degree-d' series span is the
-        degree-(d'-1) span plus the series of the d'+1 monomials free of
-        the chart coordinate (one on a line).  One echelon of series of a
-        fixed length of at least d'*e + 1 therefore grows across the
-        degrees, and V(d') is its pivot set after degree d'.
+        the curve, increasing, cached.  In the chart at the point the forms
+        of degree d' span the polynomials of degree at most d' in t and u:
+        the degree-(d'-1) span and the rows t^i u^(d'-i), i = 0 .. d', each
+        a power of the branch shifted by i (t^d' alone on a line).  So one
+        echelon as long as the powers grows across the degrees, and V(d')
+        is its pivot set after degree d'.
 
         Each degree is certified as it is added: the pivots must number the
         graded piece's dimension C(d'+2, 2) - C(d'-e+2, 2) (d'+1 on a line)
@@ -200,28 +183,19 @@ class _FinalStage:
         cached = self._value_sets.get(degree)
         if cached is not None:
             return cached
-        precision = degree * self.curve_degree + 1
-        if precision > PRECISION_CAP:
-            raise PrecisionError(
-                f"forms of degree {degree} need precision {precision} above "
-                f"the cap PRECISION_CAP = {PRECISION_CAP}")
+        precision = self._precision(degree)
         if precision > self._echelon.length:
-            # a longer echelon starts over from degree 0; doubling bounds
-            # the work under rising degrees
-            self._echelon = Echelon(min(
-                max(precision, 2 * self._echelon.length), PRECISION_CAP))
+            # a longer echelon starts over from degree 0
+            self._echelon = Echelon(len(self._branch_powers(1, precision)[0]))
             self._value_sets.clear()
         echelon = self._echelon
         while len(self._value_sets) <= degree:
             d = len(self._value_sets)
-            for rest in graded_monomials(self.num_vars - 1, d):
-                mono = rest[:self.chart] + (0,) + rest[self.chart:]
-                row = [Fraction(0)] * echelon.length
-                for j, c in self._monomial_series(mono, echelon.length):
-                    if j >= echelon.length:
-                        break
-                    row[j] = c
-                echelon.add(row)
+            low = 0 if self.relation is not None else d
+            powers = self._branch_powers(d + 1 - low, echelon.length)
+            for i in range(low, d + 1):
+                echelon.add(([Fraction(0)] * i + powers[d - i])
+                            [:echelon.length])
             pivots = tuple(echelon.pivots())
             expected = d + 1 if self.relation is None else comb(
                 d + 2, 2) - comb(max(d - self.curve_degree + 2, 0), 2)
@@ -232,17 +206,6 @@ class _FinalStage:
                     "curve")
             self._value_sets[d] = pivots
         return self._value_sets[degree]
-
-
-def _times(a: Sparse, b: Sparse, precision: int) -> Sparse:
-    """The product of two sparse series, truncated to the precision."""
-    out: dict[int, Fraction] = {}
-    for i, x in a:
-        for j, y in b:
-            if i + j >= precision:
-                break
-            out[i + j] = out.get(i + j, 0) + x * y
-    return tuple((j, c) for j, c in sorted(out.items()) if c)
 
 
 class Flag:

@@ -7,14 +7,13 @@ first confirmed by the independent oracles in tests/oracles.py.
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
 from functools import lru_cache
 
-from okbody.convex import (GradedPoint, cone_slice, convex_hull, dilate,
-                           normal_fan_rays, polytope_equal, scaled_simplex)
+from okbody.convex import (convex_hull, dilate, normal_fan_rays,
+                           polytope_equal, scaled_simplex)
 from okbody.elliptic import EllipticCurveFp, divisor_class_sum, \
     random_divisor, single_point_member
 from okbody.linalg import rank

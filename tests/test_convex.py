@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from okbody.convex import (GradedPoint, RationalPolytope, cone_slice,
-                           convex_hull, dilate, in_convex_hull,
-                           normal_fan_rays, polytope_equal,
+from okbody.convex import (GradedPoint, cone_slice, convex_hull, dilate,
+                           in_convex_hull, normal_fan_rays, polytope_equal,
                            polytope_from_json, polytope_subset,
                            polytope_to_json, scaled_simplex)
 from okbody.okounkov import semigroup

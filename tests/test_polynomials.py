@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -83,6 +84,18 @@ def test_inexact_coefficients_rejected():
         HomogPoly.linear_form([0.5, 0, 0])
     with pytest.raises(TypeError, match="0.1"):
         x0.evaluate((0.1, 0, 0))
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0, 0), (1.9, 0, 0), (True, 0, 0),
+                                  ("1", 0, 0)])
+def test_non_int_exponents_rejected(exps):
+    # int() would truncate 1.5 and 1.9 to 1 and read True as 1, building x
+    with pytest.raises(TypeError, match=re.escape(repr(exps))):
+        HomogPoly(3, 1, {exps: 1})
+    with pytest.raises(TypeError, match=re.escape(repr(exps))):
+        HomogPoly.monomial(exps)
+    with pytest.raises(TypeError, match=re.escape(repr(exps))):
+        HomogPoly(3, 1, {exps: 0})
 
 
 def test_partial():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.series import PrecisionError, series_solve_branch
+from okbody.series import (PrecisionError, affine_chart_expansion,
+                           series_solve_branch)
 
 from oracles import form_along_branch
 
@@ -130,3 +131,52 @@ def test_branch_on_seeded_random_curves():
         # of this one's
         assert not any(form_along_branch(curve, point, branches[25],
                                          *indices)), (curve, point)
+
+
+def _sympy_chart_expansion(form, point, chart, param, dep):
+    """form(1, t0 + t, u0 + u) by sympy, with (t0, u0) the point in the
+    chart, as {(i, j): coefficient of t^i u^j}; no u on a line."""
+    import sympy
+
+    t, u = sympy.symbols("t u")
+    scale = Fraction(point[chart])
+    values = [None] * form.num_vars
+    values[chart] = 1
+    for var, symbol in ((param, t), (dep, u)):
+        if var is not None:
+            offset = Fraction(point[var]) / scale
+            values[var] = sympy.Rational(offset.numerator,
+                                         offset.denominator) + symbol
+    total = sum((sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(v ** e for v, e in zip(values, exps)))
+                 for exps, c in form.terms.items()), sympy.Integer(0))
+    poly = sympy.Poly(sympy.expand(total), t, u)
+    return {monomial: Fraction(int(c.p), int(c.q))
+            for monomial, c in poly.terms() if c}
+
+
+def _chart_cases(rng, count):
+    """Seeded points with chart, parameter and dependent variable, in three
+    variables and on a line (no dependent variable), led by the flex
+    (2 : -2 : 0) and the point (3 : 2), whose chart coordinates are not 1."""
+    yield (2, -2, 0), 0, 2, 1
+    yield (3, 2), 0, 1, None
+    for num_vars in (3, 2) * count:
+        chart, param, *dep = rng.sample(range(num_vars), num_vars)
+        point = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                 for _ in range(num_vars)]
+        point[chart] = rng.choice((-3, -2, 2, Fraction(1, 3)))
+        yield tuple(point), chart, param, (dep or [None])[0]
+
+
+def test_chart_expansion_matches_sympy():
+    rng = random.Random(17)
+    for point, *indices in _chart_cases(rng, 12):
+        num_vars = len(point)
+        degree = rng.randrange(0, 5)
+        monos = graded_monomials(num_vars, degree)
+        form = HomogPoly(num_vars, degree, {
+            m: rng.randrange(-5, 6)
+            for m in rng.sample(monos, min(len(monos), 4))})
+        assert affine_chart_expansion(form, point, *indices) == \
+            _sympy_chart_expansion(form, point, *indices), (form, point)

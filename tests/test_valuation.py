@@ -223,10 +223,8 @@ def test_value_sets_invariant_under_coordinate_change(quadric, fermat):
 # -- vanishing order at a point on a curve ----------------------------------------
 
 
-def test_branch_computed_once_per_precision(monkeypatch):
-    case = make_case("quadric_surface")
-    system = GradedSystem(case, "complete")
-    expected = {m: oracle_value_set(case, system.basis(m)) for m in range(1, 5)}
+def _count_branch_solves(monkeypatch) -> list[int]:
+    """The precisions at which the final stages solve their branch."""
     computed = []
 
     def counting(curve, point, precision, **kwargs):
@@ -234,10 +232,18 @@ def test_branch_computed_once_per_precision(monkeypatch):
         return series_solve_branch(curve, point, precision, **kwargs)
 
     monkeypatch.setattr(valuation, "series_solve_branch", counting)
+    return computed
+
+
+def test_branch_computed_once_per_precision(monkeypatch):
+    case = make_case("quadric_surface")
+    system = GradedSystem(case, "complete")
+    expected = {m: oracle_value_set(case, system.basis(m)) for m in range(1, 5)}
+    computed = _count_branch_solves(monkeypatch)
     fresh = make_case("quadric_surface")
     assert semigroup(fresh, "complete", 4).levels == expected
-    # the top degree fills the monomial series at full precision first, and
-    # the lower degrees read them from the cache
+    # the top degree fills the powers of the branch at full precision
+    # first, and the lower degrees read them from the cache
     assert len(computed) == 1
 
 
@@ -256,9 +262,9 @@ def _random_form(rng, num_vars, degree):
                                            Fraction(0)), 0, 2, 1),
 ], ids=["quadric", "fermat", "scaled_flex"])
 def test_final_series_matches_chart_expansion(stage):
-    # the cached monomial series, combined term by term, equal the
-    # dehomogenised form evaluated along the branch; the degrees go up and
-    # down so the cache is rebuilt and then read at lower precisions
+    # the form in the chart, summed over the cached powers of the branch,
+    # equals sympy's form along the branch; the degrees go up and down so
+    # the cache is rebuilt and then read at lower precisions
     rng = random.Random(7)
     for degree in (3, 1, 5, 0, 2):
         form = _random_form(rng, 3, degree)
@@ -307,27 +313,24 @@ def test_nested_value_sets_match_per_degree_echelon(name):
             assert stage.value_set(degree) == expected[degree], (order, degree)
 
 
-def test_monomial_series_cache_survives_rising_precision(monkeypatch):
-    # the monomials whose series a call computes rather than reads from
-    # the cache
-    computed = []
-    original = valuation._FinalStage._monomial_series
+def test_semigroup_solves_the_branch_once(monkeypatch):
+    # semigroup asks for the top degree first, so the lower degrees read
+    # the powers of the branch at full precision
+    computed = _count_branch_solves(monkeypatch)
+    semigroup(make_case("fermat_cubic"), "complete", 12)
+    assert computed == [37]
 
-    def counting(stage, mono, precision):
-        if precision > stage._series_precision or mono not in stage._series:
-            computed.append(mono)
-        return original(stage, mono, precision)
 
-    monkeypatch.setattr(valuation._FinalStage, "_monomial_series", counting)
+def test_branch_powers_double_under_rising_precision(monkeypatch):
+    # the series of every monomial of degree 1 .. 12 in rising order ask
+    # for precisions 4 .. 37, and doubling solves the branch at 4, 8, 16,
+    # 32 and 64 only
+    computed = _count_branch_solves(monkeypatch)
     stage = make_case("fermat_cubic").flag.final_stage
     for degree in range(1, 13):
         for mono in graded_monomials(3, degree):
             stage.series(HomogPoly.monomial(mono))
-    assert len(computed) <= 2 * len(set(computed))
-    # semigroup asks for the top degree first, so nothing is recomputed
-    computed.clear()
-    semigroup(make_case("fermat_cubic"), "complete", 12)
-    assert len(computed) == len(set(computed))
+    assert computed == [4, 8, 16, 32, 64]
 
 
 def test_ord_of_coordinate_at_flex():
@@ -376,8 +379,7 @@ def test_ord_certified_at_double_precision():
         "chart_coordinate_zero", "chart_index_negative"])
 def test_ord_checks_its_input_first(section, curve, point, chart, param,
                                     message):
-    # none of these sections involves the dependent coordinate, so the
-    # branch is never needed to find an order
+    # the forms, the point and the chart are checked before any series
     with pytest.raises(ValueError, match=message):
         ord_at_point_on_curve(section, curve, point, chart_var=chart,
                               param_var=param)

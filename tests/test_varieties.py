@@ -99,6 +99,21 @@ def test_final_form_containing_a_flag_member_fails_contact(name):
     assert all(check.passed for check in report.checks[:-1])
 
 
+def test_non_transversal_parameter_fails_contact():
+    # on the Fermat cubic's final curve x^3 + y^3 + z^3 at the flex
+    # (1:-1:0) the tangent is x + y, so y is no parameter there; the final
+    # form x + y involves no dependent coordinate, yet its order needs the
+    # branch, and the branch refuses the parameter
+    flag = make_case("fermat_cubic").flag
+    moved = Flag(flag.ambient_vars, flag.relation, flag.steps,
+                 flag.final_form, flag.point, chart_var=flag.chart_var,
+                 parameter_var=1)
+    contact = verify_flag(CaseStudy("fermat_cubic", moved, 1)).checks[-1]
+    assert contact.name == "single-point contact" and not contact.passed
+    assert contact.detail == ("the final form's order at the point: chosen "
+                              "parameter is not transversal at the point")
+
+
 def test_negative_control_fails_contact_check():
     report = verify_flag(make_negative_control())
     assert not report.passed
