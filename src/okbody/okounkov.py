@@ -22,7 +22,7 @@ each its own normal form, so the degree-D piece has the value set
   {(k_1, ..., k_{n-1}, j) : sum k_i <= D, j in V(D - sum k_i)}
 
 in lex order, V(d') being the value set of the degree-d' forms on the final
-curve or line.
+curve or line; the final stage gives V(0), ..., V(c*M) in one pass.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; its cone slice at height one is an inner estimate of the
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .convex import GradedPoint, RationalPolytope, cone_slice
-from .polynomials import HomogPoly, graded_monomials, leading_monomial
 from .varieties import CaseStudy
 
 KINDS = ("powers", "complete")
@@ -48,8 +48,8 @@ Vector = tuple[int, ...]
 
 
 class GradedSystem:
-    """The per-level bases of one graded linear system: the standard
-    monomials of degree c*m, for either kind.
+    """The per-level dimensions of one graded linear system: the count of
+    standard monomials of degree c*m, for either kind.
 
     A complete level is the full graded piece, which the standard monomials
     span.  A powers level is the span of the m-fold products of level-1
@@ -64,25 +64,17 @@ class GradedSystem:
         self.case = case
         self.kind = kind
 
-    def basis(self, level: int) -> tuple[HomogPoly, ...]:
-        return tuple(map(HomogPoly.monomial, self._standard_monomials(level)))
-
     def dimension(self, level: int) -> int:
-        return len(self._standard_monomials(level))
-
-    def _standard_monomials(self, level: int) -> tuple[Vector, ...]:
-        """Monomials of degree c*level that are reduced modulo the relation
-        (not divisible by its leading monomial)."""
+        """The Hilbert function C(N-1+D, N-1) - C(N-1+D-delta, N-1) of a
+        hypersurface of degree delta in N variables at D = c*level (the
+        second term absent on projective space)."""
         if level < 1:
             raise ValueError("levels start at 1")
-        flag = self.case.flag
-        monos = graded_monomials(flag.ambient_vars,
-                                 self.case.section_degree(level))
-        if flag.relation is None:
-            return monos
-        lm = leading_monomial(flag.relation, flag.ambient_vars - 1)
-        return tuple(m for m in monos
-                     if not all(a >= b for a, b in zip(m, lm)))
+        n = self.case.flag.ambient_vars - 1
+        degree = self.case.section_degree(level)
+        relation = self.case.flag.relation
+        low = degree - relation.degree if relation is not None else -1
+        return comb(n + degree, n) - (comb(n + low, n) if low >= 0 else 0)
 
 
 @dataclass(frozen=True)
@@ -106,16 +98,13 @@ class OkounkovSemigroup:
 
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     """Enumerate value sets for all levels 1..max_level, each assembled from
-    the final stage's value sets V(d') as in the module docstring.  V is
-    filled from the top degree down, so that the branch and its powers
-    are built once, at full precision.  A level whose system's
-    dimension is not the full piece's raises ValueError."""
+    the final stage's value sets V(d') as in the module docstring, all
+    computed in one call.  A level whose system's dimension is not the full
+    piece's raises ValueError."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     system = GradedSystem(case, kind)
-    stage = case.flag.final_stage
-    curve = {d: stage.value_set(d)
-             for d in range(case.section_degree(max_level), -1, -1)}
+    curve = case.flag.final_stage.value_sets(case.section_degree(max_level))
 
     def piece(degree: int, steps: int) -> list[Vector]:
         if not steps:

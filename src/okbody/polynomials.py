@@ -82,13 +82,12 @@ class HomogPoly:
         for exps, coeff in terms.items():
             exps = _exponents(exps)
             coeff = Fraction(_exact(coeff))
-            if coeff == 0:
-                continue
             if len(exps) != num_vars:
                 raise ValueError(f"exponent tuple {exps} has wrong length")
             if any(e < 0 for e in exps) or sum(exps) != degree:
                 raise ValueError(f"exponent tuple {exps} is not of degree {degree}")
-            clean[exps] = coeff
+            if coeff:
+                clean[exps] = coeff
         self.num_vars = num_vars
         self.degree = degree
         self.terms = clean

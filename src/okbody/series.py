@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import HomogPoly, Scalar
+from .polynomials import HomogPoly, Scalar, _exact
 
 PRECISION_CAP = 512
 
@@ -40,7 +40,7 @@ def affine_chart_expansion(form: HomogPoly, point: Sequence[Scalar],
     if sorted((chart_var, *shifted)) != list(range(form.num_vars)):
         raise ValueError("chart, parameter and dependent variables must "
                          f"partition the {number} coordinates")
-    pt = [Fraction(v) for v in point]
+    pt = [Fraction(_exact(v)) for v in point]
     if len(pt) != form.num_vars:
         raise ValueError(f"point must have {number} coordinates")
     if pt[chart_var] == 0:

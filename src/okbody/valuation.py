@@ -15,26 +15,25 @@ On that curve, in the chart at the point, t is the parameter's offset, u
 the dependent coordinate's and u(t) the curve's branch.  A form of degree
 d' is f = sum f_ab t^a u^b there, so its series at the point, coefficients
 j = 0 .. d'*e, sums powers of the branch shifted by a; the stage caches
-u^0, u^1, ... at one precision, solving the branch again at least doubled
-when more coefficients are asked for.  The order at the point is the first
-nonzero coefficient, exact whenever the form does not vanish on the curve,
-since d'*e bounds it.  As the translation to the point is triangular, the
-forms of degree d' span the polynomials of degree at most d' in t and u,
-so the final stage's value set of degree d', the orders of the nonzero
-forms of degree d' modulo the curve, is the pivot set of the rows t^a u^b,
-a + b <= d', of one echelon grown degree by degree; it has as many
-elements as that graded piece has dimensions, all at most d'*e, which it
-checks.  The valuation vector (k_1, ..., k_{n-1}, j) of a
-section is never computed one section at a time: okbody.okounkov reads
-each graded piece's value set off these, and the flag verifier takes the
-final form's contact order from the final stage.
+u^0, u^1, ... at one precision, solving the branch again at a higher one
+when it is asked for.  The order at the point is the first nonzero
+coefficient, exact whenever the form does not vanish on the curve, since
+d'*e bounds it.  As the translation to the point is triangular, the forms
+of degree d' modulo the curve are the polynomials of degree at most d' in
+t and u modulo the curve's f(t, u), whose standard monomials are a basis;
+so the final stage's value sets V(0), ..., V(D), the orders of the nonzero
+forms of each degree modulo the curve, are the pivot sets of one echelon
+that takes the standard monomials' rows degree by degree, in one pass.  The
+valuation vector (k_1, ..., k_{n-1}, j) of a section is never computed one
+section at a time: okbody.okounkov reads each graded piece's value set off
+these, and the flag verifier takes the final form's contact order from the
+final stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from .linalg import Echelon
@@ -93,11 +92,6 @@ class _FinalStage:
     # u^0, u^1, ... of the branch to one precision (u^0 alone on a line)
     _powers: list[list[Fraction]] = field(
         default_factory=lambda: [[]], init=False, repr=False, compare=False)
-    _value_sets: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # the rows of the degrees that _value_sets holds, in one echelon
-    _echelon: Echelon = field(default_factory=lambda: Echelon(0), init=False,
-                              repr=False, compare=False)
 
     @property
     def curve_degree(self) -> int:
@@ -116,16 +110,16 @@ class _FinalStage:
     def _branch_powers(self, count: int, precision: int
                        ) -> list[list[Fraction]]:
         """The powers u^0 .. u^(count-1) of the branch to at least the given
-        precision, cached.  A higher precision solves the branch again, at
-        least doubled, which bounds the work under rising precisions."""
+        precision, cached; a higher precision solves the branch again at
+        that precision."""
         powers = self._powers
         if precision > len(powers[0]):
-            length = min(max(precision, 2 * len(powers[0])), PRECISION_CAP)
-            powers[:] = [[Fraction(1)] + [Fraction(0)] * (length - 1)]
+            powers[:] = [[Fraction(1)] + [Fraction(0)] * (precision - 1)]
             if self.relation is not None:
                 powers.append(list(series_solve_branch(
-                    self.relation, self.point, length, chart_var=self.chart,
-                    param_var=self.param, dep_var=self.dep)))
+                    self.relation, self.point, precision,
+                    chart_var=self.chart, param_var=self.param,
+                    dep_var=self.dep)))
         length = len(powers[0])
         while len(powers) < count:
             power = [Fraction(0)] * length
@@ -165,47 +159,51 @@ class _FinalStage:
         raise ZeroSectionError("section vanishes identically on the final "
                                "curve")
 
-    def value_set(self, degree: int) -> tuple[int, ...]:
-        """The orders at the point of the nonzero forms of degree d' modulo
-        the curve, increasing, cached.  In the chart at the point the forms
-        of degree d' span the polynomials of degree at most d' in t and u:
-        the degree-(d'-1) span and the rows t^i u^(d'-i), i = 0 .. d', each
-        a power of the branch shifted by i (t^d' alone on a line).  So one
-        echelon as long as the powers grows across the degrees, and V(d')
-        is its pivot set after degree d'.
+    def value_sets(self, top: int) -> tuple[tuple[int, ...], ...]:
+        """V(0), ..., V(top): V(d') is the set of orders at the point of the
+        nonzero forms of degree d' modulo the curve, increasing.
 
-        Each degree is certified as it is added: the pivots must number the
-        graded piece's dimension C(d'+2, 2) - C(d'-e+2, 2) (d'+1 on a line)
-        and all be at most d'*e, which says that the series truncated to
-        j <= d'*e is injective on the forms of degree d' modulo the curve.
-        Else some form has all of its coefficients j = 0 .. d'*e zero, as
-        when the point lies on a component of a reducible curve."""
-        cached = self._value_sets.get(degree)
-        if cached is not None:
-            return cached
-        precision = self._precision(degree)
-        if precision > self._echelon.length:
-            # a longer echelon starts over from degree 0
-            self._echelon = Echelon(len(self._branch_powers(1, precision)[0]))
-            self._value_sets.clear()
-        echelon = self._echelon
-        while len(self._value_sets) <= degree:
-            d = len(self._value_sets)
-            low = 0 if self.relation is not None else d
-            powers = self._branch_powers(d + 1 - low, echelon.length)
-            for i in range(low, d + 1):
-                echelon.add(([Fraction(0)] * i + powers[d - i])
-                            [:echelon.length])
-            pivots = tuple(echelon.pivots())
-            expected = d + 1 if self.relation is None else comb(
-                d + 2, 2) - comb(max(d - self.curve_degree + 2, 0), 2)
-            if len(pivots) != expected or pivots[-1] > d * self.curve_degree:
-                raise ZeroSectionError(
-                    f"some form of degree d' = {d} vanishes on the final "
-                    "curve's branch at the point without vanishing on the "
-                    "curve")
-            self._value_sets[d] = pivots
-        return self._value_sets[degree]
+        In the chart at the point these forms are the polynomials of degree
+        at most d' in t and u modulo the curve's f(t, u) (u on a line, the
+        curve u = 0), of degree e, which is its own Groebner basis: in a
+        degree order the monomials t^i u^(d'-i) that its leading monomial
+        t^a u^b does not divide, min(d'+1, e) in each degree, are a basis.
+        The row of t^i u^(d'-i) is a power of the branch shifted by i, so
+        one echelon of length top*e + 1 takes these rows degree by degree,
+        and V(d') is its pivot set after degree d'.
+
+        Each row is certified as it is added: it must be independent of the
+        rows before it, with its pivot at most d'*e.  Else some form has
+        all of its coefficients zero, as when the point lies on a component
+        of a reducible curve; and f must have degree e, which fails when
+        the curve contains the chart's line at infinity."""
+        precision = self._precision(top)
+        e = self.curve_degree
+        f = {(0, 1): 1} if self.relation is None else affine_chart_expansion(
+            self.relation, self.point, self.chart, self.param, self.dep)
+        lead = [key for key in f if sum(key) == e]
+        if not lead:
+            raise ZeroSectionError(
+                "the final curve contains the chart's line at infinity, so "
+                f"some form of degree d' = {e - 1} vanishes on its branch at "
+                "the point without vanishing on it")
+        # t^a u^b leads f in a degree order with u above t
+        a, b = max(lead, key=lambda key: key[1])
+        echelon = Echelon(precision)
+        sets = []
+        for d in range(top + 1):
+            for i in range(d + 1):
+                if i >= a and d - i >= b:
+                    continue
+                power = self._branch_powers(d - i + 1, precision)[d - i]
+                row = [Fraction(0)] * i + power[:precision - i]
+                if not echelon.add(row) or echelon.rows[-1][1] > d * e:
+                    raise ZeroSectionError(
+                        f"some form of degree d' = {d} vanishes on the final "
+                        "curve's branch at the point without vanishing on "
+                        "the curve")
+            sets.append(tuple(echelon.pivots()))
+        return tuple(sets)
 
 
 class Flag:
@@ -300,6 +298,6 @@ def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
         raise ValueError("expected a form in three variables")
     branch_equation(curve, point, chart_var=chart_var, param_var=param_var,
                     dep_var=dep)
-    stage = _FinalStage(3, curve, tuple(Fraction(v) for v in point),
+    stage = _FinalStage(3, curve, tuple(Fraction(_exact(v)) for v in point),
                         chart_var, param_var, dep)
     return stage.order_and_unit(section)[0]

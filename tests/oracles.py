@@ -389,6 +389,22 @@ def expansion_value_set(basis, flag):
     return tuple(columns[i] for i in pivots)
 
 
+def standard_basis(case, level):
+    """The standard monomials of degree c*level, by enumeration: the
+    monomials that the relation's leading monomial (lex, the last variable
+    most significant, as ``case.reduce`` takes it) does not divide, all of
+    them on projective space."""
+    from okbody.polynomials import (HomogPoly, graded_monomials,
+                                    leading_monomial)
+
+    flag = case.flag
+    monos = graded_monomials(flag.ambient_vars, case.section_degree(level))
+    if flag.relation is not None:
+        lead = leading_monomial(flag.relation, flag.ambient_vars - 1)
+        monos = [m for m in monos if not all(a >= b for a, b in zip(m, lead))]
+    return tuple(map(HomogPoly.monomial, monos))
+
+
 def powers_basis(case, level):
     """A basis of the powers system's level: of the distinct level-fold
     products of the degree-c monomials that are their own normal forms,

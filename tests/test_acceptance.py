@@ -23,7 +23,7 @@ from okbody.polynomials import HomogPoly
 from okbody.varieties import make_case, make_negative_control, verify_flag
 
 from oracles import (brute_hull_vertices_2d, expansion_value_set,
-                     oracle_value_set, powers_basis)
+                     oracle_value_set, powers_basis, standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 GENERATION_DEGREES = {"p2": 1, "p3": 1, "quadric_surface": 1,
@@ -82,7 +82,7 @@ def test_criterion_03_fermat_cubic_body_and_golden_level():
     sg = cached_semigroup("fermat_cubic", 1, "complete", 3)
     body = body_estimate(sg)
     assert polytope_equal(body, scaled_simplex(2, 1, 3))
-    level_one_basis = GradedSystem(case, "complete").basis(1)
+    level_one_basis = standard_basis(case, 1)
     assert oracle_value_set(case, level_one_basis) == FERMAT_LEVEL_ONE
     assert sg.level(1) == FERMAT_LEVEL_ONE
     elapsed = time.monotonic() - started
@@ -190,7 +190,7 @@ def test_criterion_09_property_suites():
     trials = [("quadric_surface", 2)] * 10 + [("fermat_cubic", 1)] * 10
     for name, m in trials:
         case = cached_case(name)
-        basis = list(GradedSystem(case, "complete").basis(m))
+        basis = list(standard_basis(case, m))
         reference = expansion_value_set(basis, case.flag)
         assert reference == cached_semigroup(name, 1, "complete", m).level(m)
         dim = len(basis)

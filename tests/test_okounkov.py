@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,7 +14,7 @@ from okbody.valuation import Flag, ZeroSectionError
 from okbody.varieties import CASE_NAMES, CaseStudy, make_case, verify_flag
 
 from oracles import (expansion_value_set, linear_solve, oracle_value_set,
-                     powers_basis)
+                     powers_basis, standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
@@ -24,8 +25,24 @@ FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
 
 
 def test_p2_level_one_basis(p2):
-    basis = GradedSystem(p2, "complete").basis(1)
+    basis = standard_basis(p2, 1)
     assert basis == tuple(HomogPoly.variable(3, i) for i in range(3))
+    assert GradedSystem(p2, "complete").dimension(1) == 3
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_dimension_matches_standard_basis(name):
+    # the closed-form Hilbert function against the enumerated standard
+    # monomials of degree c*m
+    for c in (1, 2):
+        case = make_case(name, c)
+        for kind in KINDS:
+            system = GradedSystem(case, kind)
+            for m in range(1, 7):
+                assert system.dimension(m) == len(standard_basis(case, m)), \
+                    (c, kind, m)
+    with pytest.raises(ValueError, match="levels start at 1"):
+        GradedSystem(make_case(name), "complete").dimension(0)
 
 
 def test_complete_dimensions(quadric, fermat):
@@ -56,7 +73,7 @@ def test_products_span_the_standard_monomials(name):
 def test_powers_basis_spans_inside_complete(quadric):
     coords = graded_monomials(4, 2)
     complete_rows = [p.coefficient_vector(coords)
-                     for p in GradedSystem(quadric, "complete").basis(2)]
+                     for p in standard_basis(quadric, 2)]
     for p in powers_basis(quadric, 2):
         assert linear_solve(complete_rows,
                             p.coefficient_vector(coords)) is not None
@@ -83,14 +100,14 @@ def test_unknown_kind_rejected(p2):
 
 
 def test_p2_level_one_value_set(p2):
-    basis = GradedSystem(p2, "complete").basis(1)
+    basis = standard_basis(p2, 1)
     expected = ((0, 0), (0, 1), (1, 0))
     assert expansion_value_set(basis, p2.flag) == expected
     assert semigroup(p2, "complete", 1).level(1) == expected
 
 
 def test_fermat_level_one_value_set_golden(fermat):
-    basis = GradedSystem(fermat, "complete").basis(1)
+    basis = standard_basis(fermat, 1)
     computed = semigroup(fermat, "complete", 1).level(1)
     assert computed == oracle_value_set(fermat, basis)
     assert expansion_value_set(basis, fermat.flag) == computed
@@ -107,7 +124,8 @@ def test_value_set_cardinality_equals_dimension(p2, p3, quadric, fermat):
     for case in (p2, p3, quadric, fermat):
         system = GradedSystem(case, "complete")
         for m in (1, 2, 3):
-            assert len(expansion_value_set(system.basis(m), case.flag)) == \
+            assert len(expansion_value_set(standard_basis(case, m),
+                                           case.flag)) == \
                 system.dimension(m)
 
 
@@ -116,7 +134,7 @@ def test_value_set_invariant_under_basis_change(p3, quadric, fermat):
     rng = random.Random(23)
     for case, m in ((quadric, 2), (fermat, 1), (quadric, 4), (fermat, 3),
                     (p3, 3)):
-        basis = list(GradedSystem(case, "complete").basis(m))
+        basis = list(standard_basis(case, m))
         reference = expansion_value_set(basis, case.flag)
         assert reference == semigroup(case, "complete", m).level(m)
         dim = len(basis)
@@ -151,10 +169,10 @@ def _reducible_final_curve_case():
 def test_reducible_final_curve_rejected():
     case, x = _reducible_final_curve_case()
     with pytest.raises(ZeroSectionError, match="d' = 1"):
-        case.flag.final_stage.value_set(1)
-    # the echelon grows from degree 0, so a higher degree names d' = 1 too
+        case.flag.final_stage.value_sets(1)
+    # the echelon grows from degree 0, so a higher top names d' = 1 too
     with pytest.raises(ZeroSectionError, match="d' = 1"):
-        _reducible_final_curve_case()[0].flag.final_stage.value_set(4)
+        case.flag.final_stage.value_sets(4)
     with pytest.raises(ZeroSectionError):
         semigroup(case, "complete", 2)
     stage = case.flag.final_stage
@@ -241,10 +259,9 @@ def test_semigroup_matches_level_echelon(name, kind):
     for c, max_level in ((1, 4), (2, 2)):
         levels = semigroup(make_case(name, c), kind, max_level).levels
         case = make_case(name, c)
-        system = GradedSystem(case, kind)
         for m in range(1, max_level + 1):
             basis = (powers_basis(case, m) if kind == "powers"
-                     else system.basis(m))
+                     else standard_basis(case, m))
             assert levels[m] == expansion_value_set(basis, case.flag), m
 
 
@@ -260,22 +277,42 @@ def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
-    # over two semigroup calls, each monomial free of the chart coordinate
-    # enters the final stage's one echelon once: d'+1 rows for each
-    # d' <= c*M = 6
-    case = make_case("quadric_surface", 2)
-    stage = case.flag.final_stage
-    entered = 0
+    # one semigroup call enters each standard row t^i u^(d'-i) of the final
+    # line, conic or cubic once, for d' <= c*M = 6: the growth
+    # (C(d'+2, 2) - C(d'-e+2, 2)) - (C(d'+1, 2) - C(d'-e+1, 2)) = min(d'+1, e)
+    # of the graded piece's dimension in each degree; a second call keeps
+    # nothing of the first
+    entered = []
     add = Echelon.add
 
     def counting_add(echelon, row):
-        nonlocal entered
-        entered += echelon is stage._echelon
+        entered[-1] += 1
         return add(echelon, row)
     monkeypatch.setattr(Echelon, "add", counting_add)
-    semigroup(case, kind, 3)
-    semigroup(case, kind, 3)
-    assert entered == sum(d + 1 for d in range(7))
+    for name in ("p3", "quadric_surface", "fermat_cubic"):
+        case = make_case(name, 2)
+        e = case.flag.final_stage.curve_degree
+
+        def dim(d):
+            return comb(d + 2, 2) - comb(max(d - e + 2, 0), 2)
+        entered.clear()
+        for _call in range(2):
+            entered.append(0)
+            semigroup(case, kind, 3)
+        expected = sum(dim(d) - (dim(d - 1) if d else 0) for d in range(7))
+        assert entered == [expected, expected] == [dim(6), dim(6)], name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_levels_homogeneous_in_c(name, kind):
+    # level m of the case scaled by c is level c*m of the unscaled case
+    max_level = 3
+    for c in (2, 3):
+        scaled = semigroup(make_case(name, c), kind, max_level)
+        unscaled = semigroup(make_case(name), kind, c * max_level)
+        for m in range(1, max_level + 1):
+            assert scaled.level(m) == unscaled.level(c * m), (c, m)
 
 
 # -- bodies and certification ----------------------------------------------------------

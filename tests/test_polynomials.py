@@ -98,6 +98,15 @@ def test_non_int_exponents_rejected(exps):
         HomogPoly(3, 1, {exps: 0})
 
 
+@pytest.mark.parametrize("terms", [{(5, 5): 0}, {(1, 1, 0): 0},
+                                   {(1, 0): 0}, {(2, -1, 0): 0}])
+def test_zero_coefficient_term_still_checked(terms):
+    # a term is checked against the length and degree before its zero
+    # coefficient drops it
+    with pytest.raises(ValueError, match="exponent tuple"):
+        HomogPoly(3, 1, terms)
+
+
 def test_partial():
     assert FERMAT.partial(3) == 3 * W ** 2
 

@@ -6,7 +6,7 @@ import pytest
 
 from okbody import make_case, valuation
 from okbody.linalg import rank
-from okbody.okounkov import GradedSystem, body_estimate, semigroup
+from okbody.okounkov import body_estimate, semigroup
 from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
                                 poly_divmod)
 from okbody.series import PrecisionError, series_solve_branch
@@ -16,7 +16,7 @@ from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
 from oracles import (expansion_value_set, form_along_branch, linear_solve,
                      oracle_valuation, oracle_value_set, per_degree_value_set,
-                     riemann_roch_orders)
+                     riemann_roch_orders, standard_basis)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -237,13 +237,12 @@ def _count_branch_solves(monkeypatch) -> list[int]:
 
 def test_branch_computed_once_per_precision(monkeypatch):
     case = make_case("quadric_surface")
-    system = GradedSystem(case, "complete")
-    expected = {m: oracle_value_set(case, system.basis(m)) for m in range(1, 5)}
+    expected = {m: oracle_value_set(case, standard_basis(case, m))
+                for m in range(1, 5)}
     computed = _count_branch_solves(monkeypatch)
     fresh = make_case("quadric_surface")
     assert semigroup(fresh, "complete", 4).levels == expected
-    # the top degree fills the powers of the branch at full precision
-    # first, and the lower degrees read them from the cache
+    # every degree reads the powers of the branch at full precision
     assert len(computed) == 1
 
 
@@ -294,43 +293,52 @@ def test_final_series_on_a_line():
 def test_final_value_sets_match_riemann_roch(name):
     # a line (p2, p3), a conic (the quadrics) and a cubic at a flex
     stage = make_case(name).flag.final_stage
-    for degree in range(13):
-        assert stage.value_set(degree) == riemann_roch_orders(
-            stage.curve_degree, degree), degree
+    for degree, orders in enumerate(stage.value_sets(12)):
+        assert orders == riemann_roch_orders(stage.curve_degree,
+                                             degree), degree
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_nested_value_sets_match_per_degree_echelon(name):
-    # the one echelon grown across degrees gives each degree's pivots, asked
-    # on fresh stages in rising, falling and shuffled order
+    # the standard rows of one echelon give each degree's pivots, the same
+    # as every monomial of that degree alone, whatever the top degree and
+    # however often the same stage is asked
     reference = make_case(name).flag.final_stage
-    expected = {d: per_degree_value_set(reference, d) for d in range(13)}
-    shuffled = list(range(13))
-    random.Random(9).shuffle(shuffled)
-    for order in (range(13), range(12, -1, -1), shuffled):
-        stage = make_case(name).flag.final_stage
-        for degree in order:
-            assert stage.value_set(degree) == expected[degree], (order, degree)
+    expected = tuple(per_degree_value_set(reference, d) for d in range(13))
+    stage = make_case(name).flag.final_stage
+    for top in (12, 0, 5, 12):
+        assert stage.value_sets(top) == expected[:top + 1], top
 
 
 def test_semigroup_solves_the_branch_once(monkeypatch):
-    # semigroup asks for the top degree first, so the lower degrees read
+    # semigroup asks for every degree in one call, so every degree reads
     # the powers of the branch at full precision
     computed = _count_branch_solves(monkeypatch)
     semigroup(make_case("fermat_cubic"), "complete", 12)
     assert computed == [37]
 
 
-def test_branch_powers_double_under_rising_precision(monkeypatch):
-    # the series of every monomial of degree 1 .. 12 in rising order ask
-    # for precisions 4 .. 37, and doubling solves the branch at 4, 8, 16,
-    # 32 and 64 only
+def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
+    # a higher precision solves the branch again at that precision, and a
+    # lower one reads the cache
     computed = _count_branch_solves(monkeypatch)
     stage = make_case("fermat_cubic").flag.final_stage
-    for degree in range(1, 13):
-        for mono in graded_monomials(3, degree):
-            stage.series(HomogPoly.monomial(mono))
-    assert computed == [4, 8, 16, 32, 64]
+    for top in (2, 1, 5, 12, 3):
+        stage.value_sets(top)
+    assert computed == [7, 16, 37]
+
+
+def test_value_sets_refuse_a_curve_through_the_chart_line():
+    # x0 (x0 x2 - x1^2) contains the line {x0 = 0}, so its f(t, u) = u - t^2
+    # lacks degree e = 3, and the conic's equation, of degree 2, vanishes
+    # on the branch at (1:0:0) without vanishing on the curve
+    x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
+    curve = x0 * (x0 * x2 - x1 ** 2)
+    for top in (2, 3, 7):
+        stage = valuation._FinalStage(3, curve, (Fraction(1), Fraction(0),
+                                                 Fraction(0)), 0, 1, 2)
+        with pytest.raises(ZeroSectionError, match="d' = 2"):
+            stage.value_sets(top)
 
 
 def test_ord_of_coordinate_at_flex():
@@ -383,6 +391,19 @@ def test_ord_checks_its_input_first(section, curve, point, chart, param,
     with pytest.raises(ValueError, match=message):
         ord_at_point_on_curve(section, curve, point, chart_var=chart,
                               param_var=param)
+
+
+@pytest.mark.parametrize("point", [(1.0, -1, 0), ("1", -1, 0),
+                                   (Fraction(1), -1, 0.0)])
+def test_ord_rejects_inexact_point(point):
+    # Fraction would read 1.0 and "1" as 1; they are refused as in Flag
+    z = HomogPoly.variable(3, 2)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        ord_at_point_on_curve(z, PLANE_CUBIC, point, chart_var=0,
+                              param_var=2)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        series_solve_branch(PLANE_CUBIC, point, 4, chart_var=0, param_var=2,
+                            dep_var=1)
 
 
 def test_ord_rejects_section_vanishing_on_curve():
