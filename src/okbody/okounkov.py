@@ -22,22 +22,23 @@ each its own normal form, so the degree-D piece has the value set
   {(k_1, ..., k_{n-1}, j) : sum k_i <= D, j in V(D - sum k_i)}
 
 in lex order, V(d') being the value set of the degree-d' forms on the final
-curve or line; the final stage gives V(0), ..., V(c*M) in one pass.
+curve or line; the final stage gives V(0), ..., V(c*M) in one pass, and a
+semigroup keeps only these sets, building a level's vectors when read.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
-value semigroup; its cone slice at height one is an inner estimate of the
-limit body.  When every vertex of a candidate polytope that is also a valid
-outer bound already occurs among the level-1 vectors, the semigroup
-generated by the full system is finitely generated (the vertex criterion),
-and the body equals the candidate.
+value semigroup; its cone slice at height one, hulled from each piece's
+corners, is an inner estimate of the limit body.  When every vertex of a
+candidate polytope that is also a valid outer bound already occurs among
+the level-1 vectors, the semigroup generated by the full system is finitely
+generated (the vertex criterion), and the body equals the candidate.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .convex import GradedPoint, RationalPolytope, cone_slice
 from .varieties import CaseStudy
@@ -79,53 +80,77 @@ class GradedSystem:
 
 @dataclass(frozen=True)
 class OkounkovSemigroup:
-    """The enumerated levels 1..max_level of the graded value semigroup of
-    one case study and one kind of graded system."""
+    """Levels 1..max_level of the graded value semigroup of one case study
+    and one kind of graded system, held as curve = (V(0), ..., V(c*M)) and
+    steps = n - 1; level m, built when read and kept, is the set of prefix +
+    (j,) with sum(prefix) = s <= c*m and j in V(c*m - s)."""
 
     case: CaseStudy
     kind: str
     max_level: int
-    levels: dict[int, tuple[Vector, ...]]
+    curve: tuple[tuple[int, ...], ...]
+    steps: int
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def pieces(self, m: int) -> Iterator[tuple[Vector, tuple[int, ...]]]:
+        """Level m as pairs (prefix, V(c*m - sum(prefix))), in lex order:
+        (prefix, c*m - sum(prefix)) runs over the monomials of degree c*m."""
+        from .polynomials import graded_monomials
+        if not 1 <= m <= self.max_level:
+            raise KeyError(m)
+        degree = self.case.section_degree(m)
+        for e in reversed(graded_monomials(self.steps + 1, degree)):
+            yield e[:-1], self.curve[e[-1]]
 
     def level(self, m: int) -> tuple[Vector, ...]:
-        return self.levels[m]
+        if m not in self._built:
+            self._built[m] = tuple(prefix + (j,) for prefix, values
+                                   in self.pieces(m) for j in values)
+        return self._built[m]
+
+    @property
+    def levels(self) -> dict[int, tuple[Vector, ...]]:
+        return {m: self.level(m) for m in range(1, self.max_level + 1)}
 
     def graded_points(self) -> list[GradedPoint]:
         return [GradedPoint(vec, m)
-                for m in sorted(self.levels)
-                for vec in self.levels[m]]
+                for m, level in self.levels.items() for vec in level]
 
 
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
-    """Enumerate value sets for all levels 1..max_level, each assembled from
-    the final stage's value sets V(d') as in the module docstring, all
-    computed in one call.  A level whose system's dimension is not the full
-    piece's raises ValueError."""
+    """Levels 1..max_level from the final stage's value sets V(d'), all
+    computed in one call.  A level whose system's dimension differs from the
+    full piece's, sum_s C(s+n-2, n-2) |V(c*m - s)|, raises ValueError."""
+    if type(max_level) is not int:
+        raise TypeError(f"max_level must be an int, not {max_level!r}")
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    system = GradedSystem(case, kind)
+    system, p = GradedSystem(case, kind), len(case.flag.stages)
     curve = case.flag.final_stage.value_sets(case.section_degree(max_level))
-
-    def piece(degree: int, steps: int) -> list[Vector]:
-        if not steps:
-            return [(j,) for j in curve[degree]]
-        return [(k,) + rest for k in range(degree + 1)
-                for rest in piece(degree - k, steps - 1)]
-
-    levels = {m: tuple(piece(case.section_degree(m), len(case.flag.stages)))
-              for m in range(1, max_level + 1)}
-    for m, level in levels.items():
-        if len(level) != system.dimension(m):
+    for m in range(1, max_level + 1):
+        degree = case.section_degree(m)
+        size = sum((comb(s + p - 1, p - 1) if p else s == 0)
+                   * len(curve[degree - s]) for s in range(degree + 1))
+        if size != system.dimension(m):
             raise ValueError(f"level {m}: the {kind} system's dimension "
-                             f"{system.dimension(m)} is not {len(level)}, "
+                             f"{system.dimension(m)} is not {size}, "
                              "that of the full graded piece")
-    return OkounkovSemigroup(case, kind, max_level, levels)
+    return OkounkovSemigroup(case, kind, max_level, tuple(curve), p)
 
 
 def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
     """Height-one cone slice over every enumerated graded point: an exact
-    inner approximation of the limit body, monotone in max_level."""
-    return cone_slice(sg.graded_points())
+    inner approximation of the limit body, monotone in max_level.  The piece
+    of prefix sum s is a product, conv(s*e_i) times V(c*m - s), so its hull
+    is that of (s*e_i, min V) and (s*e_i, max V)."""
+    p = sg.steps
+    return cone_slice(
+        GradedPoint(tuple(s if a == i else 0 for a in range(p)) + (j,), m)
+        for m in range(1, sg.max_level + 1)
+        for degree in [sg.case.section_degree(m)]
+        for s in range(degree + 1 if p else 1) for i in range(max(p, 1))
+        for j in {sg.curve[degree - s][0], sg.curve[degree - s][-1]})
 
 
 def vertex_criterion(candidate: RationalPolytope,
@@ -147,39 +172,47 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
     """Smallest k <= kmax such that every enumerated graded point above
     level k is a sum of enumerated graded points of level <= k (brute-force
     decomposition search), or None if no such k exists below the bound.
+    Vectors are packed into ints in base M*K + 1, K the largest
+    ceil(entry / level): sums up to level M never carry.
 
     This is an empirical witness on the enumerated levels only; it is never
     a certificate by itself.
     """
+    if type(kmax) is not int:
+        raise TypeError(f"kmax must be an int, not {kmax!r}")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    zero = (0,) * len(sg.levels[1][0])
+    top = range(1, sg.max_level + 1)
+    base = sg.max_level * max(-(-max((*prefix, values[-1])) // m) for m in top
+                              for prefix, values in sg.pieces(m) if values) + 1
+    weights = [base ** (sg.steps - i) for i in range(sg.steps)]
+    levels = {m: {head + j for prefix, values in sg.pieces(m)
+                  for head in [sum(k * w for k, w in zip(prefix, weights))]
+                  for j in values} for m in top}
     for k in range(1, kmax + 1):
-        generated: dict[int, set[Vector]] = {0: {zero}}
-        ok = True
-        for m in range(1, sg.max_level + 1):
-            reachable: set[Vector] = set()
-            for j in range(1, min(k, m) + 1):
-                for prev in generated[m - j]:
-                    for vec in sg.levels[j]:
-                        reachable.add(tuple(a + b for a, b in zip(prev, vec)))
-            generated[m] = reachable
-            if m > k and not set(sg.levels[m]) <= reachable:
-                ok = False
+        generated = {0: {0}}
+        for m in top:
+            generated[m] = {a + b for j in range(1, min(k, m) + 1)
+                            for a in generated[m - j] for b in levels[j]}
+            if m > k and not levels[m] <= generated[m]:
                 break
-        if ok:
+        else:
             return k
     return None
 
 
 def semigroup_to_json(sg: OkounkovSemigroup) -> str:
     """Canonical UTF-8 text form with integer entries, levels in increasing
-    order and vectors lex-sorted.  Bit-exact across runs."""
-    payload = {
-        "case": sg.case.name,
-        "kind": sg.kind,
-        "M": sg.max_level,
-        "levels": {str(m): [list(vec) for vec in sg.levels[m]]
-                   for m in sorted(sg.levels)},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    order and vectors lex-sorted, bit-exact across runs: the text of
+    json.dumps(payload, indent=2) and a newline, written from the pieces."""
+    levels = []
+    for m in range(1, sg.max_level + 1):
+        vectors = []
+        for prefix, values in sg.pieces(m):
+            head = "".join(f"        {k},\n" for k in prefix)
+            vectors += [f"      [\n{head}        {j}\n      ]" for j in values]
+        body = "[\n" + ",\n".join(vectors) + "\n    ]" if vectors else "[]"
+        levels.append(f'    "{m}": {body}')
+    return (f'{{\n  "case": {json.dumps(sg.case.name)},\n'
+            f'  "kind": {json.dumps(sg.kind)},\n  "M": {sg.max_level},\n'
+            '  "levels": {\n' + ",\n".join(levels) + "\n  }\n}\n")

@@ -55,6 +55,8 @@ class CaseStudy:
     c: int
 
     def __post_init__(self):
+        if type(self.c) is not int:
+            raise TypeError(f"c must be an int, not {self.c!r}")
         if self.c < 1:
             raise ValueError(f"c must be a positive integer, not {self.c}")
 

@@ -16,6 +16,8 @@ scans E(F_p) with the library's group law, so it checks the witness tables
 of okbody.elliptic rather than the arithmetic.  The flag-expansion value
 set takes each final block's series from the flag's final stage, so it
 checks how a graded piece's value set is assembled from the final curve's.
+The generation-degree oracle adds the enumerated vectors as tuples, entry
+by entry, where the library packs each vector into one int.
 """
 
 from __future__ import annotations
@@ -503,4 +505,26 @@ def oracle_single_point_member(curve, points):
     for candidate in curve.points:
         if curve.mul(d, candidate) == target:
             return candidate
+    return None
+
+
+# -- generation degree by tuple sums ------------------------------------------
+
+
+def brute_generation_degree(levels, kmax):
+    """Smallest k <= kmax such that every vector of each level m > k is a sum
+    of vectors of levels j_1 + ... + j_r = m with every j_i <= k, or None;
+    levels maps 1..M to tuples of equal-length int vectors."""
+    zero = (0,) * len(next(v for level in levels.values() for v in level))
+    for k in range(1, kmax + 1):
+        generated = {0: {zero}}
+        for m in range(1, len(levels) + 1):
+            generated[m] = {tuple(a + b for a, b in zip(prev, vec))
+                            for j in range(1, min(k, m) + 1)
+                            for prev in generated[m - j]
+                            for vec in levels[j]}
+            if m > k and not set(levels[m]) <= generated[m]:
+                break
+        else:
+            return k
     return None

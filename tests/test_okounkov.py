@@ -6,15 +6,17 @@ import pytest
 
 from okbody.convex import dilate, polytope_equal, polytope_subset, scaled_simplex
 from okbody.linalg import Echelon, rank
-from okbody.okounkov import (KINDS, GradedSystem, body_estimate,
-                             generation_degree, semigroup,
+from okbody.convex import cone_slice
+from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
+                             body_estimate, generation_degree, semigroup,
                              semigroup_to_json, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.valuation import Flag, ZeroSectionError
 from okbody.varieties import CASE_NAMES, CaseStudy, make_case, verify_flag
 
-from oracles import (expansion_value_set, linear_solve, oracle_value_set,
-                     powers_basis, standard_basis)
+from oracles import (brute_generation_degree, expansion_value_set,
+                     linear_solve, oracle_value_set, powers_basis,
+                     standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
@@ -342,6 +344,46 @@ def test_homogeneity_of_bodies():
         assert polytope_equal(body_2, dilate(body_1, 2))
 
 
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_body_matches_hull_of_every_vector(name):
+    # the body is hulled from each piece's corners; the oracle hulls every
+    # enumerated vector
+    for c in (1, 2):
+        for kind in KINDS:
+            for max_level in (1, 2, 3, 4):
+                sg = semigroup(make_case(name, c), kind, max_level)
+                assert body_estimate(sg) == cone_slice(
+                    sg.graded_points()), (c, kind, max_level)
+
+
+def test_curve_case_without_steps_matches_oracles():
+    # n = 1: the plane cubic itself, flagged at its flex (1:-1:0), so every
+    # vector is (j,) with j in V(c*m) and no prefix
+    import json
+    relation = HomogPoly(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    flag = Flag(3, relation, [], HomogPoly.linear_form([1, 1, 0]),
+                (1, -1, 0), chart_var=0, parameter_var=2)
+    for c in (1, 2):
+        sg = semigroup(CaseStudy("cubic_curve", flag, c), "complete", 4)
+        assert sg.steps == 0
+        assert sg.level(1) == tuple((j,) for j in sg.curve[c])
+        assert body_estimate(sg) == cone_slice(sg.graded_points())
+        assert body_estimate(sg) == scaled_simplex(1, c, 3)
+        assert (generation_degree(sg, 4)
+                == brute_generation_degree(sg.levels, 4) == 1)
+        payload = {"case": "cubic_curve", "kind": "complete", "M": 4,
+                   "levels": {str(m): [list(vec) for vec in level]
+                              for m, level in sg.levels.items()}}
+        assert semigroup_to_json(sg) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name, max_level", [
+    ("quadric_surface", 30), ("p3", 20), ("fermat_cubic", 24)])
+def test_body_matches_hull_of_every_vector_at_large_levels(name, max_level):
+    sg = semigroup(make_case(name), "complete", max_level)
+    assert body_estimate(sg) == cone_slice(sg.graded_points())
+
+
 def test_vertex_criterion_examples():
     triangle = scaled_simplex(2, 1, 3)
     assert vertex_criterion(triangle, {(0, 0), (0, 1), (0, 3), (1, 0)})
@@ -368,13 +410,59 @@ def test_generation_degree_single_level(p2):
     assert generation_degree(semigroup(p2, "complete", 1), 1) == 1
 
 
-def test_generation_degree_not_found():
-    # a semigroup whose level-2 point is not a sum of level-1 points
-    from okbody.okounkov import OkounkovSemigroup
-    fake = OkounkovSemigroup(None, "complete", 2,
-                             {1: ((0, 0),), 2: ((1, 1),)})
+def test_generation_degree_not_found(p2):
+    # a semigroup whose level-2 point is not a sum of level-1 points: no
+    # prefix, V(1) = {0} and V(2) = {1}
+    fake = OkounkovSemigroup(p2, "complete", 2, ((0,), (0,), (1,)), 0)
+    assert fake.levels == {1: ((0,),), 2: ((1,),)}
     assert generation_degree(fake, 1) is None
     assert generation_degree(fake, 2) == 2
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_generation_degree_matches_tuple_oracle(name):
+    for c in (1, 2):
+        for max_level in (1, 2, 3, 4):
+            sg = semigroup(make_case(name, c), "complete", max_level)
+            assert (generation_degree(sg, max_level)
+                    == brute_generation_degree(sg.levels, max_level)
+                    == 1), (c, max_level)
+
+
+def _fake(c, steps, curve):
+    return OkounkovSemigroup(make_case("p2", c), "complete",
+                             (len(curve) - 1) // c, curve, steps)
+
+
+@pytest.mark.parametrize("c, steps, curve, expected", [
+    (1, 0, ((0,), (0,), (1,), (2,)), 3),      # None below kmax = 3
+    (1, 1, ((0,), (0, 2), (1, 3)), 2),
+    (1, 1, ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)), 1),
+    (1, 2, ((0,), (1,), (0, 3), (2,)), 3),
+    (2, 1, ((2, 3, 4), (0, 6, 7), (0, 5, 6), (), (), (), (5,)), 3),
+    # in base 8 (the largest entry + 1) the level-2 + level-1 sum (1, 10)
+    # reads as the level-3 vector (2, 2), which no sum reaches, and the
+    # search would stop at k = 2; the base M*K + 1 = 22 does not carry
+    (1, 1, ((6,), (2, 7), (4,), ()), 3),
+])
+def test_generation_degree_of_fakes_matches_tuple_oracle(c, steps, curve,
+                                                         expected):
+    sg = _fake(c, steps, curve)
+    for kmax in range(1, sg.max_level + 1):
+        oracle = brute_generation_degree(sg.levels, kmax)
+        assert generation_degree(sg, kmax) == oracle
+        assert oracle == (expected if kmax >= expected else None)
+
+
+def test_generation_degree_of_seeded_fakes_matches_tuple_oracle():
+    rng = random.Random(17)
+    for _trial in range(200):
+        c, steps, max_level = rng.choice((1, 2)), rng.choice((0, 1, 2)), 3
+        curve = tuple(tuple(sorted(rng.sample(range(9), rng.randint(1, 3))))
+                      for _d in range(c * max_level + 1))
+        sg = _fake(c, steps, curve)
+        assert (generation_degree(sg, max_level)
+                == brute_generation_degree(sg.levels, max_level)), curve
 
 
 # -- export -----------------------------------------------------------------------
@@ -389,3 +477,41 @@ def test_semigroup_json_deterministic(fermat):
     assert data["levels"]["1"] == [[0, 0], [0, 1], [0, 3], [1, 0]]
     assert data["M"] == 2
     assert data["kind"] == "complete"
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_semigroup_json_matches_json_dumps(name):
+    import json
+    for c in (1, 2):
+        for kind in KINDS:
+            sg = semigroup(make_case(name, c), kind, 3)
+            payload = {"case": sg.case.name, "kind": sg.kind,
+                       "M": sg.max_level,
+                       "levels": {str(m): [list(vec) for vec in level]
+                                  for m, level in sg.levels.items()}}
+            assert (semigroup_to_json(sg)
+                    == json.dumps(payload, indent=2) + "\n"), (c, kind)
+
+
+def test_semigroup_json_of_empty_levels_matches_json_dumps(p2):
+    import json
+    sg = OkounkovSemigroup(p2, "complete", 2, ((), (), (1, 2)), 0)
+    assert sg.levels == {1: (), 2: ((1,), (2,))}
+    payload = {"case": "p2", "kind": "complete", "M": 2,
+               "levels": {"1": [], "2": [[1], [2]]}}
+    assert semigroup_to_json(sg) == json.dumps(payload, indent=2) + "\n"
+
+
+# -- argument types -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 1.5, "2"])
+def test_semigroup_refuses_a_non_int_max_level(p2, value):
+    with pytest.raises(TypeError, match="max_level"):
+        semigroup(p2, "complete", value)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 1.5, None])
+def test_generation_degree_refuses_a_non_int_kmax(p2, value):
+    with pytest.raises(TypeError, match="kmax"):
+        generation_degree(semigroup(p2, "complete", 2), value)

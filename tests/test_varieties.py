@@ -60,6 +60,16 @@ def test_nonpositive_c_rejected():
         CaseStudy("p2", make_case("p2").flag, 0)
 
 
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "2"])
+def test_non_int_c_rejected(value):
+    # a bool or float c would be written into a fixture that
+    # case_study_from_json refuses, or fail later inside range()
+    with pytest.raises(TypeError, match=f"c must be an int, not {value!r}"):
+        make_case("p2", value)
+    with pytest.raises(TypeError, match="c must be an int"):
+        CaseStudy("p2", make_case("p2").flag, value)
+
+
 def test_relation_scaled_monic():
     fermat = make_case("fermat_cubic")
     assert fermat.flag.relation.terms[(0, 0, 0, 3)] == 1
