@@ -1,35 +1,29 @@
 #!/usr/bin/env python3
 """Export semigroups, bodies and normal fans for every shipped case study.
 
-Writes the canonical JSON files into the chosen output directory (default
-./out) for both graded-system kinds, and prints a one-line summary per
-artifact.  Outputs are bit-exact across runs.
+Runs ``okbody compute`` and ``okbody export-toric`` with ``--kind both`` for
+each case, so the canonical JSON files of both graded-system kinds land in
+the chosen output directory (default ./out) under the CLI's own names.
+Outputs are bit-exact across runs.  Exits 1 when any command fails.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from okbody.convex import normal_fan_rays, polytope_to_json
-from okbody.okounkov import body_estimate, semigroup, semigroup_to_json
-from okbody.varieties import CASE_NAMES, make_case
+from okbody.cli import main
+from okbody.varieties import CASE_NAMES
 
 
-def export(out_dir: Path, c: int, max_level: int) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def export(out_dir: Path, c: int, max_level: int) -> bool:
+    """True when both commands succeed for every case."""
+    ok = True
     for name in CASE_NAMES:
-        case = make_case(name, c)
-        for kind in ("powers", "complete"):
-            sg = semigroup(case, kind, max_level)
-            body = body_estimate(sg)
-            stem = f"{name}_c{c}_M{max_level}_{kind}"
-            (out_dir / f"{stem}_semigroup.json").write_text(
-                semigroup_to_json(sg), encoding="utf-8")
-            (out_dir / f"{stem}_body.json").write_text(
-                polytope_to_json(body), encoding="utf-8")
-            rays = normal_fan_rays(body)
-            print(f"{stem}: dim V_1 = {len(sg.level(1))}, "
-                  f"body vertices {[tuple(map(str, v)) for v in body.vertices]}, "
-                  f"fan rays {list(rays)}")
+        options = ["--case", name, "--c", str(c), "--max-level",
+                   str(max_level), "--kind", "both", "--out", str(out_dir)]
+        for command in ("compute", "export-toric"):
+            ok = main([command, *options]) == 0 and ok
+    return ok
 
 
 if __name__ == "__main__":
@@ -38,4 +32,4 @@ if __name__ == "__main__":
     parser.add_argument("--c", type=int, default=1)
     parser.add_argument("--max-level", type=int, default=4)
     args = parser.parse_args()
-    export(args.out, args.c, args.max_level)
+    sys.exit(0 if export(args.out, args.c, args.max_level) else 1)

@@ -370,15 +370,26 @@ def polytope_to_json(polytope: RationalPolytope) -> str:
 
 
 def polytope_from_json(text: str) -> RationalPolytope:
-    """The polytope of a text that ``polytope_to_json`` wrote: an int dim
-    and vertex entries that are "p/q" strings or ints.  Anything else, a
-    JSON float or bool included, is a ValueError naming the entry."""
+    """The polytope of a text that ``polytope_to_json`` wrote: an object of
+    an int dim and the minimal vertices, lex-sorted, as lists of dim "p/q"
+    strings or ints.  Anything else, a JSON float or bool or a missing key
+    included, is a ValueError naming the entry."""
     data = json.loads(text)
-    dim = data["dim"]
-    if type(dim) is not int:
-        raise ValueError(f"dim {dim!r} is not an int")
-    return RationalPolytope(dim, tuple(tuple(map(_json_rational, v))
-                                       for v in data["vertices"]))
+    if type(data) is not dict or data.keys() != {"dim", "vertices"}:
+        raise ValueError(f"text {data!r} is not an object of dim and vertices")
+    dim, vertices = data["dim"], data["vertices"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dim {dim!r} is not a nonnegative int")
+    if type(vertices) is not list or any(
+            type(v) is not list or len(v) != dim for v in vertices):
+        raise ValueError(f"vertices {vertices!r} are not lists of {dim} "
+                         "entries")
+    polytope = RationalPolytope(dim, tuple(tuple(map(_json_rational, v))
+                                           for v in vertices))
+    if vertices and convex_hull(polytope.vertices) != polytope:
+        raise ValueError(f"vertices {vertices!r} are not those of their hull, "
+                         "lex-sorted")
+    return polytope
 
 
 def _json_rational(entry) -> Fraction:

@@ -6,10 +6,8 @@ systems are available at each level m:
   complete  the full degree-(m*c) graded piece of the coordinate ring,
   powers    the span of all m-fold products of level-1 elements.
 
-On a hypersurface (or projective space) the two are the same piece: every
-standard monomial of degree m*c is a product of m standard monomials of
-degree c (see GradedSystem), so both kinds have the standard monomials as
-basis and the same value sets.
+On a hypersurface (or projective space) the two are the same piece (see
+GradedSystem), so both kinds have the same value sets.
 
 The value set of a level is the set of valuation vectors of the nonzero
 elements of its span (Lazarsfeld and Mustata 2009, section 1; Kaveh and
@@ -22,8 +20,10 @@ each its own normal form, so the degree-D piece has the value set
   {(k_1, ..., k_{n-1}, j) : sum k_i <= D, j in V(D - sum k_i)}
 
 in lex order, V(d') being the value set of the degree-d' forms on the final
-curve or line; the final stage gives V(0), ..., V(c*M) in one pass, and a
-semigroup keeps only these sets, building a level's vectors when read.
+curve or line, all from one pass of the final stage.  A semigroup keeps
+only these sets: its count, body corners and generation search read a
+level's fibers (s, V(c*m - s)) over the prefix sums s, and its vectors are
+built only when read.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; its cone slice at height one, hulled from each piece's
@@ -36,7 +36,7 @@ generated (the vertex criterion), and the body equals the candidate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
@@ -82,32 +82,36 @@ class GradedSystem:
 class OkounkovSemigroup:
     """Levels 1..max_level of the graded value semigroup of one case study
     and one kind of graded system, held as curve = (V(0), ..., V(c*M)) and
-    steps = n - 1; level m, built when read and kept, is the set of prefix +
-    (j,) with sum(prefix) = s <= c*m and j in V(c*m - s)."""
+    steps = n - 1; level m, built when read, is the set of prefix + (j,)
+    with sum(prefix) = s <= c*m and j in V(c*m - s)."""
 
     case: CaseStudy
     kind: str
     max_level: int
     curve: tuple[tuple[int, ...], ...]
     steps: int
-    _built: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+
+    def fibers(self, m: int) -> list[tuple[int, tuple[int, ...]]]:
+        """Level m as the pairs (s, V(c*m - s)), s = 0 .. c*m the prefix
+        sums (0 alone without steps)."""
+        if not 1 <= m <= self.max_level:
+            raise KeyError(m)
+        degree = self.case.section_degree(m)
+        return [(s, self.curve[degree - s])
+                for s in range(degree + 1 if self.steps else 1)]
 
     def pieces(self, m: int) -> Iterator[tuple[Vector, tuple[int, ...]]]:
         """Level m as pairs (prefix, V(c*m - sum(prefix))), in lex order:
         (prefix, c*m - sum(prefix)) runs over the monomials of degree c*m."""
         from .polynomials import graded_monomials
-        if not 1 <= m <= self.max_level:
-            raise KeyError(m)
+        fibers = self.fibers(m)
         degree = self.case.section_degree(m)
         for e in reversed(graded_monomials(self.steps + 1, degree)):
-            yield e[:-1], self.curve[e[-1]]
+            yield e[:-1], fibers[degree - e[-1]][1]
 
     def level(self, m: int) -> tuple[Vector, ...]:
-        if m not in self._built:
-            self._built[m] = tuple(prefix + (j,) for prefix, values
-                                   in self.pieces(m) for j in values)
-        return self._built[m]
+        return tuple(prefix + (j,) for prefix, values in self.pieces(m)
+                     for j in values)
 
     @property
     def levels(self) -> dict[int, tuple[Vector, ...]]:
@@ -128,29 +132,28 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
         raise ValueError("max_level must be at least 1")
     system, p = GradedSystem(case, kind), len(case.flag.stages)
     curve = case.flag.final_stage.value_sets(case.section_degree(max_level))
+    sg = OkounkovSemigroup(case, kind, max_level, curve, p)
     for m in range(1, max_level + 1):
-        degree = case.section_degree(m)
-        size = sum((comb(s + p - 1, p - 1) if p else s == 0)
-                   * len(curve[degree - s]) for s in range(degree + 1))
+        size = sum((comb(s + p - 1, s) if p else 1) * len(values)
+                   for s, values in sg.fibers(m))
         if size != system.dimension(m):
             raise ValueError(f"level {m}: the {kind} system's dimension "
                              f"{system.dimension(m)} is not {size}, "
                              "that of the full graded piece")
-    return OkounkovSemigroup(case, kind, max_level, tuple(curve), p)
+    return sg
 
 
 def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
     """Height-one cone slice over every enumerated graded point: an exact
-    inner approximation of the limit body, monotone in max_level.  The piece
+    inner approximation of the limit body, monotone in max_level.  The fiber
     of prefix sum s is a product, conv(s*e_i) times V(c*m - s), so its hull
-    is that of (s*e_i, min V) and (s*e_i, max V)."""
+    is that of (s*e_i, min V) and (s*e_i, max V); an empty fiber has none."""
     p = sg.steps
     return cone_slice(
         GradedPoint(tuple(s if a == i else 0 for a in range(p)) + (j,), m)
         for m in range(1, sg.max_level + 1)
-        for degree in [sg.case.section_degree(m)]
-        for s in range(degree + 1 if p else 1) for i in range(max(p, 1))
-        for j in {sg.curve[degree - s][0], sg.curve[degree - s][-1]})
+        for s, values in sg.fibers(m) if values
+        for i in range(max(p, 1)) for j in {values[0], values[-1]})
 
 
 def vertex_criterion(candidate: RationalPolytope,
@@ -172,8 +175,8 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
     """Smallest k <= kmax such that every enumerated graded point above
     level k is a sum of enumerated graded points of level <= k (brute-force
     decomposition search), or None if no such k exists below the bound.
-    Vectors are packed into ints in base M*K + 1, K the largest
-    ceil(entry / level): sums up to level M never carry.
+    The prefixes of sum s1 plus those of sum s2 are all the prefixes of sum
+    s1 + s2, so the search adds fibers: A(s1) + V(s2) lies over s1 + s2.
 
     This is an empirical witness on the enumerated levels only; it is never
     a certificate by itself.
@@ -183,18 +186,16 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     top = range(1, sg.max_level + 1)
-    base = sg.max_level * max(-(-max((*prefix, values[-1])) // m) for m in top
-                              for prefix, values in sg.pieces(m) if values) + 1
-    weights = [base ** (sg.steps - i) for i in range(sg.steps)]
-    levels = {m: {head + j for prefix, values in sg.pieces(m)
-                  for head in [sum(k * w for k, w in zip(prefix, weights))]
-                  for j in values} for m in top}
+    fibers = {m: sg.fibers(m) for m in top}
     for k in range(1, kmax + 1):
-        generated = {0: {0}}
+        generated = {0: [{0}]}  # generated[m][s]: sums over s at level m
         for m in top:
-            generated[m] = {a + b for j in range(1, min(k, m) + 1)
-                            for a in generated[m - j] for b in levels[j]}
-            if m > k and not levels[m] <= generated[m]:
+            sums = generated[m] = [set() for _ in fibers[m]]
+            for j in range(1, min(k, m) + 1):
+                for s1, lower in enumerate(generated[m - j]):
+                    for s2, values in fibers[j]:
+                        sums[s1 + s2] |= {a + b for a in lower for b in values}
+            if m > k and any(set(values) - sums[s] for s, values in fibers[m]):
                 break
         else:
             return k

@@ -13,26 +13,20 @@ form down to the last curve of degree e (or line, e = 1).
 
 On that curve, in the chart at the point, t is the parameter's offset, u
 the dependent coordinate's and u(t) the curve's branch.  A form of degree
-d' is f = sum f_ab t^a u^b there, so its series at the point, coefficients
-j = 0 .. d'*e, sums powers of the branch shifted by a; the stage caches
-u^0, u^1, ... at one precision, solving the branch again at a higher one
-when it is asked for.  The order at the point is the first nonzero
-coefficient, exact whenever the form does not vanish on the curve, since
-d'*e bounds it.  As the translation to the point is triangular, the forms
-of degree d' modulo the curve are the polynomials of degree at most d' in
-t and u modulo the curve's f(t, u), whose standard monomials are a basis;
-so the final stage's value sets V(0), ..., V(D), the orders of the nonzero
-forms of each degree modulo the curve, are the pivot sets of one echelon
-that takes the standard monomials' rows degree by degree, in one pass.  The
-valuation vector (k_1, ..., k_{n-1}, j) of a section is never computed one
-section at a time: okbody.okounkov reads each graded piece's value set off
-these, and the flag verifier takes the final form's contact order from the
-final stage.
+d' is f = sum f_ab t^a u^b there, so its series at the point, to t^(d'*e),
+sums powers of the branch shifted by a, and its first nonzero coefficient
+is its order whenever it does not vanish on the curve.  As the translation
+to the point is triangular, the value sets V(0), ..., V(D), the orders of
+the nonzero forms of each degree modulo the curve, are the pivot sets of
+one echelon (see _FinalStage.value_sets).  The final stage keeps no
+state: each call solves the branch once, at the precision it needs.
+okbody.okounkov reads each graded piece's value set off V(d'), and the
+flag verifier the final form's contact order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,19 +73,15 @@ class _Step:
         return moved.coefficient_of(self.pivot, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FinalStage:
-    num_vars: int                 # 3 for a plane curve, 2 for a line
-    relation: HomogPoly | None    # the plane-curve equation, if any
+    relation: HomogPoly | None    # the plane-curve equation; None on a line
     point: tuple[Fraction, ...]
     chart: int
     param: int
     dep: int | None
     # the flag's final form restricted to the curve, when built from a flag
     form: HomogPoly | None = None
-    # u^0, u^1, ... of the branch to one precision (u^0 alone on a line)
-    _powers: list[list[Fraction]] = field(
-        default_factory=lambda: [[]], init=False, repr=False, compare=False)
 
     @property
     def curve_degree(self) -> int:
@@ -109,23 +99,19 @@ class _FinalStage:
 
     def _branch_powers(self, count: int, precision: int
                        ) -> list[list[Fraction]]:
-        """The powers u^0 .. u^(count-1) of the branch to at least the given
-        precision, cached; a higher precision solves the branch again at
-        that precision."""
-        powers = self._powers
-        if precision > len(powers[0]):
-            powers[:] = [[Fraction(1)] + [Fraction(0)] * (precision - 1)]
-            if self.relation is not None:
-                powers.append(list(series_solve_branch(
-                    self.relation, self.point, precision,
-                    chart_var=self.chart, param_var=self.param,
-                    dep_var=self.dep)))
-        length = len(powers[0])
+        """The powers u^0 .. u^(count-1) of the branch to the given
+        precision, from one solve (u^0 alone on a line)."""
+        powers = [[Fraction(1)] + [Fraction(0)] * (precision - 1)]
+        if self.relation is None:
+            return powers
+        powers.append(list(series_solve_branch(
+            self.relation, self.point, precision, chart_var=self.chart,
+            param_var=self.param, dep_var=self.dep)))
         while len(powers) < count:
-            power = [Fraction(0)] * length
+            power = [Fraction(0)] * precision
             for i, a in enumerate(powers[-1]):
                 if a:
-                    for k, b in enumerate(powers[1][:length - i]):
+                    for k, b in enumerate(powers[1][:precision - i]):
                         if b:
                             power[i + k] += a * b
             powers.append(power)
@@ -187,16 +173,18 @@ class _FinalStage:
                 "the final curve contains the chart's line at infinity, so "
                 f"some form of degree d' = {e - 1} vanishes on its branch at "
                 "the point without vanishing on it")
-        # t^a u^b leads f in a degree order with u above t
+        # t^a u^b leads f in a degree order with u above t; the rows t^i
+        # u^(d'-i) read u^0 .. u^top if a > 0, u^0 .. u^(e-1) if a = 0
         a, b = max(lead, key=lambda key: key[1])
+        powers = self._branch_powers(top + 1 if a else min(top + 1, e),
+                                     precision)
         echelon = Echelon(precision)
         sets = []
         for d in range(top + 1):
             for i in range(d + 1):
                 if i >= a and d - i >= b:
                     continue
-                power = self._branch_powers(d - i + 1, precision)[d - i]
-                row = [Fraction(0)] * i + power[:precision - i]
+                row = [Fraction(0)] * i + powers[d - i][:precision - i]
                 if not echelon.add(row) or echelon.rows[-1][1] > d * e:
                     raise ZeroSectionError(
                         f"some form of degree d' = {d} vanishes on the final "
@@ -279,11 +267,10 @@ class Flag:
                              "relation or a line without one")
         chart = alive.index(self.chart_var)
         param = alive.index(self.parameter_var)
-        dep = None
-        if num_vars == 3:
-            dep = next(i for i in range(3) if i not in (chart, param))
-        final = _FinalStage(num_vars, relation, tuple(point), chart, param,
-                            dep, final_form)
+        dep = next((i for i in range(num_vars) if i not in (chart, param)),
+                   None)
+        final = _FinalStage(relation, tuple(point), chart, param, dep,
+                            final_form)
         return stages, final
 
 
@@ -298,6 +285,6 @@ def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
         raise ValueError("expected a form in three variables")
     branch_equation(curve, point, chart_var=chart_var, param_var=param_var,
                     dep_var=dep)
-    stage = _FinalStage(3, curve, tuple(Fraction(_exact(v)) for v in point),
+    stage = _FinalStage(curve, tuple(Fraction(_exact(v)) for v in point),
                         chart_var, param_var, dep)
     return stage.order_and_unit(section)[0]

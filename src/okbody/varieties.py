@@ -193,7 +193,7 @@ def verify_flag(case: CaseStudy) -> FlagReport:
             if smooth else "the relation defines a singular hypersurface"))
 
     stage = flag.final_stage
-    if stage.num_vars == 2:
+    if stage.relation is None:
         checks.append(FlagCheck("final curve smooth", True,
                                 "the final flag curve is a line"))
     else:

@@ -455,7 +455,7 @@ def per_degree_value_set(stage, degree: int) -> tuple[int, ...]:
     from okbody.polynomials import HomogPoly, graded_monomials
 
     rows = [stage.series(HomogPoly.monomial(mono))
-            for mono in graded_monomials(stage.num_vars, degree)]
+            for mono in graded_monomials(len(stage.point), degree)]
     return tuple(row_reduce(rows)[1])
 
 

@@ -431,6 +431,38 @@ def test_polytope_json_reads_only_what_it_writes(text, entry):
         polytope_from_json(text)
 
 
+@pytest.mark.parametrize("text, entry", [
+    ('{"vertices": [["0/1"]]}', "text {'vertices': [['0/1']]}"),
+    ('{"dim": 1}', "text {'dim': 1}"),
+    ("[]", "text []"),
+    ('{"dim": -1, "vertices": []}', "dim -1"),
+    ('{"dim": 1, "vertices": 5}', "vertices 5"),
+    ('{"dim": 1, "vertices": ["0/1"]}', "vertices ['0/1']"),
+    ('{"dim": 2, "vertices": [["0/1"]]}', "vertices [['0/1']]"),
+    ('{"dim": 1, "vertices": [["1/1"], ["0/1"]]}',
+     "vertices [['1/1'], ['0/1']]"),
+    ('{"dim": 1, "vertices": [["0/1"], ["1/2"], ["1/1"]]}',
+     "vertices [['0/1'], ['1/2'], ['1/1']]"),
+    ('{"dim": 1, "vertices": [["0/1"], ["0/1"]]}',
+     "vertices [['0/1'], ['0/1']]"),
+], ids=["missing_dim", "missing_vertices", "list_text", "negative_dim",
+        "int_vertices", "string_vertex", "short_vertex", "unsorted",
+        "not_minimal", "repeated"])
+def test_polytope_json_refuses_malformed_texts(text, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        polytope_from_json(text)
+
+
+def test_polytope_json_texts_of_one_segment_read_equal():
+    # a text reads only when it lists the minimal vertices, lex-sorted, so
+    # every text of the segment [0, 1] that reads gives the same polytope
+    segment = convex_hull([(1,), (0,), (F(1, 2),)])
+    text = polytope_to_json(segment)
+    assert polytope_from_json(text) == segment
+    assert polytope_from_json('{"dim": 1, "vertices": [[0], [1]]}') == segment
+    assert polytope_from_json('{"dim": 1, "vertices": []}').vertices == ()
+
+
 def test_polytope_json_reads_ints_and_signed_fractions():
     text = '{"dim": 2, "vertices": [[0, "-3/4"], ["10/02", 1]]}'
     assert polytope_from_json(text).vertices == ((0, F(-3, 4)), (5, 1))

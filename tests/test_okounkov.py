@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 
@@ -267,6 +268,39 @@ def test_semigroup_matches_level_echelon(name, kind):
             assert levels[m] == expansion_value_set(basis, case.flag), m
 
 
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_fibers_group_each_level_by_prefix_sum(name):
+    # fiber s of level m holds the last entries of the vectors whose prefix
+    # sums to s, for every s <= c*m (s = 0 alone without steps)
+    for c in (1, 2):
+        sg = semigroup(make_case(name, c), "complete", 3)
+        for m in range(1, 4):
+            by_sum = {}
+            for vector in sg.level(m):
+                by_sum.setdefault(sum(vector[:-1]), set()).add(vector[-1])
+            fibers = sg.fibers(m)
+            assert [s for s, _values in fibers] == list(range(c * m + 1))
+            assert {s: tuple(sorted(values))
+                    for s, values in by_sum.items()} == {
+                s: values for s, values in fibers if values}, (c, m)
+    with pytest.raises(KeyError):
+        sg.fibers(4)
+
+
+def test_semigroup_and_final_stage_keep_no_state(fermat):
+    # both are frozen values: reading levels, value sets and series
+    # leaves their attributes as they were
+    sg = semigroup(fermat, "complete", 3)
+    stage = fermat.flag.final_stage
+    before = (dict(vars(sg)), dict(vars(stage)))
+    sg.levels, sg.level(2), stage.value_sets(4)
+    stage.series(HomogPoly.variable(3, 1) ** 2)
+    assert (dict(vars(sg)), dict(vars(stage))) == before
+    for value in (sg, stage):
+        with pytest.raises(FrozenInstanceError):
+            value.cache = {}
+
+
 def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
                                                           quadric):
     dimension = GradedSystem.dimension
@@ -367,6 +401,7 @@ def test_curve_case_without_steps_matches_oracles():
         sg = semigroup(CaseStudy("cubic_curve", flag, c), "complete", 4)
         assert sg.steps == 0
         assert sg.level(1) == tuple((j,) for j in sg.curve[c])
+        assert sg.fibers(1) == [(0, sg.curve[c])]
         assert body_estimate(sg) == cone_slice(sg.graded_points())
         assert body_estimate(sg) == scaled_simplex(1, c, 3)
         assert (generation_degree(sg, 4)
@@ -375,6 +410,14 @@ def test_curve_case_without_steps_matches_oracles():
                    "levels": {str(m): [list(vec) for vec in level]
                               for m, level in sg.levels.items()}}
         assert semigroup_to_json(sg) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_body_skips_an_empty_fiber(p2):
+    # V(1) is empty, so the fiber over s = 0 at level 1 and over s = 1 at
+    # level 2 have no corner
+    sg = OkounkovSemigroup(p2, "complete", 3, ((0,), (), (1,), (2,)), 1)
+    assert sg.fibers(1) == [(0, ()), (1, (0,))]
+    assert body_estimate(sg) == cone_slice(sg.graded_points())
 
 
 @pytest.mark.parametrize("name, max_level", [
@@ -434,17 +477,19 @@ def _fake(c, steps, curve):
                              (len(curve) - 1) // c, curve, steps)
 
 
-@pytest.mark.parametrize("c, steps, curve, expected", [
+FAKES = [
     (1, 0, ((0,), (0,), (1,), (2,)), 3),      # None below kmax = 3
     (1, 1, ((0,), (0, 2), (1, 3)), 2),
     (1, 1, ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)), 1),
     (1, 2, ((0,), (1,), (0, 3), (2,)), 3),
     (2, 1, ((2, 3, 4), (0, 6, 7), (0, 5, 6), (), (), (), (5,)), 3),
-    # in base 8 (the largest entry + 1) the level-2 + level-1 sum (1, 10)
-    # reads as the level-3 vector (2, 2), which no sum reaches, and the
-    # search would stop at k = 2; the base M*K + 1 = 22 does not carry
+    # the level-3 vector (2, 2) is no sum, while the sum (1, 10) of levels
+    # 2 and 1 would read as (2, 2) in base 8, the largest entry + 1
     (1, 1, ((6,), (2, 7), (4,), ()), 3),
-])
+]
+
+
+@pytest.mark.parametrize("c, steps, curve, expected", FAKES)
 def test_generation_degree_of_fakes_matches_tuple_oracle(c, steps, curve,
                                                          expected):
     sg = _fake(c, steps, curve)
@@ -454,10 +499,27 @@ def test_generation_degree_of_fakes_matches_tuple_oracle(c, steps, curve,
         assert oracle == (expected if kmax >= expected else None)
 
 
+@pytest.mark.parametrize("c, curve",
+                         [(c, curve) for c, _steps, curve, _e in FAKES])
+def test_generation_degree_does_not_depend_on_the_steps(c, curve):
+    # with at least one step every prefix sum s <= c*m has prefixes, so the
+    # fibers, and with them the generation degree, are the same for any
+    # number of steps
+    degrees = set()
+    for steps in (1, 2, 3):
+        sg = _fake(c, steps, curve)
+        degree = generation_degree(sg, sg.max_level)
+        assert degree == brute_generation_degree(sg.levels, sg.max_level), \
+            steps
+        degrees.add(degree)
+    assert len(degrees) == 1
+
+
 def test_generation_degree_of_seeded_fakes_matches_tuple_oracle():
     rng = random.Random(17)
     for _trial in range(200):
-        c, steps, max_level = rng.choice((1, 2)), rng.choice((0, 1, 2)), 3
+        c, max_level = rng.choice((1, 2)), 3
+        steps = rng.choice((0, 1, 2, 3))
         curve = tuple(tuple(sorted(rng.sample(range(9), rng.randint(1, 3))))
                       for _d in range(c * max_level + 1))
         sg = _fake(c, steps, curve)

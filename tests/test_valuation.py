@@ -257,13 +257,13 @@ def _random_form(rng, num_vars, degree):
     make_case("quadric_surface").flag.final_stage,
     make_case("fermat_cubic").flag.final_stage,
     # the flex (1:-1:0) with its chart coordinate scaled to 2
-    valuation._FinalStage(3, PLANE_CUBIC, (Fraction(2), Fraction(-2),
-                                           Fraction(0)), 0, 2, 1),
+    valuation._FinalStage(PLANE_CUBIC, (Fraction(2), Fraction(-2),
+                                        Fraction(0)), 0, 2, 1),
 ], ids=["quadric", "fermat", "scaled_flex"])
 def test_final_series_matches_chart_expansion(stage):
-    # the form in the chart, summed over the cached powers of the branch,
-    # equals sympy's form along the branch; the degrees go up and down so
-    # the cache is rebuilt and then read at lower precisions
+    # the form in the chart, summed over the powers of the branch, equals
+    # sympy's form along the branch; the degrees go up and down, and each
+    # call solves the branch at its own precision
     rng = random.Random(7)
     for degree in (3, 1, 5, 0, 2):
         form = _random_form(rng, 3, degree)
@@ -277,7 +277,7 @@ def test_final_series_matches_chart_expansion(stage):
 
 def test_final_series_on_a_line():
     # at (3:2) in the chart x0 = 1 a binary form is f(1, 2/3 + t)
-    stage = valuation._FinalStage(2, None, (Fraction(3), Fraction(2)), 0, 1,
+    stage = valuation._FinalStage(None, (Fraction(3), Fraction(2)), 0, 1,
                                   None)
     rng = random.Random(8)
     for degree in (2, 0, 4, 1):
@@ -319,13 +319,13 @@ def test_semigroup_solves_the_branch_once(monkeypatch):
 
 
 def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
-    # a higher precision solves the branch again at that precision, and a
-    # lower one reads the cache
+    # each value_sets call solves the branch once, at precision top*e + 1,
+    # and keeps nothing for the next call
     computed = _count_branch_solves(monkeypatch)
     stage = make_case("fermat_cubic").flag.final_stage
     for top in (2, 1, 5, 12, 3):
         stage.value_sets(top)
-    assert computed == [7, 16, 37]
+    assert computed == [7, 4, 16, 37, 10]
 
 
 def test_value_sets_refuse_a_curve_through_the_chart_line():
@@ -335,8 +335,8 @@ def test_value_sets_refuse_a_curve_through_the_chart_line():
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
     curve = x0 * (x0 * x2 - x1 ** 2)
     for top in (2, 3, 7):
-        stage = valuation._FinalStage(3, curve, (Fraction(1), Fraction(0),
-                                                 Fraction(0)), 0, 1, 2)
+        stage = valuation._FinalStage(curve, (Fraction(1), Fraction(0),
+                                              Fraction(0)), 0, 1, 2)
         with pytest.raises(ZeroSectionError, match="d' = 2"):
             stage.value_sets(top)
 
