@@ -6,8 +6,8 @@ the dependent coordinate's offset from the point.  At a smooth point with a
 transversal parameter a_01 is nonzero, and by the implicit function theorem
 one series u(t) with u(0) = 0 solves f(t, u(t)) = 0.  The branch solver
 finds it order by order: the coefficient of t^k in f(t, u(t)) is a_01 u_k
-plus terms in u_1 .. u_{k-1}, so each coefficient costs one division.  A
-branch is the tuple of its coefficients below the requested precision.
+plus terms in u_1 .. u_{k-1}, so each coefficient costs one division; the
+powers u^j come along, as tuples of coefficients to the precision asked.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ def branch_equation(curve: HomogPoly, point: Sequence[Scalar], *,
     if (0, 0) in f:
         raise ValueError("point does not lie on the curve")
     if (0, 1) not in f:
-        partials = [curve.partial(i).evaluate(point) for i in range(3)]
-        if not any(partials):
+        if not any(curve.partial(i).evaluate(point) for i in range(3)):
             raise ValueError("point is a singular point of the curve")
         raise ValueError("chosen parameter is not transversal at the point")
     return f
@@ -74,16 +73,14 @@ def branch_equation(curve: HomogPoly, point: Sequence[Scalar], *,
 
 def series_solve_branch(curve: HomogPoly, point: Sequence[Scalar],
                         precision: int, *, chart_var: int, param_var: int,
-                        dep_var: int) -> tuple[Fraction, ...]:
-    """Local parametrization of a plane curve at a smooth rational point.
-
-    Returns the coefficients u_0 .. u_{precision-1} of the series u(t) that
-    writes the dependent affine coordinate in the parameter t, normalized so
-    that u(0) = 0 (u is the offset from the point).  The series satisfies
-    f(t, u(t)) = 0 to the requested precision, where f is the dehomogenized
-    curve equation; the branch is unique, so a lower precision gives a
-    prefix of it.
-    """
+                        dep_var: int, count: int
+                        ) -> tuple[tuple[Scalar, ...], ...]:
+    """Powers u^0 .. u^(count-1), to the requested precision, of the branch
+    u(t) of a plane curve at a smooth rational point: u writes the dependent
+    affine coordinate in the parameter t, with u(0) = 0, and f(t, u(t)) = 0
+    to that precision for the dehomogenized curve equation f.  The branch is
+    unique, so a lower precision or count gives a prefix.  Every count
+    checks the curve at the point; only count > 1 solves."""
     if precision < 1:
         raise ValueError("precision must be positive")
     if precision > PRECISION_CAP:
@@ -91,23 +88,27 @@ def series_solve_branch(curve: HomogPoly, point: Sequence[Scalar],
                              f"cap PRECISION_CAP = {PRECISION_CAP}")
     f = branch_equation(curve, point, chart_var=chart_var,
                         param_var=param_var, dep_var=dep_var)
+    # powers[j][k] is the coefficient of t^k in u^j; one with no nonzero
+    # term is the int 0, whose truth test is cheap
+    powers = [[Fraction(1)] + [0] * (precision - 1)]
+    if count < 2:
+        return tuple(map(tuple, powers[:count]))
     # by_u[j] holds the a_ij by i; a_01 u_k is the one term of t^k in u_k
-    by_u: list[dict[int, Fraction]] = [{} for _ in range(
-        1 + max(j for _i, j in f))]
-    for (i, j), c in f.items():
-        by_u[j][i] = c
+    by_u = [{i: c for (i, j), c in f.items() if j == power}
+            for power in range(1 + max(j for _i, j in f))]
     a01 = by_u[1].pop(0)
-    # powers[j][m] is the coefficient of t^m in u^j; as u(0) = 0, that of
-    # t^k in u^j for j >= 2 needs only u_1 .. u_{k-1}
-    powers: list[list] = [[Fraction(1)]] + [[Fraction(0)] for _ in by_u[1:]]
-    u = powers[1]
+    powers += [[0] * precision for _ in range(max(count, len(by_u)) - 1)]
+    u, support = powers[1], []
     for k in range(1, precision):
-        powers[0].append(0)
-        for j in range(2, len(by_u)):
+        # u^j = u u^(j-1), j >= 2: as u(0) = 0, its t^k coefficient sums u_l
+        # times that of t^(k-l) in u^(j-1) over support, the l < k, u_l != 0
+        for j in range(2, len(powers)):
             lower = powers[j - 1]
-            powers[j].append(sum(u[l] * lower[k - l]
-                                 for l in range(1, k) if u[l]))
+            powers[j][k] = sum(u[l] * lower[k - l] for l in support
+                               if lower[k - l])
         rest = sum(c * powers[j][k - i] for j, row in enumerate(by_u)
                    for i, c in row.items() if i <= k)
-        u.append(-rest / a01)
-    return tuple(u)
+        if rest:
+            u[k] = -rest / a01
+            support.append(k)
+    return tuple(map(tuple, powers[:count]))

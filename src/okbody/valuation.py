@@ -19,7 +19,7 @@ is its order whenever it does not vanish on the curve.  As the translation
 to the point is triangular, the value sets V(0), ..., V(D), the orders of
 the nonzero forms of each degree modulo the curve, are the pivot sets of
 one echelon (see _FinalStage.value_sets).  The final stage keeps no
-state: each call solves the branch once, at the precision it needs.
+state: each call asks series_solve_branch once, at the precision it needs.
 okbody.okounkov reads each graded piece's value set off V(d'), and the
 flag verifier the final form's contact order.
 """
@@ -98,24 +98,14 @@ class _FinalStage:
         return precision
 
     def _branch_powers(self, count: int, precision: int
-                       ) -> list[list[Fraction]]:
+                       ) -> tuple[tuple[Scalar, ...], ...]:
         """The powers u^0 .. u^(count-1) of the branch to the given
         precision, from one solve (u^0 alone on a line)."""
-        powers = [[Fraction(1)] + [Fraction(0)] * (precision - 1)]
         if self.relation is None:
-            return powers
-        powers.append(list(series_solve_branch(
+            return ((Fraction(1),) + (0,) * (precision - 1),)
+        return series_solve_branch(
             self.relation, self.point, precision, chart_var=self.chart,
-            param_var=self.param, dep_var=self.dep)))
-        while len(powers) < count:
-            power = [Fraction(0)] * precision
-            for i, a in enumerate(powers[-1]):
-                if a:
-                    for k, b in enumerate(powers[1][:precision - i]):
-                        if b:
-                            power[i + k] += a * b
-            powers.append(power)
-        return powers
+            param_var=self.param, dep_var=self.dep, count=count)
 
     def series(self, form: HomogPoly) -> list[Fraction]:
         """Series coefficients j = 0 .. deg(form) * e of a form at the point
@@ -165,17 +155,18 @@ class _FinalStage:
         the curve contains the chart's line at infinity."""
         precision = self._precision(top)
         e = self.curve_degree
-        f = {(0, 1): 1} if self.relation is None else affine_chart_expansion(
-            self.relation, self.point, self.chart, self.param, self.dep)
-        lead = [key for key in f if sum(key) == e]
-        if not lead:
+        # f's degree-e part is the curve's x_chart-free part, shift-invariant
+        b = 1 if self.relation is None else max(
+            (exps[self.dep] for exps in self.relation.terms
+             if not exps[self.chart]), default=None)
+        if b is None:
             raise ZeroSectionError(
                 "the final curve contains the chart's line at infinity, so "
                 f"some form of degree d' = {e - 1} vanishes on its branch at "
                 "the point without vanishing on it")
         # t^a u^b leads f in a degree order with u above t; the rows t^i
         # u^(d'-i) read u^0 .. u^top if a > 0, u^0 .. u^(e-1) if a = 0
-        a, b = max(lead, key=lambda key: key[1])
+        a = e - b
         powers = self._branch_powers(top + 1 if a else min(top + 1, e),
                                      precision)
         echelon = Echelon(precision)
@@ -184,7 +175,7 @@ class _FinalStage:
             for i in range(d + 1):
                 if i >= a and d - i >= b:
                     continue
-                row = [Fraction(0)] * i + powers[d - i][:precision - i]
+                row = (0,) * i + powers[d - i][:precision - i]
                 if not echelon.add(row) or echelon.rows[-1][1] > d * e:
                     raise ZeroSectionError(
                         f"some form of degree d' = {d} vanishes on the final "

@@ -33,6 +33,7 @@ the point lies on every flag member is checked when the flag is built.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,14 +244,20 @@ def _checked(value, types: tuple[type, ...] = (int,)):
     return value
 
 
+def _rational(value) -> Fraction:
+    """A coefficient or coordinate: an int, or a string such as "-3/4"."""
+    if type(value) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+        raise ValueError(f"{value!r} is not an integer or a fraction")
+    return Fraction(_checked(value, (int, str)))
+
+
 def _poly_from_obj(obj, num_vars: int) -> HomogPoly:
     terms = {}
     for coeff, exps in obj:
         exps = tuple(map(_checked, exps))
         if len(exps) != num_vars:
             raise ValueError("exponent tuple of wrong length")
-        terms[exps] = (terms.get(exps, Fraction(0))
-                       + Fraction(_checked(coeff, (int, str))))
+        terms[exps] = terms.get(exps, Fraction(0)) + _rational(coeff)
     degrees = {sum(e) for e in terms}
     if len(degrees) != 1:
         raise ValueError("terms are not homogeneous")
@@ -306,8 +313,8 @@ def case_study_from_json(text: str) -> CaseStudy:
     steps = entry("steps", lambda objs: [poly(obj) for obj in objs],
                   listed=True)
     final = entry("final_form", poly, listed=True)
-    point = entry("point", lambda objs: tuple(
-        Fraction(_checked(v, (int, str))) for v in objs), listed=True)
+    point = entry("point", lambda objs: tuple(map(_rational, objs)),
+                  listed=True)
     flag = Flag(nv, relation, steps, final, point,
                 chart_var=entry("chart_var", _checked),
                 parameter_var=entry("parameter_var", _checked))

@@ -177,6 +177,11 @@ BAD_FIXTURES = {
     "coefficient_float": (_set(0.1, "final_form", 0, 0),
                           "malformed 'final_form'"),
     "point_float": (_set(0.1, "point", 1), "malformed 'point'"),
+    # a string is read only as an integer or a fraction such as "-3/4"
+    "point_decimal": (_set("1.0", "point", 1), "malformed 'point'"),
+    "point_spaces": (_set(" 1 ", "point", 1), "malformed 'point'"),
+    "coefficient_exponent": (_set("1e0", "final_form", 0, 0),
+                             "malformed 'final_form'"),
     "name_not_a_string": (_set(5, "name"), "malformed 'name'"),
     "n_float": (_set(2.0, "n"), "malformed 'n'"),
 }

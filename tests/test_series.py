@@ -15,28 +15,28 @@ CONIC = Y * Z - X ** 2
 
 
 def branch_residual_is_zero(curve, point, precision, chart, param, dep):
-    u = series_solve_branch(curve, point, precision,
-                            chart_var=chart, param_var=param, dep_var=dep)
+    u = series_solve_branch(curve, point, precision, chart_var=chart,
+                            param_var=param, dep_var=dep, count=2)[1]
     return not any(form_along_branch(curve, point, u, chart, param, dep))
 
 
 def test_conic_branch_is_exact_parabola():
-    u = series_solve_branch(CONIC, (0, 0, 1), 6,
-                            chart_var=2, param_var=0, dep_var=1)
+    u = series_solve_branch(CONIC, (0, 0, 1), 6, chart_var=2, param_var=0,
+                            dep_var=1, count=2)[1]
     assert u == (0, 0, 1, 0, 0, 0)
 
 
 def test_line_branch_is_zero():
     line = Y
-    u = series_solve_branch(line, (1, 0, 0), 5,
-                            chart_var=0, param_var=2, dep_var=1)
+    u = series_solve_branch(line, (1, 0, 0), 5, chart_var=0, param_var=2,
+                            dep_var=1, count=2)[1]
     assert not any(u)
 
 
 def test_fermat_flex_branch_leading_terms():
     # y = -1 + u near (1:-1:0) with parameter z: u = -z^3/3 + O(z^6)
-    u = series_solve_branch(PLANE_CUBIC, (1, -1, 0), 6,
-                            chart_var=0, param_var=2, dep_var=1)
+    u = series_solve_branch(PLANE_CUBIC, (1, -1, 0), 6, chart_var=0,
+                            param_var=2, dep_var=1, count=2)[1]
     assert u == (0, 0, 0, Fraction(-1, 3), 0, 0)
 
 
@@ -48,10 +48,10 @@ def test_fermat_flex_branch_residual():
 
 def test_branch_at_scaled_point():
     # the same flex written with a different projective scale
-    u1 = series_solve_branch(PLANE_CUBIC, (1, -1, 0), 7,
-                             chart_var=0, param_var=2, dep_var=1)
-    u2 = series_solve_branch(PLANE_CUBIC, (-2, 2, 0), 7,
-                             chart_var=0, param_var=2, dep_var=1)
+    u1 = series_solve_branch(PLANE_CUBIC, (1, -1, 0), 7, chart_var=0,
+                             param_var=2, dep_var=1, count=2)[1]
+    u2 = series_solve_branch(PLANE_CUBIC, (-2, 2, 0), 7, chart_var=0,
+                             param_var=2, dep_var=1, count=2)[1]
     assert u1 == u2
 
 
@@ -61,24 +61,25 @@ def test_branch_truncates_to_every_lower_precision(quadric):
             (PLANE_CUBIC, (1, -1, 0), 0, 2, 1),
             (stage.relation, stage.point, stage.chart, stage.param, stage.dep)):
         longest = series_solve_branch(curve, point, 32, chart_var=chart,
-                                      param_var=param, dep_var=dep)
+                                      param_var=param, dep_var=dep,
+                                      count=2)[1]
         for precision in range(1, 33):
             assert longest[:precision] == series_solve_branch(
                 curve, point, precision, chart_var=chart, param_var=param,
-                dep_var=dep)
+                dep_var=dep, count=2)[1]
 
 
 def test_point_off_curve_rejected():
     with pytest.raises(ValueError, match="not lie on the curve"):
         series_solve_branch(PLANE_CUBIC, (1, 1, 1), 4,
-                            chart_var=0, param_var=2, dep_var=1)
+                            chart_var=0, param_var=2, dep_var=1, count=2)
 
 
 def test_singular_point_rejected():
     nodal = Y ** 2 * Z - X ** 3 - X ** 2 * Z
     with pytest.raises(ValueError, match="singular"):
         series_solve_branch(nodal, (0, 0, 1), 4,
-                            chart_var=2, param_var=0, dep_var=1)
+                            chart_var=2, param_var=0, dep_var=1, count=2)
 
 
 def test_non_transversal_parameter_rejected():
@@ -86,13 +87,13 @@ def test_non_transversal_parameter_rejected():
     # dependent coordinate makes the parameter tangent to the curve itself
     with pytest.raises(ValueError, match="transversal"):
         series_solve_branch(PLANE_CUBIC, (1, -1, 0), 4,
-                            chart_var=0, param_var=1, dep_var=2)
+                            chart_var=0, param_var=1, dep_var=2, count=2)
 
 
 def test_precision_cap():
     with pytest.raises(PrecisionError, match=r"PRECISION_CAP = 512"):
         series_solve_branch(CONIC, (0, 0, 1), 1000,
-                            chart_var=2, param_var=0, dep_var=1)
+                            chart_var=2, param_var=0, dep_var=1, count=2)
 
 
 def _random_curves(rng, count):
@@ -118,19 +119,36 @@ def _random_curves(rng, count):
             yield curve, tuple(point), chart, param, dep
 
 
+def _truncated_powers(u, count):
+    """u^0 .. u^(count-1) truncated to len(u), by repeated products."""
+    powers = [[1] + [0] * (len(u) - 1)]
+    while len(powers) < count:
+        powers.append([sum(powers[-1][i] * u[k - i] for i in range(k + 1))
+                       for k in range(len(u))])
+    return powers
+
+
 def test_branch_on_seeded_random_curves():
     kwargs_of = ("chart_var", "param_var", "dep_var")
     for curve, point, *indices in _random_curves(random.Random(41), 30):
         kwargs = dict(zip(kwargs_of, indices))
-        branches = {precision: series_solve_branch(curve, point, precision,
-                                                   **kwargs)
-                    for precision in range(1, 26)}
-        for precision in range(1, 25):
-            assert branches[precision] == branches[precision + 1][:precision]
+        asked = {(precision, 2) for precision in range(1, 26)} | {
+            (13, count) for count in range(1, 9)} | {(25, 8)}
+        powers = {(precision, count): series_solve_branch(
+                      curve, point, precision, count=count, **kwargs)
+                  for precision, count in asked}
+        branch = powers[25, 8][1]
+        # every power is the truncated product of the branch, and a
+        # smaller count or precision gives a prefix
+        assert list(map(list, powers[25, 8])) == \
+            _truncated_powers(branch, 8), (curve, point)
+        for precision, count in asked:
+            assert powers[precision, count] == tuple(
+                power[:precision] for power in powers[25, 8][:count])
         # every shorter branch is a prefix, so its residual is the prefix
         # of this one's
-        assert not any(form_along_branch(curve, point, branches[25],
-                                         *indices)), (curve, point)
+        assert not any(form_along_branch(curve, point, branch, *indices)), \
+            (curve, point)
 
 
 def _sympy_chart_expansion(form, point, chart, param, dep):

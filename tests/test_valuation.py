@@ -223,12 +223,15 @@ def test_value_sets_invariant_under_coordinate_change(quadric, fermat):
 # -- vanishing order at a point on a curve ----------------------------------------
 
 
-def _count_branch_solves(monkeypatch) -> list[int]:
-    """The precisions at which the final stages solve their branch."""
+def _count_branch_solves(monkeypatch, calls=None) -> list[int]:
+    """The precisions at which the final stages solve their branch; with
+    ``calls``, each call's (precision, count) is recorded there too."""
     computed = []
 
     def counting(curve, point, precision, **kwargs):
         computed.append(precision)
+        if calls is not None:
+            calls.append((precision, kwargs["count"]))
         return series_solve_branch(curve, point, precision, **kwargs)
 
     monkeypatch.setattr(valuation, "series_solve_branch", counting)
@@ -270,7 +273,8 @@ def test_final_series_matches_chart_expansion(stage):
         precision = degree * stage.relation.degree + 1
         branch = series_solve_branch(stage.relation, stage.point, precision,
                                      chart_var=stage.chart,
-                                     param_var=stage.param, dep_var=stage.dep)
+                                     param_var=stage.param, dep_var=stage.dep,
+                                     count=2)[1]
         assert stage.series(form) == form_along_branch(
             form, stage.point, branch, stage.chart, stage.param, stage.dep)
 
@@ -328,6 +332,22 @@ def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
     assert computed == [7, 4, 16, 37, 10]
 
 
+def test_reading_only_u0_solves_nothing(monkeypatch):
+    # V(0) and a form free of u in the chart read u^0 alone, so the solver
+    # is asked for one power: it checks the curve at the point and solves
+    # nothing
+    calls = []
+    _count_branch_solves(monkeypatch, calls)
+    stage = make_case("fermat_cubic").flag.final_stage
+    x0 = HomogPoly.variable(3, 0)
+    assert stage.value_sets(0) == ((0,),)
+    assert stage.series(x0 ** 2) == [1, 0, 0, 0, 0, 0, 0]
+    assert calls == [(1, 1), (7, 1)]
+    with pytest.raises(ValueError, match="does not lie on the curve"):
+        series_solve_branch(PLANE_CUBIC, (1, 1, 1), 4, chart_var=0,
+                            param_var=2, dep_var=1, count=1)
+
+
 def test_value_sets_refuse_a_curve_through_the_chart_line():
     # x0 (x0 x2 - x1^2) contains the line {x0 = 0}, so its f(t, u) = u - t^2
     # lacks degree e = 3, and the conic's equation, of degree 2, vanishes
@@ -363,7 +383,8 @@ def test_ord_certified_at_double_precision():
     tangent = HomogPoly.linear_form([1, 1, 0])
     for precision in (8, 16):
         u = series_solve_branch(PLANE_CUBIC, (1, -1, 0), precision,
-                                chart_var=0, param_var=2, dep_var=1)
+                                chart_var=0, param_var=2, dep_var=1,
+                                count=2)[1]
         series = form_along_branch(tangent, (1, -1, 0), u, 0, 2, 1)
         assert next(j for j, c in enumerate(series) if c) == 3
 
@@ -403,7 +424,7 @@ def test_ord_rejects_inexact_point(point):
                               param_var=2)
     with pytest.raises(TypeError, match="not an int or a Fraction"):
         series_solve_branch(PLANE_CUBIC, point, 4, chart_var=0, param_var=2,
-                            dep_var=1)
+                            dep_var=1, count=2)
 
 
 def test_ord_rejects_section_vanishing_on_curve():
