@@ -3,19 +3,17 @@ flagged projective hypersurfaces, with finite-generation certification,
 toric limit data and elliptic-curve divisor utilities."""
 
 from .convex import (GradedPoint, RationalPolytope, cone_slice, convex_hull,
-                     dilate, in_convex_hull, normal_fan_rays, polytope_equal,
-                     polytope_from_json, polytope_subset, polytope_to_json,
+                     dilate, normal_fan_rays, polytope_equal, polytope_to_json,
                      scaled_simplex)
 from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                        random_divisor, single_point_member)
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
                        generation_degree, semigroup, semigroup_to_json,
                        vertex_criterion)
-from .polynomials import (HomogPoly, graded_monomials, grevlex_order,
-                          has_projective_common_zero, lex_order, normal_form,
-                          poly_divmod)
+from .polynomials import (HomogPoly, graded_monomials,
+                          has_projective_common_zero)
 from .series import PrecisionError, series_solve_branch
-from .valuation import Flag, ZeroSectionError, ord_at_point_on_curve
+from .valuation import Flag, ZeroSectionError
 from .varieties import (CASE_NAMES, CaseStudy, FlagReport,
                         case_study_from_json, case_study_to_json, make_case,
                         make_negative_control, verify_flag)
@@ -28,12 +26,9 @@ __all__ = [
     "PrecisionError", "RationalPolytope", "ZeroSectionError",
     "body_estimate", "case_study_from_json", "case_study_to_json",
     "cone_slice", "convex_hull", "dilate", "divisor_class_sum",
-    "generation_degree", "graded_monomials", "grevlex_order",
-    "has_projective_common_zero", "in_convex_hull", "lex_order", "make_case",
-    "make_negative_control", "normal_fan_rays", "normal_form",
-    "ord_at_point_on_curve", "poly_divmod", "polytope_equal",
-    "polytope_from_json", "polytope_subset", "polytope_to_json",
-    "random_divisor", "scaled_simplex", "semigroup", "semigroup_to_json",
-    "series_solve_branch", "single_point_member", "verify_flag",
-    "vertex_criterion",
+    "generation_degree", "graded_monomials", "has_projective_common_zero",
+    "make_case", "make_negative_control", "normal_fan_rays", "polytope_equal",
+    "polytope_to_json", "random_divisor", "scaled_simplex", "semigroup",
+    "semigroup_to_json", "series_solve_branch", "single_point_member",
+    "verify_flag", "vertex_criterion",
 ]

@@ -160,8 +160,11 @@ def _stem(case: CaseStudy, args, kind: str) -> str:
 
 
 def _write(path: Path, text: str, verbose: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
     if verbose:
         print(f"wrote {path}")
 

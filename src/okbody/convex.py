@@ -11,10 +11,10 @@ integers, projected onto coordinates of their affine hull and lifted to
 (p, 1); the extreme rays of the cone {a : a . (p, 1) >= 0 for every point}
 are then exactly the facet inequalities of the hull, and a point is a
 vertex when no other point is tight on all of its facets.  A polytope
-computes this H-representation once from its vertex list and answers
-membership, facets and the normal fan from it.  Facets carry primitive
-integer inward normals, which are the rays of the normal fan (the
-combinatorial data of the associated toric variety).
+computes this double description once from its vertex list and reads its
+dimension, facets and normal fan from it.  Facets carry primitive integer
+inward normals, which are the rays of the normal fan (the combinatorial
+data of the associated toric variety).
 
 A cone slice is hulled over the lattice points value * (L/level), after
 one pass per axis drops each point strictly inside an axis-parallel segment
@@ -28,7 +28,6 @@ anything else, a float included, is a TypeError.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,9 +39,7 @@ from .linalg import Echelon, kernel_basis
 from .polynomials import Scalar, _exact
 
 Point = tuple[Fraction, ...]
-# a "p/q" string with a nonzero denominator, as polytope_to_json writes
-_RATIONAL = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
-# (a, beta) for a . x >= beta, or a . x = beta in an equation
+# (a, beta) for a . x >= beta
 Constraint = tuple[tuple[int, ...], Fraction]
 
 
@@ -82,18 +79,6 @@ class RationalPolytope:
     def _hull(self) -> _Hull:
         return _double_description(*_lattice(self.vertices))
 
-    def contains_point(self, point: Sequence[Scalar]) -> bool:
-        pt = _as_point(point)
-        if len(pt) != self.dim:
-            raise ValueError("dimension mismatch")
-        if not self.vertices:
-            return False
-        hull = self._hull
-        return (all(_dot(normal, pt) == offset
-                    for normal, offset in hull.equations)
-                and all(_dot(normal, pt) >= offset
-                        for normal, offset in hull.inequalities))
-
     def is_full_dimensional(self) -> bool:
         return bool(self.vertices) and self._hull.dimension == self.dim
 
@@ -110,25 +95,16 @@ class RationalPolytope:
         return "polytope with vertices" + "".join(rows)
 
 
-def _as_point(values: Sequence[Scalar]) -> Point:
-    return tuple(Fraction(_exact(v)) for v in values)
-
-
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class _Hull:
     """Double-description data of a finite point set: its affine dimension,
-    the indices of the points that are vertices, the equations a . x = beta
-    of the affine hull, and the facet inequalities a . x >= beta.  The
-    inequality normals vanish off the pivot coordinates of the affine hull,
-    so for a full-dimensional hull they are the primitive facet normals."""
+    the indices of the points that are vertices, and the facet inequalities
+    a . x >= beta.  The inequality normals vanish off the pivot coordinates
+    of the affine hull, so for a full-dimensional hull they are the
+    primitive facet normals."""
 
     dimension: int
     vertices: tuple[int, ...]
-    equations: tuple[Constraint, ...]
     inequalities: tuple[Constraint, ...]
 
 
@@ -161,11 +137,10 @@ def _double_description(ints: Sequence[tuple[int, ...]], scale: int) -> _Hull:
     base = ints[0]
     # the pivot columns of the differences' echelon are a maximal
     # independent set of coordinate columns, so the projection onto them is
-    # injective on the affine hull, and its kernel holds the normals of the
-    # hull's equations; both depend only on the span, so the differences
-    # stop at rank n, and they are taken from the lex-last point back,
-    # since the points nearest the lex-first base often share its first
-    # coordinates and add no rank
+    # injective on the affine hull; they depend only on the span, so the
+    # differences stop at rank n, and they are taken from the lex-last
+    # point back, since the points nearest the lex-first base often share
+    # its first coordinates and add no rank
     differences = Echelon(n)
     for p in reversed(ints):
         if differences.rank == n:
@@ -173,10 +148,6 @@ def _double_description(ints: Sequence[tuple[int, ...]], scale: int) -> _Hull:
         differences.add([a - b for a, b in zip(p, base)])
     pivots = differences.pivots()
     k = len(pivots)
-    equations = []
-    for normal in differences.kernel():
-        prim, factor = _primitive(normal)
-        equations.append((prim, _dot(normal, base) / (factor * scale)))
     lifted = [tuple(p[j] for j in pivots) + (1,) for p in ints]
     count = len(lifted)
     total = [sum(column) for column in zip(*lifted)]
@@ -241,22 +212,11 @@ def _double_description(ints: Sequence[tuple[int, ...]], scale: int) -> _Hull:
         if any(normal):
             prim, factor = _primitive(normal)
             inequalities.append((prim, -ray[-1] / (factor * scale)))
-    return _Hull(k, tuple(vertices), tuple(equations),
-                 tuple(sorted(inequalities)))
+    return _Hull(k, tuple(vertices), tuple(sorted(inequalities)))
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
-
-
-def in_convex_hull(point: Sequence[Scalar], generators: Iterable[Sequence[Scalar]]
-                   ) -> bool:
-    """Exact membership of a point in the convex hull of finitely many
-    points."""
-    gens = list(generators)
-    if not gens:
-        return False
-    return convex_hull(gens).contains_point(point)
 
 
 def convex_hull(points: Iterable[Sequence[Scalar]]) -> RationalPolytope:
@@ -326,10 +286,6 @@ def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
     return a.vertices == b.vertices
 
 
-def polytope_subset(inner: RationalPolytope, outer: RationalPolytope) -> bool:
-    return all(outer.contains_point(v) for v in inner.vertices)
-
-
 def scaled_simplex(n: int, c: int, d: int) -> RationalPolytope:
     """The simplex with vertices 0, c*e_1, ..., c*e_{n-1} and c*d*e_n."""
     if n < 1 or c < 1 or d < 1:
@@ -367,34 +323,3 @@ def polytope_to_json(polytope: RationalPolytope) -> str:
                      for v in polytope.vertices],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def polytope_from_json(text: str) -> RationalPolytope:
-    """The polytope of a text that ``polytope_to_json`` wrote: an object of
-    an int dim and the minimal vertices, lex-sorted, as lists of dim "p/q"
-    strings or ints.  Anything else, a JSON float or bool or a missing key
-    included, is a ValueError naming the entry."""
-    data = json.loads(text)
-    if type(data) is not dict or data.keys() != {"dim", "vertices"}:
-        raise ValueError(f"text {data!r} is not an object of dim and vertices")
-    dim, vertices = data["dim"], data["vertices"]
-    if type(dim) is not int or dim < 0:
-        raise ValueError(f"dim {dim!r} is not a nonnegative int")
-    if type(vertices) is not list or any(
-            type(v) is not list or len(v) != dim for v in vertices):
-        raise ValueError(f"vertices {vertices!r} are not lists of {dim} "
-                         "entries")
-    polytope = RationalPolytope(dim, tuple(tuple(map(_json_rational, v))
-                                           for v in vertices))
-    if vertices and convex_hull(polytope.vertices) != polytope:
-        raise ValueError(f"vertices {vertices!r} are not those of their hull, "
-                         "lex-sorted")
-    return polytope
-
-
-def _json_rational(entry) -> Fraction:
-    if type(entry) is int or (type(entry) is str
-                              and _RATIONAL.fullmatch(entry)):
-        return Fraction(entry)
-    raise ValueError(f"vertex entry {entry!r} is not an int or a "
-                     "\"p/q\" string")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -281,88 +281,6 @@ class HomogPoly:
                 pieces.append(f"{c}*{mono}")
         text = " + ".join(pieces).replace("+ -", "- ")
         return text
-
-
-# -- division by a single relation ------------------------------------------
-
-MonomialOrder = Callable[[Exponent], tuple[int, ...]]
-
-
-def lex_order(elim_var: int) -> MonomialOrder:
-    """Sort key of the lexicographic order with ``elim_var`` most
-    significant and the other variables in index order."""
-    def key(exps: Exponent) -> tuple[int, ...]:
-        return (exps[elim_var],) + exps[:elim_var] + exps[elim_var + 1:]
-    return key
-
-
-def grevlex_order(smallest_var: int) -> MonomialOrder:
-    """Sort key of the graded reverse lexicographic order with
-    ``smallest_var`` the smallest variable and the others in index order.
-    A monomial divisible by the smallest variable is below every monomial of
-    the same degree that is not."""
-    def key(exps: Exponent) -> tuple[int, ...]:
-        rest = exps[:smallest_var] + exps[smallest_var + 1:]
-        return (sum(exps), -exps[smallest_var]) + tuple(-e for e in reversed(rest))
-    return key
-
-
-def leading_monomial(poly: HomogPoly, elim_var: int) -> Exponent:
-    if not poly:
-        raise ValueError("zero polynomial has no leading monomial")
-    return max(poly.terms, key=lex_order(elim_var))
-
-
-def poly_divmod(p: HomogPoly, relation: HomogPoly, order: MonomialOrder
-                ) -> tuple[HomogPoly, HomogPoly]:
-    """Division of p by a single relation F in the monomial order given as a
-    sort key: returns (q, r) with p = q*F + r and no term of r divisible by
-    the leading monomial of F.
-
-    A single relation is its own Groebner basis, so the remainder is unique
-    and depends linearly on p.
-    """
-    if p.num_vars != relation.num_vars:
-        raise ValueError("mixed numbers of variables")
-    if not relation:
-        raise ValueError("division by the zero polynomial")
-    lm = max(relation.terms, key=order)
-    lc = relation.terms[lm]
-    q: dict[Exponent, Fraction] = {}
-    r = dict(p.terms)
-    while True:
-        divisible = [e for e in r if all(a >= b for a, b in zip(e, lm))]
-        if not divisible:
-            break
-        exps = max(divisible, key=order)
-        shift = tuple(a - b for a, b in zip(exps, lm))
-        factor = r[exps] / lc
-        q[shift] = q.get(shift, Fraction(0)) + factor
-        for e, c in relation.terms.items():
-            key = tuple(a + b for a, b in zip(e, shift))
-            value = r.get(key, Fraction(0)) - factor * c
-            if value:
-                r[key] = value
-            else:
-                r.pop(key, None)
-    q_degree = max(p.degree - relation.degree, 0)
-    return (HomogPoly._trusted(p.num_vars, q_degree, q),
-            HomogPoly._trusted(p.num_vars, p.degree, r))
-
-
-def normal_form(p: HomogPoly, relation: HomogPoly, elim_var: int | None = None
-                ) -> HomogPoly:
-    """Canonical representative of p modulo the principal ideal (relation),
-    in the lexicographic order with ``elim_var`` most significant.
-
-    ``elim_var`` defaults to the last variable, so when F contains the pure
-    power elim_var^deg(F) this is classical division eliminating high powers
-    of that variable.  The result is zero exactly when p lies in the ideal,
-    and normal_form is idempotent and linear.
-    """
-    if elim_var is None:
-        elim_var = p.num_vars - 1
-    return poly_divmod(p, relation, lex_order(elim_var))[1]
 
 
 # -- projective common zeros -------------------------------------------------

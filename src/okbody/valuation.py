@@ -33,7 +33,7 @@ from typing import Sequence
 from .linalg import Echelon
 from .polynomials import HomogPoly, Scalar, _exact
 from .series import (PRECISION_CAP, PrecisionError, affine_chart_expansion,
-                     branch_equation, series_solve_branch)
+                     series_solve_branch)
 
 
 class ZeroSectionError(ValueError):
@@ -239,6 +239,9 @@ class Flag:
         point = list(self.point)
         stages: list[_Step] = []
         for index, form in enumerate(pending):
+            if not form:
+                raise ValueError(f"flag step {index + 1} vanishes on the "
+                                 "flag member before it")
             step = _Step.build(form, relation)
             stages.append(step)
             if alive[step.pivot] in (self.chart_var, self.parameter_var):
@@ -263,19 +266,3 @@ class Flag:
         final = _FinalStage(relation, tuple(point), chart, param, dep,
                             final_form)
         return stages, final
-
-
-def ord_at_point_on_curve(section: HomogPoly, curve: HomogPoly,
-                          point: Sequence[Scalar], *, chart_var: int,
-                          param_var: int) -> int:
-    """Vanishing order of a section of a plane curve at a smooth rational
-    point, in the chosen chart and parameter.  The forms, the point and the
-    chart are checked before any series is computed."""
-    dep = next(i for i in range(3) if i not in (chart_var, param_var))
-    if section.num_vars != 3:
-        raise ValueError("expected a form in three variables")
-    branch_equation(curve, point, chart_var=chart_var, param_var=param_var,
-                    dep_var=dep)
-    stage = _FinalStage(curve, tuple(Fraction(_exact(v)) for v in point),
-                        chart_var, param_var, dep)
-    return stage.order_and_unit(section)[0]

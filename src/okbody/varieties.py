@@ -37,8 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import (HomogPoly, has_projective_common_zero,
-                          normal_form)
+from .polynomials import HomogPoly, has_projective_common_zero
 from .valuation import Flag
 
 CASE_NAMES = ("p2", "p3", "quadric_surface", "fermat_cubic",
@@ -74,12 +73,6 @@ class CaseStudy:
         relation = self.flag.relation
         return self.flag.ambient_vars - (relation.degree if relation else 0)
 
-    def reduce(self, section: HomogPoly) -> HomogPoly:
-        """Canonical representative of a section modulo the relation."""
-        if self.flag.relation is None:
-            return section
-        return normal_form(section, self.flag.relation)
-
     def section_degree(self, level: int) -> int:
         return level * self.c
 
@@ -89,8 +82,9 @@ class CaseStudy:
 
 
 def _scale_monic(relation: HomogPoly) -> HomogPoly:
-    from .polynomials import leading_monomial
-    lm = leading_monomial(relation, relation.num_vars - 1)
+    """The relation divided by the coefficient of its leading monomial in
+    the lexicographic order with the last variable most significant."""
+    lm = max(relation.terms, key=lambda e: (e[-1], *e[:-1]))
     return relation * (Fraction(1) / relation.terms[lm])
 
 

@@ -1,23 +1,29 @@
 """Independent oracles used to pin expected values in the tests.
 
-Nothing here reuses the library's computation paths: the hull oracles are
-brute-force Caratheodory searches (in the plane by orientation tests, in n
-dimensions by barycentric solves over simplices) and a facet enumeration
-over vertex subsets, all with their own exact elimination, and the surface
-valuation oracles expand sections in explicit local coordinates (bivariate
-series solved by a hand-derived recurrence, or exact polynomial
-substitution), and a form is expanded along a curve's branch by sympy
-polynomial substitution, so agreement with the library is meaningful
-evidence.  The same exact elimination solves linear systems and gives the
-powers system's bases, multiplied out from level-1 monomials instead of
-counted by the library's standard-monomial argument.  Two oracles
-reuse library parts that have their own tests.  The single-point oracle
+The hull oracles are brute-force Caratheodory searches (in the plane by
+orientation tests, in n dimensions by barycentric solves over simplices)
+and a facet enumeration over vertex subsets, all with their own exact
+elimination; the surface valuation oracles expand sections in explicit
+local coordinates (bivariate series solved by a hand-derived recurrence,
+or exact polynomial substitution), and a form is expanded along a curve's
+branch by sympy polynomial substitution, so agreement with the library is
+meaningful evidence.  The same exact elimination solves linear systems and
+gives the powers system's bases, multiplied out from level-1 monomials
+instead of counted by the library's standard-monomial argument.  Division
+by a single relation, and with it normal forms modulo a case's relation,
+is the oracles' own: the library never divides, since it counts graded
+pieces by their Hilbert function and reads value sets off the final curve.
+
+The oracles build forms with the library's HomogPoly and graded_monomials,
+which have their own tests, and three reuse more.  The single-point oracle
 scans E(F_p) with the library's group law, so it checks the witness tables
 of okbody.elliptic rather than the arithmetic.  The flag-expansion value
-set takes each final block's series from the flag's final stage, so it
-checks how a graded piece's value set is assembled from the final curve's.
-The generation-degree oracle adds the enumerated vectors as tuples, entry
-by entry, where the library packs each vector into one int.
+set takes each step's change of coordinates from the flag and each final
+block's series from its final stage, and the per-degree value set takes
+the final stage's series, so both check how value sets are assembled from
+the final curve's series.  The generation-degree oracle adds the
+enumerated vectors as tuples, entry by entry, where the library adds only
+their last entries, fiber by fiber over the prefix sums.
 """
 
 from __future__ import annotations
@@ -323,11 +329,94 @@ def oracle_valuation(case_name, section):
     raise ValueError(case_name)
 
 
+# -- division by a single relation -------------------------------------------
+
+
+def lex_order(elim_var):
+    """Sort key of the lexicographic order with ``elim_var`` most
+    significant and the other variables in index order."""
+    def key(exps):
+        return (exps[elim_var],) + exps[:elim_var] + exps[elim_var + 1:]
+    return key
+
+
+def grevlex_order(smallest_var):
+    """Sort key of the graded reverse lexicographic order with
+    ``smallest_var`` the smallest variable and the others in index order.
+    A monomial divisible by the smallest variable is below every monomial of
+    the same degree that is not."""
+    def key(exps):
+        rest = exps[:smallest_var] + exps[smallest_var + 1:]
+        return ((sum(exps), -exps[smallest_var])
+                + tuple(-e for e in reversed(rest)))
+    return key
+
+
+def leading_monomial(poly, elim_var):
+    if not poly:
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(poly.terms, key=lex_order(elim_var))
+
+
+def poly_divmod(p, relation, order):
+    """Division of p by a single relation F in the monomial order given as a
+    sort key: (q, r) with p = q*F + r and no term of r divisible by the
+    leading monomial of F.  A single relation is its own Groebner basis, so
+    the remainder is unique and depends linearly on p."""
+    from okbody.polynomials import HomogPoly
+
+    if p.num_vars != relation.num_vars:
+        raise ValueError("mixed numbers of variables")
+    if not relation:
+        raise ValueError("division by the zero polynomial")
+    lm = max(relation.terms, key=order)
+    lc = relation.terms[lm]
+    q = {}
+    r = dict(p.terms)
+    while True:
+        divisible = [e for e in r if all(a >= b for a, b in zip(e, lm))]
+        if not divisible:
+            break
+        exps = max(divisible, key=order)
+        shift = tuple(a - b for a, b in zip(exps, lm))
+        factor = r[exps] / lc
+        q[shift] = q.get(shift, Fraction(0)) + factor
+        for e, c in relation.terms.items():
+            key = tuple(a + b for a, b in zip(e, shift))
+            value = r.get(key, Fraction(0)) - factor * c
+            if value:
+                r[key] = value
+            else:
+                r.pop(key, None)
+    q_degree = max(p.degree - relation.degree, 0)
+    return (HomogPoly(p.num_vars, q_degree, q),
+            HomogPoly(p.num_vars, p.degree, r))
+
+
+def normal_form(p, relation, elim_var=None):
+    """The remainder of p modulo the principal ideal (relation) in the
+    lexicographic order with ``elim_var`` (the last variable by default)
+    most significant: zero exactly when p lies in the ideal, idempotent and
+    linear."""
+    if elim_var is None:
+        elim_var = p.num_vars - 1
+    return poly_divmod(p, relation, lex_order(elim_var))[1]
+
+
+def reduce_section(case, section):
+    """The normal form of a section modulo the case's relation; the section
+    itself on projective space."""
+    if case.flag.relation is None:
+        return section
+    return normal_form(section, case.flag.relation)
+
+
+# -- value sets ---------------------------------------------------------------
+
+
 def oracle_value_set(case, basis):
     """Independent triangularization driven entirely by the local-expansion
     oracle valuations."""
-    from okbody.polynomials import normal_form
-
     sections = list(basis)
     data = [oracle_valuation(case.name, s) for s in sections]
     for _ in range(10000):
@@ -345,8 +434,7 @@ def oracle_value_set(case, basis):
         _vec, first, later = collision
         ratio = data[later][1] / data[first][1]
         combined = sections[later] - ratio * sections[first]
-        if case.flag.relation is not None:
-            combined = normal_form(combined, case.flag.relation)
+        combined = reduce_section(case, combined)
         assert combined, "oracle basis collapsed"
         sections[later] = combined
         data[later] = oracle_valuation(case.name, combined)
@@ -362,7 +450,7 @@ def expansion_value_set(basis, flag):
     of prefix (k_1, ..., k_{n-1}) puts its series coefficient j at the
     point in column (k_1, ..., k_{n-1}, j).  The value set is the pivot
     columns of the sections' rows, by ``row_reduce``, in lex order."""
-    from okbody.polynomials import HomogPoly, grevlex_order, poly_divmod
+    from okbody.polynomials import HomogPoly
 
     def expand(section, stages, prefix):
         if not stages:
@@ -394,10 +482,9 @@ def expansion_value_set(basis, flag):
 def standard_basis(case, level):
     """The standard monomials of degree c*level, by enumeration: the
     monomials that the relation's leading monomial (lex, the last variable
-    most significant, as ``case.reduce`` takes it) does not divide, all of
-    them on projective space."""
-    from okbody.polynomials import (HomogPoly, graded_monomials,
-                                    leading_monomial)
+    most significant, as ``reduce_section`` takes it) does not divide, all
+    of them on projective space."""
+    from okbody.polynomials import HomogPoly, graded_monomials
 
     flag = case.flag
     monos = graded_monomials(flag.ambient_vars, case.section_degree(level))
@@ -416,11 +503,13 @@ def powers_basis(case, level):
     monomials."""
     from okbody.polynomials import HomogPoly, graded_monomials
 
-    level_one = [m for m in graded_monomials(case.flag.ambient_vars, case.c)
-                 if case.reduce(HomogPoly.monomial(m)).terms == {m: 1}]
+    level_one = [
+        m for m in graded_monomials(case.flag.ambient_vars, case.c)
+        if reduce_section(case, HomogPoly.monomial(m)).terms == {m: 1}]
     monomials = sorted({tuple(map(sum, zip(*combo))) for combo
                         in combinations_with_replacement(level_one, level)})
-    products = [case.reduce(HomogPoly.monomial(m)) for m in monomials]
+    products = [reduce_section(case, HomogPoly.monomial(m))
+                for m in monomials]
     coords = sorted({e for p in products for e in p.terms})
     _rows, pivots = row_reduce([[p.terms.get(e, 0) for p in products]
                                 for e in coords])

@@ -23,7 +23,8 @@ from okbody.polynomials import HomogPoly
 from okbody.varieties import make_case, make_negative_control, verify_flag
 
 from oracles import (brute_hull_vertices_2d, expansion_value_set,
-                     oracle_value_set, powers_basis, standard_basis)
+                     oracle_value_set, powers_basis, reduce_section,
+                     standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 GENERATION_DEGREES = {"p2": 1, "p3": 1, "quadric_surface": 1,
@@ -205,7 +206,7 @@ def test_criterion_09_property_suites():
                                      case.section_degree(m))
             for coeff, vec in zip(row, basis):
                 section = section + coeff * vec
-            recombined.append(case.reduce(section))
+            recombined.append(reduce_section(case, section))
         assert expansion_value_set(recombined, case.flag) == reference
     # hull idempotence and permutation invariance on random clouds
     rng = random.Random(808)

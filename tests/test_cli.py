@@ -4,7 +4,7 @@ import re
 import pytest
 
 from okbody.cli import main
-from okbody.convex import polytope_from_json, polytope_equal, scaled_simplex
+from okbody.convex import polytope_to_json, scaled_simplex
 from okbody.varieties import (case_study_to_json, make_case,
                               make_negative_control)
 
@@ -19,9 +19,8 @@ def test_compute_success_and_files(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "equals expected simplex" in out
-    body = polytope_from_json(
-        (tmp_path / "p2_c1_M2_complete_body.json").read_text())
-    assert polytope_equal(body, scaled_simplex(2, 1, 1))
+    assert (tmp_path / "p2_c1_M2_complete_body.json").read_text() == \
+        polytope_to_json(scaled_simplex(2, 1, 1))
     semigroup = json.loads(
         (tmp_path / "p2_c1_M2_complete_semigroup.json").read_text())
     assert semigroup["levels"]["1"] == [[0, 0], [0, 1], [1, 0]]
@@ -184,6 +183,9 @@ BAD_FIXTURES = {
                              "malformed 'final_form'"),
     "name_not_a_string": (_set(5, "name"), "malformed 'name'"),
     "n_float": (_set(2.0, "n"), "malformed 'n'"),
+    # the repeated step restricts to zero on the member it cuts out
+    "steps_repeated": (lambda data: {**data, "steps": data["steps"] * 2},
+                       "flag step 2 vanishes on the flag member before it"),
 }
 
 
@@ -200,6 +202,17 @@ def test_bad_fixture_is_a_usage_error(tmp_path, capsys, command, fixture):
     err = capsys.readouterr().err
     assert "cannot load fixture" in err
     assert fault in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["compute", "export-toric"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "a_file"
+    out.write_text("")
+    assert run([command, "--case", "p2", "--max-level", "1",
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err
     assert "Traceback" not in err
 
 

@@ -1,21 +1,20 @@
+import json
 import random
-import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from okbody.convex import (GradedPoint, cone_slice, convex_hull, dilate,
-                           in_convex_hull, normal_fan_rays, polytope_equal,
-                           polytope_from_json, polytope_subset,
-                           polytope_to_json, scaled_simplex)
+                           normal_fan_rays, polytope_equal, polytope_to_json,
+                           scaled_simplex)
 from okbody.okounkov import semigroup
 from okbody.varieties import CASE_NAMES, make_case
 
 from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
-                     brute_hull_vertices_nd, in_hull_2d, in_hull_nd)
+                     brute_hull_vertices_nd, in_hull_nd)
 
 F = Fraction
 
@@ -48,10 +47,6 @@ def test_inexact_coordinates_rejected():
         convex_hull([(0, 0), (1, 0.5)])
     with pytest.raises(TypeError, match="'1/2'"):
         convex_hull([("1/2", 0)])
-    with pytest.raises(TypeError, match="0.25"):
-        unit.contains_point((0.25, 0))
-    with pytest.raises(TypeError, match="0.25"):
-        in_convex_hull((0.25, 0), unit.vertices)
     with pytest.raises(TypeError, match="0.5"):
         dilate(unit, 0.5)
 
@@ -73,52 +68,10 @@ def test_hull_idempotent_and_permutation_invariant(points):
     assert hull == again == shuffled
 
 
-@given(st.tuples(coords, coords), points_2d)
-@settings(max_examples=80, deadline=None)
-def test_membership_matches_2d_oracle(point, points):
-    pts = [(F(a), F(b)) for a, b in points]
-    assert in_convex_hull(point, pts) == in_hull_2d(
-        (F(point[0]), F(point[1])), pts)
-
-
 def test_three_dimensional_hull():
     cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
     hull = convex_hull(cube + [(F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0)])
     assert len(hull.vertices) == 8
-
-
-def test_triangle_contains_centroid():
-    triangle = [(0, 0), (1, 0), (0, 1)]
-    assert in_convex_hull((F(1, 3), F(1, 3)), triangle)
-    assert convex_hull(triangle).contains_point((F(1, 3), F(1, 3)))
-
-
-def test_triangle_excludes_outside_point():
-    triangle = [(0, 0), (1, 0), (0, 1)]
-    assert not in_convex_hull((2, 2), triangle)
-    assert not convex_hull(triangle).contains_point((2, 2))
-
-
-def test_repeated_point_hull_membership():
-    repeated = [(1, 1), (1, 1), (1, 1)]
-    assert in_convex_hull((1, 1), repeated)
-    assert not in_convex_hull((1, 2), repeated)
-    assert convex_hull(repeated).contains_point((1, 1))
-    assert not convex_hull(repeated).contains_point((1, 2))
-
-
-@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=6),
-       st.lists(st.fractions(min_value=0, max_value=3, max_denominator=4),
-                min_size=1, max_size=6))
-@settings(max_examples=80, deadline=None)
-def test_convex_combinations_are_inside(points, weights):
-    weights = weights[:len(points)] + [F(0)] * (len(points) - len(weights))
-    total = sum(weights)
-    assume(total > 0)
-    point = [sum(w * p[i] for w, p in zip(weights, points)) / total
-             for i in range(2)]
-    assert in_convex_hull(point, points)
-    assert convex_hull(points).contains_point(point)
 
 
 # -- n-dimensional hulls against the Caratheodory and facet oracles -------------
@@ -177,14 +130,6 @@ def test_hull_matches_nd_oracles(name):
     else:
         with pytest.raises(ValueError):
             hull.facets()
-    rng = random.Random(name)
-    probes = list(cloud) + [
-        tuple((a + b) / 2 for a, b in zip(*rng.sample(vertices, 2)))
-        for _ in range(3 if len(vertices) > 1 else 0)] + [
-        tuple(F(rng.randrange(-3, 6), 2) for _ in range(hull.dim))
-        for _ in range(4)]
-    for probe in probes:
-        assert hull.contains_point(probe) == in_hull_nd(probe, cloud)
 
 
 # -- cone slice ------------------------------------------------------------------
@@ -293,7 +238,8 @@ graded_points_2d = st.lists(
 @given(graded_points_2d, graded_points_2d)
 @settings(max_examples=40, deadline=None)
 def test_cone_slice_monotone(sub, extra):
-    assert polytope_subset(cone_slice(sub), cone_slice(sub + extra))
+    large = cone_slice(sub + extra).vertices
+    assert all(in_hull_nd(v, large) for v in cone_slice(sub).vertices)
 
 
 @st.composite
@@ -411,67 +357,6 @@ def test_simplex_vertices_lie_on_dim_facets():
 def test_polytope_json_round_trip_and_format():
     triangle = scaled_simplex(2, 1, 3)
     text = polytope_to_json(triangle)
-    assert '"0/1"' in text and '"3/1"' in text
-    assert polytope_from_json(text) == triangle
+    assert json.loads(text) == {"dim": 2, "vertices": [
+        ["0/1", "0/1"], ["0/1", "3/1"], ["1/1", "0/1"]]}
     assert polytope_to_json(triangle) == text  # byte-stable
-
-
-@pytest.mark.parametrize("text, entry", [
-    ('{"dim": 1.9, "vertices": [[0.1]]}', "dim 1.9"),
-    ('{"dim": true, "vertices": [[1]]}', "dim True"),
-    ('{"dim": 1, "vertices": [[0.1]]}', "entry 0.1"),
-    ('{"dim": 1, "vertices": [[true]]}', "entry True"),
-    ('{"dim": 1, "vertices": [["0.5"]]}', "entry '0.5'"),
-    ('{"dim": 1, "vertices": [["1/0"]]}', "entry '1/0'"),
-    ('{"dim": 1, "vertices": [[null]]}', "entry None"),
-], ids=["float_dim", "bool_dim", "float_entry", "bool_entry",
-        "decimal_string", "zero_denominator", "null_entry"])
-def test_polytope_json_reads_only_what_it_writes(text, entry):
-    with pytest.raises(ValueError, match=re.escape(entry)):
-        polytope_from_json(text)
-
-
-@pytest.mark.parametrize("text, entry", [
-    ('{"vertices": [["0/1"]]}', "text {'vertices': [['0/1']]}"),
-    ('{"dim": 1}', "text {'dim': 1}"),
-    ("[]", "text []"),
-    ('{"dim": -1, "vertices": []}', "dim -1"),
-    ('{"dim": 1, "vertices": 5}', "vertices 5"),
-    ('{"dim": 1, "vertices": ["0/1"]}', "vertices ['0/1']"),
-    ('{"dim": 2, "vertices": [["0/1"]]}', "vertices [['0/1']]"),
-    ('{"dim": 1, "vertices": [["1/1"], ["0/1"]]}',
-     "vertices [['1/1'], ['0/1']]"),
-    ('{"dim": 1, "vertices": [["0/1"], ["1/2"], ["1/1"]]}',
-     "vertices [['0/1'], ['1/2'], ['1/1']]"),
-    ('{"dim": 1, "vertices": [["0/1"], ["0/1"]]}',
-     "vertices [['0/1'], ['0/1']]"),
-], ids=["missing_dim", "missing_vertices", "list_text", "negative_dim",
-        "int_vertices", "string_vertex", "short_vertex", "unsorted",
-        "not_minimal", "repeated"])
-def test_polytope_json_refuses_malformed_texts(text, entry):
-    with pytest.raises(ValueError, match=re.escape(entry)):
-        polytope_from_json(text)
-
-
-def test_polytope_json_texts_of_one_segment_read_equal():
-    # a text reads only when it lists the minimal vertices, lex-sorted, so
-    # every text of the segment [0, 1] that reads gives the same polytope
-    segment = convex_hull([(1,), (0,), (F(1, 2),)])
-    text = polytope_to_json(segment)
-    assert polytope_from_json(text) == segment
-    assert polytope_from_json('{"dim": 1, "vertices": [[0], [1]]}') == segment
-    assert polytope_from_json('{"dim": 1, "vertices": []}').vertices == ()
-
-
-def test_polytope_json_reads_ints_and_signed_fractions():
-    text = '{"dim": 2, "vertices": [[0, "-3/4"], ["10/02", 1]]}'
-    assert polytope_from_json(text).vertices == ((0, F(-3, 4)), (5, 1))
-
-
-def test_contains_point_facet_path():
-    triangle = scaled_simplex(2, 1, 3)
-    assert triangle.contains_point((F(1, 2), F(1, 2)))
-    assert not triangle.contains_point((1, 1))
-    segment = convex_hull([(0, 0), (2, 2)])
-    assert segment.contains_point((1, 1))
-    assert not segment.contains_point((1, 0))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
-                                has_projective_common_zero, lex_order,
-                                normal_form, poly_divmod)
+from okbody.polynomials import (HomogPoly, graded_monomials,
+                                has_projective_common_zero)
+from oracles import grevlex_order, lex_order, normal_form, poly_divmod
 
 x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
@@ -123,7 +123,7 @@ def test_rational_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-# -- normal form ---------------------------------------------------------------
+# -- normal form: the oracles' division by one relation -----------------------
 
 
 def test_normal_form_single_substitution():

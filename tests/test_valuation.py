@@ -7,15 +7,14 @@ import pytest
 from okbody import make_case, valuation
 from okbody.linalg import rank
 from okbody.okounkov import body_estimate, semigroup
-from okbody.polynomials import (HomogPoly, graded_monomials, grevlex_order,
-                                poly_divmod)
+from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.series import PrecisionError, series_solve_branch
-from okbody.valuation import (Flag, ZeroSectionError, _Step,
-                              ord_at_point_on_curve)
+from okbody.valuation import Flag, ZeroSectionError, _Step
 from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import (expansion_value_set, form_along_branch, linear_solve,
-                     oracle_valuation, oracle_value_set, per_degree_value_set,
+from oracles import (expansion_value_set, form_along_branch, grevlex_order,
+                     linear_solve, oracle_valuation, oracle_value_set,
+                     per_degree_value_set, poly_divmod, reduce_section,
                      riemann_roch_orders, standard_basis)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
@@ -361,22 +360,26 @@ def test_value_sets_refuse_a_curve_through_the_chart_line():
             stage.value_sets(top)
 
 
+def _flex_order(section):
+    """The order of a section at the flex (1:-1:0) of the plane cubic
+    x^3 + y^3 + z^3, read by the final stage of the flag with no steps and
+    the flex tangent {x + y = 0}, in the chart x = 1 with parameter z."""
+    tangent = HomogPoly.linear_form([1, 1, 0])
+    flag = Flag(3, PLANE_CUBIC, [], tangent, (1, -1, 0), chart_var=0,
+                parameter_var=2)
+    return flag.final_stage.order_and_unit(section)[0]
+
+
 def test_ord_of_coordinate_at_flex():
-    z3 = HomogPoly.variable(3, 2)
-    assert ord_at_point_on_curve(z3, PLANE_CUBIC, (1, -1, 0),
-                                 chart_var=0, param_var=2) == 1
+    assert _flex_order(HomogPoly.variable(3, 2)) == 1
 
 
 def test_ord_of_flex_tangent():
-    tangent = HomogPoly.linear_form([1, 1, 0])
-    assert ord_at_point_on_curve(tangent, PLANE_CUBIC, (1, -1, 0),
-                                 chart_var=0, param_var=2) == 3
+    assert _flex_order(HomogPoly.linear_form([1, 1, 0])) == 3
 
 
 def test_ord_of_unit_section():
-    x3 = HomogPoly.variable(3, 0)
-    assert ord_at_point_on_curve(x3, PLANE_CUBIC, (1, -1, 0),
-                                 chart_var=0, param_var=2) == 0
+    assert _flex_order(HomogPoly.variable(3, 0)) == 0
 
 
 def test_ord_certified_at_double_precision():
@@ -389,39 +392,29 @@ def test_ord_certified_at_double_precision():
         assert next(j for j, c in enumerate(series) if c) == 3
 
 
-@pytest.mark.parametrize("section, curve, point, chart, param, message", [
-    (HomogPoly.linear_form([1, 0, -1]), PLANE_CUBIC, (1, 1, 1), 0, 2,
-     "not lie on the curve"),
-    (HomogPoly.variable(3, 0),
-     HomogPoly.variable(3, 1) ** 2 * HomogPoly.variable(3, 2)
+@pytest.mark.parametrize("curve, point, chart, param, message", [
+    (PLANE_CUBIC, (1, 1, 1), 0, 2, "not lie on the curve"),
+    (HomogPoly.variable(3, 1) ** 2 * HomogPoly.variable(3, 2)
      - HomogPoly.variable(3, 0) ** 3
      - HomogPoly.variable(3, 0) ** 2 * HomogPoly.variable(3, 2),
      (0, 0, 1), 2, 0, "singular"),
-    (HomogPoly.variable(3, 0), FERMAT, (1, -1, 0, 0), 0, 2,
-     "three variables"),
-    (X, PLANE_CUBIC, (1, -1, 0), 0, 2, "three variables"),
-    (HomogPoly.variable(3, 2), PLANE_CUBIC, (1, -1, 0), 2, 0,
-     "not in the chosen affine chart"),
-    (HomogPoly.variable(3, 2), PLANE_CUBIC, (1, -1, 0), -1, 2,
-     "partition the three coordinates"),
-], ids=["off_curve", "node", "four_variable_curve", "four_variable_section",
-        "chart_coordinate_zero", "chart_index_negative"])
-def test_ord_checks_its_input_first(section, curve, point, chart, param,
-                                    message):
-    # the forms, the point and the chart are checked before any series
+    (FERMAT, (1, -1, 0, 0), 0, 2, "three variables"),
+    (PLANE_CUBIC, (1, -1, 0), 2, 0, "not in the chosen affine chart"),
+    (PLANE_CUBIC, (1, -1, 0), -1, 2, "partition the three coordinates"),
+], ids=["off_curve", "node", "four_variable_curve", "chart_coordinate_zero",
+        "chart_index_negative"])
+def test_ord_checks_its_input_first(curve, point, chart, param, message):
+    # the curve, the point and the chart are checked before any series
+    dep = next(i for i in range(3) if i not in (chart, param))
     with pytest.raises(ValueError, match=message):
-        ord_at_point_on_curve(section, curve, point, chart_var=chart,
-                              param_var=param)
+        series_solve_branch(curve, point, 4, chart_var=chart, param_var=param,
+                            dep_var=dep, count=2)
 
 
 @pytest.mark.parametrize("point", [(1.0, -1, 0), ("1", -1, 0),
                                    (Fraction(1), -1, 0.0)])
 def test_ord_rejects_inexact_point(point):
     # Fraction would read 1.0 and "1" as 1; they are refused as in Flag
-    z = HomogPoly.variable(3, 2)
-    with pytest.raises(TypeError, match="not an int or a Fraction"):
-        ord_at_point_on_curve(z, PLANE_CUBIC, point, chart_var=0,
-                              param_var=2)
     with pytest.raises(TypeError, match="not an int or a Fraction"):
         series_solve_branch(PLANE_CUBIC, point, 4, chart_var=0, param_var=2,
                             dep_var=1, count=2)
@@ -429,8 +422,7 @@ def test_ord_rejects_inexact_point(point):
 
 def test_ord_rejects_section_vanishing_on_curve():
     with pytest.raises(ZeroSectionError):
-        ord_at_point_on_curve(PLANE_CUBIC, PLANE_CUBIC, (1, -1, 0),
-                              chart_var=0, param_var=2)
+        _flex_order(PLANE_CUBIC)
 
 
 def test_order_search_names_the_precision_cap(monkeypatch):
@@ -438,16 +430,14 @@ def test_order_search_names_the_precision_cap(monkeypatch):
     monkeypatch.setattr(valuation, "PRECISION_CAP", 8)
     cube = HomogPoly.linear_form([1, 1, 0]) ** 3
     with pytest.raises(PrecisionError, match=r"PRECISION_CAP = 8"):
-        ord_at_point_on_curve(cube, PLANE_CUBIC, (1, -1, 0),
-                              chart_var=0, param_var=2)
+        _flex_order(cube)
 
 
 def test_ord_beyond_initial_precision():
     # (x+y)^3 vanishes to order 9 > 2*deg+2 = 8, forcing the precision
     # escalation before the order is certified
     cube = HomogPoly.linear_form([1, 1, 0]) ** 3
-    assert ord_at_point_on_curve(cube, PLANE_CUBIC, (1, -1, 0),
-                                 chart_var=0, param_var=2) == 9
+    assert _flex_order(cube) == 9
 
 
 # -- full flag valuations, by the flag-expansion oracle ----------------------------
@@ -495,7 +485,7 @@ def test_valuations_match_oracles_on_monomial_bases(p2, p3, quadric, fermat):
         for degree in (1, 2):
             for mono in graded_monomials(case.flag.ambient_vars, degree):
                 section = HomogPoly.monomial(mono)
-                if case.flag.relation is not None and not case.reduce(section):
+                if not reduce_section(case, section):
                     continue
                 assert _valuation(section, case.flag) == \
                     oracle_valuation(case.name, section)[0]
@@ -508,7 +498,7 @@ def test_valuations_match_oracles_on_random_sections(quadric, fermat):
         for _ in range(25):
             terms = {m: rng.randrange(-4, 5) for m in rng.sample(monos, 3)}
             section = HomogPoly(4, 2, terms)
-            if not section or not case.reduce(section):
+            if not section or not reduce_section(case, section):
                 continue
             assert _valuation(section, case.flag) == \
                 oracle_valuation(case.name, section)[0]

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from okbody.valuation import Flag
 from okbody.varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
                               case_study_to_json, make_case,
                               make_negative_control, verify_flag)
+
+from oracles import reduce_section
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -207,10 +210,22 @@ def test_fixture_rejects_point_off_flag():
         case_study_from_json(json.dumps(data))
 
 
+def test_fixture_relation_is_scaled_by_its_lex_leading_coefficient():
+    # in lex with the last variable most significant w^3 leads, not x^3
+    data = json.loads(case_study_to_json(make_case("fermat_cubic")))
+    data["relation"] = [["2", [3, 0, 0, 0]], ["2", [0, 3, 0, 0]],
+                        ["3", [0, 0, 3, 0]], ["5", [0, 0, 0, 3]]]
+    relation = case_study_from_json(json.dumps(data)).flag.relation
+    assert relation.terms == {(3, 0, 0, 0): Fraction(2, 5),
+                              (0, 3, 0, 0): Fraction(2, 5),
+                              (0, 0, 3, 0): Fraction(3, 5),
+                              (0, 0, 0, 3): 1}
+
+
 def test_reduce_is_identity_without_relation():
     p2 = make_case("p2")
     section = HomogPoly.variable(3, 0) ** 2
-    assert p2.reduce(section) == section
+    assert reduce_section(p2, section) == section
 
 
 @pytest.mark.parametrize("var", [-1, 4])
