@@ -2,9 +2,8 @@
 flagged projective hypersurfaces, with finite-generation certification,
 toric limit data and elliptic-curve divisor utilities."""
 
-from .convex import (GradedPoint, RationalPolytope, cone_slice, convex_hull,
-                     dilate, normal_fan_rays, polytope_equal, polytope_to_json,
-                     scaled_simplex)
+from .convex import (RationalPolytope, convex_hull, normal_fan_rays,
+                     polytope_equal, polytope_to_json, scaled_simplex)
 from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                        random_divisor, single_point_member)
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
@@ -22,10 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CASE_NAMES", "CaseStudy", "EllipticCurveFp", "Flag", "FlagReport",
-    "GradedPoint", "GradedSystem", "HomogPoly", "INFINITY", "OkounkovSemigroup",
+    "GradedSystem", "HomogPoly", "INFINITY", "OkounkovSemigroup",
     "PrecisionError", "RationalPolytope", "ZeroSectionError",
     "body_estimate", "case_study_from_json", "case_study_to_json",
-    "cone_slice", "convex_hull", "dilate", "divisor_class_sum",
+    "convex_hull", "divisor_class_sum",
     "generation_degree", "graded_monomials", "has_projective_common_zero",
     "make_case", "make_negative_control", "normal_fan_rays", "polytope_equal",
     "polytope_to_json", "random_divisor", "scaled_simplex", "semigroup",

@@ -16,13 +16,13 @@ dimension, facets and normal fan from it.  Facets carry primitive integer
 inward normals, which are the rays of the normal fan (the combinatorial
 data of the associated toric variety).
 
-A cone slice is hulled over the lattice points value * (L/level), after
-one pass per axis drops each point strictly inside an axis-parallel segment
-between two points that stay: it is their convex combination and never a
-vertex, so the hull and its vertices are exactly those of all the points.
-A graded piece is a union of segments along the last axis, so this
-leaves about two points per prefix.  Coordinates are ints or Fractions;
-anything else, a float included, is a TypeError.
+Before the double description, one pass per axis drops each point strictly
+inside an axis-parallel segment between two points that stay: it is their
+convex combination and never a vertex, so the hull and its vertices are
+exactly those of all the points.  The quotients value/level of a graded
+piece form segments along the last axis, so this leaves about two points
+per prefix.  Coordinates are ints or Fractions; anything else, a float
+included, is a TypeError.
 """
 
 from __future__ import annotations
@@ -41,27 +41,6 @@ from .polynomials import Scalar, _exact
 Point = tuple[Fraction, ...]
 # (a, beta) for a . x >= beta
 Constraint = tuple[tuple[int, ...], Fraction]
-
-
-@dataclass(frozen=True)
-class GradedPoint:
-    """A valuation vector together with the level m of the graded piece it
-    came from; the pair is one lattice point of the graded value semigroup."""
-
-    value: tuple[int, ...]
-    level: int
-
-    def __post_init__(self) -> None:
-        if {type(self.level), *map(type, self.value)} != {int}:
-            raise TypeError(f"graded point ({self.value!r}, {self.level!r}) "
-                            "needs an int level and int value entries")
-        if self.level < 1:
-            raise ValueError("graded points live at level >= 1")
-        if any(v < 0 for v in self.value):
-            raise ValueError("valuation vectors are nonnegative")
-
-    def quotient(self) -> Point:
-        return tuple(Fraction(v, self.level) for v in self.value)
 
 
 @dataclass(frozen=True)
@@ -223,35 +202,18 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> RationalPolytope:
     """Minimal vertex set of the convex hull, exactly; repeated points and
     lower-dimensional hulls are allowed.  The points are scaled to integer
     points by one positive factor, which keeps their lex order, so they are
-    deduplicated, sorted and hulled as plain integer tuples."""
+    deduplicated, pruned to their segment ends, sorted and hulled as plain
+    integer tuples."""
     ints, scale = _lattice(points)
     if not ints:
         raise ValueError("empty point set")
     dim = len(ints[0])
     if any(len(p) != dim for p in ints):
         raise ValueError("mixed dimensions")
-    ints = sorted(set(ints))
+    ints = sorted(_segment_ends(list(set(ints))))
     hull = _double_description(ints, scale)
     return RationalPolytope(dim, tuple(
         tuple(Fraction(c, scale) for c in ints[i]) for i in hull.vertices))
-
-
-def cone_slice(points: Iterable[GradedPoint]) -> RationalPolytope:
-    """Height-one slice of the cone generated by finitely many graded
-    points: the convex hull of value/level over the input.  Each value/level
-    is the lattice point value * (L/level) shrunk by L, the lcm of the
-    levels, so the hull is taken over integer points and only its vertices
-    become fractions; only the ends of its axis-parallel segments reach the
-    hull."""
-    graded = list(points)
-    if not graded:
-        raise ValueError("empty input")
-    scale = lcm(*(p.level for p in graded))
-    lattice = list({tuple(v * (scale // p.level) for v in p.value)
-                    for p in graded})
-    if len({len(p) for p in lattice}) > 1:
-        raise ValueError("mixed dimensions")
-    return dilate(convex_hull(_segment_ends(lattice)), Fraction(1, scale))
 
 
 def _segment_ends(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -270,14 +232,6 @@ def _segment_ends(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
                 ends[rest] = low, p
         points = list({p for pair in ends.values() for p in pair})
     return points
-
-
-def dilate(polytope: RationalPolytope, factor: Scalar) -> RationalPolytope:
-    c = Fraction(_exact(factor))
-    if c <= 0:
-        raise ValueError("dilation factor must be positive")
-    scaled = [tuple(c * x for x in v) for v in polytope.vertices]
-    return RationalPolytope(polytope.dim, tuple(sorted(scaled)))
 
 
 def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:

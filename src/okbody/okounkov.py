@@ -26,7 +26,7 @@ level's fibers (s, V(c*m - s)) over the prefix sums s, and its vectors are
 built only when read.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
-value semigroup; its cone slice at height one, hulled from each piece's
+value semigroup; the hull of its quotients v/m, taken over each piece's
 corners, is an inner estimate of the limit body.  When every vertex of a
 candidate polytope that is also a valid outer bound already occurs among
 the level-1 vectors, the semigroup generated by the full system is finitely
@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
-from .convex import GradedPoint, RationalPolytope, cone_slice
+from . import convex  # convex.convex_hull read per call: perfbench wraps it
+from .convex import RationalPolytope
 from .varieties import CaseStudy
 
 KINDS = ("powers", "complete")
@@ -117,10 +119,6 @@ class OkounkovSemigroup:
     def levels(self) -> dict[int, tuple[Vector, ...]]:
         return {m: self.level(m) for m in range(1, self.max_level + 1)}
 
-    def graded_points(self) -> list[GradedPoint]:
-        return [GradedPoint(vec, m)
-                for m, level in self.levels.items() for vec in level]
-
 
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     """Levels 1..max_level from the final stage's value sets V(d'), all
@@ -144,16 +142,21 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
 
 
 def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
-    """Height-one cone slice over every enumerated graded point: an exact
-    inner approximation of the limit body, monotone in max_level.  The fiber
-    of prefix sum s is a product, conv(s*e_i) times V(c*m - s), so its hull
-    is that of (s*e_i, min V) and (s*e_i, max V); an empty fiber has none."""
-    p = sg.steps
-    return cone_slice(
-        GradedPoint(tuple(s if a == i else 0 for a in range(p)) + (j,), m)
-        for m in range(1, sg.max_level + 1)
-        for s, values in sg.fibers(m) if values
-        for i in range(max(p, 1)) for j in {values[0], values[-1]})
+    """The hull of the quotients v/m of every enumerated vector v of every
+    level m: an exact inner approximation of the limit body, monotone in
+    max_level.  The fiber of prefix sum s is a product, conv(s*e_i) times
+    V(c*m - s), so its hull is that of (s*e_i, min V) and (s*e_i, max V);
+    an empty fiber has none.  Each level makes one Fraction per numerator."""
+    p, corners = sg.steps, []
+    for m in range(1, sg.max_level + 1):
+        fibers = [(s, values) for s, values in sg.fibers(m) if values]
+        top = max((max(s, values[-1]) for s, values in fibers), default=0)
+        q = [Fraction(x, m) for x in range(top + 1)]  # q[x] = x/m
+        for s, values in fibers:
+            for i in range(max(p, 1)):
+                prefix = tuple(q[s] if a == i else q[0] for a in range(p))
+                corners += [prefix + (q[j],) for j in {values[0], values[-1]}]
+    return convex.convex_hull(corners)
 
 
 def vertex_criterion(candidate: RationalPolytope,

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from okbody.convex import (GradedPoint, cone_slice, convex_hull, dilate,
-                           normal_fan_rays, polytope_equal, polytope_to_json,
-                           scaled_simplex)
+from okbody.convex import (convex_hull, normal_fan_rays, polytope_equal,
+                           polytope_to_json, scaled_simplex)
 from okbody.okounkov import semigroup
 from okbody.varieties import CASE_NAMES, make_case
 
@@ -40,15 +39,12 @@ def test_mixed_dimensions_rejected():
 
 def test_inexact_coordinates_rejected():
     # a float would enter as its binary expansion, 0.1 as 3602879701896397/2^55
-    unit = scaled_simplex(2, 1, 1)
     with pytest.raises(TypeError, match="0.1"):
         convex_hull([(0.1,)])
     with pytest.raises(TypeError, match="0.5"):
         convex_hull([(0, 0), (1, 0.5)])
     with pytest.raises(TypeError, match="'1/2'"):
         convex_hull([("1/2", 0)])
-    with pytest.raises(TypeError, match="0.5"):
-        dilate(unit, 0.5)
 
 
 @given(points_2d)
@@ -132,48 +128,42 @@ def test_hull_matches_nd_oracles(name):
             hull.facets()
 
 
-# -- cone slice ------------------------------------------------------------------
+# -- cone slice: the hull of the quotients value/level -------------------------
+
+
+def _quotients(graded):
+    """The points value/level of (value, level) pairs."""
+    return [tuple(F(v, level) for v in value) for value, level in graded]
 
 
 def test_cone_slice_level_one_points():
-    pts = [GradedPoint((0, 0), 1), GradedPoint((1, 0), 1), GradedPoint((0, 3), 1)]
-    assert cone_slice(pts) == convex_hull([(0, 0), (1, 0), (0, 3)])
+    graded = [((0, 0), 1), ((1, 0), 1), ((0, 3), 1)]
+    assert convex_hull(_quotients(graded)) == convex_hull(
+        [(0, 0), (1, 0), (0, 3)])
 
 
 def test_cone_slice_divides_by_level():
-    assert cone_slice([GradedPoint((0, 6), 2)]).vertices == ((F(0), F(3)),)
+    assert convex_hull(_quotients([((0, 6), 2)])).vertices == ((F(0), F(3)),)
 
 
 def test_cone_slice_empty_rejected():
-    with pytest.raises(ValueError):
-        cone_slice([])
+    with pytest.raises(ValueError, match="empty point set"):
+        convex_hull(iter([]))
 
 
 def test_cone_slice_mixed_dimensions_rejected():
     # the dimensions are checked before the segment ends are taken, which
     # would index past the end of the shorter points
     with pytest.raises(ValueError, match="mixed dimensions"):
-        cone_slice([GradedPoint((0, 0), 1), GradedPoint((1, 0, 0), 1)])
+        convex_hull(_quotients([((0, 0), 1), ((1, 0, 0), 1)]))
     with pytest.raises(ValueError, match="mixed dimensions"):
-        cone_slice([GradedPoint((0, 0, 5), 1), GradedPoint((1, 0), 2),
-                    GradedPoint((0, 3), 1)])
-
-
-def test_graded_point_validation():
-    with pytest.raises(ValueError):
-        GradedPoint((0, 0), 0)
-    with pytest.raises(ValueError):
-        GradedPoint((-1, 0), 1)
-    for value, level in (((1.5,), 1), ((F(1),), 1), ((True, 0), 1),
-                         (("1",), 1), ((1,), 1.0), ((1,), F(1)),
-                         ((1,), True)):
-        with pytest.raises(TypeError):
-            GradedPoint(value, level)
+        convex_hull(_quotients([((0, 0, 5), 1), ((1, 0), 2), ((0, 3), 1)]))
 
 
 def _segment_clouds():
-    """Seeded graded clouds whose quotients are dense along axis-parallel
-    lines, each quotient q given as q * m at a random level m."""
+    """Seeded clouds dense along axis-parallel lines: graded clouds, each
+    point q given as its quotient (q * m)/m at a random level m, and runs
+    with negative and fractional coordinates."""
     rng = random.Random(23)
     lattice = {}
     # staircases: one segment from 0 to a random top per prefix, the shape
@@ -202,9 +192,19 @@ def _segment_clouds():
                 point = base[:axis] + [base[axis] + t] + base[axis + 1:]
                 cloud += [tuple(point)] * rng.randrange(1, 3)
         lattice[f"repeated_lines_{dim}d"] = cloud
-    return {name: [GradedPoint(tuple(m * x for x in q), m)
-                   for q in cloud for m in [rng.randrange(1, 4)]]
-            for name, cloud in lattice.items()}
+    clouds = {name: _quotients((tuple(m * x for x in q), m) for q in cloud
+                               for m in [rng.randrange(1, 4)])
+              for name, cloud in lattice.items()}
+    # runs along random axes in steps of 1/3 from signed fractional bases
+    runs = []
+    for _ in range(4):
+        base = [F(rng.randrange(-9, 4), rng.randrange(1, 4)) for _ in range(3)]
+        axis = rng.randrange(3)
+        for t in range(rng.randrange(3, 5)):
+            runs.append(tuple(c + F(t, 3) if a == axis else c
+                              for a, c in enumerate(base)))
+    clouds["signed_fractional_runs_3d"] = runs
+    return clouds
 
 
 SEGMENT_CLOUDS = _segment_clouds()
@@ -213,8 +213,8 @@ SEGMENT_CLOUDS = _segment_clouds()
 @pytest.mark.parametrize("name", sorted(SEGMENT_CLOUDS))
 def test_cone_slice_matches_oracles_on_segments(name):
     points = SEGMENT_CLOUDS[name]
-    body = cone_slice(points)
-    vertices = brute_hull_vertices_nd([p.quotient() for p in points])
+    body = convex_hull(points)
+    vertices = brute_hull_vertices_nd(points)
     assert list(body.vertices) == vertices
     if affine_dimension(vertices) == body.dim:
         assert list(body.facets()) == brute_facets(vertices)
@@ -223,14 +223,13 @@ def test_cone_slice_matches_oracles_on_segments(name):
 @pytest.mark.parametrize("max_level", (1, 2))
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_cone_slice_of_shipped_cases_matches_oracle(name, max_level):
-    points = semigroup(make_case(name), "complete", max_level).graded_points()
-    assert list(cone_slice(points).vertices) == brute_hull_vertices_nd(
-        [p.quotient() for p in points])
+    levels = semigroup(make_case(name), "complete", max_level).levels
+    points = _quotients((v, m) for m, level in levels.items() for v in level)
+    assert list(convex_hull(points).vertices) == brute_hull_vertices_nd(points)
 
 
 graded_points_2d = st.lists(
-    st.builds(GradedPoint,
-              st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    st.tuples(st.tuples(st.integers(0, 8), st.integers(0, 8)),
               st.integers(1, 4)),
     min_size=1, max_size=10)
 
@@ -238,8 +237,9 @@ graded_points_2d = st.lists(
 @given(graded_points_2d, graded_points_2d)
 @settings(max_examples=40, deadline=None)
 def test_cone_slice_monotone(sub, extra):
-    large = cone_slice(sub + extra).vertices
-    assert all(in_hull_nd(v, large) for v in cone_slice(sub).vertices)
+    large = convex_hull(_quotients(sub + extra)).vertices
+    assert all(in_hull_nd(v, large)
+               for v in convex_hull(_quotients(sub)).vertices)
 
 
 @st.composite
@@ -256,38 +256,39 @@ def graded_clouds(draw):
                                 max_size=rank))
         value = tuple(sum(w * d[j] for w, d in zip(weights, directions))
                       for j in range(n))
-        points.append(GradedPoint(value, draw(st.integers(1, 6))))
+        points.append((value, draw(st.integers(1, 6))))
     return points
 
 
 @given(graded_clouds())
-@example([GradedPoint((0, 0, 0), 1), GradedPoint((2, 4, 0), 4),
-          GradedPoint((3, 0, 3), 5), GradedPoint((5, 4, 3), 6)])
-@example([GradedPoint((1, 2, 0, 3), 2), GradedPoint((2, 4, 0, 6), 3),
-          GradedPoint((0, 0, 0, 0), 6)])
+@example([((0, 0, 0), 1), ((2, 4, 0), 4), ((3, 0, 3), 5), ((5, 4, 3), 6)])
+@example([((1, 2, 0, 3), 2), ((2, 4, 0, 6), 3), ((0, 0, 0, 0), 6)])
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_cone_slice_matches_hull_of_quotients(points):
-    # the slice hulls the lattice points value * (L/level) and shrinks them
-    # by L; the examples are a plane in 3 dimensions and a segment in 4
-    assert cone_slice(points) == convex_hull([p.quotient() for p in points])
+def test_cone_slice_matches_hull_of_quotients(graded):
+    # x -> x + sum(x) (1, ..., 1) is linear and invertible, so it maps the
+    # hull's vertices to the vertices of the image's hull, and it maps no
+    # axis-parallel segment to one, nor back: the segment ends are taken
+    # from different points on the two sides.  The examples are a plane in
+    # 3 dimensions and a segment in 4
+    def sheared(points):
+        return sorted(tuple(c + sum(p) for c in p) for p in points)
+    points = _quotients(graded)
+    assert list(convex_hull(sheared(points)).vertices) == sheared(
+        convex_hull(points).vertices)
 
 
 # -- dilation and equality --------------------------------------------------------
 
 
+def _dilate(polytope, factor):
+    return convex_hull([factor * c for c in v] for v in polytope.vertices)
+
+
 def test_dilate_examples():
     unit = scaled_simplex(2, 1, 1)
-    assert dilate(unit, 2) == scaled_simplex(2, 2, 1)
-    assert dilate(unit, 1) == unit
-    assert dilate(scaled_simplex(2, 1, 3), 2) == scaled_simplex(2, 2, 3)
-
-
-def test_dilate_rejects_nonpositive():
-    unit = scaled_simplex(2, 1, 1)
-    with pytest.raises(ValueError):
-        dilate(unit, 0)
-    with pytest.raises(ValueError):
-        dilate(unit, F(-1, 2))
+    assert _dilate(unit, 2) == scaled_simplex(2, 2, 1)
+    assert _dilate(unit, 1) == unit
+    assert _dilate(scaled_simplex(2, 1, 3), 2) == scaled_simplex(2, 2, 3)
 
 
 @given(a=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
@@ -295,7 +296,7 @@ def test_dilate_rejects_nonpositive():
 @settings(max_examples=40, deadline=None)
 def test_dilate_composes(a, b):
     simplex = scaled_simplex(2, 1, 3)
-    assert dilate(dilate(simplex, a), b) == dilate(simplex, a * b)
+    assert _dilate(_dilate(simplex, a), b) == _dilate(simplex, a * b)
 
 
 def test_polytope_equal_examples():

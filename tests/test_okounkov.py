@@ -5,9 +5,8 @@ from math import comb
 
 import pytest
 
-from okbody.convex import dilate, polytope_equal, scaled_simplex
+from okbody.convex import convex_hull, polytope_equal, scaled_simplex
 from okbody.linalg import Echelon, rank
-from okbody.convex import cone_slice
 from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
                              body_estimate, generation_degree, semigroup,
                              semigroup_to_json, vertex_criterion)
@@ -243,14 +242,13 @@ def test_kind_agreement(p2, p3, quadric, fermat):
 def test_levels_lie_in_the_bezout_simplex(name, kind):
     # every column of a degree-cm expansion is a prefix (k_1, ..., k_{n-1})
     # and j <= (cm - sum k_i) * e, with e the degree of the final curve, so
-    # the level-m vectors lie in m * S, S = scaled_simplex(n, c, e)
+    # the level-m vectors lie in m * S = scaled_simplex(n, c*m, e)
     for c, max_level in ((1, 4), (2, 2)):
         case = make_case(name, c)
         stage = case.flag.final_stage
-        simplex = scaled_simplex(len(case.flag.steps) + 1, c,
-                                 stage.curve_degree)
+        n = len(case.flag.steps) + 1
         for m, vectors in semigroup(case, kind, max_level).levels.items():
-            facets = dilate(simplex, m).facets()
+            facets = scaled_simplex(n, c * m, stage.curve_degree).facets()
             assert all(sum(a * x for a, x in zip(normal, v)) >= offset
                        for v in vectors for normal, offset in facets), m
 
@@ -377,7 +375,14 @@ def test_homogeneity_of_bodies():
     for name in ("p2", "quadric_surface", "fermat_cubic"):
         body_1 = body_estimate(semigroup(make_case(name, 1), "complete", 2))
         body_2 = body_estimate(semigroup(make_case(name, 2), "complete", 2))
-        assert polytope_equal(body_2, dilate(body_1, 2))
+        assert polytope_equal(body_2, convex_hull(
+            [2 * x for x in v] for v in body_1.vertices))
+
+
+def _hull_of_every_vector(sg):
+    """The hull of v/m over every vector v of every level m."""
+    return convex_hull(tuple(Fraction(x, m) for x in v)
+                       for m, level in sg.levels.items() for v in level)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -388,8 +393,8 @@ def test_body_matches_hull_of_every_vector(name):
         for kind in KINDS:
             for max_level in (1, 2, 3, 4):
                 sg = semigroup(make_case(name, c), kind, max_level)
-                assert body_estimate(sg) == cone_slice(
-                    sg.graded_points()), (c, kind, max_level)
+                assert body_estimate(sg) == _hull_of_every_vector(sg), (
+                    c, kind, max_level)
 
 
 def test_curve_case_without_steps_matches_oracles():
@@ -404,7 +409,7 @@ def test_curve_case_without_steps_matches_oracles():
         assert sg.steps == 0
         assert sg.level(1) == tuple((j,) for j in sg.curve[c])
         assert sg.fibers(1) == [(0, sg.curve[c])]
-        assert body_estimate(sg) == cone_slice(sg.graded_points())
+        assert body_estimate(sg) == _hull_of_every_vector(sg)
         assert body_estimate(sg) == scaled_simplex(1, c, 3)
         assert (generation_degree(sg, 4)
                 == brute_generation_degree(sg.levels, 4) == 1)
@@ -419,14 +424,14 @@ def test_body_skips_an_empty_fiber(p2):
     # level 2 have no corner
     sg = OkounkovSemigroup(p2, "complete", 3, ((0,), (), (1,), (2,)), 1)
     assert sg.fibers(1) == [(0, ()), (1, (0,))]
-    assert body_estimate(sg) == cone_slice(sg.graded_points())
+    assert body_estimate(sg) == _hull_of_every_vector(sg)
 
 
 @pytest.mark.parametrize("name, max_level", [
     ("quadric_surface", 30), ("p3", 20), ("fermat_cubic", 24)])
 def test_body_matches_hull_of_every_vector_at_large_levels(name, max_level):
     sg = semigroup(make_case(name), "complete", max_level)
-    assert body_estimate(sg) == cone_slice(sg.graded_points())
+    assert body_estimate(sg) == _hull_of_every_vector(sg)
 
 
 def test_vertex_criterion_examples():
