@@ -8,6 +8,7 @@ one series u(t) with u(0) = 0 solves f(t, u(t)) = 0.  The branch solver
 finds it order by order: the coefficient of t^k in f(t, u(t)) is a_01 u_k
 plus terms in u_1 .. u_{k-1}, so each coefficient costs one division; the
 powers u^j come along, as tuples of coefficients to the precision asked.
+Only the curve is put in the chart: okbody.valuation reads forms via u^j.
 """
 
 from __future__ import annotations
@@ -27,41 +28,31 @@ class PrecisionError(RuntimeError):
     its answer."""
 
 
-def affine_chart_expansion(form: HomogPoly, point: Sequence[Scalar],
-                           chart_var: int, param_var: int,
-                           dep_var: int | None = None) -> BivarPoly:
-    """Dehomogenize a form at a rational point: f(t, u) is the form at
-    x_chart = 1, x_param = t0 + t, x_dep = u0 + u, with (t0, u0) the point
-    in the chart, by the translations x_param -> x_param + t0 x_chart and
-    x_dep -> x_dep + u0 x_chart.  Keys are (t-exponent, u-exponent); on a
-    line dep_var is None and every key is (i, 0)."""
-    shifted = [v for v in (param_var, dep_var) if v is not None]
-    number = "two" if dep_var is None else "three"
-    if sorted((chart_var, *shifted)) != list(range(form.num_vars)):
-        raise ValueError("chart, parameter and dependent variables must "
-                         f"partition the {number} coordinates")
-    pt = [Fraction(_exact(v)) for v in point]
-    if len(pt) != form.num_vars:
-        raise ValueError(f"point must have {number} coordinates")
-    if pt[chart_var] == 0:
-        raise ValueError("point is not in the chosen affine chart")
-    chart = HomogPoly.variable(form.num_vars, chart_var)
-    for var in shifted:
-        form = form.substitute(var, HomogPoly.variable(form.num_vars, var)
-                               + chart * (pt[var] / pt[chart_var]))
-    return {(exps[param_var], 0 if dep_var is None else exps[dep_var]): c
-            for exps, c in form.terms.items()}
-
-
 def branch_equation(curve: HomogPoly, point: Sequence[Scalar], *,
                     chart_var: int, param_var: int, dep_var: int
                     ) -> BivarPoly:
-    """The dehomogenized equation f(t, u) of a plane curve at a rational
-    point, checked to have a branch there: the point lies on the curve, is
-    smooth, and the parameter is transversal (a_01 != 0)."""
+    """The equation f(t, u) of a plane curve at a rational point, checked
+    to have a branch there: the point lies on the curve, is smooth, and the
+    parameter is transversal (a_01 != 0).  f is the curve at x_chart = 1,
+    x_param = t0 + t, x_dep = u0 + u, with (t0, u0) the point in the chart,
+    by the translations x_param -> x_param + t0 x_chart and x_dep -> x_dep
+    + u0 x_chart; keys are (t-exponent, u-exponent)."""
     if curve.num_vars != 3:
         raise ValueError("expected a form in three variables")
-    f = affine_chart_expansion(curve, point, chart_var, param_var, dep_var)
+    if sorted((chart_var, param_var, dep_var)) != [0, 1, 2]:
+        raise ValueError("chart, parameter and dependent variables must "
+                         "partition the three coordinates")
+    pt = [Fraction(_exact(v)) for v in point]
+    if len(pt) != 3:
+        raise ValueError("point must have three coordinates")
+    if pt[chart_var] == 0:
+        raise ValueError("point is not in the chosen affine chart")
+    chart, moved = HomogPoly.variable(3, chart_var), curve
+    for var in (param_var, dep_var):
+        moved = moved.substitute(var, HomogPoly.variable(3, var)
+                                 + chart * (pt[var] / pt[chart_var]))
+    f = {(exps[param_var], exps[dep_var]): c
+         for exps, c in moved.terms.items()}
     if (0, 0) in f:
         raise ValueError("point does not lie on the curve")
     if (0, 1) not in f:
@@ -101,8 +92,10 @@ def series_solve_branch(curve: HomogPoly, point: Sequence[Scalar],
     u, support = powers[1], []
     for k in range(1, precision):
         # u^j = u u^(j-1), j >= 2: as u(0) = 0, its t^k coefficient sums u_l
-        # times that of t^(k-l) in u^(j-1) over support, the l < k, u_l != 0
-        for j in range(2, len(powers)):
+        # times that of t^(k-l) in u^(j-1) over support, the l < k, u_l != 0;
+        # u^j has order j v, v = support[0], so only j <= k / v sum any
+        for j in range(2, min(len(powers), k // support[0] + 1)
+                       if support else 2):
             lower = powers[j - 1]
             powers[j][k] = sum(u[l] * lower[k - l] for l in support
                                if lower[k - l])

@@ -13,15 +13,13 @@ form down to the last curve of degree e (or line, e = 1).
 
 On that curve, in the chart at the point, t is the parameter's offset, u
 the dependent coordinate's and u(t) the curve's branch.  A form of degree
-d' is f = sum f_ab t^a u^b there, so its series at the point, to t^(d'*e),
-sums powers of the branch shifted by a, and its first nonzero coefficient
-is its order whenever it does not vanish on the curve.  As the translation
-to the point is triangular, the value sets V(0), ..., V(D), the orders of
-the nonzero forms of each degree modulo the curve, are the pivot sets of
-one echelon (see _FinalStage.value_sets).  The final stage keeps no
-state: each call asks series_solve_branch once, at the precision it needs.
-okbody.okounkov reads each graded piece's value set off V(d'), and the
-flag verifier the final form's contact order.
+d' is f = sum f_ab t^a u^b there, so along the branch it sums powers of
+u(t) shifted by a, and its order is its first nonzero coefficient, at most
+d'*e when it does not vanish on the curve.  The translation to the point
+is triangular, so the value sets V(0), ..., V(D), the orders of the
+nonzero forms of each degree modulo the curve, are the pivot sets of one
+echelon (see _FinalStage.value_sets); the final form is a*t + b*u, whose
+order is its contact order.  Each call asks series_solve_branch once.
 """
 
 from __future__ import annotations
@@ -32,13 +30,13 @@ from typing import Sequence
 
 from .linalg import Echelon
 from .polynomials import HomogPoly, Scalar, _exact
-from .series import (PRECISION_CAP, PrecisionError, affine_chart_expansion,
-                     series_solve_branch)
+from .series import PRECISION_CAP, PrecisionError, series_solve_branch
 
 
 class ZeroSectionError(ValueError):
-    """The section vanishes identically modulo the defining relation, so its
-    valuation is undefined."""
+    """A form vanishes along the final curve's branch at the point, so its
+    order there is undefined: the final form, when it vanishes on the
+    curve, or a form of some degree that does not vanish on the curve."""
 
 
 @dataclass(frozen=True)
@@ -107,31 +105,19 @@ class _FinalStage:
             self.relation, self.point, precision, chart_var=self.chart,
             param_var=self.param, dep_var=self.dep, count=count)
 
-    def series(self, form: HomogPoly) -> list[Fraction]:
-        """Series coefficients j = 0 .. deg(form) * e of a form at the point
-        in the parameter t: sum f_ab t^a u(t)^b for the form f(t, u) in the
-        chart at the point."""
-        precision = self._precision(form.degree)
-        f = affine_chart_expansion(form, self.point, self.chart, self.param,
-                                   self.dep)
-        powers = self._branch_powers(1 + max((j for _i, j in f), default=0),
-                                     precision)
-        out = [Fraction(0)] * precision
-        for (i, j), c in f.items():
-            for k, p in enumerate(powers[j][:precision - i]):
-                if p:
-                    out[i + k] += c * p
-        return out
-
-    def order_and_unit(self, form: HomogPoly) -> tuple[int, Fraction]:
-        """Order and leading series coefficient of a form at the point."""
-        curve = "line" if self.relation is None else "curve"
-        if not form:
-            raise ZeroSectionError(f"zero restriction on the final {curve}")
-        for j, c in enumerate(self.series(form)):
-            if c:
-                return j, c
-        # a nonzero binary form has a nonzero coefficient at any point
+    def contact_order(self) -> int:
+        """The order at the point of the final form on the final curve.  It
+        is linear and vanishes there, so in the chart it is a*t + b*u, and
+        its order is the first nonzero coefficient of a*t + b*u(t) to t^e,
+        as a form not vanishing on the curve meets it e times."""
+        # a and b are the form at unit vectors; with no dependent coordinate
+        # (a line) b is the form at zero, and only u^0 comes back
+        a, b = (self.form.evaluate([int(i == var) for i in range(
+            len(self.point))]) for var in (self.param, self.dep))
+        u = self._branch_powers(2, self._precision(1))[-1]
+        for k in range(1, self.curve_degree + 1):
+            if (a if k == 1 else 0) + b * u[k]:
+                return k
         raise ZeroSectionError("section vanishes identically on the final "
                                "curve")
 

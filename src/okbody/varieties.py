@@ -206,7 +206,7 @@ def verify_flag(case: CaseStudy) -> FlagReport:
                              f"restriction to the final {curve} is zero")
     else:
         try:
-            order, _unit = stage.order_and_unit(stage.form)
+            order = stage.contact_order()
         except ValueError as exc:
             ok, detail = False, f"the final form's order at the point: {exc}"
         else:
@@ -243,6 +243,13 @@ def _rational(value) -> Fraction:
     if type(value) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
         raise ValueError(f"{value!r} is not an integer or a fraction")
     return Fraction(_checked(value, (int, str)))
+
+
+def _stem(value) -> str:
+    """A name, which output file names begin with: a plain file-name stem."""
+    if re.fullmatch(r"[A-Za-z0-9_-]+", _checked(value, (str,))):
+        return value
+    raise ValueError(f"{value!r} is not a plain file-name stem")
 
 
 def _poly_from_obj(obj, num_vars: int) -> HomogPoly:
@@ -312,8 +319,7 @@ def case_study_from_json(text: str) -> CaseStudy:
     flag = Flag(nv, relation, steps, final, point,
                 chart_var=entry("chart_var", _checked),
                 parameter_var=entry("parameter_var", _checked))
-    case = CaseStudy(entry("name", lambda v: _checked(v, (str,))), flag,
-                     entry("c", _checked))
+    case = CaseStudy(entry("name", _stem), flag, entry("c", _checked))
     for key in ("n", "r", "d"):
         if key in data and entry(key, _checked) != getattr(case, key):
             raise ValueError(f"the fixture carries {key} = {data[key]!r}, "

@@ -18,12 +18,14 @@ The oracles build forms with the library's HomogPoly and graded_monomials,
 which have their own tests, and three reuse more.  The single-point oracle
 scans E(F_p) with the library's group law, so it checks the witness tables
 of okbody.elliptic rather than the arithmetic.  The flag-expansion value
-set takes each step's change of coordinates from the flag and each final
-block's series from its final stage, and the per-degree value set takes
-the final stage's series, so both check how value sets are assembled from
-the final curve's series.  The generation-degree oracle adds the
-enumerated vectors as tuples, entry by entry, where the library adds only
-their last entries, fiber by fiber over the prefix sums.
+set takes each step's change of coordinates from the flag, and both it and
+the per-degree value set take the branch u(t) of the final curve from the
+library's solver; the series of a form along that branch is their own
+(their own translation and truncated products of u, checked against sympy's
+form_along_branch), so they check how value sets are assembled and share
+none of the final stage's power sums.  The generation-degree oracle adds
+the enumerated vectors as tuples, entry by entry, where the library adds
+only their last entries, fiber by fiber over the prefix sums.
 """
 
 from __future__ import annotations
@@ -411,6 +413,56 @@ def reduce_section(case, section):
     return normal_form(section, case.flag.relation)
 
 
+# -- a form along the final stage's branch -------------------------------------
+
+
+def _series_product(a, b, length):
+    """The coefficients of t^0 .. t^(length-1) of the product of two
+    series."""
+    out = [0] * length
+    for i, x in enumerate(a[:length]):
+        if x:
+            for j, y in enumerate(b[:length - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def final_series(stage, *forms):
+    """The coefficients of t^0 .. t^(d'*e) of forms of one degree d' along
+    a final stage's branch at its point: each form at x_chart = 1, x_param =
+    t0 + t and x_dep = u0 + u(t), with (t0, u0) the point in the chart and u
+    the library's branch, as sums of truncated products of these series
+    (on a line no coordinate is dependent).  One list per form."""
+    from okbody.series import series_solve_branch
+
+    (degree,) = {form.degree for form in forms}
+    length = degree * stage.curve_degree + 1
+    scale = stage.point[stage.chart]
+    values = {stage.chart: [1],
+              stage.param: [stage.point[stage.param] / scale, 1]}
+    if stage.dep is not None:
+        u = series_solve_branch(stage.relation, stage.point, length,
+                                chart_var=stage.chart, param_var=stage.param,
+                                dep_var=stage.dep, count=2)[1]
+        values[stage.dep] = [stage.point[stage.dep] / scale, *u[1:]]
+    powers = {var: [[1]] for var in values}
+    for var, value in values.items():
+        while len(powers[var]) <= degree:
+            powers[var].append(_series_product(powers[var][-1], value,
+                                               length))
+    rows = []
+    for form in forms:
+        row = [Fraction(0)] * length
+        for exps, c in form.terms.items():
+            term = [c]
+            for var, e in enumerate(exps):
+                term = _series_product(term, powers[var][e], length)
+            row = [x + y for x, y in zip(row, term)]
+        rows.append(row)
+    return rows
+
+
 # -- value sets ---------------------------------------------------------------
 
 
@@ -454,7 +506,7 @@ def expansion_value_set(basis, flag):
 
     def expand(section, stages, prefix):
         if not stages:
-            series = flag.final_stage.series(section)
+            (series,) = final_series(flag.final_stage, section)
             return {prefix + (j,): c for j, c in enumerate(series) if c}
         step, split, row = stages[0], {}, {}
         normal = section.substitute(step.pivot, step.to_y)
@@ -543,8 +595,8 @@ def per_degree_value_set(stage, degree: int) -> tuple[int, ...]:
     degrees."""
     from okbody.polynomials import HomogPoly, graded_monomials
 
-    rows = [stage.series(HomogPoly.monomial(mono))
-            for mono in graded_monomials(len(stage.point), degree)]
+    rows = final_series(stage, *map(HomogPoly.monomial, graded_monomials(
+        len(stage.point), degree)))
     return tuple(row_reduce(rows)[1])
 
 

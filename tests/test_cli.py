@@ -182,6 +182,9 @@ BAD_FIXTURES = {
     "coefficient_exponent": (_set("1e0", "final_form", 0, 0),
                              "malformed 'final_form'"),
     "name_not_a_string": (_set(5, "name"), "malformed 'name'"),
+    # the name begins the output file names, so it is a plain file-name stem
+    "name_parent_dir": (_set("../x", "name"), "malformed 'name'"),
+    "name_with_slash": (_set("a/b", "name"), "malformed 'name'"),
     "n_float": (_set(2.0, "n"), "malformed 'n'"),
     # the repeated step restricts to zero on the member it cuts out
     "steps_repeated": (lambda data: {**data, "steps": data["steps"] * 2},

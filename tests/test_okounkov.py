@@ -165,11 +165,11 @@ def _reducible_final_curve_case():
     relation = x * w - y * z
     flag = Flag(4, relation, [z], x, (0, 1, 0, 1), chart_var=1,
                 parameter_var=3)
-    return CaseStudy("reducible", flag, c=1), x
+    return CaseStudy("reducible", flag, c=1)
 
 
 def test_reducible_final_curve_rejected():
-    case, x = _reducible_final_curve_case()
+    case = _reducible_final_curve_case()
     with pytest.raises(ZeroSectionError, match="d' = 1"):
         case.flag.final_stage.value_sets(1)
     # the echelon grows from degree 0, so a higher top names d' = 1 too
@@ -177,10 +177,9 @@ def test_reducible_final_curve_rejected():
         case.flag.final_stage.value_sets(4)
     with pytest.raises(ZeroSectionError):
         semigroup(case, "complete", 2)
-    stage = case.flag.final_stage
     with pytest.raises(ZeroSectionError,
                        match="vanishes identically on the final curve"):
-        stage.order_and_unit(case.flag.stages[0].restrict(x))
+        case.flag.final_stage.contact_order()
     # the final form is x, so the contact check fails with that cause
     contact = verify_flag(case).checks[-1]
     assert not contact.passed
@@ -287,13 +286,12 @@ def test_fibers_group_each_level_by_prefix_sum(name):
 
 
 def test_semigroup_and_final_stage_keep_no_state(fermat):
-    # both are frozen values: reading levels, value sets and series
-    # leaves their attributes as they were
+    # both are frozen values: reading levels, value sets and the contact
+    # order leaves their attributes as they were
     sg = semigroup(fermat, "complete", 3)
     stage = fermat.flag.final_stage
     before = (dict(vars(sg)), dict(vars(stage)))
-    sg.levels, sg.level(2), stage.value_sets(4)
-    stage.series(HomogPoly.variable(3, 1) ** 2)
+    sg.levels, sg.level(2), stage.value_sets(4), stage.contact_order()
     assert (dict(vars(sg)), dict(vars(stage))) == before
     for value in (sg, stage):
         with pytest.raises(FrozenInstanceError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.series import (PrecisionError, affine_chart_expansion,
+from okbody.series import (PrecisionError, branch_equation,
                            series_solve_branch)
 
 from oracles import form_along_branch
@@ -153,18 +153,17 @@ def test_branch_on_seeded_random_curves():
 
 def _sympy_chart_expansion(form, point, chart, param, dep):
     """form(1, t0 + t, u0 + u) by sympy, with (t0, u0) the point in the
-    chart, as {(i, j): coefficient of t^i u^j}; no u on a line."""
+    chart, as {(i, j): coefficient of t^i u^j}."""
     import sympy
 
     t, u = sympy.symbols("t u")
     scale = Fraction(point[chart])
-    values = [None] * form.num_vars
+    values = [None] * 3
     values[chart] = 1
     for var, symbol in ((param, t), (dep, u)):
-        if var is not None:
-            offset = Fraction(point[var]) / scale
-            values[var] = sympy.Rational(offset.numerator,
-                                         offset.denominator) + symbol
+        offset = Fraction(point[var]) / scale
+        values[var] = sympy.Rational(offset.numerator,
+                                     offset.denominator) + symbol
     total = sum((sympy.Rational(c.numerator, c.denominator)
                  * sympy.Mul(*(v ** e for v, e in zip(values, exps)))
                  for exps, c in form.terms.items()), sympy.Integer(0))
@@ -174,27 +173,39 @@ def _sympy_chart_expansion(form, point, chart, param, dep):
 
 
 def _chart_cases(rng, count):
-    """Seeded points with chart, parameter and dependent variable, in three
-    variables and on a line (no dependent variable), led by the flex
-    (2 : -2 : 0) and the point (3 : 2), whose chart coordinates are not 1."""
+    """Seeded points with chart, parameter and dependent variable, led by
+    the flex (2 : -2 : 0), whose chart coordinate is not 1."""
     yield (2, -2, 0), 0, 2, 1
-    yield (3, 2), 0, 1, None
-    for num_vars in (3, 2) * count:
-        chart, param, *dep = rng.sample(range(num_vars), num_vars)
+    for _ in range(count):
+        chart, param, dep = rng.sample(range(3), 3)
         point = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
-                 for _ in range(num_vars)]
+                 for _ in range(3)]
         point[chart] = rng.choice((-3, -2, 2, Fraction(1, 3)))
-        yield tuple(point), chart, param, (dep or [None])[0]
+        yield tuple(point), chart, param, dep
 
 
 def test_chart_expansion_matches_sympy():
+    # seeded curves made to pass through each point: the curve's equation
+    # in the chart is sympy's, or, when it has no u term, it is refused
     rng = random.Random(17)
-    for point, *indices in _chart_cases(rng, 12):
-        num_vars = len(point)
-        degree = rng.randrange(0, 5)
-        monos = graded_monomials(num_vars, degree)
-        form = HomogPoly(num_vars, degree, {
+    kwargs_of = ("chart_var", "param_var", "dep_var")
+    refused = 0
+    for point, *indices in _chart_cases(rng, 24):
+        degree = rng.randrange(1, 5)
+        monos = graded_monomials(3, degree)
+        form = HomogPoly(3, degree, {
             m: rng.randrange(-5, 6)
             for m in rng.sample(monos, min(len(monos), 4))})
-        assert affine_chart_expansion(form, point, *indices) == \
-            _sympy_chart_expansion(form, point, *indices), (form, point)
+        chart_power = HomogPoly.variable(3, indices[0]) ** degree
+        curve = form - form.evaluate(point) / chart_power.evaluate(
+            point) * chart_power
+        expected = _sympy_chart_expansion(curve, point, *indices)
+        kwargs = dict(zip(kwargs_of, indices))
+        if (0, 1) in expected:
+            assert branch_equation(curve, point, **kwargs) == expected, \
+                (curve, point)
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="singular|transversal"):
+                branch_equation(curve, point, **kwargs)
+    assert 0 < refused < 25

@@ -12,10 +12,10 @@ from okbody.series import PrecisionError, series_solve_branch
 from okbody.valuation import Flag, ZeroSectionError, _Step
 from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
 
-from oracles import (expansion_value_set, form_along_branch, grevlex_order,
-                     linear_solve, oracle_valuation, oracle_value_set,
-                     per_degree_value_set, poly_divmod, reduce_section,
-                     riemann_roch_orders, standard_basis)
+from oracles import (expansion_value_set, final_series, form_along_branch,
+                     grevlex_order, linear_solve, oracle_valuation,
+                     oracle_value_set, per_degree_value_set, poly_divmod,
+                     reduce_section, riemann_roch_orders, standard_basis)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -263,9 +263,9 @@ def _random_form(rng, num_vars, degree):
                                         Fraction(0)), 0, 2, 1),
 ], ids=["quadric", "fermat", "scaled_flex"])
 def test_final_series_matches_chart_expansion(stage):
-    # the form in the chart, summed over the powers of the branch, equals
-    # sympy's form along the branch; the degrees go up and down, and each
-    # call solves the branch at its own precision
+    # the oracles' series of a form along the library's branch, by their
+    # own translation and truncated products, equals sympy's form along
+    # the branch; the degrees go up and down
     rng = random.Random(7)
     for degree in (3, 1, 5, 0, 2):
         form = _random_form(rng, 3, degree)
@@ -274,7 +274,7 @@ def test_final_series_matches_chart_expansion(stage):
                                      chart_var=stage.chart,
                                      param_var=stage.param, dep_var=stage.dep,
                                      count=2)[1]
-        assert stage.series(form) == form_along_branch(
+        assert final_series(stage, form)[0] == form_along_branch(
             form, stage.point, branch, stage.chart, stage.param, stage.dep)
 
 
@@ -289,7 +289,7 @@ def test_final_series_on_a_line():
                          for e, c in form.terms.items() if e[1] >= j),
                         Fraction(0))
                     for j in range(degree + 1)]
-        assert stage.series(form) == expected
+        assert final_series(stage, form)[0] == expected
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -332,16 +332,13 @@ def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
 
 
 def test_reading_only_u0_solves_nothing(monkeypatch):
-    # V(0) and a form free of u in the chart read u^0 alone, so the solver
-    # is asked for one power: it checks the curve at the point and solves
-    # nothing
+    # V(0) reads u^0 alone, so the solver is asked for one power: it checks
+    # the curve at the point and solves nothing
     calls = []
     _count_branch_solves(monkeypatch, calls)
     stage = make_case("fermat_cubic").flag.final_stage
-    x0 = HomogPoly.variable(3, 0)
     assert stage.value_sets(0) == ((0,),)
-    assert stage.series(x0 ** 2) == [1, 0, 0, 0, 0, 0, 0]
-    assert calls == [(1, 1), (7, 1)]
+    assert calls == [(1, 1)]
     with pytest.raises(ValueError, match="does not lie on the curve"):
         series_solve_branch(PLANE_CUBIC, (1, 1, 1), 4, chart_var=0,
                             param_var=2, dep_var=1, count=1)
@@ -360,26 +357,22 @@ def test_value_sets_refuse_a_curve_through_the_chart_line():
             stage.value_sets(top)
 
 
-def _flex_order(section):
-    """The order of a section at the flex (1:-1:0) of the plane cubic
-    x^3 + y^3 + z^3, read by the final stage of the flag with no steps and
-    the flex tangent {x + y = 0}, in the chart x = 1 with parameter z."""
-    tangent = HomogPoly.linear_form([1, 1, 0])
-    flag = Flag(3, PLANE_CUBIC, [], tangent, (1, -1, 0), chart_var=0,
+def _flex_contact(final, curve=PLANE_CUBIC):
+    """The contact order at the flex (1:-1:0) of the plane curve, the
+    cubic x^3 + y^3 + z^3 by default, of a final form through it, read by
+    the final stage of the flag with no steps, in the chart x = 1 with
+    parameter z."""
+    flag = Flag(3, curve, [], final, (1, -1, 0), chart_var=0,
                 parameter_var=2)
-    return flag.final_stage.order_and_unit(section)[0]
+    return flag.final_stage.contact_order()
 
 
 def test_ord_of_coordinate_at_flex():
-    assert _flex_order(HomogPoly.variable(3, 2)) == 1
+    assert _flex_contact(HomogPoly.variable(3, 2)) == 1
 
 
 def test_ord_of_flex_tangent():
-    assert _flex_order(HomogPoly.linear_form([1, 1, 0])) == 3
-
-
-def test_ord_of_unit_section():
-    assert _flex_order(HomogPoly.variable(3, 0)) == 0
+    assert _flex_contact(HomogPoly.linear_form([1, 1, 0])) == 3
 
 
 def test_ord_certified_at_double_precision():
@@ -421,23 +414,18 @@ def test_ord_rejects_inexact_point(point):
 
 
 def test_ord_rejects_section_vanishing_on_curve():
-    with pytest.raises(ZeroSectionError):
-        _flex_order(PLANE_CUBIC)
+    # x + y is a component of (x + y)(x^2 + y^2 + z^2), smooth at the flex
+    x, y, z = (HomogPoly.variable(3, i) for i in range(3))
+    tangent = x + y
+    with pytest.raises(ZeroSectionError, match="vanishes identically"):
+        _flex_contact(tangent, tangent * (x ** 2 + y ** 2 + z ** 2))
 
 
 def test_order_search_names_the_precision_cap(monkeypatch):
-    # (x+y)^3 needs precision 16 > 8 before its order 9 is certified
-    monkeypatch.setattr(valuation, "PRECISION_CAP", 8)
-    cube = HomogPoly.linear_form([1, 1, 0]) ** 3
-    with pytest.raises(PrecisionError, match=r"PRECISION_CAP = 8"):
-        _flex_order(cube)
-
-
-def test_ord_beyond_initial_precision():
-    # (x+y)^3 vanishes to order 9 > 2*deg+2 = 8, forcing the precision
-    # escalation before the order is certified
-    cube = HomogPoly.linear_form([1, 1, 0]) ** 3
-    assert _flex_order(cube) == 9
+    # the contact order on a cubic reads the branch to t^3, precision 4
+    monkeypatch.setattr(valuation, "PRECISION_CAP", 3)
+    with pytest.raises(PrecisionError, match=r"PRECISION_CAP = 3"):
+        _flex_contact(HomogPoly.linear_form([1, 1, 0]))
 
 
 # -- full flag valuations, by the flag-expansion oracle ----------------------------
@@ -460,21 +448,33 @@ def test_nowhere_vanishing_section_has_zero_vector(quadric):
 
 
 def test_leading_units(p2, fermat):
-    # order and leading coefficient at the point of each flag's final form
-    # restricted to the final line or curve
-    line = p2.flag.final_stage
-    assert line.order_and_unit(line.form) == (1, 1)
-    assert line.order_and_unit(5 * line.form) == (1, 5)
-    cubic = fermat.flag.final_stage
-    assert cubic.order_and_unit(cubic.form) == (3, Fraction(-1, 3))
+    # the contact order of each flag's final form, also scaled by a unit,
+    # and the verifier's report of it
+    flag = p2.flag
+    scaled = Flag(3, None, flag.steps, 5 * flag.final_form, flag.point,
+                  chart_var=flag.chart_var, parameter_var=flag.parameter_var)
+    assert p2.flag.final_stage.contact_order() == 1
+    assert scaled.final_stage.contact_order() == 1
+    assert fermat.flag.final_stage.contact_order() == 3
+    for case, curve in ((p2, "line"), (CaseStudy("p2", scaled, 1), "line"),
+                        (fermat, "curve")):
+        assert verify_flag(case).checks[-1].detail == (
+            f"the final form meets the final {curve} at the point with "
+            f"contact order {case.d} against required d = {case.d}")
 
 
 def test_zero_section_rejected(fermat):
-    stage = fermat.flag.final_stage
-    with pytest.raises(ZeroSectionError, match="zero restriction"):
-        stage.order_and_unit(HomogPoly.zero(3, 1))
+    # the final form w is the step form, so it restricts to zero on the
+    # final curve: the verifier names that, and its order is undefined
+    flag = fermat.flag
+    moved = Flag(4, flag.relation, flag.steps, W, flag.point,
+                 chart_var=flag.chart_var, parameter_var=flag.parameter_var)
+    assert not moved.final_stage.form
     with pytest.raises(ZeroSectionError, match="vanishes identically"):
-        stage.order_and_unit(stage.relation)
+        moved.final_stage.contact_order()
+    contact = verify_flag(CaseStudy("zero", moved, 1)).checks[-1]
+    assert contact.detail == ("the final form contains a flag member: its "
+                              "restriction to the final curve is zero")
 
 
 # -- agreement with the independent local-expansion oracles --------------------------

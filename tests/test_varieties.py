@@ -95,6 +95,62 @@ def test_verify_flag_contact_orders():
                            if check.name == "single-point contact")
             assert contact.passed
             assert f"contact order {case.d} " in contact.detail
+            # d = 1 on the lines of p2 and p3
+            assert case.flag.final_stage.contact_order() == case.d
+
+
+def _fermat_variant(**changes):
+    """The Fermat cubic's fixture with some fields changed."""
+    data = json.loads(case_study_to_json(make_case("fermat_cubic")))
+    return case_study_from_json(json.dumps({**data, **changes}))
+
+
+FAILING_CONTACTS = {
+    # a*t + b*u with a = b = 1 meets the cubic once at the flex
+    "x_plus_y_plus_z": (
+        {"final_form": [[1, [1, 0, 0, 0]], [1, [0, 1, 0, 0]],
+                        [1, [0, 0, 1, 0]]]},
+        "the final form meets the final curve at the point with contact "
+        "order 1 against required d = 3"),
+    # x^3 + y^3 + w^3 is a cone, and x + y is a line of its curve x^3 + y^3
+    "singular_relation": (
+        {"relation": [[1, [3, 0, 0, 0]], [1, [0, 3, 0, 0]],
+                      [1, [0, 0, 0, 3]]]},
+        "the final form's order at the point: section vanishes identically "
+        "on the final curve"),
+    # y is tangent to the curve at the flex, so it is no parameter there
+    "dependent_parameter": (
+        {"parameter_var": 1},
+        "the final form's order at the point: chosen parameter is not "
+        "transversal at the point"),
+    # the final curve (x + y)(x^2 + y^2 + z^2) contains the final form
+    "final_form_is_a_component": (
+        {"relation": [[1, [3, 0, 0, 0]], [1, [2, 1, 0, 0]],
+                      [1, [1, 2, 0, 0]], [1, [0, 3, 0, 0]],
+                      [1, [1, 0, 2, 0]], [1, [0, 1, 2, 0]],
+                      [1, [0, 0, 0, 3]]]},
+        "the final form's order at the point: section vanishes identically "
+        "on the final curve"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CONTACTS))
+def test_failing_contact_details(name):
+    changes, detail = FAILING_CONTACTS[name]
+    contact = verify_flag(_fermat_variant(**changes)).checks[-1]
+    assert contact.name == "single-point contact" and not contact.passed
+    assert contact.detail == detail
+
+
+def test_contact_order_of_failing_final_forms():
+    assert make_negative_control().flag.final_stage.contact_order() == 1
+    flag = make_case("fermat_cubic").flag
+    moved = Flag(4, flag.relation, flag.steps,
+                 HomogPoly.linear_form([1, 1, 1, 0]), flag.point,
+                 chart_var=flag.chart_var, parameter_var=flag.parameter_var)
+    # x + y + z is a*t + b*u with a = b = 1 (t is z, u is y + 1), and
+    # u = O(t^3), so it meets the cubic once at the flex
+    assert moved.final_stage.contact_order() == 1
 
 
 @pytest.mark.parametrize("name", ["p2", "quadric_surface"])
