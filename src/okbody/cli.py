@@ -12,8 +12,8 @@ Subcommands:
   export-toric      write the normal fan rays of the computed body
   demo              one table row per shipped case study
 
-A case's dimension n, index r and degree d are read off its flag; a
---fixture may still carry them, but only with those values.
+A case's dimension n, index r, degree d, chart_var and parameter_var
+are read off its flag; a --fixture may carry them only with those values.
 
 Exit codes: 0 success / equality, 1 usage error, 2 certification or
 verification failure, 3 computational failure.

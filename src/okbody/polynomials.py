@@ -92,18 +92,6 @@ class HomogPoly:
         self.degree = degree
         self.terms = clean
 
-    @classmethod
-    def _trusted(cls, num_vars: int, degree: int,
-                 terms: Mapping[Exponent, Fraction]) -> HomogPoly:
-        """The constructor for terms computed from valid polynomials: int
-        exponent tuples of length num_vars and total degree ``degree`` with
-        Fraction coefficients.  Only zero coefficients are dropped."""
-        poly = object.__new__(cls)
-        poly.num_vars = num_vars
-        poly.degree = degree
-        poly.terms = {exps: c for exps, c in terms.items() if c}
-        return poly
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -171,19 +159,19 @@ class HomogPoly:
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + c
         degree = self.degree if self.terms else other.degree
-        return HomogPoly._trusted(self.num_vars, degree, out)
+        return HomogPoly(self.num_vars, degree, out)
 
     def __sub__(self, other: HomogPoly) -> HomogPoly:
         return self + (-other)
 
     def __neg__(self) -> HomogPoly:
-        return HomogPoly._trusted(self.num_vars, self.degree,
-                                  {e: -c for e, c in self.terms.items()})
+        return HomogPoly(self.num_vars, self.degree,
+                         {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union[HomogPoly, Scalar]) -> HomogPoly:
         if isinstance(other, (int, Fraction)):
             terms = {e: c * other for e, c in self.terms.items()}
-            return HomogPoly._trusted(self.num_vars, self.degree, terms)
+            return HomogPoly(self.num_vars, self.degree, terms)
         if not isinstance(other, HomogPoly):
             return NotImplemented
         if self.num_vars != other.num_vars:
@@ -193,8 +181,7 @@ class HomogPoly:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return HomogPoly._trusted(self.num_vars, self.degree + other.degree,
-                                  out)
+        return HomogPoly(self.num_vars, self.degree + other.degree, out)
 
     def __rmul__(self, other: Scalar) -> HomogPoly:
         return self.__mul__(other)
@@ -217,8 +204,7 @@ class HomogPoly:
                 continue
             key = exps[:index] + (e - 1,) + exps[index + 1:]
             out[key] = out.get(key, Fraction(0)) + c * e
-        return HomogPoly._trusted(self.num_vars, max(self.degree - 1, 0),
-                                  out)
+        return HomogPoly(self.num_vars, max(self.degree - 1, 0), out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.num_vars:
@@ -249,7 +235,7 @@ class HomogPoly:
             for pe, pc in powers[e].terms.items():
                 key = tuple(a + b for a, b in zip(rest, pe))
                 out[key] = out.get(key, Fraction(0)) + c * pc
-        return HomogPoly._trusted(self.num_vars, self.degree, out)
+        return HomogPoly(self.num_vars, self.degree, out)
 
     def coefficient_of(self, index: int, power: int) -> HomogPoly:
         """The coefficient of x_index^power, a polynomial in the remaining
@@ -259,7 +245,7 @@ class HomogPoly:
         terms = {exps[:index] + exps[index + 1:]: c
                  for exps, c in self.terms.items() if exps[index] == power}
         degree = max(self.degree - power, 0)
-        return HomogPoly._trusted(self.num_vars - 1, degree, terms)
+        return HomogPoly(self.num_vars - 1, degree, terms)
 
     # -- display -----------------------------------------------------------
 

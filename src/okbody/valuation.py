@@ -172,28 +172,34 @@ class _FinalStage:
 
 
 class Flag:
-    """A full flag: linear step forms, a final linear form, and the point,
-    together with the fixed affine chart and local parameter used at the
-    point.  Chart and parameter are given as ambient variable indices and
-    must survive all eliminations."""
+    """A full flag: linear step forms, a final linear form, and the point.
+    The chart at the point is the first surviving coordinate nonzero there;
+    on a curve the dependent coordinate has a nonzero partial there (Euler's
+    relation gives one at a smooth point), so the parameter is transversal."""
 
     def __init__(self, ambient_vars: int, relation: HomogPoly | None,
                  steps: Sequence[HomogPoly], final_form: HomogPoly,
-                 point: Sequence[Scalar], chart_var: int, parameter_var: int):
+                 point: Sequence[Scalar]):
         self.ambient_vars = ambient_vars
         self.relation = relation
         self.steps = tuple(steps)
         self.final_form = final_form
         self.point = tuple(Fraction(_exact(v)) for v in point)
-        self.chart_var = chart_var
-        self.parameter_var = parameter_var
         self._validate()
-        self.stages, self.final_stage = self._build_stages()
+        self.stages, self.final_stage, self._alive = self._build_stages()
 
     @property
     def n(self) -> int:
         """Dimension of the variety the flag lives on."""
         return len(self.steps) + 1
+
+    @property
+    def chart_var(self) -> int:
+        return self._alive[self.final_stage.chart]
+
+    @property
+    def parameter_var(self) -> int:
+        return self._alive[self.final_stage.param]
 
     def _validate(self) -> None:
         if len(self.point) != self.ambient_vars or not any(self.point):
@@ -208,16 +214,8 @@ class Flag:
                 raise ValueError("relation must be a nonzero ambient form")
             if self.relation.evaluate(self.point):
                 raise ValueError("the flag point must lie on the hypersurface")
-        if not (0 <= self.chart_var < self.ambient_vars
-                and 0 <= self.parameter_var < self.ambient_vars):
-            raise ValueError("chart or parameter variable is outside the "
-                             f"ambient variables 0..{self.ambient_vars - 1}")
-        if self.chart_var == self.parameter_var:
-            raise ValueError("chart and parameter variables must differ")
-        if self.point[self.chart_var] == 0:
-            raise ValueError("point is outside the chosen affine chart")
 
-    def _build_stages(self) -> tuple[list[_Step], _FinalStage]:
+    def _build_stages(self) -> tuple[list[_Step], _FinalStage, list[int]]:
         alive = list(range(self.ambient_vars))
         relation = self.relation
         pending = list(self.steps)
@@ -230,9 +228,6 @@ class Flag:
                                  "flag member before it")
             step = _Step.build(form, relation)
             stages.append(step)
-            if alive[step.pivot] in (self.chart_var, self.parameter_var):
-                raise ValueError("chart or parameter variable is eliminated "
-                                 "by a flag step")
             if relation is not None:
                 relation = step.relation.coefficient_of(step.pivot, 0)
             pending[index + 1:] = [step.restrict(f) for f in pending[index + 1:]]
@@ -245,10 +240,13 @@ class Flag:
         if (num_vars == 3) != (relation is not None):
             raise ValueError("final stage must be a plane curve with a "
                              "relation or a line without one")
-        chart = alive.index(self.chart_var)
-        param = alive.index(self.parameter_var)
-        dep = next((i for i in range(num_vars) if i not in (chart, param)),
-                   None)
+        # the point is nonzero off the pivots, which the other coordinates
+        # fix; the dependent coordinate, with a nonzero partial, sorts last
+        chart = next(i for i, v in enumerate(point) if v)
+        others = [i for i in range(num_vars) if i != chart]
+        if relation is not None:
+            others.sort(key=lambda i: bool(relation.partial(i).evaluate(point)))
+        param, dep = (*others, None)[:2]
         final = _FinalStage(relation, tuple(point), chart, param, dep,
                             final_form)
-        return stages, final
+        return stages, final, alive

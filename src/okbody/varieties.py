@@ -19,7 +19,8 @@ Shipped cases (name, ambient equation, flag):
 A case is its flag and the scale c of the very ample class c*H.  The
 dimension n, the index r and the degree d are read off the flag: n is the
 number of flag steps plus one, d the degree of the relation (1 on P^n) and
-r the number of ambient variables minus that degree (minus 0 on P^n).
+r the number of ambient variables minus that degree (minus 0 on P^n).  So
+are the affine chart and the local parameter at the point (see Flag).
 
 verify_flag checks each case with exact arithmetic: the ambient
 hypersurface and the final curve are smooth (no common projective zero of
@@ -81,48 +82,32 @@ class CaseStudy:
         return scaled_simplex(self.n, self.c, self.d)
 
 
-def _scale_monic(relation: HomogPoly) -> HomogPoly:
-    """The relation divided by the coefficient of its leading monomial in
-    the lexicographic order with the last variable most significant."""
-    lm = max(relation.terms, key=lambda e: (e[-1], *e[:-1]))
-    return relation * (Fraction(1) / relation.terms[lm])
-
-
 def make_case(name: str, c: int = 1) -> CaseStudy:
     """Construct a shipped case study with its hard-coded verified flag."""
     if name == "p2":
         x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
-        flag = Flag(3, None, [x1], x2, (1, 0, 0),
-                    chart_var=0, parameter_var=2)
+        flag = Flag(3, None, [x1], x2, (1, 0, 0))
     elif name == "p3":
         x0, x1, x2, x3 = (HomogPoly.variable(4, i) for i in range(4))
-        flag = Flag(4, None, [x1, x2], x3, (1, 0, 0, 0),
-                    chart_var=0, parameter_var=3)
+        flag = Flag(4, None, [x1, x2], x3, (1, 0, 0, 0))
     elif name == "quadric_surface":
-        relation = _scale_monic(HomogPoly(4, 2, {(1, 0, 0, 1): 1,
-                                                 (0, 1, 1, 0): -1}))
+        relation = HomogPoly(4, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
         step = HomogPoly.linear_form([1, 0, 0, -1])       # the plane {x = w}
         final = HomogPoly.variable(4, 2)                  # tangent plane {z = 0}
-        flag = Flag(4, relation, [step], final, (0, 1, 0, 0),
-                    chart_var=1, parameter_var=0)
+        flag = Flag(4, relation, [step], final, (0, 1, 0, 0))
     elif name == "fermat_cubic":
-        relation = _scale_monic(HomogPoly(4, 3, {(3, 0, 0, 0): 1,
-                                                 (0, 3, 0, 0): 1,
-                                                 (0, 0, 3, 0): 1,
-                                                 (0, 0, 0, 3): 1}))
+        relation = HomogPoly(4, 3, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1,
+                                    (0, 0, 3, 0): 1, (0, 0, 0, 3): 1})
         step = HomogPoly.variable(4, 3)                   # the plane {w = 0}
         final = HomogPoly.linear_form([1, 1, 0, 0])       # flex tangent {x+y=0}
-        flag = Flag(4, relation, [step], final, (1, -1, 0, 0),
-                    chart_var=0, parameter_var=2)
+        flag = Flag(4, relation, [step], final, (1, -1, 0, 0))
     elif name == "quadric_threefold":
-        relation = _scale_monic(HomogPoly(5, 2, {(1, 0, 0, 1, 0): 1,
-                                                 (0, 1, 1, 0, 0): -1,
-                                                 (0, 0, 0, 0, 2): 1}))
+        relation = HomogPoly(5, 2, {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1,
+                                    (0, 0, 0, 0, 2): 1})
         steps = [HomogPoly.variable(5, 4),                # the plane {v = 0}
                  HomogPoly.linear_form([1, 0, 0, -1, 0])]
         final = HomogPoly.variable(5, 2)
-        flag = Flag(5, relation, steps, final, (0, 1, 0, 0, 0),
-                    chart_var=1, parameter_var=0)
+        flag = Flag(5, relation, steps, final, (0, 1, 0, 0, 0))
     else:
         raise ValueError(f"unknown case study {name!r}")
     return CaseStudy(name, flag, c)
@@ -134,8 +119,7 @@ def make_negative_control(c: int = 1) -> CaseStudy:
     so the single-point condition fails.  Shipped for verifier tests."""
     good = make_case("quadric_surface", c).flag
     flag = Flag(4, good.relation, list(good.steps), HomogPoly.variable(4, 0),
-                good.point, chart_var=good.chart_var,
-                parameter_var=good.parameter_var)
+                good.point)
     return CaseStudy("quadric_surface_negative_control", flag, c)
 
 
@@ -274,16 +258,16 @@ def case_study_to_json(case: CaseStudy) -> str:
         "steps": [_poly_to_obj(s) for s in case.flag.steps],
         "final_form": _poly_to_obj(case.flag.final_form),
         "point": [f"{v.numerator}/{v.denominator}" for v in case.flag.point],
-        "chart_var": case.flag.chart_var,
-        "parameter_var": case.flag.parameter_var,
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def case_study_from_json(text: str) -> CaseStudy:
     """Load a custom hypersurface case study.  The caller is expected to run
-    verify_flag on the result before using it.  The flag determines n, r and
-    d; a fixture may still carry them, but only with the derived values.
+    verify_flag on the result before using it.  The flag determines n, r, d,
+    chart_var and parameter_var; a fixture may still carry them, but only
+    with the derived values.  Every key that case_study_to_json writes is
+    required; "relation" is null on P^n.
     Integer fields and exponents are JSON integers, coefficients and
     coordinates integers or strings such as "-3/4"; nothing is coerced."""
     data = json.loads(text)
@@ -309,19 +293,19 @@ def case_study_from_json(text: str) -> CaseStudy:
         return _poly_from_obj(obj, nv)
 
     relation = None
-    if data.get("relation") is not None:
-        relation = _scale_monic(entry("relation", poly, listed=True))
+    if entry("relation", lambda obj: obj) is not None:    # null on P^n
+        relation = entry("relation", poly, listed=True)
     steps = entry("steps", lambda objs: [poly(obj) for obj in objs],
                   listed=True)
     final = entry("final_form", poly, listed=True)
     point = entry("point", lambda objs: tuple(map(_rational, objs)),
                   listed=True)
-    flag = Flag(nv, relation, steps, final, point,
-                chart_var=entry("chart_var", _checked),
-                parameter_var=entry("parameter_var", _checked))
+    flag = Flag(nv, relation, steps, final, point)
     case = CaseStudy(entry("name", _stem), flag, entry("c", _checked))
-    for key in ("n", "r", "d"):
-        if key in data and entry(key, _checked) != getattr(case, key):
+    derived = {"n": case.n, "r": case.r, "d": case.d,
+               "chart_var": flag.chart_var, "parameter_var": flag.parameter_var}
+    for key, value in derived.items():
+        if key in data and entry(key, _checked) != value:
             raise ValueError(f"the fixture carries {key} = {data[key]!r}, "
-                             f"but its flag gives {key} = {getattr(case, key)}")
+                             f"but its flag gives {key} = {value}")
     return case

@@ -153,14 +153,18 @@ BAD_FIXTURES = {
     "wrong_d": (_set(3, "d"), "carries d = 3"),
     "c_zero": (_set(0, "c"), "c must be a positive integer"),
     "missing_c": (_drop("c"), "missing key 'c'"),
+    # null on P^n, so an absent relation is no projective space
+    "relation_missing": (_drop("relation"), "missing key 'relation'"),
     "top_level_list": (lambda data: [data], "a fixture is a JSON object"),
     "steps_not_a_list": (_set(5, "steps"), "'steps' must be a list"),
     "zero_denominator": (_set("1/0", "final_form", 0, 0),
                          "zero denominator in 'final_form'"),
     "point_zero_denominator": (_set("1/0", "point", 1),
                                "zero denominator in 'point'"),
+    # the chart and the parameter are read off the flag, like n and d
     "chart_var_outside": (_set(9, "chart_var"),
-                          "outside the ambient variables"),
+                          "the fixture carries chart_var = 9, but its flag "
+                          "gives chart_var = 1"),
     # no value is coerced: integers stay integers, and no float is read
     "c_float": (_set(1.7, "c"), "malformed 'c'"),
     "c_bool": (_set(True, "c"), "malformed 'c'"),

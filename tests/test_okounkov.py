@@ -163,8 +163,7 @@ def _reducible_final_curve_case():
     # expansion there without vanishing on the conic
     x, y, z, w = (HomogPoly.variable(4, i) for i in range(4))
     relation = x * w - y * z
-    flag = Flag(4, relation, [z], x, (0, 1, 0, 1), chart_var=1,
-                parameter_var=3)
+    flag = Flag(4, relation, [z], x, (0, 1, 0, 1))
     return CaseStudy("reducible", flag, c=1)
 
 
@@ -401,7 +400,7 @@ def test_curve_case_without_steps_matches_oracles():
     import json
     relation = HomogPoly(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     flag = Flag(3, relation, [], HomogPoly.linear_form([1, 1, 0]),
-                (1, -1, 0), chart_var=0, parameter_var=2)
+                (1, -1, 0))
     for c in (1, 2):
         sg = semigroup(CaseStudy("cubic_curve", flag, c), "complete", 4)
         assert sg.steps == 0

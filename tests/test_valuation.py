@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,11 @@ from okbody import make_case, valuation
 from okbody.linalg import rank
 from okbody.okounkov import body_estimate, semigroup
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.series import PrecisionError, series_solve_branch
+from okbody.series import (PrecisionError, branch_equation,
+                           series_solve_branch)
 from okbody.valuation import Flag, ZeroSectionError, _Step
-from okbody.varieties import CASE_NAMES, CaseStudy, verify_flag
+from okbody.varieties import (CASE_NAMES, CaseStudy, make_negative_control,
+                              verify_flag)
 
 from oracles import (expansion_value_set, final_series, form_along_branch,
                      grevlex_order, linear_solve, oracle_valuation,
@@ -177,46 +180,88 @@ def _pull_back(poly, matrix):
 
 
 def _transformed_case(case, matrix):
-    """The case in coordinates x' with x = A x', or None when the flag is
-    not usable there for any chart and parameter variable."""
+    """The case in coordinates x' with x = A x'."""
     columns = [[row[j] for row in matrix] for j in range(4)]
     point = linear_solve(columns, case.flag.point)
     relation = _pull_back(case.flag.relation, matrix)
     steps = [_pull_back(s, matrix) for s in case.flag.steps]
     final = _pull_back(case.flag.final_form, matrix)
-    for chart in range(4):
-        for param in range(4):
-            try:
-                flag = Flag(4, relation, steps, final, point,
-                            chart_var=chart, parameter_var=param)
-            except ValueError:
-                continue
-            moved = CaseStudy(case.name, flag, case.c)
-            if verify_flag(moved).passed:
-                return moved
-    return None
+    return CaseStudy(case.name, Flag(4, relation, steps, final, point),
+                     case.c)
+
+
+def _coordinate_changes(case, count=3):
+    """The case in the first ``count`` of 40 seeded integer coordinates."""
+    rng = random.Random(41)
+    moved = []
+    for _ in range(40):
+        matrix = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
+        if rank(matrix) == 4:
+            moved.append(_transformed_case(case, matrix))
+            if len(moved) == count:
+                break
+    return moved
 
 
 def test_value_sets_invariant_under_coordinate_change(quadric, fermat):
     for case in (quadric, fermat):
-        rng = random.Random(41)
         expected = semigroup(case, "complete", 3)
-        accepted = dense = 0
-        for _ in range(40):
-            matrix = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
-            if rank(matrix) < 4:
-                continue
-            moved = _transformed_case(case, matrix)
-            if moved is None:
-                continue
-            dense += len(moved.flag.steps[0].terms) >= 3
+        moved_cases = _coordinate_changes(case)
+        for moved in moved_cases:
+            assert verify_flag(moved).passed
             computed = semigroup(moved, "complete", 3)
             assert computed.levels == expected.levels
             assert body_estimate(computed) == body_estimate(expected)
-            accepted += 1
-            if accepted == 3:
-                break
-        assert accepted == 3 and dense >= 1
+        assert len(moved_cases) == 3
+        assert any(len(m.flag.steps[0].terms) >= 3 for m in moved_cases)
+
+
+def test_chart_and_parameter_read_off_the_flag():
+    # the ambient indices (chart_var, parameter_var) that the flags derive
+    expected = {"p2": (0, 2), "p3": (0, 3), "quadric_surface": (1, 0),
+                "fermat_cubic": (0, 2), "quadric_threefold": (1, 0)}
+    flags = {name: make_case(name).flag for name in CASE_NAMES}
+    flags["negative_control"] = make_negative_control().flag
+    expected["negative_control"] = (1, 0)
+    assert {name: (flag.chart_var, flag.parameter_var)
+            for name, flag in flags.items()} == expected
+
+
+def _chart_choices(stage):
+    """Every chart at the point with a transversal parameter, as final
+    stages: on a curve, the choices the branch solver accepts."""
+    for chart, value in enumerate(stage.point):
+        if not value:
+            continue
+        others = [i for i in range(len(stage.point)) if i != chart]
+        if stage.relation is None:
+            yield dataclasses.replace(stage, chart=chart, param=others[0])
+            continue
+        for param, dep in (others, others[::-1]):
+            try:
+                branch_equation(stage.relation, stage.point, chart_var=chart,
+                                param_var=param, dep_var=dep)
+            except ValueError:
+                continue
+            yield dataclasses.replace(stage, chart=chart, param=param,
+                                      dep=dep)
+
+
+def test_orders_do_not_depend_on_the_chart(quadric, fermat):
+    # the chart and the parameter are computing aids: every admissible
+    # choice reads the same value sets and contact order as the derived one
+    cases = [make_case(name) for name in CASE_NAMES]
+    cases += _coordinate_changes(quadric) + _coordinate_changes(fermat)
+    alternatives = 0
+    for case in cases:
+        stage = case.flag.final_stage
+        expected = (stage.value_sets(3), stage.contact_order())
+        choices = list(_chart_choices(stage))
+        assert stage in choices
+        for choice in choices:
+            assert (choice.value_sets(3), choice.contact_order()) == expected
+        alternatives += len(choices) - 1
+    assert alternatives >= 20
 
 
 # -- vanishing order at a point on a curve ----------------------------------------
@@ -362,8 +407,7 @@ def _flex_contact(final, curve=PLANE_CUBIC):
     cubic x^3 + y^3 + z^3 by default, of a final form through it, read by
     the final stage of the flag with no steps, in the chart x = 1 with
     parameter z."""
-    flag = Flag(3, curve, [], final, (1, -1, 0), chart_var=0,
-                parameter_var=2)
+    flag = Flag(3, curve, [], final, (1, -1, 0))
     return flag.final_stage.contact_order()
 
 
@@ -451,8 +495,7 @@ def test_leading_units(p2, fermat):
     # the contact order of each flag's final form, also scaled by a unit,
     # and the verifier's report of it
     flag = p2.flag
-    scaled = Flag(3, None, flag.steps, 5 * flag.final_form, flag.point,
-                  chart_var=flag.chart_var, parameter_var=flag.parameter_var)
+    scaled = Flag(3, None, flag.steps, 5 * flag.final_form, flag.point)
     assert p2.flag.final_stage.contact_order() == 1
     assert scaled.final_stage.contact_order() == 1
     assert fermat.flag.final_stage.contact_order() == 3
@@ -467,8 +510,7 @@ def test_zero_section_rejected(fermat):
     # the final form w is the step form, so it restricts to zero on the
     # final curve: the verifier names that, and its order is undefined
     flag = fermat.flag
-    moved = Flag(4, flag.relation, flag.steps, W, flag.point,
-                 chart_var=flag.chart_var, parameter_var=flag.parameter_var)
+    moved = Flag(4, flag.relation, flag.steps, W, flag.point)
     assert not moved.final_stage.form
     with pytest.raises(ZeroSectionError, match="vanishes identically"):
         moved.final_stage.contact_order()
@@ -510,22 +552,16 @@ def test_valuations_match_oracles_on_random_sections(quadric, fermat):
 def test_flag_rejects_point_off_locus():
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
     with pytest.raises(ValueError):
-        Flag(3, None, [x1], x2, (1, 1, 0), chart_var=0, parameter_var=2)
+        Flag(3, None, [x1], x2, (1, 1, 0))
 
 
 def test_flag_rejects_inexact_point():
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
     with pytest.raises(TypeError, match="1.0"):
-        Flag(3, None, [x1], x2, (1.0, 0, 0), chart_var=0, parameter_var=2)
-
-
-def test_flag_rejects_chart_on_eliminated_variable():
-    x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
-    with pytest.raises(ValueError):
-        Flag(3, None, [x1], x2, (1, 0, 0), chart_var=1, parameter_var=2)
+        Flag(3, None, [x1], x2, (1.0, 0, 0))
 
 
 def test_flag_rejects_wrong_length():
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
     with pytest.raises(ValueError):
-        Flag(3, None, [x1, x2], x2, (1, 0, 0), chart_var=0, parameter_var=2)
+        Flag(3, None, [x1, x2], x2, (1, 0, 0))

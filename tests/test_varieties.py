@@ -1,6 +1,5 @@
 import json
-from dataclasses import fields
-from fractions import Fraction
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -74,6 +73,7 @@ def test_non_int_c_rejected(value):
 
 
 def test_relation_scaled_monic():
+    # kept as written: each shipped relation leads with coefficient 1
     fermat = make_case("fermat_cubic")
     assert fermat.flag.relation.terms[(0, 0, 0, 3)] == 1
     quadric = make_case("quadric_surface")
@@ -118,11 +118,6 @@ FAILING_CONTACTS = {
                       [1, [0, 0, 0, 3]]]},
         "the final form's order at the point: section vanishes identically "
         "on the final curve"),
-    # y is tangent to the curve at the flex, so it is no parameter there
-    "dependent_parameter": (
-        {"parameter_var": 1},
-        "the final form's order at the point: chosen parameter is not "
-        "transversal at the point"),
     # the final curve (x + y)(x^2 + y^2 + z^2) contains the final form
     "final_form_is_a_component": (
         {"relation": [[1, [3, 0, 0, 0]], [1, [2, 1, 0, 0]],
@@ -146,8 +141,7 @@ def test_contact_order_of_failing_final_forms():
     assert make_negative_control().flag.final_stage.contact_order() == 1
     flag = make_case("fermat_cubic").flag
     moved = Flag(4, flag.relation, flag.steps,
-                 HomogPoly.linear_form([1, 1, 1, 0]), flag.point,
-                 chart_var=flag.chart_var, parameter_var=flag.parameter_var)
+                 HomogPoly.linear_form([1, 1, 1, 0]), flag.point)
     # x + y + z is a*t + b*u with a = b = 1 (t is z, u is y + 1), and
     # u = O(t^3), so it meets the cubic once at the flex
     assert moved.final_stage.contact_order() == 1
@@ -159,8 +153,7 @@ def test_final_form_containing_a_flag_member_fails_contact(name):
     # quadric surface, so it restricts to zero on the final line or conic
     flag = make_case(name).flag
     moved = Flag(flag.ambient_vars, flag.relation, flag.steps, flag.steps[0],
-                 flag.point, chart_var=flag.chart_var,
-                 parameter_var=flag.parameter_var)
+                 flag.point)
     report = verify_flag(CaseStudy(name, moved, 1))
     contact = report.checks[-1]
     assert contact.name == "single-point contact" and not contact.passed
@@ -170,17 +163,20 @@ def test_final_form_containing_a_flag_member_fails_contact(name):
 
 def test_non_transversal_parameter_fails_contact():
     # on the Fermat cubic's final curve x^3 + y^3 + z^3 at the flex
-    # (1:-1:0) the tangent is x + y, so y is no parameter there; the final
-    # form x + y involves no dependent coordinate, yet its order needs the
-    # branch, and the branch refuses the parameter
-    flag = make_case("fermat_cubic").flag
-    moved = Flag(flag.ambient_vars, flag.relation, flag.steps,
-                 flag.final_form, flag.point, chart_var=flag.chart_var,
-                 parameter_var=1)
-    contact = verify_flag(CaseStudy("fermat_cubic", moved, 1)).checks[-1]
-    assert contact.name == "single-point contact" and not contact.passed
-    assert contact.detail == ("the final form's order at the point: chosen "
-                              "parameter is not transversal at the point")
+    # (1:-1:0) the tangent is x + y, so y is no parameter there: the flag
+    # reads the chart x and the parameter z, and its contact check passes,
+    # while the stage with y as its parameter cannot read the contact order
+    case = make_case("fermat_cubic")
+    stage = case.flag.final_stage
+    assert (stage.chart, stage.param, stage.dep) == (0, 2, 1)
+    contact = verify_flag(case).checks[-1]
+    assert contact.name == "single-point contact" and contact.passed
+    assert contact.detail == ("the final form meets the final curve at the "
+                              "point with contact order 3 against required "
+                              "d = 3")
+    with pytest.raises(ValueError, match="chosen parameter is not "
+                                         "transversal at the point"):
+        replace(stage, param=1, dep=2).contact_order()
 
 
 def test_negative_control_fails_contact_check():
@@ -219,8 +215,7 @@ def test_fixture_carries_no_derived_metadata():
     for name in CASE_NAMES:
         data = json.loads(case_study_to_json(make_case(name)))
         assert list(data) == ["name", "ambient_vars", "c", "relation",
-                              "steps", "final_form", "point", "chart_var",
-                              "parameter_var"]
+                              "steps", "final_form", "point"]
 
 
 def test_fixture_with_matching_metadata_loads():
@@ -234,7 +229,8 @@ def test_fixture_with_matching_metadata_loads():
 
 
 @pytest.mark.parametrize("key,value,derived",
-                         [("n", 5, 2), ("r", 7, 2), ("d", 3, 2)])
+                         [("n", 5, 2), ("r", 7, 2), ("d", 3, 2),
+                          ("chart_var", 0, 1), ("parameter_var", 2, 0)])
 def test_fixture_with_wrong_metadata_rejected(key, value, derived):
     data = json.loads(case_study_to_json(make_case("quadric_surface")))
     data[key] = value
@@ -266,30 +262,23 @@ def test_fixture_rejects_point_off_flag():
         case_study_from_json(json.dumps(data))
 
 
-def test_fixture_relation_is_scaled_by_its_lex_leading_coefficient():
-    # in lex with the last variable most significant w^3 leads, not x^3
+def test_fixture_relation_is_kept_as_written():
+    # no coefficient of 2x^3 + 2y^3 + 3z^3 + 5w^3 is scaled on loading
     data = json.loads(case_study_to_json(make_case("fermat_cubic")))
-    data["relation"] = [["2", [3, 0, 0, 0]], ["2", [0, 3, 0, 0]],
-                        ["3", [0, 0, 3, 0]], ["5", [0, 0, 0, 3]]]
-    relation = case_study_from_json(json.dumps(data)).flag.relation
-    assert relation.terms == {(3, 0, 0, 0): Fraction(2, 5),
-                              (0, 3, 0, 0): Fraction(2, 5),
-                              (0, 0, 3, 0): Fraction(3, 5),
-                              (0, 0, 0, 3): 1}
+    data["relation"] = [["2/1", [3, 0, 0, 0]], ["2/1", [0, 3, 0, 0]],
+                        ["3/1", [0, 0, 3, 0]], ["5/1", [0, 0, 0, 3]]]
+    text = json.dumps(data, indent=2) + "\n"
+    loaded = case_study_from_json(text)
+    assert loaded.flag.relation.terms == {(3, 0, 0, 0): 2, (0, 3, 0, 0): 2,
+                                          (0, 0, 3, 0): 3, (0, 0, 0, 3): 5}
+    assert case_study_to_json(loaded) == text
+    # the value sets, so the body, do not see the scale
+    shipped = make_case("fermat_cubic")
+    assert body_estimate(semigroup(loaded, "complete", 3)) == \
+        body_estimate(semigroup(shipped, "complete", 3))
 
 
 def test_reduce_is_identity_without_relation():
     p2 = make_case("p2")
     section = HomogPoly.variable(3, 0) ** 2
     assert reduce_section(p2, section) == section
-
-
-@pytest.mark.parametrize("var", [-1, 4])
-def test_flag_rejects_variable_outside_ambient(var):
-    flag = make_case("quadric_surface").flag
-    with pytest.raises(ValueError, match="outside"):
-        Flag(4, flag.relation, flag.steps, flag.final_form, flag.point,
-             chart_var=var, parameter_var=0)
-    with pytest.raises(ValueError, match="outside"):
-        Flag(4, flag.relation, flag.steps, flag.final_form, flag.point,
-             chart_var=1, parameter_var=var)
