@@ -191,7 +191,8 @@ def _transformed_case(case, matrix):
 
 
 def _coordinate_changes(case, count=3):
-    """The case in the first ``count`` of 40 seeded integer coordinates."""
+    """The case in the coordinates of the first ``count`` invertible ones
+    of 40 seeded integer matrices."""
     rng = random.Random(41)
     moved = []
     for _ in range(40):
