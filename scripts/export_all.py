@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Export semigroups, bodies and normal fans for every shipped case study.
 
-Runs ``okbody compute`` and ``okbody export-toric`` with ``--kind both`` for
-each case, so the canonical JSON files of both graded-system kinds land in
-the chosen output directory (default ./out) under the CLI's own names.
-Outputs are bit-exact across runs.  Exits 1 when any command fails.
+Runs ``okbody compute`` and ``okbody export-toric`` for each case, so the
+canonical JSON files of the complete graded system land in the chosen output
+directory (default ./out) under the CLI's own names.  Outputs are bit-exact
+across runs.  Exits 1 when any command fails.
 """
 
 import argparse
@@ -20,7 +20,7 @@ def export(out_dir: Path, c: int, max_level: int) -> bool:
     ok = True
     for name in CASE_NAMES:
         options = ["--case", name, "--c", str(c), "--max-level",
-                   str(max_level), "--kind", "both", "--out", str(out_dir)]
+                   str(max_level), "--out", str(out_dir)]
         for command in ("compute", "export-toric"):
             ok = main([command, *options]) == 0 and ok
     return ok

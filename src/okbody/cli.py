@@ -32,8 +32,8 @@ from .convex import (RationalPolytope, normal_fan_rays, polytope_equal,
                      polytope_to_json)
 from .elliptic import EllipticCurveFp, divisor_class_sum, random_divisor, \
     single_point_member
-from .okounkov import (KINDS, body_estimate, generation_degree, semigroup,
-                       semigroup_to_json, vertex_criterion)
+from .okounkov import (OkounkovSemigroup, body_estimate, generation_degree,
+                       semigroup, semigroup_to_json, vertex_criterion)
 from .series import PrecisionError
 from .varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
                         make_case, verify_flag)
@@ -60,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_case_options(p: argparse.ArgumentParser, computes: bool = True,
                          writes: bool = True):
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--case", choices=CASE_NAMES,
-                           help="shipped case study")
+        group.add_argument("--case", choices=CASE_NAMES, default="p2",
+                           help="shipped case study (default p2, when no "
+                                "--fixture is given)")
         group.add_argument("--fixture", type=Path,
                            help="JSON file describing a custom case study")
         p.add_argument("--c", type=int,
@@ -70,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         if computes:
             p.add_argument("--max-level", type=int, default=4,
                            help="enumerate levels 1..M (default 4)")
-            p.add_argument("--kind", choices=(*KINDS, "both"),
-                           default="complete")
             p.add_argument("--verbose", action="store_true")
         if writes:
             p.add_argument("--out", type=Path, default=Path("out"),
@@ -107,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shipped case studies")
     p_demo.add_argument("--c", type=int, default=1)
     p_demo.add_argument("--max-level", type=int, default=4)
-    p_demo.add_argument("--kind", choices=KINDS, default="complete")
 
     return parser
 
@@ -132,8 +130,7 @@ def _load_case(args) -> CaseStudy:
             raise _UsageError(f"the fixture carries c = {case.c}; "
                               f"--c {args.c} differs")
         return case
-    name = args.case or "p2"
-    return make_case(name, 1 if args.c is None else args.c)
+    return make_case(args.case, 1 if args.c is None else args.c)
 
 
 class _UsageError(Exception):
@@ -155,8 +152,8 @@ def _checked(case: CaseStudy, verbose: bool) -> CaseStudy:
     return case
 
 
-def _stem(case: CaseStudy, args, kind: str) -> str:
-    return f"{case.name}_c{case.c}_M{args.max_level}_{kind}"
+def _stem(sg: OkounkovSemigroup) -> str:
+    return f"{sg.case.name}_c{sg.case.c}_M{sg.max_level}_{sg.kind}"
 
 
 def _write(path: Path, text: str, verbose: bool) -> None:
@@ -169,10 +166,6 @@ def _write(path: Path, text: str, verbose: bool) -> None:
         print(f"wrote {path}")
 
 
-def _kinds(args) -> tuple[str, ...]:
-    return KINDS if args.kind == "both" else (args.kind,)
-
-
 def _format_vertices(polytope: RationalPolytope) -> str:
     return " ".join("(" + ",".join(str(c) for c in v) + ")"
                     for v in polytope.vertices)
@@ -181,46 +174,38 @@ def _format_vertices(polytope: RationalPolytope) -> str:
 def cmd_compute(args) -> int:
     case = _checked(_load_case(args), args.verbose)
     expected = case.expected_body()
-    all_equal = True
-    for kind in _kinds(args):
-        sg = semigroup(case, kind, args.max_level)
-        body = body_estimate(sg)
-        stem = _stem(case, args, kind)
-        _write(args.out / f"{stem}_semigroup.json", semigroup_to_json(sg),
-               args.verbose)
-        _write(args.out / f"{stem}_body.json", polytope_to_json(body),
-               args.verbose)
-        equal = polytope_equal(body, expected)
-        all_equal = all_equal and equal
-        status = "equals" if equal else "DIFFERS FROM"
-        print(f"{case.name} ({kind}, M={args.max_level}): body "
-              f"{_format_vertices(body)} {status} expected simplex "
-              f"{_format_vertices(expected)}")
-    return EXIT_OK if all_equal else EXIT_FAILED
+    sg = semigroup(case, "complete", args.max_level)
+    body = body_estimate(sg)
+    _write(args.out / f"{_stem(sg)}_semigroup.json", semigroup_to_json(sg),
+           args.verbose)
+    _write(args.out / f"{_stem(sg)}_body.json", polytope_to_json(body),
+           args.verbose)
+    equal = polytope_equal(body, expected)
+    status = "equals" if equal else "DIFFERS FROM"
+    print(f"{case.name} ({sg.kind}, M={args.max_level}): body "
+          f"{_format_vertices(body)} {status} expected simplex "
+          f"{_format_vertices(expected)}")
+    return EXIT_OK if equal else EXIT_FAILED
 
 
 def cmd_certify(args) -> int:
     case = _checked(_load_case(args), args.verbose)
     expected = case.expected_body()
-    certified_all = True
-    for kind in _kinds(args):
-        sg = semigroup(case, kind, args.max_level)
-        level_one = sg.level(1)
-        certified = vertex_criterion(expected, level_one)
-        degree = generation_degree(sg, kmax=args.max_level)
-        certified_all = certified_all and certified
-        if certified:
-            print(f"{case.name} ({kind}): CERTIFIED finitely generated "
-                  f"(vertex criterion); level-1 value set "
-                  f"{sorted(level_one)}")
-        else:
-            print(f"{case.name} ({kind}): NOT certified; level-1 value set "
-                  f"{sorted(level_one)} misses a vertex of "
-                  f"{_format_vertices(expected)}")
-        print(f"{case.name} ({kind}): empirical generation degree k = "
-              f"{degree if degree is not None else 'not found'} "
-              f"on levels 1..{args.max_level}")
-    return EXIT_OK if certified_all else EXIT_FAILED
+    sg = semigroup(case, "complete", args.max_level)
+    level_one = sg.level(1)
+    certified = vertex_criterion(expected, level_one)
+    degree = generation_degree(sg, kmax=args.max_level)
+    if certified:
+        print(f"{case.name} ({sg.kind}): CERTIFIED finitely generated "
+              f"(vertex criterion); level-1 value set {sorted(level_one)}")
+    else:
+        print(f"{case.name} ({sg.kind}): NOT certified; level-1 value set "
+              f"{sorted(level_one)} misses a vertex of "
+              f"{_format_vertices(expected)}")
+    print(f"{case.name} ({sg.kind}): empirical generation degree k = "
+          f"{degree if degree is not None else 'not found'} "
+          f"on levels 1..{args.max_level}")
+    return EXIT_OK if certified else EXIT_FAILED
 
 
 def cmd_verify_flag(args) -> int:
@@ -262,14 +247,14 @@ def cmd_ec_single_point(args) -> int:
 
 def cmd_export_toric(args) -> int:
     case = _checked(_load_case(args), args.verbose)
-    for kind in _kinds(args):
-        body = body_estimate(semigroup(case, kind, args.max_level))
-        rays = normal_fan_rays(body)
-        payload = {"dim": body.dim, "rays": [list(r) for r in rays]}
-        _write(args.out / f"{_stem(case, args, kind)}_fan.json",
-               json.dumps(payload, indent=2) + "\n", args.verbose)
-        print(f"{case.name} ({kind}): normal fan rays "
-              + " ".join("(" + ",".join(map(str, r)) + ")" for r in rays))
+    sg = semigroup(case, "complete", args.max_level)
+    body = body_estimate(sg)
+    rays = normal_fan_rays(body)
+    payload = {"dim": body.dim, "rays": [list(r) for r in rays]}
+    _write(args.out / f"{_stem(sg)}_fan.json",
+           json.dumps(payload, indent=2) + "\n", args.verbose)
+    print(f"{case.name} ({sg.kind}): normal fan rays "
+          + " ".join("(" + ",".join(map(str, r)) + ")" for r in rays))
     return EXIT_OK
 
 
@@ -281,7 +266,7 @@ def cmd_demo(args) -> int:
     for name in CASE_NAMES:
         case = make_case(name, args.c)
         report = verify_flag(case)
-        sg = semigroup(case, args.kind, args.max_level)
+        sg = semigroup(case, "complete", args.max_level)
         body = body_estimate(sg)
         expected = case.expected_body()
         equal = polytope_equal(body, expected)

@@ -1,13 +1,11 @@
 """Graded value semigroups and their body estimates.
 
-For a case study with very ample class scaled by c, two graded linear
-systems are available at each level m:
-
-  complete  the full degree-(m*c) graded piece of the coordinate ring,
-  powers    the span of all m-fold products of level-1 elements.
-
-On a hypersurface (or projective space) the two are the same piece (see
-GradedSystem), so both kinds have the same value sets.
+For a case study with very ample class scaled by c, level m of the
+semigroup comes from the complete linear system: the full degree-(m*c)
+graded piece of the coordinate ring.  On a hypersurface or projective space
+the span of all m-fold products of level-1 elements (the powers system) is
+that same piece (see GradedSystem), so the two kinds have the same value
+sets.
 
 The value set of a level is the set of valuation vectors of the nonzero
 elements of its span (Lazarsfeld and Mustata 2009, section 1; Kaveh and
@@ -51,21 +49,19 @@ Vector = tuple[int, ...]
 
 
 class GradedSystem:
-    """The per-level dimensions of one graded linear system: the count of
-    standard monomials of degree c*m, for either kind.
+    """The per-level dimensions of the graded coordinate ring: the count of
+    standard monomials of degree c*m, the Hilbert function.
 
-    A complete level is the full graded piece, which the standard monomials
-    span.  A powers level is the span of the m-fold products of level-1
-    sections, and it is the full piece too: a standard monomial of degree
-    c*m factors into m monomials of degree c, and the relation's leading
-    monomial divides none of them, since each divides the whole product, so
-    every standard monomial of degree c*m is such a product."""
+    A level of the complete system is the full graded piece, which the
+    standard monomials span.  A level of the powers system, the span of the
+    m-fold products of level-1 sections, is the full piece too: a standard
+    monomial of degree c*m factors into m monomials of degree c, and the
+    relation's leading monomial divides none of them, since each divides
+    the whole product, so every standard monomial of degree c*m is such a
+    product.  So one count serves both labels of KINDS."""
 
-    def __init__(self, case: CaseStudy, kind: str):
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+    def __init__(self, case: CaseStudy):
         self.case = case
-        self.kind = kind
 
     def dimension(self, level: int) -> int:
         """The Hilbert function C(N-1+D, N-1) - C(N-1+D-delta, N-1) of a
@@ -82,8 +78,8 @@ class GradedSystem:
 
 @dataclass(frozen=True)
 class OkounkovSemigroup:
-    """Levels 1..max_level of the graded value semigroup of one case study
-    and one kind of graded system, held as curve = (V(0), ..., V(c*M)) and
+    """Levels 1..max_level of the graded value semigroup of one case study,
+    labelled with its kind, held as curve = (V(0), ..., V(c*M)) and
     steps = n - 1; level m, built when read, is the set of prefix + (j,)
     with sum(prefix) = s <= c*m and j in V(c*m - s)."""
 
@@ -122,13 +118,19 @@ class OkounkovSemigroup:
 
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     """Levels 1..max_level from the final stage's value sets V(d'), all
-    computed in one call.  A level whose system's dimension differs from the
+    computed in one call.  The kind, "complete" or "powers" (KINDS), only
+    labels the result and its text, as both give the same levels (see
+    GradedSystem); it stays an argument because the benchmark harness
+    passes it, in its CASE:KIND:M job specs and in the fermat_powers job
+    whose digests are pinned.  A level whose dimension differs from the
     full piece's, sum_s C(s+n-2, n-2) |V(c*m - s)|, raises ValueError."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
     if type(max_level) is not int:
         raise TypeError(f"max_level must be an int, not {max_level!r}")
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    system, p = GradedSystem(case, kind), len(case.flag.stages)
+    system, p = GradedSystem(case), len(case.flag.stages)
     curve = case.flag.final_stage.value_sets(case.section_degree(max_level))
     sg = OkounkovSemigroup(case, kind, max_level, curve, p)
     for m in range(1, max_level + 1):

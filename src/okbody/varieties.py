@@ -229,6 +229,13 @@ def _rational(value) -> Fraction:
     return Fraction(_checked(value, (int, str)))
 
 
+def _ambient_vars(value) -> int:
+    """The number of ambient variables: an int, at least 2 (P^1 and up)."""
+    if _checked(value) < 2:
+        raise ValueError(f"{value} is less than 2")
+    return value
+
+
 def _stem(value) -> str:
     """A name, which output file names begin with: a plain file-name stem."""
     if re.fullmatch(r"[A-Za-z0-9_-]+", _checked(value, (str,))):
@@ -237,6 +244,8 @@ def _stem(value) -> str:
 
 
 def _poly_from_obj(obj, num_vars: int) -> HomogPoly:
+    if obj == []:
+        raise ValueError("no terms")
     terms = {}
     for coeff, exps in obj:
         exps = tuple(map(_checked, exps))
@@ -287,7 +296,7 @@ def case_study_from_json(text: str) -> CaseStudy:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed {key!r}: {exc}") from None
 
-    nv = entry("ambient_vars", _checked)
+    nv = entry("ambient_vars", _ambient_vars)
 
     def poly(obj) -> HomogPoly:
         return _poly_from_obj(obj, nv)

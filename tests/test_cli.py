@@ -5,7 +5,7 @@ import pytest
 
 from okbody.cli import main
 from okbody.convex import polytope_to_json, scaled_simplex
-from okbody.varieties import (case_study_to_json, make_case,
+from okbody.varieties import (CASE_NAMES, case_study_to_json, make_case,
                               make_negative_control)
 
 
@@ -36,14 +36,6 @@ def test_compute_deterministic_output(tmp_path):
     name = "quadric_surface_c1_M2_complete_body.json"
     assert (tmp_path / "a" / name).read_bytes() == \
         (tmp_path / "b" / name).read_bytes()
-
-
-def test_compute_both_kinds(tmp_path, capsys):
-    code = run(["compute", "--case", "fermat_cubic", "--max-level", "2",
-                "--kind", "both", "--out", tmp_path])
-    assert code == 0
-    assert (tmp_path / "fermat_cubic_c1_M2_powers_body.json").exists()
-    assert (tmp_path / "fermat_cubic_c1_M2_complete_body.json").exists()
 
 
 def test_usage_error_bad_c(capsys):
@@ -78,12 +70,45 @@ def test_usage_error_unknown_case():
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("kind", ["complete", "both"])
+@pytest.mark.parametrize("command",
+                         ["compute", "certify", "export-toric", "demo"])
+def test_kind_is_a_usage_error(capsys, command, kind):
+    # every command runs the complete system, so no command takes --kind
+    with pytest.raises(SystemExit) as excinfo:
+        run([command, "--kind", kind])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --kind" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cases", [
+    ("compute", ["p2"]), ("certify", ["p2"]), ("export-toric", ["p2"]),
+    ("demo", list(CASE_NAMES))])
+def test_each_command_computes_one_semigroup(monkeypatch, tmp_path, command,
+                                             cases):
+    # one semigroup per case; without --case or --fixture a command runs p2
+    from okbody import cli as cli_module
+    calls = []
+    semigroup = cli_module.semigroup
+
+    def counting(case, kind, max_level):
+        calls.append((case.name, kind, max_level))
+        return semigroup(case, kind, max_level)
+    monkeypatch.setattr(cli_module, "semigroup", counting)
+    argv = [command, "--max-level", "2"]
+    if command in ("compute", "export-toric"):
+        argv += ["--out", tmp_path]
+    assert run(argv) == 0
+    assert calls == [(name, "complete", 2) for name in cases]
+
+
 def test_certify_quadric(capsys):
-    code = run(["certify", "--case", "quadric_surface", "--max-level", "2",
-                "--kind", "both"])
+    code = run(["certify", "--case", "quadric_surface", "--max-level", "2"])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.count("CERTIFIED finitely generated (vertex criterion)") == 2
+    assert out.count("CERTIFIED finitely generated (vertex criterion)") == 1
     assert "generation degree k = 1" in out
 
 
@@ -140,6 +165,11 @@ def _set(value, *path):
     return edit
 
 
+def _on_p2(edit):
+    """An edit applied to the p2 fixture in place of the quadric's."""
+    return lambda data: edit(json.loads(case_study_to_json(make_case("p2"))))
+
+
 def _drop(key):
     def edit(data):
         del data[key]
@@ -173,6 +203,19 @@ BAD_FIXTURES = {
                              "malformed 'parameter_var'"),
     "ambient_vars_string": (_set("4", "ambient_vars"),
                             "malformed 'ambient_vars'"),
+    # P^1 has the fewest ambient variables, 2
+    "ambient_vars_one": (_set(1, "ambient_vars"), "malformed 'ambient_vars'"),
+    "ambient_vars_zero": (_set(0, "ambient_vars"), "malformed 'ambient_vars'"),
+    "ambient_vars_negative": (_set(-3, "ambient_vars"),
+                              "malformed 'ambient_vars'"),
+    "ambient_vars_one_on_p2": (_on_p2(_set(1, "ambient_vars")),
+                               "malformed 'ambient_vars'"),
+    # an empty term list is no form, homogeneous or not
+    "relation_empty": (_set([], "relation"),
+                       "malformed 'relation': no terms"),
+    "step_empty": (_set([], "steps", 0), "malformed 'steps': no terms"),
+    "final_form_empty": (_set([], "final_form"),
+                         "malformed 'final_form': no terms"),
     "exponent_string": (_set("1001", "final_form", 0, 1),
                         "malformed 'final_form'"),
     "exponent_float": (_set([1.0, 0, 0, 0], "final_form", 0, 1),
@@ -240,19 +283,6 @@ def test_export_toric_p2(tmp_path, capsys):
     assert code == 0
     data = json.loads((tmp_path / "p2_c1_M2_complete_fan.json").read_text())
     assert data["rays"] == [[-1, -1], [0, 1], [1, 0]]
-
-
-def test_export_toric_both_kinds(tmp_path, capsys):
-    for kind in ("both", "complete"):
-        assert run(["export-toric", "--case", "quadric_surface",
-                    "--max-level", "2", "--kind", kind,
-                    "--out", tmp_path / kind]) == 0
-    stem = "quadric_surface_c1_M2"
-    assert sorted(p.name for p in (tmp_path / "both").iterdir()) == [
-        f"{stem}_complete_fan.json", f"{stem}_powers_fan.json"]
-    name = f"{stem}_complete_fan.json"
-    assert (tmp_path / "both" / name).read_bytes() == \
-        (tmp_path / "complete" / name).read_bytes()
 
 
 def test_demo(capsys):

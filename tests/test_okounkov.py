@@ -29,7 +29,7 @@ FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
 def test_p2_level_one_basis(p2):
     basis = standard_basis(p2, 1)
     assert basis == tuple(HomogPoly.variable(3, i) for i in range(3))
-    assert GradedSystem(p2, "complete").dimension(1) == 3
+    assert GradedSystem(p2).dimension(1) == 3
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -38,27 +38,27 @@ def test_dimension_matches_standard_basis(name):
     # monomials of degree c*m
     for c in (1, 2):
         case = make_case(name, c)
-        for kind in KINDS:
-            system = GradedSystem(case, kind)
-            for m in range(1, 7):
-                assert system.dimension(m) == len(standard_basis(case, m)), \
-                    (c, kind, m)
+        system = GradedSystem(case)
+        for m in range(1, 7):
+            assert system.dimension(m) == len(standard_basis(case, m)), (c, m)
     with pytest.raises(ValueError, match="levels start at 1"):
-        GradedSystem(make_case(name), "complete").dimension(0)
+        GradedSystem(make_case(name)).dimension(0)
 
 
 def test_complete_dimensions(quadric, fermat):
-    assert GradedSystem(quadric, "complete").dimension(2) == 9
-    assert GradedSystem(fermat, "complete").dimension(2) == 10
-    assert GradedSystem(fermat, "complete").dimension(3) == 19
+    assert GradedSystem(quadric).dimension(2) == 9
+    assert GradedSystem(fermat).dimension(2) == 10
+    assert GradedSystem(fermat).dimension(3) == 19
 
 
 def test_powers_dimensions_agree(p2, quadric, fermat):
+    # either label gives levels of the one system's dimensions
     for case in (p2, quadric, fermat):
-        powers = GradedSystem(case, "powers")
-        complete = GradedSystem(case, "complete")
-        for m in (1, 2, 3):
-            assert powers.dimension(m) == complete.dimension(m)
+        system = GradedSystem(case)
+        for kind in KINDS:
+            sg = semigroup(case, kind, 3)
+            for m in (1, 2, 3):
+                assert len(sg.level(m)) == system.dimension(m), (kind, m)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -67,9 +67,9 @@ def test_products_span_the_standard_monomials(name):
     # standard monomials of degree c*m, as GradedSystem's argument says
     for c in (1, 2):
         case = make_case(name, c)
-        powers = GradedSystem(case, "powers")
+        system = GradedSystem(case)
         for m in (1, 2, 3):
-            assert len(powers_basis(case, m)) == powers.dimension(m), (c, m)
+            assert len(powers_basis(case, m)) == system.dimension(m), (c, m)
 
 
 def test_powers_basis_spans_inside_complete(quadric):
@@ -94,8 +94,8 @@ def test_graded_pieces_multiply_into_higher_levels(quadric):
 
 
 def test_unknown_kind_rejected(p2):
-    with pytest.raises(ValueError):
-        GradedSystem(p2, "nonsense")
+    with pytest.raises(ValueError, match="kind must be one of"):
+        semigroup(p2, "nonsense", 1)
 
 
 # -- value sets ---------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_singleton_basis(fermat):
 
 def test_value_set_cardinality_equals_dimension(p2, p3, quadric, fermat):
     for case in (p2, p3, quadric, fermat):
-        system = GradedSystem(case, "complete")
+        system = GradedSystem(case)
         for m in (1, 2, 3):
             assert len(expansion_value_set(standard_basis(case, m),
                                            case.flag)) == \
