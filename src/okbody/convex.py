@@ -28,7 +28,6 @@ included, is a TypeError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -36,23 +35,29 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import Echelon, kernel_basis
-from .polynomials import Scalar, _exact
+from .polynomials import Frozen, Scalar, _exact
 
 Point = tuple[Fraction, ...]
 # (a, beta) for a . x >= beta
 Constraint = tuple[tuple[int, ...], Fraction]
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Canonical form: the vertex list is minimal and lex-sorted."""
+class RationalPolytope(Frozen):
+    """Canonical form: the vertex list is minimal and lex-sorted.  Equal
+    and hashed by (dim, vertices)."""
 
-    dim: int
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        if any(len(v) != self.dim for v in self.vertices):
+    def __init__(self, dim: int, vertices: tuple[Point, ...]):
+        if any(len(v) != dim for v in vertices):
             raise ValueError("vertex of wrong dimension")
+        vars(self).update(dim=dim, vertices=vertices)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dim, self.vertices) == (other.dim, other.vertices)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.vertices))
 
     @cached_property
     def _hull(self) -> _Hull:
@@ -74,17 +79,17 @@ class RationalPolytope:
         return "polytope with vertices" + "".join(rows)
 
 
-@dataclass(frozen=True)
-class _Hull:
+class _Hull(Frozen):
     """Double-description data of a finite point set: its affine dimension,
     the indices of the points that are vertices, and the facet inequalities
     a . x >= beta.  The inequality normals vanish off the pivot coordinates
     of the affine hull, so for a full-dimensional hull they are the
     primitive facet normals."""
 
-    dimension: int
-    vertices: tuple[int, ...]
-    inequalities: tuple[Constraint, ...]
+    def __init__(self, dimension: int, vertices: tuple[int, ...],
+                 inequalities: tuple[Constraint, ...]):
+        vars(self).update(dimension=dimension, vertices=vertices,
+                          inequalities=inequalities)
 
 
 def _lattice(points: Iterable[Sequence[Scalar]]

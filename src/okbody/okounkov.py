@@ -34,13 +34,13 @@ generated (the vertex criterion), and the body equals the candidate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
 from . import convex  # convex.convex_hull read per call: perfbench wraps it
 from .convex import RationalPolytope
+from .polynomials import Frozen
 from .varieties import CaseStudy
 
 KINDS = ("powers", "complete")
@@ -76,18 +76,16 @@ class GradedSystem:
         return comb(n + degree, n) - (comb(n + low, n) if low >= 0 else 0)
 
 
-@dataclass(frozen=True)
-class OkounkovSemigroup:
+class OkounkovSemigroup(Frozen):
     """Levels 1..max_level of the graded value semigroup of one case study,
     labelled with its kind, held as curve = (V(0), ..., V(c*M)) and
     steps = n - 1; level m, built when read, is the set of prefix + (j,)
     with sum(prefix) = s <= c*m and j in V(c*m - s)."""
 
-    case: CaseStudy
-    kind: str
-    max_level: int
-    curve: tuple[tuple[int, ...], ...]
-    steps: int
+    def __init__(self, case: CaseStudy, kind: str, max_level: int,
+                 curve: tuple[tuple[int, ...], ...], steps: int):
+        vars(self).update(case=case, kind=kind, max_level=max_level,
+                          curve=curve, steps=steps)
 
     def fibers(self, m: int) -> list[tuple[int, tuple[int, ...]]]:
         """Level m as the pairs (s, V(c*m - s)), s = 0 .. c*m the prefix

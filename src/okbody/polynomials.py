@@ -40,6 +40,28 @@ def _exponents(exps: Sequence[int]) -> Exponent:
     return exps
 
 
+class Frozen:
+    """Base of okbody's immutable values: __init__ sets the fields through
+    vars(self), assigning or deleting an attribute raises AttributeError,
+    and values of one class with equal vars are equal and hash alike.  A
+    cached_property stores into vars(self) too, so a class with one
+    compares its fields itself (see RationalPolytope)."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
 _VAR_NAMES = "xyzwv"
 
 

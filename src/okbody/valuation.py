@@ -24,12 +24,11 @@ order is its contact order.  Each call asks series_solve_branch once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Echelon
-from .polynomials import HomogPoly, Scalar, _exact
+from .polynomials import Frozen, HomogPoly, Scalar, _exact
 from .series import PRECISION_CAP, PrecisionError, series_solve_branch
 
 
@@ -39,16 +38,15 @@ class ZeroSectionError(ValueError):
     curve, or a form of some degree that does not vanish on the curve."""
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(Frozen):
     """Restriction to the divisor {h = 0} of the hypersurface {F = 0} (or of
     projective space), in coordinates where x_pivot is replaced by
     y = h(x): ``to_y`` writes the old x_pivot through y and the other
     coordinates, and ``relation`` is F after that substitution."""
 
-    pivot: int
-    to_y: HomogPoly
-    relation: HomogPoly | None
+    def __init__(self, pivot: int, to_y: HomogPoly,
+                 relation: HomogPoly | None):
+        vars(self).update(pivot=pivot, to_y=to_y, relation=relation)
 
     @classmethod
     def build(cls, h: HomogPoly, relation: HomogPoly | None) -> _Step:
@@ -71,15 +69,14 @@ class _Step:
         return moved.coefficient_of(self.pivot, 0)
 
 
-@dataclass(frozen=True)
-class _FinalStage:
-    relation: HomogPoly | None    # the plane-curve equation; None on a line
-    point: tuple[Fraction, ...]
-    chart: int
-    param: int
-    dep: int | None
-    # the flag's final form restricted to the curve, when built from a flag
-    form: HomogPoly | None = None
+class _FinalStage(Frozen):
+    def __init__(self, relation: HomogPoly | None,
+                 point: tuple[Fraction, ...], chart: int, param: int,
+                 dep: int | None, form: HomogPoly | None = None):
+        # relation is the plane-curve equation, None on a line; form is the
+        # flag's final form restricted to the curve, when built from a flag
+        vars(self).update(relation=relation, point=point, chart=chart,
+                          param=param, dep=dep, form=form)
 
     @property
     def curve_degree(self) -> int:
@@ -180,12 +177,15 @@ class Flag:
     def __init__(self, ambient_vars: int, relation: HomogPoly | None,
                  steps: Sequence[HomogPoly], final_form: HomogPoly,
                  point: Sequence[Scalar]):
+        if relation is not None and (relation.num_vars != ambient_vars
+                                     or not relation):
+            raise ValueError("relation must be a nonzero ambient form")
         self.ambient_vars = ambient_vars
         self.relation = relation
-        self.steps = tuple(steps)
-        self.final_form = final_form
-        self.point = tuple(Fraction(_exact(v)) for v in point)
-        self._validate()
+        self.steps = tuple(self.checked_form(f, ambient_vars) for f in steps)
+        self.final_form = self.checked_form(final_form, ambient_vars)
+        self.point = self.checked_point(point, ambient_vars, relation,
+                                        (*self.steps, self.final_form))
         self.stages, self.final_stage, self._alive = self._build_stages()
 
     @property
@@ -201,19 +201,27 @@ class Flag:
     def parameter_var(self) -> int:
         return self._alive[self.final_stage.param]
 
-    def _validate(self) -> None:
-        if len(self.point) != self.ambient_vars or not any(self.point):
+    @staticmethod
+    def checked_form(form: HomogPoly, ambient_vars: int) -> HomogPoly:
+        """A step or final form: a nonzero linear ambient form."""
+        if form.num_vars != ambient_vars or form.degree != 1 or not form:
+            raise ValueError("flag forms must be nonzero ambient linear forms")
+        return form
+
+    @staticmethod
+    def checked_point(point: Sequence[Scalar], ambient_vars: int,
+                      relation: HomogPoly | None,
+                      forms: Sequence[HomogPoly]) -> tuple[Fraction, ...]:
+        """The point, exact: a nonzero ambient point on every flag form and
+        on the hypersurface."""
+        point = tuple(Fraction(_exact(v)) for v in point)
+        if len(point) != ambient_vars or not any(point):
             raise ValueError("point must be a nonzero ambient point")
-        for form in (*self.steps, self.final_form):
-            if form.num_vars != self.ambient_vars or form.degree != 1 or not form:
-                raise ValueError("flag forms must be nonzero ambient linear forms")
-            if form.evaluate(self.point):
-                raise ValueError("the flag point must lie on every flag form")
-        if self.relation is not None:
-            if self.relation.num_vars != self.ambient_vars or not self.relation:
-                raise ValueError("relation must be a nonzero ambient form")
-            if self.relation.evaluate(self.point):
-                raise ValueError("the flag point must lie on the hypersurface")
+        if any(form.evaluate(point) for form in forms):
+            raise ValueError("the flag point must lie on every flag form")
+        if relation is not None and relation.evaluate(point):
+            raise ValueError("the flag point must lie on the hypersurface")
+        return point
 
     def _build_stages(self) -> tuple[list[_Step], _FinalStage, list[int]]:
         alive = list(range(self.ambient_vars))

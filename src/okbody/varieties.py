@@ -35,31 +35,26 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import HomogPoly, has_projective_common_zero
+from .polynomials import Frozen, HomogPoly, has_projective_common_zero
 from .valuation import Flag
 
 CASE_NAMES = ("p2", "p3", "quadric_surface", "fermat_cubic",
               "quadric_threefold")
 
 
-@dataclass
 class CaseStudy:
     """A flagged variety (P^n, or the hypersurface {flag.relation = 0}) and
     the scale c >= 1 of its very ample class c*H.  The flag gives the
     dimension n, the degree d = H^n and the index r, with -K = r*H."""
 
-    name: str
-    flag: Flag
-    c: int
-
-    def __post_init__(self):
-        if type(self.c) is not int:
-            raise TypeError(f"c must be an int, not {self.c!r}")
-        if self.c < 1:
-            raise ValueError(f"c must be a positive integer, not {self.c}")
+    def __init__(self, name: str, flag: Flag, c: int):
+        if type(c) is not int:
+            raise TypeError(f"c must be an int, not {c!r}")
+        if c < 1:
+            raise ValueError(f"c must be a positive integer, not {c}")
+        self.name, self.flag, self.c = name, flag, c
 
     @property
     def n(self) -> int:
@@ -126,17 +121,14 @@ def make_negative_control(c: int = 1) -> CaseStudy:
 # -- flag verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagCheck:
-    name: str
-    passed: bool
-    detail: str
+class FlagCheck(Frozen):
+    def __init__(self, name: str, passed: bool, detail: str):
+        vars(self).update(name=name, passed=passed, detail=detail)
 
 
-@dataclass(frozen=True)
-class FlagReport:
-    case_name: str
-    checks: tuple[FlagCheck, ...]
+class FlagReport(Frozen):
+    def __init__(self, case_name: str, checks: tuple[FlagCheck, ...]):
+        vars(self).update(case_name=case_name, checks=checks)
 
     @property
     def passed(self) -> bool:
@@ -304,11 +296,14 @@ def case_study_from_json(text: str) -> CaseStudy:
     relation = None
     if entry("relation", lambda obj: obj) is not None:    # null on P^n
         relation = entry("relation", poly, listed=True)
-    steps = entry("steps", lambda objs: [poly(obj) for obj in objs],
-                  listed=True)
-    final = entry("final_form", poly, listed=True)
-    point = entry("point", lambda objs: tuple(map(_rational, objs)),
-                  listed=True)
+    def form(obj) -> HomogPoly:
+        return Flag.checked_form(poly(obj), nv)
+
+    steps = entry("steps", lambda objs: list(map(form, objs)), listed=True)
+    final = entry("final_form", form, listed=True)
+    point = entry("point", lambda objs: Flag.checked_point(
+        tuple(map(_rational, objs)), nv, relation, (*steps, final)),
+        listed=True)
     flag = Flag(nv, relation, steps, final, point)
     case = CaseStudy(entry("name", _stem), flag, entry("c", _checked))
     derived = {"n": case.n, "r": case.r, "d": case.d,

@@ -233,6 +233,29 @@ BAD_FIXTURES = {
     "name_parent_dir": (_set("../x", "name"), "malformed 'name'"),
     "name_with_slash": (_set("a/b", "name"), "malformed 'name'"),
     "n_float": (_set(2.0, "n"), "malformed 'n'"),
+    # the flag's own checks name the key they read: forms are linear and
+    # nonzero, and the point lies on every form and on the hypersurface
+    "step_quadratic": (_set([["1/1", [2, 0, 0, 0]]], "steps", 0),
+                       "malformed 'steps': flag forms must be nonzero "
+                       "ambient linear forms"),
+    "step_cancelling": (_set([[1, [1, 0, 0, 0]], [-1, [1, 0, 0, 0]]],
+                             "steps", 0),
+                        "malformed 'steps': flag forms must be nonzero"),
+    "final_form_quadratic": (_set([["1/1", [0, 0, 2, 0]]], "final_form"),
+                             "malformed 'final_form': flag forms must be "
+                             "nonzero ambient linear forms"),
+    "point_off_flag": (_set(["1/1", "0/1", "0/1", "0/1"], "point"),
+                       "malformed 'point': the flag point must lie on "
+                       "every flag form"),
+    "point_off_hypersurface": (_set(["1/1", "1/1", "0/1", "1/1"], "point"),
+                               "malformed 'point': the flag point must lie "
+                               "on the hypersurface"),
+    "point_short": (_set([0, 1, 0], "point"),
+                    "malformed 'point': point must be a nonzero ambient "
+                    "point"),
+    "point_zero": (_set([0, 0, 0, 0], "point"),
+                   "malformed 'point': point must be a nonzero ambient "
+                   "point"),
     # the repeated step restricts to zero on the member it cuts out
     "steps_repeated": (lambda data: {**data, "steps": data["steps"] * 2},
                        "flag step 2 vanishes on the flag member before it"),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from okbody.convex import (convex_hull, normal_fan_rays, polytope_equal,
-                           polytope_to_json, scaled_simplex)
+from okbody.convex import (RationalPolytope, convex_hull, normal_fan_rays,
+                           polytope_equal, polytope_to_json, scaled_simplex)
 from okbody.okounkov import semigroup
 from okbody.varieties import CASE_NAMES, make_case
 
@@ -306,6 +306,26 @@ def test_polytope_equal_examples():
     assert not polytope_equal(unit, square)
     redundant = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2))])
     assert polytope_equal(redundant, unit)
+
+
+def test_equal_polytopes_are_one_value():
+    # field-wise == and hash on (dim, vertices): equal polytopes collapse in
+    # a set, also after one of them has cached its double description
+    unit = scaled_simplex(2, 1, 1)
+    redundant = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
+    assert redundant.facets()
+    assert unit == redundant and hash(unit) == hash(redundant)
+    assert len({unit, redundant, scaled_simplex(2, 1, 1)}) == 1
+    assert unit != scaled_simplex(2, 1, 2)
+    assert unit != RationalPolytope(2, unit.vertices[:2])
+    assert unit != unit.vertices
+
+
+def test_vertex_of_wrong_length_rejected():
+    with pytest.raises(ValueError, match="vertex of wrong dimension"):
+        RationalPolytope(2, ((F(0), F(0)), (F(1),)))
+    with pytest.raises(ValueError, match="vertex of wrong dimension"):
+        RationalPolytope(1, ((F(0), F(0)),))
 
 
 def test_scaled_simplex_vertices():

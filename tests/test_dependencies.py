@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,16 @@ def test_package_imports_only_itself_and_the_standard_library():
             stray += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not stray
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so that no earlier import hides one: dataclasses
+    # pulls in inspect, ast, dis and tokenize, most of what the package's
+    # cold import used to cost
+    probe = ("import sys; before = set(sys.modules); import okbody; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    added = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "okbody.varieties" in added
+    assert not {"dataclasses", "inspect"} & set(added)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 
@@ -292,9 +291,45 @@ def test_semigroup_and_final_stage_keep_no_state(fermat):
     before = (dict(vars(sg)), dict(vars(stage)))
     sg.levels, sg.level(2), stage.value_sets(4), stage.contact_order()
     assert (dict(vars(sg)), dict(vars(stage))) == before
-    for value in (sg, stage):
-        with pytest.raises(FrozenInstanceError):
+    for value, field in ((sg, "curve"), (stage, "relation")):
+        with pytest.raises(AttributeError):
             value.cache = {}
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert sg.curve and stage.relation
+    assert (dict(vars(sg)), dict(vars(stage))) == before
+
+
+def _frozen_value(name):
+    """A value of the frozen class of that name, and one of its fields."""
+    case = make_case("quadric_surface")
+    sg = semigroup(case, "complete", 2)
+    body, report = body_estimate(sg), verify_flag(case)
+    return {"RationalPolytope": (body, "vertices"),
+            "_Hull": (body._hull, "inequalities"),
+            "OkounkovSemigroup": (sg, "curve"),
+            "_Step": (case.flag.stages[0], "to_y"),
+            "_FinalStage": (case.flag.final_stage, "point"),
+            "FlagCheck": (report.checks[0], "passed"),
+            "FlagReport": (report, "checks")}[name]
+
+
+@pytest.mark.parametrize("name", [
+    "RationalPolytope", "_Hull", "OkounkovSemigroup", "_Step", "_FinalStage",
+    "FlagCheck", "FlagReport"])
+def test_frozen_values_refuse_setattr_and_delattr(name):
+    value, field = _frozen_value(name)
+    assert type(value).__name__ == name
+    before = dict(vars(value))
+    with pytest.raises(AttributeError, match=f"cannot assign to field "
+                                             f"'{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field "
+                                             f"'{field}'"):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert vars(value) == before
 
 
 def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,

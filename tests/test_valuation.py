@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -236,7 +235,8 @@ def _chart_choices(stage):
             continue
         others = [i for i in range(len(stage.point)) if i != chart]
         if stage.relation is None:
-            yield dataclasses.replace(stage, chart=chart, param=others[0])
+            yield valuation._FinalStage(stage.relation, stage.point, chart,
+                                        others[0], stage.dep, stage.form)
             continue
         for param, dep in (others, others[::-1]):
             try:
@@ -244,8 +244,8 @@ def _chart_choices(stage):
                                 param_var=param, dep_var=dep)
             except ValueError:
                 continue
-            yield dataclasses.replace(stage, chart=chart, param=param,
-                                      dep=dep)
+            yield valuation._FinalStage(stage.relation, stage.point, chart,
+                                        param, dep, stage.form)
 
 
 def test_orders_do_not_depend_on_the_chart(quadric, fermat):
@@ -336,6 +336,20 @@ def test_final_series_on_a_line():
                         Fraction(0))
                     for j in range(degree + 1)]
         assert final_series(stage, form)[0] == expected
+
+
+def test_final_stage_values():
+    # built without a form, a final stage reads None there; stages with
+    # equal fields are equal
+    line = valuation._FinalStage(None, (Fraction(3), Fraction(2)), 0, 1, None)
+    assert line.form is None
+    assert line == valuation._FinalStage(None, (Fraction(3), Fraction(2)), 0,
+                                         1, None, None)
+    assert line != valuation._FinalStage(None, (Fraction(3), Fraction(2)), 1,
+                                         0, None)
+    stage = make_case("quadric_surface").flag.final_stage
+    assert stage == make_case("quadric_surface").flag.final_stage
+    assert stage.form == HomogPoly.variable(3, 2)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)

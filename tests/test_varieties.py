@@ -1,5 +1,5 @@
+import inspect
 import json
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from okbody.convex import polytope_equal
 from okbody.okounkov import body_estimate, semigroup, vertex_criterion
 from okbody.polynomials import HomogPoly
-from okbody.valuation import Flag
+from okbody.valuation import Flag, _FinalStage
 from okbody.varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
                               case_study_to_json, make_case,
                               make_negative_control, verify_flag)
@@ -34,7 +34,17 @@ def test_case_metadata():
 
 
 def test_case_study_fields():
-    assert [f.name for f in fields(CaseStudy)] == ["name", "flag", "c"]
+    assert list(inspect.signature(CaseStudy).parameters) == ["name", "flag",
+                                                             "c"]
+
+
+def test_flag_reports_compare_by_value():
+    # two verifications of one case give equal, equally hashed reports
+    first, second = (verify_flag(make_case("fermat_cubic")) for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    assert first.checks[0] == second.checks[0]
+    assert len(set(first.checks + second.checks)) == len(first.checks)
+    assert first != verify_flag(make_negative_control())
 
 
 def test_shipped_cases_have_coindex_at_most_two():
@@ -176,7 +186,8 @@ def test_non_transversal_parameter_fails_contact():
                               "d = 3")
     with pytest.raises(ValueError, match="chosen parameter is not "
                                          "transversal at the point"):
-        replace(stage, param=1, dep=2).contact_order()
+        _FinalStage(stage.relation, stage.point, stage.chart, 1, 2,
+                    stage.form).contact_order()
 
 
 def test_negative_control_fails_contact_check():
