@@ -2,7 +2,7 @@
 flagged projective hypersurfaces, with finite-generation certification,
 toric limit data and elliptic-curve divisor utilities."""
 
-from .convex import (RationalPolytope, convex_hull, normal_fan_rays,
+from .convex import (RationalPolytope, lifted_polygon, normal_fan_rays,
                      polytope_equal, polytope_to_json, scaled_simplex)
 from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                        random_divisor, single_point_member)
@@ -24,8 +24,8 @@ __all__ = [
     "GradedSystem", "HomogPoly", "INFINITY", "OkounkovSemigroup",
     "PrecisionError", "RationalPolytope", "ZeroSectionError",
     "body_estimate", "case_study_from_json", "case_study_to_json",
-    "convex_hull", "divisor_class_sum",
-    "generation_degree", "graded_monomials", "has_projective_common_zero",
+    "divisor_class_sum", "generation_degree", "graded_monomials",
+    "has_projective_common_zero", "lifted_polygon",
     "make_case", "make_negative_control", "normal_fan_rays", "polytope_equal",
     "polytope_to_json", "random_divisor", "scaled_simplex", "semigroup",
     "semigroup_to_json", "series_solve_branch", "single_point_member",

@@ -1,40 +1,33 @@
-"""Exact rational convex geometry at desk scale.
+"""Exact rational convex geometry at desk scale: lifted planar polygons.
 
-Polytopes are stored by their canonical vertex list: the minimal set of
-points whose convex hull is the polytope, lexicographically sorted.  Two
-polytopes are equal exactly when their canonical lists are identical, so no
-tolerance ever enters.
+Every polytope here is the lift of a planar polygon P in {q >= 0},
 
-Hulls are computed by the double-description method (Motzkin et al. 1953;
-Fukuda and Prodon 1996) in integer arithmetic.  The points are scaled to
-integers, projected onto coordinates of their affine hull and lifted to
-(p, 1); the extreme rays of the cone {a : a . (p, 1) >= 0 for every point}
-are then exactly the facet inequalities of the hull, and a point is a
-vertex when no other point is tight on all of its facets.  A polytope
-computes this double description once from its vertex list and reads its
-dimension, facets and normal fan from it.  Facets carry primitive integer
-inward normals, which are the rays of the normal fan (the combinatorial
-data of the associated toric variety).
+  {(x, y) : x >= 0 in Q^(n-1), (sum(x), y) in P},
 
-Before the double description, one pass per axis drops each point strictly
-inside an axis-parallel segment between two points that stay: it is their
-convex combination and never a vertex, so the hull and its vertices are
-exactly those of all the points.  The quotients value/level of a graded
-piece form segments along the last axis, so this leaves about two points
-per prefix.  Coordinates are ints or Fractions; anything else, a float
-included, is a TypeError.
+which is what an Okounkov body of these flags is (each fiber of a level
+is a simplex over its prefix sum s times a set of last entries) and what
+the expected simplex is.  The lift is the hull of the lifts of P's
+vertices: (q*e_i, y) for each i when q > 0, and (0, y) when q = 0, and
+these are its vertices, as for q > 0 they lie on distinct rays.  So a
+polytope is stored by this vertex list, lexicographically sorted, and two
+polytopes are equal exactly when their lists are identical: no tolerance
+ever enters.  P comes from Andrew's monotone chain, in exact arithmetic.
+
+A full-dimensional lift has a facet per edge of P, with P's inward normal
+(alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
+the facets x_i >= 0 in place of P's edge on q = 0.  Facets carry
+primitive integer inward normals, which are the rays of the normal fan
+(the combinatorial data of the associated toric variety).  Coordinates are
+ints or Fractions; anything else, a float included, is a TypeError.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import Echelon, kernel_basis
 from .polynomials import Frozen, Scalar, _exact
 
 Point = tuple[Fraction, ...]
@@ -43,28 +36,27 @@ Constraint = tuple[tuple[int, ...], Fraction]
 
 
 class RationalPolytope(Frozen):
-    """Canonical form: the vertex list is minimal and lex-sorted.  Equal
-    and hashed by (dim, vertices)."""
+    """The lift of a planar polygon, given by its vertex list: exactly the
+    sorted lifts of the vertices of P, the hull of the images (sum(x), y)
+    of the vertices, which is kept as `polygon`, counterclockwise from its
+    lex-least vertex.  Any other list is a ValueError."""
 
-    def __init__(self, dim: int, vertices: tuple[Point, ...]):
+    def __init__(self, dim: int, vertices: Iterable[Sequence[Scalar]]):
+        vertices = tuple(tuple(Fraction(_exact(c)) for c in v)
+                         for v in vertices)
         if any(len(v) != dim for v in vertices):
             raise ValueError("vertex of wrong dimension")
-        vars(self).update(dim=dim, vertices=vertices)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.dim, self.vertices) == (other.dim, other.vertices)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.vertices))
-
-    @cached_property
-    def _hull(self) -> _Hull:
-        return _double_description(*_lattice(self.vertices))
+        if not vertices:
+            raise ValueError("a polytope needs a vertex")
+        polygon = planar_hull([(sum(v[:-1], Fraction(0)), v[-1])
+                               for v in vertices])
+        if (any(c < 0 for v in vertices for c in v[:-1])
+                or _lift(polygon, dim - 1) != vertices):
+            raise ValueError("not the sorted vertices of a lifted polygon")
+        vars(self).update(dim=dim, vertices=vertices, polygon=polygon)
 
     def is_full_dimensional(self) -> bool:
-        return bool(self.vertices) and self._hull.dimension == self.dim
+        return len(self.polygon) > (1 if self.dim == 1 else 2)
 
     def facets(self) -> tuple[Constraint, ...]:
         """Inward facet inequalities (a, beta) with a . x >= beta on the
@@ -72,171 +64,72 @@ class RationalPolytope(Frozen):
         Full-dimensional only."""
         if not self.is_full_dimensional():
             raise ValueError("polytope is not full-dimensional")
-        return self._hull.inequalities
+        p, polygon = self.dim - 1, self.polygon
+        if not p:  # a segment on q = 0: its two ends
+            (_q, low), (_q, high) = polygon
+            return (((-1,), -high), ((1,), low))
+        facets = [(tuple(int(i == j) for j in range(p + 1)), Fraction(0))
+                  for i in range(p)] if p > 1 else []
+        for (qa, ya), (qb, yb) in zip(polygon, polygon[1:] + polygon[:1]):
+            if p > 1 and qa == qb == 0:
+                continue
+            # the inward normal is the left one on a counterclockwise edge
+            alpha, beta = ya - yb, qb - qa
+            scale = lcm(alpha.denominator, beta.denominator)
+            alpha, beta = int(alpha * scale), int(beta * scale)
+            g = gcd(alpha, beta)
+            facets.append(((alpha // g,) * p + (beta // g,),
+                           (alpha * qa + beta * ya) / g))
+        return tuple(sorted(facets))
 
     def __str__(self) -> str:
         rows = [" (" + ", ".join(str(c) for c in v) + ")" for v in self.vertices]
         return "polytope with vertices" + "".join(rows)
 
 
-class _Hull(Frozen):
-    """Double-description data of a finite point set: its affine dimension,
-    the indices of the points that are vertices, and the facet inequalities
-    a . x >= beta.  The inequality normals vanish off the pivot coordinates
-    of the affine hull, so for a full-dimensional hull they are the
-    primitive facet normals."""
+def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
+    """The vertices of the convex hull of planar points (ints or
+    Fractions), counterclockwise from the lex-least, with no point inside
+    an edge (Andrew's monotone chain): one point for a point and two for a
+    segment."""
+    points = sorted(set(points))
+    if len(points) < 3:
+        return tuple(points)
 
-    def __init__(self, dimension: int, vertices: tuple[int, ...],
-                 inequalities: tuple[Constraint, ...]):
-        vars(self).update(dimension=dimension, vertices=vertices,
-                          inequalities=inequalities)
+    def chain(run):
+        out = []
+        for q, y in run:
+            # drop the last point until it makes a strict left turn
+            while len(out) > 1:
+                (qa, ya), (qb, yb) = out[-2:]
+                if (qb - qa) * (y - ya) > (yb - ya) * (q - qa):
+                    break
+                out.pop()
+            out.append((q, y))
+        return out
 
-
-def _lattice(points: Iterable[Sequence[Scalar]]
-             ) -> tuple[list[tuple[int, ...]], int]:
-    """The points scaled to integer points by the lcm L of their
-    coordinates' denominators, and L."""
-    rows = [tuple(map(_exact, p)) for p in points]
-    scale = lcm(*(c.denominator for p in rows for c in p))
-    return [tuple(c.numerator * (scale // c.denominator) for c in p)
-            for p in rows], scale
-
-
-def _double_description(ints: Sequence[tuple[int, ...]], scale: int) -> _Hull:
-    """The hull of the points p / scale, for nonempty integer points p of
-    equal length, in integer arithmetic.
-
-    The points are projected onto the pivot coordinates of their
-    differences, an echelon grown only until its rank is the dimension
-    (or the differences run out), and lifted to q = (p, 1).  The extreme
-    rays of the cone {a : a . q >= 0} are found by inserting one q at a
-    time, starting from the first independent lifted points: rays on the
-    negative side of q are replaced by the combinations of adjacent
-    (positive, negative) pairs that are tight on q.  Two rays are adjacent
-    when no third ray is tight on every point that both are tight on (the
-    combinatorial test).  Inserting the points farthest from the centroid
-    first makes most later points interior, at one dot product per ray.
-    """
-    n = len(ints[0])
-    base = ints[0]
-    # the pivot columns of the differences' echelon are a maximal
-    # independent set of coordinate columns, so the projection onto them is
-    # injective on the affine hull; they depend only on the span, so the
-    # differences stop at rank n, and they are taken from the lex-last
-    # point back, since the points nearest the lex-first base often share
-    # its first coordinates and add no rank
-    differences = Echelon(n)
-    for p in reversed(ints):
-        if differences.rank == n:
-            break
-        differences.add([a - b for a, b in zip(p, base)])
-    pivots = differences.pivots()
-    k = len(pivots)
-    lifted = [tuple(p[j] for j in pivots) + (1,) for p in ints]
-    count = len(lifted)
-    total = [sum(column) for column in zip(*lifted)]
-    order = sorted(range(count), key=lambda i: (
-        -sum((count * a - b) ** 2 for a, b in zip(lifted[i], total)), i))
-    independent = Echelon(k + 1)
-    start = []
-    for i in order:
-        if independent.rank == k + 1:
-            break
-        if independent.add(lifted[i]):
-            start.append(i)
-    rays = []
-    for j in start:
-        tight = [lifted[i] for i in start if i != j]
-        ray = _primitive(kernel_basis(tight, k + 1)[0])[0]
-        if _idot(lifted[j], ray) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append((ray, sum(1 << i for i in start if i != j)))
-    started = set(start)
-    for i in order:
-        if i in started:
-            continue
-        q, bit = lifted[i], 1 << i
-        signed = [(_idot(q, ray), ray, mask) for ray, mask in rays]
-        negative = [entry for entry in signed if entry[0] < 0]
-        kept = [(ray, mask | bit if s == 0 else mask)
-                for s, ray, mask in signed if s >= 0]
-        if not negative:
-            rays = kept
-            continue
-        added = []
-        for sp, rp, zp in signed:
-            if sp <= 0:
-                continue
-            for sm, rm, zm in negative:
-                common = zp & zm
-                if common.bit_count() < k - 1 or any(
-                        common & mask == common for _s, ray, mask in signed
-                        if ray is not rp and ray is not rm):
-                    continue
-                added.append((_primitive([sp * b - sm * a
-                                          for a, b in zip(rp, rm)])[0],
-                              common | bit))
-        rays = kept + added
-    # a vertex is the only point on all of its facets; any other point lies
-    # inside a face of dimension >= 1 that another input point spans, so
-    # some other point is tight on all of its facets
-    tight = [0] * count
-    for r, (_ray, mask) in enumerate(rays):
-        for i in range(count):
-            if mask >> i & 1:
-                tight[i] |= 1 << r
-    vertices = [i for i in range(count)
-                if not any(tight[j] & tight[i] == tight[i]
-                           for j in range(count) if j != i)]
-    inequalities = []
-    for ray, _mask in rays:
-        normal = [0] * n
-        for j, a in zip(pivots, ray):
-            normal[j] = a
-        if any(normal):
-            prim, factor = _primitive(normal)
-            inequalities.append((prim, -ray[-1] / (factor * scale)))
-    return _Hull(k, tuple(vertices), tuple(sorted(inequalities)))
+    return tuple(chain(points)[:-1] + chain(reversed(points))[:-1])
 
 
-def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
+def _lift(polygon: Iterable[tuple[Scalar, Scalar]],
+          p: int) -> tuple[Point, ...]:
+    """The sorted lifts of planar points (q, y) into dimension p + 1:
+    (q*e_i, y) for i < p when q > 0, and (0, y) when q = 0."""
+    zero = (Fraction(0),) * p
+    lifted = []
+    for q, y in polygon:
+        q, y = Fraction(_exact(q)), Fraction(_exact(y))
+        lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,) for i in range(p)]
+                   if q else [zero + (y,)])
+    return tuple(sorted(lifted))
 
 
-def convex_hull(points: Iterable[Sequence[Scalar]]) -> RationalPolytope:
-    """Minimal vertex set of the convex hull, exactly; repeated points and
-    lower-dimensional hulls are allowed.  The points are scaled to integer
-    points by one positive factor, which keeps their lex order, so they are
-    deduplicated, pruned to their segment ends, sorted and hulled as plain
-    integer tuples."""
-    ints, scale = _lattice(points)
-    if not ints:
-        raise ValueError("empty point set")
-    dim = len(ints[0])
-    if any(len(p) != dim for p in ints):
-        raise ValueError("mixed dimensions")
-    ints = sorted(_segment_ends(list(set(ints))))
-    hull = _double_description(ints, scale)
-    return RationalPolytope(dim, tuple(
-        tuple(Fraction(c, scale) for c in ints[i]) for i in hull.vertices))
-
-
-def _segment_ends(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The distinct points of equal length less those strictly inside
-    axis-parallel segments (exact; see the module docstring): one pass per
-    axis, last first, keeps the least and greatest point of each run that
-    agrees off the axis, which are the run's ends on the axis."""
-    for axis in reversed(range(len(points[0]))):
-        ends = {}
-        for p in points:
-            rest = p[:axis] + p[axis + 1:]
-            low, high = ends.setdefault(rest, (p, p))
-            if p < low:
-                ends[rest] = p, high
-            elif p > high:
-                ends[rest] = low, p
-        points = list({p for pair in ends.values() for p in pair})
-    return points
+def lifted_polygon(dim: int, points: Iterable[tuple[Scalar, Scalar]]
+                   ) -> RationalPolytope:
+    """The lift into dimension dim of the hull P of planar points (q, y)
+    with q >= 0; in dimension 1, where sum(x) = 0, that is P's face on
+    q = 0."""
+    return RationalPolytope(dim, _lift(planar_hull(points), dim - 1))
 
 
 def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
@@ -246,25 +139,11 @@ def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
 
 
 def scaled_simplex(n: int, c: int, d: int) -> RationalPolytope:
-    """The simplex with vertices 0, c*e_1, ..., c*e_{n-1} and c*d*e_n."""
+    """The simplex with vertices 0, c*e_1, ..., c*e_{n-1} and c*d*e_n: the
+    lift of conv{(0, 0), (c, 0), (0, c*d)}."""
     if n < 1 or c < 1 or d < 1:
         raise ValueError("n, c and d must be positive")
-    verts = [tuple(Fraction(0) for _ in range(n))]
-    for i in range(n - 1):
-        verts.append(tuple(Fraction(c if j == i else 0) for j in range(n)))
-    verts.append(tuple(Fraction(c * d if j == n - 1 else 0) for j in range(n)))
-    return RationalPolytope(n, tuple(sorted(verts)))
-
-
-def _primitive(vector: Sequence[Scalar]) -> tuple[tuple[int, ...], Fraction]:
-    """Scale a rational vector to a primitive integer vector; returns the
-    integer vector and the positive factor that was divided out."""
-    denom = lcm(*(v.denominator for v in vector))
-    ints = [int(v * denom) for v in vector]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(v // g for v in ints), Fraction(g, denom)
+    return lifted_polygon(n, [(0, 0), (c, 0), (0, c * d)])
 
 
 def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:

@@ -2,8 +2,8 @@
 
 Vectors are plain sequences of rationals (``int`` or ``Fraction``).  One
 fraction-free Gaussian elimination with first-nonzero pivoting serves
-everything, so results are exact and deterministic: ranks, pivot columns
-and kernels.
+everything, so results are exact and deterministic: ranks and pivot
+columns.
 """
 
 from __future__ import annotations
@@ -70,28 +70,6 @@ class Echelon:
         self.rows.append(([v // content for v in vec], pivot))
         return True
 
-    def kernel(self) -> list[list[Fraction]]:
-        """Basis of the right kernel {x : row . x = 0 for every row}: one
-        vector per free column f, with x_f = 1 and zero on the other free
-        columns."""
-        length = self.length
-        pivots = {pivot for _vec, pivot in self.rows}
-        basis = []
-        for f in range(length):
-            if f in pivots:
-                continue
-            x = [Fraction(0)] * length
-            x[f] = Fraction(1)
-            # each echelon row is zero in the pivot columns of the rows
-            # before it, so back-substitution from the last row fixes the
-            # pivots
-            for vec, pivot in reversed(self.rows):
-                x[pivot] = -sum((vec[j] * x[j]
-                                 for j in range(pivot + 1, length)
-                                 if vec[j] and x[j]), Fraction(0)) / vec[pivot]
-            basis.append(x)
-        return basis
-
 
 def rank(vectors: Sequence[Vector]) -> int:
     return len(pivot_columns(vectors))
@@ -104,12 +82,3 @@ def pivot_columns(vectors: Sequence[Vector]) -> list[int]:
     for row in vectors:
         form.add(row)
     return form.pivots()
-
-
-def kernel_basis(rows: Sequence[Vector], length: int) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : row . x = 0 for every row}: one vector
-    per free column f, with x_f = 1 and zero on the other free columns."""
-    form = Echelon(length)
-    for row in rows:
-        form.add(row)
-    return form.kernel()

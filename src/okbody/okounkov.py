@@ -24,11 +24,14 @@ level's fibers (s, V(c*m - s)) over the prefix sums s, and its vectors are
 built only when read.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
-value semigroup; the hull of its quotients v/m, taken over each piece's
-corners, is an inner estimate of the limit body.  When every vertex of a
-candidate polytope that is also a valid outer bound already occurs among
-the level-1 vectors, the semigroup generated by the full system is finitely
-generated (the vertex criterion), and the body equals the candidate.
+value semigroup; the hull of its quotients v/m is an inner estimate of the
+limit body.  As each fiber is a simplex over its prefix sum s times a set
+of last entries, that hull is the lift {x >= 0, (sum(x), y) in P} of the
+planar hull P of the fibers' pairs (s, min V)/m and (s, max V)/m (see
+okbody.convex).  When every vertex of a candidate polytope that is also a
+valid outer bound already occurs among the level-1 vectors, the semigroup
+generated by the full system is finitely generated (the vertex criterion),
+and the body equals the candidate.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
-from . import convex  # convex.convex_hull read per call: perfbench wraps it
-from .convex import RationalPolytope
+from .convex import RationalPolytope, lifted_polygon, planar_hull
 from .polynomials import Frozen
 from .varieties import CaseStudy
 
@@ -145,18 +147,17 @@ def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
     """The hull of the quotients v/m of every enumerated vector v of every
     level m: an exact inner approximation of the limit body, monotone in
     max_level.  The fiber of prefix sum s is a product, conv(s*e_i) times
-    V(c*m - s), so its hull is that of (s*e_i, min V) and (s*e_i, max V);
-    an empty fiber has none.  Each level makes one Fraction per numerator."""
-    p, corners = sg.steps, []
+    V(c*m - s), so the hull is the lift of the planar hull P of the pairs
+    (s, min V)/m and (s, max V)/m (see okbody.convex); an empty fiber has
+    none.  Each level's pairs are chained in integers, and only the
+    vertices of that chain are divided by m and chained into P."""
+    quotients = []
     for m in range(1, sg.max_level + 1):
-        fibers = [(s, values) for s, values in sg.fibers(m) if values]
-        top = max((max(s, values[-1]) for s, values in fibers), default=0)
-        q = [Fraction(x, m) for x in range(top + 1)]  # q[x] = x/m
-        for s, values in fibers:
-            for i in range(max(p, 1)):
-                prefix = tuple(q[s] if a == i else q[0] for a in range(p))
-                corners += [prefix + (q[j],) for j in {values[0], values[-1]}]
-    return convex.convex_hull(corners)
+        corners = [(s, j) for s, values in sg.fibers(m) if values
+                   for j in (values[0], values[-1])]
+        quotients += [(Fraction(s, m), Fraction(j, m))
+                      for s, j in planar_hull(corners)]
+    return lifted_polygon(sg.steps + 1, quotients)
 
 
 def vertex_criterion(candidate: RationalPolytope,

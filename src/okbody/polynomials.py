@@ -43,9 +43,7 @@ def _exponents(exps: Sequence[int]) -> Exponent:
 class Frozen:
     """Base of okbody's immutable values: __init__ sets the fields through
     vars(self), assigning or deleting an attribute raises AttributeError,
-    and values of one class with equal vars are equal and hash alike.  A
-    cached_property stores into vars(self) too, so a class with one
-    compares its fields itself (see RationalPolytope)."""
+    and values of one class with equal vars are equal and hash alike."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

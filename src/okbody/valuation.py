@@ -177,11 +177,8 @@ class Flag:
     def __init__(self, ambient_vars: int, relation: HomogPoly | None,
                  steps: Sequence[HomogPoly], final_form: HomogPoly,
                  point: Sequence[Scalar]):
-        if relation is not None and (relation.num_vars != ambient_vars
-                                     or not relation):
-            raise ValueError("relation must be a nonzero ambient form")
         self.ambient_vars = ambient_vars
-        self.relation = relation
+        self.relation = self.checked_relation(relation, ambient_vars)
         self.steps = tuple(self.checked_form(f, ambient_vars) for f in steps)
         self.final_form = self.checked_form(final_form, ambient_vars)
         self.point = self.checked_point(point, ambient_vars, relation,
@@ -200,6 +197,16 @@ class Flag:
     @property
     def parameter_var(self) -> int:
         return self._alive[self.final_stage.param]
+
+    @staticmethod
+    def checked_relation(relation: HomogPoly | None,
+                         ambient_vars: int) -> HomogPoly | None:
+        """The hypersurface's equation, a nonzero ambient form, or None on
+        projective space."""
+        if relation is not None and (relation.num_vars != ambient_vars
+                                     or not relation):
+            raise ValueError("relation must be a nonzero ambient form")
+        return relation
 
     @staticmethod
     def checked_form(form: HomogPoly, ambient_vars: int) -> HomogPoly:

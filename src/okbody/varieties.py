@@ -295,7 +295,8 @@ def case_study_from_json(text: str) -> CaseStudy:
 
     relation = None
     if entry("relation", lambda obj: obj) is not None:    # null on P^n
-        relation = entry("relation", poly, listed=True)
+        relation = entry("relation", lambda obj: Flag.checked_relation(
+            poly(obj), nv), listed=True)
     def form(obj) -> HomogPoly:
         return Flag.checked_form(poly(obj), nv)
 

@@ -1,9 +1,9 @@
 """Independent oracles used to pin expected values in the tests.
 
 The hull oracles are brute-force Caratheodory searches (in the plane by
-orientation tests, in n dimensions by barycentric solves over simplices)
-and a facet enumeration over vertex subsets, all with their own exact
-elimination; the surface valuation oracles expand sections in explicit
+orientation tests, in n dimensions by barycentric solves over simplices),
+a facet enumeration over vertex subsets and a reference hull of any
+dimension by double description, all with their own exact elimination; the surface valuation oracles expand sections in explicit
 local coordinates (bivariate series solved by a hand-derived recurrence,
 or exact polynomial substitution), and a form is expanded along a curve's
 branch by sympy polynomial substitution, so agreement with the library is
@@ -188,6 +188,154 @@ def brute_facets(vertices):
         found.add((tuple(ints), offset))
     return sorted(found)
 
+
+
+def kernel_basis(rows, length):
+    """Basis of the right kernel {x : row . x = 0 for every row}, read off
+    the reduced row echelon form: one vector per free column f, with x_f = 1
+    and zero on the other free columns."""
+    reduced, pivots = row_reduce(rows)
+    basis = []
+    for f in (j for j in range(length) if j not in pivots):
+        x = [Fraction(int(j == f)) for j in range(length)]
+        for row, pivot in zip(reduced, pivots):
+            x[pivot] = -row[f]
+        basis.append(x)
+    return basis
+
+
+def _primitive(vector):
+    """A nonzero rational vector scaled to a primitive integer vector, and
+    the positive factor divided out."""
+    denom = lcm(*(Fraction(v).denominator for v in vector))
+    ints = [int(v * denom) for v in vector]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints), Fraction(g, denom)
+
+
+def _segment_ends(points):
+    """The distinct integer points less those strictly inside axis-parallel
+    segments between two others, which are never vertices: one pass per
+    axis, last first, keeps the least and greatest point of each run that
+    agrees off the axis."""
+    for axis in reversed(range(len(points[0]))):
+        ends = {}
+        for p in points:
+            rest = p[:axis] + p[axis + 1:]
+            low, high = ends.setdefault(rest, (p, p))
+            if p < low:
+                ends[rest] = p, high
+            elif p > high:
+                ends[rest] = low, p
+        points = list({p for pair in ends.values() for p in pair})
+    return points
+
+
+def reference_hull(points):
+    """The hull of rational points of any dimension by the double
+    description method (Motzkin et al. 1953; Fukuda and Prodon 1996), in
+    integer arithmetic with the oracles' own elimination: (the affine
+    dimension, the lex-sorted vertices, the inward inequalities (a, beta),
+    a . x >= beta with a primitive, lex-sorted).  For a full-dimensional
+    hull the inequalities are its facets.
+
+    The points are scaled to integers by the lcm of their denominators,
+    pruned to the ends of their axis-parallel segments, projected onto the
+    pivot coordinates of their differences and lifted to q = (p, 1).  The
+    extreme rays of the cone {a : a . q >= 0} are found by inserting one q
+    at a time, starting from independent lifted points: rays on the
+    negative side of q are replaced by the combinations of adjacent
+    (positive, negative) pairs that are tight on q.  Two rays are adjacent
+    when no third ray is tight on every point that both are tight on.  A
+    vertex is the only point tight on all of its facets."""
+    rows = [tuple(Fraction(c) for c in p) for p in points]
+    if not rows:
+        raise ValueError("empty point set")
+    n = len(rows[0])
+    if any(len(p) != n for p in rows):
+        raise ValueError("mixed dimensions")
+    scale = lcm(*(c.denominator for p in rows for c in p))
+    ints = sorted(_segment_ends(list({
+        tuple(int(c * scale) for c in p) for p in rows})))
+    base = ints[0]
+    pivots = row_reduce([[a - b for a, b in zip(p, base)] for p in ints])[1]
+    k = len(pivots)
+    lifted = [tuple(p[j] for j in pivots) + (1,) for p in ints]
+    count = len(lifted)
+    total = [sum(column) for column in zip(*lifted)]
+    order = sorted(range(count), key=lambda i: (
+        -sum((count * a - b) ** 2 for a, b in zip(lifted[i], total)), i))
+    start = []
+    for i in order:
+        if len(start) == k + 1:
+            break
+        if len(row_reduce([lifted[j] for j in start + [i]])[1]) > len(start):
+            start.append(i)
+    rays = []
+    for j in start:
+        tight = [lifted[i] for i in start if i != j]
+        ray = _primitive(kernel_basis(tight, k + 1)[0])[0]
+        if sum(a * b for a, b in zip(lifted[j], ray)) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append((ray, sum(1 << i for i in start if i != j)))
+    for i in order:
+        if i in start:
+            continue
+        q, bit = lifted[i], 1 << i
+        signed = [(sum(a * b for a, b in zip(q, ray)), ray, mask)
+                  for ray, mask in rays]
+        negative = [entry for entry in signed if entry[0] < 0]
+        kept = [(ray, mask | bit if s == 0 else mask)
+                for s, ray, mask in signed if s >= 0]
+        added = []
+        for sp, rp, zp in signed:
+            if sp <= 0:
+                continue
+            for sm, rm, zm in negative:
+                common = zp & zm
+                if bin(common).count("1") < k - 1 or any(
+                        common & mask == common for _s, ray, mask in signed
+                        if ray is not rp and ray is not rm):
+                    continue
+                added.append((_primitive([sp * b - sm * a
+                                          for a, b in zip(rp, rm)])[0],
+                              common | bit))
+        rays = kept + added
+    tight = [0] * count
+    for r, (_ray, mask) in enumerate(rays):
+        for i in range(count):
+            if mask >> i & 1:
+                tight[i] |= 1 << r
+    vertices = [tuple(Fraction(c, scale) for c in ints[i])
+                for i in range(count)
+                if not any(tight[j] & tight[i] == tight[i]
+                           for j in range(count) if j != i)]
+    inequalities = []
+    for ray, _mask in rays:
+        normal = [0] * n
+        for j, a in zip(pivots, ray):
+            normal[j] = a
+        if any(normal):
+            prim, factor = _primitive(normal)
+            inequalities.append((prim, -ray[-1] / (factor * scale)))
+    return k, vertices, sorted(inequalities)
+
+
+def every_quotient(levels):
+    """The quotients v/m of every vector v of every level m, from a dict
+    of levels such as OkounkovSemigroup.levels."""
+    return [tuple(Fraction(x, m) for x in v)
+            for m, level in levels.items() for v in level]
+
+
+def matches_reference_hull(polytope, points):
+    """Whether a library polytope has the vertices, the dimension and, when
+    full-dimensional, the facets of the reference hull of the points."""
+    dimension, vertices, inequalities = reference_hull(points)
+    full = dimension == polytope.dim
+    return (polytope.vertices == tuple(vertices)
+            and polytope.is_full_dimensional() == full
+            and (not full or polytope.facets() == tuple(inequalities)))
 
 # -- truncated bivariate series ----------------------------------------------
 

@@ -241,6 +241,10 @@ BAD_FIXTURES = {
     "step_cancelling": (_set([[1, [1, 0, 0, 0]], [-1, [1, 0, 0, 0]]],
                              "steps", 0),
                         "malformed 'steps': flag forms must be nonzero"),
+    "relation_cancelling": (_set([["1/1", [2, 0, 0, 0]],
+                                  ["-1/1", [2, 0, 0, 0]]], "relation"),
+                            "malformed 'relation': relation must be a "
+                            "nonzero ambient form"),
     "final_form_quadratic": (_set([["1/1", [0, 0, 2, 0]]], "final_form"),
                              "malformed 'final_form': flag forms must be "
                              "nonzero ambient linear forms"),

@@ -4,16 +4,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.convex import (RationalPolytope, convex_hull, normal_fan_rays,
-                           polytope_equal, polytope_to_json, scaled_simplex)
-from okbody.okounkov import semigroup
+from okbody.convex import (RationalPolytope, lifted_polygon, normal_fan_rays,
+                           planar_hull, polytope_equal, polytope_to_json,
+                           scaled_simplex)
+from okbody.okounkov import OkounkovSemigroup, body_estimate, semigroup
 from okbody.varieties import CASE_NAMES, make_case
 
 from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
-                     brute_hull_vertices_nd, in_hull_nd)
+                     brute_hull_vertices_nd, every_quotient, in_hull_nd,
+                     matches_reference_hull, orient, reference_hull)
 
 F = Fraction
 
@@ -22,55 +24,69 @@ points_2d = st.lists(st.tuples(coords, coords), min_size=1, max_size=14)
 
 
 def test_single_point_hull():
-    assert convex_hull([(0, 0)]).vertices == ((F(0), F(0)),)
+    assert lifted_polygon(2, [(0, 0)]).vertices == ((F(0), F(0)),)
+    assert planar_hull([(1, 2)] * 3) == ((1, 2),)
 
 
 def test_interior_point_removed():
-    hull = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))])
+    hull = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))])
     assert hull.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
 
 
 def test_mixed_dimensions_rejected():
-    with pytest.raises(ValueError):
-        convex_hull([(0, 0), (1, 0, 0)])
-    with pytest.raises(ValueError):
-        convex_hull([])
+    with pytest.raises(ValueError, match="vertex of wrong dimension"):
+        RationalPolytope(2, [(0, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="needs a vertex"):
+        RationalPolytope(2, [])
 
 
 def test_inexact_coordinates_rejected():
     # a float would enter as its binary expansion, 0.1 as 3602879701896397/2^55
     with pytest.raises(TypeError, match="0.1"):
-        convex_hull([(0.1,)])
+        RationalPolytope(1, [(0.1,)])
     with pytest.raises(TypeError, match="0.5"):
-        convex_hull([(0, 0), (1, 0.5)])
+        RationalPolytope(2, [(0, 0), (1, 0.5)])
     with pytest.raises(TypeError, match="'1/2'"):
-        convex_hull([("1/2", 0)])
+        RationalPolytope(2, [("1/2", 0)])
+    with pytest.raises(TypeError, match="0.5"):
+        lifted_polygon(2, [(0, 0), (0.5, 1)])
+
+
+def _counterclockwise(chain):
+    return all(orient(a, b, c) > 0 for a, b, c in zip(
+        chain, chain[1:] + chain[:1], chain[2:] + chain[:2]))
 
 
 @given(points_2d)
 @settings(max_examples=120, deadline=None)
 def test_hull_matches_brute_force_oracle(points):
-    hull = convex_hull(points)
-    assert list(hull.vertices) == brute_hull_vertices_2d(
-        [(F(a), F(b)) for a, b in points])
+    # the library's planar chain and the reference double description
+    # against the Caratheodory search
+    exact = [(F(a), F(b)) for a, b in points]
+    vertices = brute_hull_vertices_2d(exact)
+    chain = planar_hull(points)
+    assert sorted(chain) == vertices == reference_hull(points)[1]
+    assert chain[0] == vertices[0]
+    assert len(chain) < 3 or _counterclockwise(chain)
 
 
 @given(points_2d)
 @settings(max_examples=60, deadline=None)
 def test_hull_idempotent_and_permutation_invariant(points):
-    hull = convex_hull(points)
-    again = convex_hull(hull.vertices)
-    shuffled = convex_hull(list(reversed(points)) + points)
+    hull = planar_hull(points)
+    again = planar_hull(hull)
+    shuffled = planar_hull(list(reversed(points)) + points)
     assert hull == again == shuffled
 
 
 def test_three_dimensional_hull():
     cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    hull = convex_hull(cube + [(F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0)])
-    assert len(hull.vertices) == 8
+    dimension, vertices, inequalities = reference_hull(
+        cube + [(F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0)])
+    assert (dimension, len(vertices), len(inequalities)) == (3, 8, 6)
 
 
-# -- n-dimensional hulls against the Caratheodory and facet oracles -------------
+# -- the reference hull against the Caratheodory and facet oracles --------------
 
 
 def _nd_clouds():
@@ -114,21 +130,15 @@ ND_CLOUDS = _nd_clouds()
 @pytest.mark.parametrize("name", sorted(ND_CLOUDS))
 def test_hull_matches_nd_oracles(name):
     cloud = ND_CLOUDS[name]
-    hull = convex_hull(cloud)
+    dimension, hull, inequalities = reference_hull(cloud)
     vertices = brute_hull_vertices_nd(cloud)
-    assert list(hull.vertices) == vertices
-    full = affine_dimension(vertices) == hull.dim
-    assert hull.is_full_dimensional() == full
-    if full:
-        facets = brute_facets(vertices)
-        assert list(hull.facets()) == facets
-        assert list(normal_fan_rays(hull)) == sorted(a for a, _b in facets)
-    else:
-        with pytest.raises(ValueError):
-            hull.facets()
+    assert hull == vertices
+    assert dimension == affine_dimension(vertices)
+    if dimension == len(cloud[0]):
+        assert inequalities == brute_facets(vertices)
 
 
-# -- cone slice: the hull of the quotients value/level -------------------------
+# -- cone slice: the body against the reference hull of its quotients ----------
 
 
 def _quotients(graded):
@@ -136,28 +146,40 @@ def _quotients(graded):
     return [tuple(F(v, level) for v in value) for value, level in graded]
 
 
+def _fake(c, steps, curve):
+    """The semigroup of a made-up curve V(0), ..., V(c*M)."""
+    return OkounkovSemigroup(make_case("p2", c), "complete",
+                             (len(curve) - 1) // c, curve, steps)
+
+
 def test_cone_slice_level_one_points():
-    graded = [((0, 0), 1), ((1, 0), 1), ((0, 3), 1)]
-    assert convex_hull(_quotients(graded)) == convex_hull(
-        [(0, 0), (1, 0), (0, 3)])
+    # level 1 of V(0) = {0}, V(1) = {0, 3}: (0, 0), (0, 3) and (1, 0)
+    sg = _fake(1, 1, ((0,), (0, 3)))
+    assert body_estimate(sg) == lifted_polygon(2, [(0, 0), (1, 0), (0, 3)])
+    assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 
 
 def test_cone_slice_divides_by_level():
-    assert convex_hull(_quotients([((0, 6), 2)])).vertices == ((F(0), F(3)),)
+    # level 1 is empty and level 2 is (0, 6) alone
+    sg = _fake(1, 1, ((), (), (6,)))
+    assert sg.level(1) == () and sg.level(2) == ((0, 6),)
+    assert body_estimate(sg).vertices == ((F(0), F(3)),)
 
 
 def test_cone_slice_empty_rejected():
-    with pytest.raises(ValueError, match="empty point set"):
-        convex_hull(iter([]))
+    with pytest.raises(ValueError, match="needs a vertex"):
+        body_estimate(_fake(1, 1, ((), ())))
 
 
 def test_cone_slice_mixed_dimensions_rejected():
-    # the dimensions are checked before the segment ends are taken, which
-    # would index past the end of the shorter points
+    # the reference checks the dimensions before it takes the segment ends,
+    # which would index past the end of the shorter points
     with pytest.raises(ValueError, match="mixed dimensions"):
-        convex_hull(_quotients([((0, 0), 1), ((1, 0, 0), 1)]))
+        reference_hull(_quotients([((0, 0), 1), ((1, 0, 0), 1)]))
     with pytest.raises(ValueError, match="mixed dimensions"):
-        convex_hull(_quotients([((0, 0, 5), 1), ((1, 0), 2), ((0, 3), 1)]))
+        reference_hull(_quotients([((0, 0, 5), 1), ((1, 0), 2), ((0, 3), 1)]))
+    with pytest.raises(ValueError, match="empty point set"):
+        reference_hull(iter([]))
 
 
 def _segment_clouds():
@@ -212,76 +234,109 @@ SEGMENT_CLOUDS = _segment_clouds()
 
 @pytest.mark.parametrize("name", sorted(SEGMENT_CLOUDS))
 def test_cone_slice_matches_oracles_on_segments(name):
+    # the reference's segment ends against the brute-force oracles
     points = SEGMENT_CLOUDS[name]
-    body = convex_hull(points)
-    vertices = brute_hull_vertices_nd(points)
-    assert list(body.vertices) == vertices
-    if affine_dimension(vertices) == body.dim:
-        assert list(body.facets()) == brute_facets(vertices)
+    dimension, vertices, inequalities = reference_hull(points)
+    assert vertices == brute_hull_vertices_nd(points)
+    if dimension == len(points[0]):
+        assert inequalities == brute_facets(vertices)
 
 
 @pytest.mark.parametrize("max_level", (1, 2))
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_cone_slice_of_shipped_cases_matches_oracle(name, max_level):
-    levels = semigroup(make_case(name), "complete", max_level).levels
-    points = _quotients((v, m) for m, level in levels.items() for v in level)
-    assert list(convex_hull(points).vertices) == brute_hull_vertices_nd(points)
-
-
-graded_points_2d = st.lists(
-    st.tuples(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-              st.integers(1, 4)),
-    min_size=1, max_size=10)
-
-
-@given(graded_points_2d, graded_points_2d)
-@settings(max_examples=40, deadline=None)
-def test_cone_slice_monotone(sub, extra):
-    large = convex_hull(_quotients(sub + extra)).vertices
-    assert all(in_hull_nd(v, large)
-               for v in convex_hull(_quotients(sub)).vertices)
+    sg = semigroup(make_case(name), "complete", max_level)
+    assert list(body_estimate(sg).vertices) == brute_hull_vertices_nd(
+        every_quotient(sg.levels))
 
 
 @st.composite
-def graded_clouds(draw):
-    # values in the span of `rank` nonnegative directions, so the quotients
-    # lie in a linear subspace of dimension at most rank <= n
-    n = draw(st.integers(1, 4))
-    rank = draw(st.integers(1, n))
-    directions = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
-                               min_size=rank, max_size=rank))
-    points = []
-    for _ in range(draw(st.integers(1, 12))):
-        weights = draw(st.lists(st.integers(0, 3), min_size=rank,
-                                max_size=rank))
-        value = tuple(sum(w * d[j] for w, d in zip(weights, directions))
-                      for j in range(n))
-        points.append((value, draw(st.integers(1, 6))))
-    return points
+def fake_semigroups(draw):
+    """A semigroup of a made-up curve: c, the steps and V(0), ..., V(c*M)
+    drawn, V(d') a set in {0, ..., 3d'}, empty only when c does not divide
+    d', so that no level is empty."""
+    c, steps, top = (draw(st.integers(1, 2)), draw(st.integers(0, 3)),
+                     draw(st.integers(1, 4)))
+    curve = [draw(st.frozensets(st.integers(0, 3 * d), max_size=3,
+                                min_size=int(d % c == 0)))
+             for d in range(c * top + 1)]
+    return _fake(c, steps, tuple(tuple(sorted(v)) for v in curve))
 
 
-@given(graded_clouds())
-@example([((0, 0, 0), 1), ((2, 4, 0), 4), ((3, 0, 3), 5), ((5, 4, 3), 6)])
-@example([((1, 2, 0, 3), 2), ((2, 4, 0, 6), 3), ((0, 0, 0, 0), 6)])
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_cone_slice_matches_hull_of_quotients(graded):
-    # x -> x + sum(x) (1, ..., 1) is linear and invertible, so it maps the
-    # hull's vertices to the vertices of the image's hull, and it maps no
-    # axis-parallel segment to one, nor back: the segment ends are taken
-    # from different points on the two sides.  The examples are a plane in
-    # 3 dimensions and a segment in 4
-    def sheared(points):
-        return sorted(tuple(c + sum(p) for c in p) for p in points)
-    points = _quotients(graded)
-    assert list(convex_hull(sheared(points)).vertices) == sheared(
-        convex_hull(points).vertices)
+@given(fake_semigroups(), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_cone_slice_monotone(sg, levels):
+    # the body at max_level <= M lies in the body at M
+    small = _fake(sg.case.c, sg.steps,
+                  sg.curve[:sg.case.c * min(levels, sg.max_level) + 1])
+    large = body_estimate(sg).vertices
+    assert all(in_hull_nd(v, large) for v in body_estimate(small).vertices)
+
+
+@given(fake_semigroups())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_cone_slice_matches_hull_of_quotients(sg):
+    # the lifted chain against the reference hull of every quotient
+    assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
+
+
+# -- lifts -------------------------------------------------------------------------
+
+
+def test_constructor_refuses_a_non_lift():
+    unit = lifted_polygon(3, [(0, 0), (1, 0), (0, 1)]).vertices
+    cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    for vertices in (
+            cube,
+            unit[::-1],                               # not sorted
+            unit + ((F(1, 4), F(1, 4), F(1, 4)),),    # not a vertex
+            unit[:2] + unit[3:],                      # a lift missing
+            [(-1, 0), (0, 0), (0, 1)],                # x < 0
+            [(0, 0, 0), (1, 1, 0)]):                  # off every ray
+        with pytest.raises(ValueError, match="lifted polygon"):
+            RationalPolytope(len(vertices[0]), vertices)
+
+
+def _seeded_polygons():
+    """Seeded planar point sets in q >= 0: some reach q = 0, at a vertex or
+    along an edge, some lie in q >= 1/2, and some on q = 0 alone."""
+    rng = random.Random(2026)
+    sets = []
+    for low in (0, 0, 1):
+        for _ in range(8):
+            points = [(F(rng.randrange(low, 7), rng.randrange(1, 3)),
+                       F(rng.randrange(-5, 6), rng.randrange(1, 3)))
+                      for _ in range(rng.randrange(1, 8))]
+            sets.append(points + [(0, 0)] * (low == 0 and rng.random() < .5))
+    sets += [[(0, F(rng.randrange(-5, 6), 2)) for _ in range(k)]
+             for k in (1, 2, 4)]
+    return sets
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+def test_lifts_match_the_reference_hull(dim):
+    for points in _seeded_polygons():
+        if dim == 1:
+            points = [(0, y) for _q, y in points]
+        lift = lifted_polygon(dim, points)
+        assert matches_reference_hull(lift, lift.vertices), points
+        assert lift == RationalPolytope(dim, lift.vertices)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_scaled_simplex_matches_the_reference_hull(n):
+    for c, d in ((1, 1), (2, 3), (3, 2)):
+        simplex = scaled_simplex(n, c, d)
+        assert matches_reference_hull(simplex, simplex.vertices)
+        assert len(simplex.vertices) == len(simplex.facets()) == n + 1
 
 
 # -- dilation and equality --------------------------------------------------------
 
 
 def _dilate(polytope, factor):
-    return convex_hull([factor * c for c in v] for v in polytope.vertices)
+    return RationalPolytope(polytope.dim, (
+        [factor * c for c in v] for v in polytope.vertices))
 
 
 def test_dilate_examples():
@@ -301,18 +356,18 @@ def test_dilate_composes(a, b):
 
 def test_polytope_equal_examples():
     unit = scaled_simplex(2, 1, 1)
-    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert polytope_equal(unit, unit)
     assert not polytope_equal(unit, square)
-    redundant = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2))])
+    redundant = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2))])
     assert polytope_equal(redundant, unit)
 
 
 def test_equal_polytopes_are_one_value():
-    # field-wise == and hash on (dim, vertices): equal polytopes collapse in
-    # a set, also after one of them has cached its double description
+    # field-wise == and hash: the polygon is read off the vertices, so
+    # equal polytopes collapse in a set
     unit = scaled_simplex(2, 1, 1)
-    redundant = convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
+    redundant = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
     assert redundant.facets()
     assert unit == redundant and hash(unit) == hash(redundant)
     assert len({unit, redundant, scaled_simplex(2, 1, 1)}) == 1
@@ -342,7 +397,7 @@ def test_scaled_simplex_vertices():
 
 
 def test_normal_fan_unit_square():
-    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert set(normal_fan_rays(square)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
@@ -358,7 +413,7 @@ def test_normal_fan_weighted_triangle():
 
 
 def test_normal_fan_requires_full_dimension():
-    segment = convex_hull([(0, 0), (1, 1)])
+    segment = lifted_polygon(2, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         normal_fan_rays(segment)
 

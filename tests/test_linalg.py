@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, seed, settings
 import hypothesis.strategies as st
 
-from okbody.linalg import Echelon, kernel_basis, pivot_columns, rank
+from okbody.linalg import Echelon, pivot_columns, rank
 
-from oracles import linear_solve, row_reduce
+from oracles import kernel_basis, linear_solve, row_reduce
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 large = st.fractions(min_value=-10**9, max_value=10**9,
                      max_denominator=10**12)
 
 
-# -- the oracles' linear solve, which the tests use for span membership --------
+# -- the oracles' linear solve and kernel, which the tests use ----------------
 
 
 def test_standard_basis_solve():
@@ -68,6 +68,20 @@ def test_rat_linear_solve_weights_dependent_rows_zero():
     assert linear_solve([(0, 0), (0, 2)], (0, 1)) == [0, Fraction(1, 2)]
 
 
+def test_kernel_basis():
+    basis = kernel_basis([(1, 1, 0)], 3)
+    assert len(basis) == 2
+    for vec in basis:
+        assert vec[0] + vec[1] == 0 or vec == [Fraction(0), Fraction(0), Fraction(1)]
+
+
+def test_kernel_basis_unit_on_free_columns():
+    # pivots appear out of column order: (0, 1, 1) first, then (1, 0, 2)
+    rows = [(0, 1, 1), (1, 0, 2), (1, 1, 3)]
+    assert kernel_basis(rows, 3) == [[-2, -1, 1]]
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+
+
 # -- the library's elimination -------------------------------------------------
 
 
@@ -83,21 +97,6 @@ def test_inexact_entries_rejected():
         rank([[0.5, 1]])
     with pytest.raises(TypeError, match="'1/2'"):
         Echelon(2).add([1, "1/2"])
-
-
-def test_kernel_basis():
-    basis = kernel_basis([(1, 1, 0)], 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert vec[0] + vec[1] == 0 or vec == [Fraction(0), Fraction(0), Fraction(1)]
-
-
-def test_kernel_basis_unit_on_free_columns():
-    # pivots appear out of column order: (0, 1, 1) first, then (1, 0, 2)
-    rows = [(0, 1, 1), (1, 0, 2), (1, 1, 3)]
-    assert kernel_basis(rows, 3) == [[-2, -1, 1]]
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
-
 
 
 @st.composite
@@ -127,7 +126,7 @@ def matrices(draw):
 @settings(max_examples=120, deadline=None)
 def test_elimination_matches_row_reduce_oracle(matrix):
     width, rows = matrix
-    reduced, pivots = row_reduce(rows)
+    pivots = row_reduce(rows)[1]
     assert rank(rows) == len(pivots)
     assert pivot_columns(rows) == pivots
     # greedy in input order: a row is kept when it raises the rank
@@ -135,10 +134,8 @@ def test_elimination_matches_row_reduce_oracle(matrix):
     form = Echelon(width)
     assert [form.add(row) for row in rows] == \
         [ranks[i + 1] > ranks[i] for i in range(len(rows))]
-    kernel = []
-    for f in (j for j in range(width) if j not in pivots):
-        x = [Fraction(int(j == f)) for j in range(width)]
-        for row, pivot in zip(reduced, pivots):
-            x[pivot] = -row[f]
-        kernel.append(x)
-    assert kernel_basis(rows, width) == kernel
+    # the oracles' kernel, which the reference hull uses
+    kernel = kernel_basis(rows, width)
+    assert len(kernel) == width - len(pivots)
+    assert all(sum(a * b for a, b in zip(row, x)) == 0
+               for row in rows for x in kernel)

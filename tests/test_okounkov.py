@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from okbody.convex import convex_hull, polytope_equal, scaled_simplex
+from okbody.convex import RationalPolytope, polytope_equal, scaled_simplex
 from okbody.linalg import Echelon, rank
 from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
                              body_estimate, generation_degree, semigroup,
                              semigroup_to_json, vertex_criterion)
 from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.valuation import Flag, ZeroSectionError
-from okbody.varieties import CASE_NAMES, CaseStudy, make_case, verify_flag
+from okbody.varieties import (CASE_NAMES, CaseStudy, make_case,
+                              make_negative_control, verify_flag)
 
 from oracles import (brute_generation_degree, expansion_value_set,
-                     in_hull_nd, linear_solve, oracle_value_set, powers_basis,
+                     every_quotient, in_hull_nd, linear_solve,
+                     matches_reference_hull, oracle_value_set, powers_basis,
                      reduce_section, standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
@@ -306,7 +309,6 @@ def _frozen_value(name):
     sg = semigroup(case, "complete", 2)
     body, report = body_estimate(sg), verify_flag(case)
     return {"RationalPolytope": (body, "vertices"),
-            "_Hull": (body._hull, "inequalities"),
             "OkounkovSemigroup": (sg, "curve"),
             "_Step": (case.flag.stages[0], "to_y"),
             "_FinalStage": (case.flag.final_stage, "point"),
@@ -315,7 +317,7 @@ def _frozen_value(name):
 
 
 @pytest.mark.parametrize("name", [
-    "RationalPolytope", "_Hull", "OkounkovSemigroup", "_Step", "_FinalStage",
+    "RationalPolytope", "OkounkovSemigroup", "_Step", "_FinalStage",
     "FlagCheck", "FlagReport"])
 def test_frozen_values_refuse_setattr_and_delattr(name):
     value, field = _frozen_value(name)
@@ -407,14 +409,22 @@ def test_homogeneity_of_bodies():
     for name in ("p2", "quadric_surface", "fermat_cubic"):
         body_1 = body_estimate(semigroup(make_case(name, 1), "complete", 2))
         body_2 = body_estimate(semigroup(make_case(name, 2), "complete", 2))
-        assert polytope_equal(body_2, convex_hull(
-            [2 * x for x in v] for v in body_1.vertices))
+        assert polytope_equal(body_2, RationalPolytope(body_1.dim, (
+            [2 * x for x in v] for v in body_1.vertices)))
 
 
-def _hull_of_every_vector(sg):
-    """The hull of v/m over every vector v of every level m."""
-    return convex_hull(tuple(Fraction(x, m) for x in v)
-                       for m, level in sg.levels.items() for v in level)
+def _corner_quotients(sg):
+    """The quotients (s*e_i, min V)/m and (s*e_i, max V)/m over every
+    nonempty fiber (s, V) of every level m, i < n - 1 (the prefix 0 alone
+    without steps)."""
+    p, corners = sg.steps, []
+    for m in range(1, sg.max_level + 1):
+        for s, values in sg.fibers(m):
+            for i, j in product(range(max(p, 1)), values[:1] + values[-1:]):
+                prefix = tuple(Fraction(s if a == i else 0, m)
+                               for a in range(p))
+                corners.append(prefix + (Fraction(j, m),))
+    return corners
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -425,23 +435,31 @@ def test_body_matches_hull_of_every_vector(name):
         for kind in KINDS:
             for max_level in (1, 2, 3, 4):
                 sg = semigroup(make_case(name, c), kind, max_level)
-                assert body_estimate(sg) == _hull_of_every_vector(sg), (
+                assert matches_reference_hull(
+                    body_estimate(sg), every_quotient(sg.levels)), (
                     c, kind, max_level)
+
+
+def _cubic_curve(c):
+    """The plane cubic x^3 + y^3 + z^3 as a case with no steps, flagged at
+    its flex (1:-1:0)."""
+    relation = HomogPoly(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    flag = Flag(3, relation, [], HomogPoly.linear_form([1, 1, 0]),
+                (1, -1, 0))
+    return CaseStudy("cubic_curve", flag, c)
 
 
 def test_curve_case_without_steps_matches_oracles():
     # n = 1: the plane cubic itself, flagged at its flex (1:-1:0), so every
     # vector is (j,) with j in V(c*m) and no prefix
     import json
-    relation = HomogPoly(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    flag = Flag(3, relation, [], HomogPoly.linear_form([1, 1, 0]),
-                (1, -1, 0))
     for c in (1, 2):
-        sg = semigroup(CaseStudy("cubic_curve", flag, c), "complete", 4)
+        sg = semigroup(_cubic_curve(c), "complete", 4)
         assert sg.steps == 0
         assert sg.level(1) == tuple((j,) for j in sg.curve[c])
         assert sg.fibers(1) == [(0, sg.curve[c])]
-        assert body_estimate(sg) == _hull_of_every_vector(sg)
+        assert matches_reference_hull(body_estimate(sg),
+                                       every_quotient(sg.levels))
         assert body_estimate(sg) == scaled_simplex(1, c, 3)
         assert (generation_degree(sg, 4)
                 == brute_generation_degree(sg.levels, 4) == 1)
@@ -456,28 +474,59 @@ def test_body_skips_an_empty_fiber(p2):
     # level 2 have no corner
     sg = OkounkovSemigroup(p2, "complete", 3, ((0,), (), (1,), (2,)), 1)
     assert sg.fibers(1) == [(0, ()), (1, (0,))]
-    assert body_estimate(sg) == _hull_of_every_vector(sg)
+    assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 
 
 @pytest.mark.parametrize("name, max_level", [
     ("quadric_surface", 30), ("p3", 20), ("fermat_cubic", 24)])
 def test_body_matches_hull_of_every_vector_at_large_levels(name, max_level):
     sg = semigroup(make_case(name), "complete", max_level)
-    assert body_estimate(sg) == _hull_of_every_vector(sg)
+    assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES + ("negative_control",
+                                               "cubic_curve"))
+def test_body_is_the_lifted_chain_of_the_corner_quotients(name):
+    # the lift of the planar chain against the reference double description
+    # of every fiber's corners, vertices and facets
+    for c in (1, 2, 3):
+        case = (make_negative_control(c) if name == "negative_control"
+                else _cubic_curve(c) if name == "cubic_curve"
+                else make_case(name, c))
+        for max_level in (1, 2, 4):
+            sg = semigroup(case, "complete", max_level)
+            assert matches_reference_hull(body_estimate(sg),
+                                           _corner_quotients(sg)), (
+                c, max_level)
+
+
+def test_body_of_seeded_gapped_fibers_is_the_lifted_chain():
+    # V(d') drawn from {0, ..., d'e - 1}, so max V(d') is not d'e and the
+    # upper chain does not follow the simplex; some fibers are empty, but
+    # not V(c*M), which is the top level's fiber over s = 0
+    rng = random.Random(26)
+    for _trial in range(120):
+        c, max_level, e = rng.choice((1, 2)), rng.randint(1, 4), 3
+        steps = rng.choice((0, 1, 2, 3))
+        top = c * max_level
+        curve = ((0,),) + tuple(
+            tuple(sorted(rng.sample(range(d * e), rng.randint(
+                d == top, min(3, d * e))))) for d in range(1, top + 1))
+        sg = _fake(c, steps, curve)
+        assert matches_reference_hull(body_estimate(sg),
+                                       _corner_quotients(sg)), (steps, curve)
 
 
 def test_vertex_criterion_examples():
     triangle = scaled_simplex(2, 1, 3)
     assert vertex_criterion(triangle, {(0, 0), (0, 1), (0, 3), (1, 0)})
     assert not vertex_criterion(scaled_simplex(2, 1, 1), {(0, 0), (1, 0)})
-    from okbody.convex import convex_hull
-    origin = convex_hull([(0, 0)])
+    origin = RationalPolytope(2, [(0, 0)])
     assert vertex_criterion(origin, {(0, 0)})
 
 
 def test_vertex_criterion_rejects_fractional_vertices():
-    from okbody.convex import convex_hull
-    half = convex_hull([(0, 0), (Fraction(1, 2), Fraction(0))])
+    half = RationalPolytope(2, [(0, 0), (Fraction(1, 2), Fraction(0))])
     assert not vertex_criterion(half, {(0, 0)})
 
 
