@@ -4,8 +4,8 @@ Subcommands:
 
   compute           enumerate a value semigroup, slice the body, compare it
                     with the expected simplex and write both files
-  certify           vertex-criterion certification plus the empirical
-                    generation degree
+  certify           vertex-criterion certification plus the generation
+                    degree, proved at every level or witnessed up to M
   verify-flag       run the exact flag verifier and print its report
   ec-single-point   sweep random divisor classes on an elliptic curve over
                     F_p, searching single-point representatives
@@ -202,9 +202,11 @@ def cmd_certify(args) -> int:
         print(f"{case.name} ({sg.kind}): NOT certified; level-1 value set "
               f"{sorted(level_one)} misses a vertex of "
               f"{_format_vertices(expected)}")
-    print(f"{case.name} ({sg.kind}): empirical generation degree k = "
-          f"{degree if degree is not None else 'not found'} "
-          f"on levels 1..{args.max_level}")
+    level = degree and sg.proof_level(degree)
+    print(f"{case.name} ({sg.kind}): generation degree k = "
+          f"{degree if degree is not None else 'not found'}, " + (
+              f"proved at every level (checked to level {level})" if level
+              else f"witness on levels 1..{args.max_level}"))
     return EXIT_OK if certified else EXIT_FAILED
 
 

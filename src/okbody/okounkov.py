@@ -31,13 +31,15 @@ planar hull P of the fibers' pairs (s, min V)/m and (s, max V)/m (see
 okbody.convex).  When every vertex of a candidate polytope that is also a
 valid outer bound already occurs among the level-1 vectors, the semigroup
 generated by the full system is finitely generated (the vertex criterion),
-and the body equals the candidate.
+and the body equals the candidate.  generation_degree proves the degree
+of generation when V follows the Riemann-Roch rule of okbody.valuation.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable, Iterator
 
@@ -82,12 +84,14 @@ class OkounkovSemigroup(Frozen):
     """Levels 1..max_level of the graded value semigroup of one case study,
     labelled with its kind, held as curve = (V(0), ..., V(c*M)) and
     steps = n - 1; level m, built when read, is the set of prefix + (j,)
-    with sum(prefix) = s <= c*m and j in V(c*m - s)."""
+    with sum(prefix) = s <= c*m and j in V(c*m - s); rule_from is the d0
+    of _FinalStage.value_sets_and_rule, None when the rule gave no V."""
 
     def __init__(self, case: CaseStudy, kind: str, max_level: int,
-                 curve: tuple[tuple[int, ...], ...], steps: int):
+                 curve: tuple[tuple[int, ...], ...], steps: int,
+                 rule_from: int | None = None):
         vars(self).update(case=case, kind=kind, max_level=max_level,
-                          curve=curve, steps=steps)
+                          curve=curve, steps=steps, rule_from=rule_from)
 
     def fibers(self, m: int) -> list[tuple[int, tuple[int, ...]]]:
         """Level m as the pairs (s, V(c*m - s)), s = 0 .. c*m the prefix
@@ -115,6 +119,14 @@ class OkounkovSemigroup(Frozen):
     def levels(self) -> dict[int, tuple[Vector, ...]]:
         return {m: self.level(m) for m in range(1, self.max_level + 1)}
 
+    def proof_level(self, k: int) -> int | None:
+        """max(m*, k) + 1 of generation_degree's lemma if <= M, else None."""
+        if (d0 := self.rule_from) is None:
+            return None
+        c, e = self.case.c, self.case.flag.final_stage.curve_degree
+        m_star = max(-(-d0 // c), 1 - (1 - (e - 1) * (e - 2)) // (c * e))
+        return max(m_star, k) + 1 if max(m_star, k) < self.max_level else None
+
 
 def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     """Levels 1..max_level from the final stage's value sets V(d'), all
@@ -131,8 +143,9 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
     system, p = GradedSystem(case), len(case.flag.stages)
-    curve = case.flag.final_stage.value_sets(case.section_degree(max_level))
-    sg = OkounkovSemigroup(case, kind, max_level, curve, p)
+    curve, rule_from = case.flag.final_stage.value_sets_and_rule(
+        case.section_degree(max_level))
+    sg = OkounkovSemigroup(case, kind, max_level, curve, p, rule_from)
     for m in range(1, max_level + 1):
         size = sum((comb(s + p - 1, s) if p else 1) * len(values)
                    for s, values in sg.fibers(m))
@@ -182,24 +195,26 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
     The prefixes of sum s1 plus those of sum s2 are all the prefixes of sum
     s1 + s2, so the search adds fibers: A(s1) + V(s2) lies over s1 + s2.
 
-    This is an empirical witness on the enumerated levels only; it is never
-    a certificate by itself.
-    """
+    A witness on levels 1..M; a proof at every level when the rule gave V
+    from d0 = sg.rule_from on, as then level m + 1 is level m plus level 1
+    for m >= m* = max(ceil(d0/c), 1 + ceil((2g - 1)/(c*e))): (k, j) with s
+    = sum(k) >= c is (k - a, j) + (a, 0), sum(a) = c; else, t = c - s,
+    V(cm + t) = (V(cm) + te) | {0, ..., te - 1}, te and 0 lie in V(t), and
+    {0, ..., cme - 2g} in V(cm).  It reads levels to min(M, max(m*, k) + 1)."""
     if type(kmax) is not int:
         raise TypeError(f"kmax must be an int, not {kmax!r}")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    top = range(1, sg.max_level + 1)
-    fibers = {m: sg.fibers(m) for m in top}
+    fibers = cache(sg.fibers)
     for k in range(1, kmax + 1):
         generated = {0: [{0}]}  # generated[m][s]: sums over s at level m
-        for m in top:
-            sums = generated[m] = [set() for _ in fibers[m]]
+        for m in range(1, (sg.proof_level(k) or sg.max_level) + 1):
+            sums = generated[m] = [set() for _ in fibers(m)]
             for j in range(1, min(k, m) + 1):
                 for s1, lower in enumerate(generated[m - j]):
-                    for s2, values in fibers[j]:
+                    for s2, values in fibers(j):
                         sums[s1 + s2] |= {a + b for a in lower for b in values}
-            if m > k and any(set(values) - sums[s] for s, values in fibers[m]):
+            if m > k and any(set(values) - sums[s] for s, values in fibers(m)):
                 break
         else:
             return k

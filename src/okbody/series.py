@@ -48,7 +48,7 @@ def branch_equation(curve: HomogPoly, point: Sequence[Scalar], *,
     if pt[chart_var] == 0:
         raise ValueError("point is not in the chosen affine chart")
     chart, moved = HomogPoly.variable(3, chart_var), curve
-    for var in (param_var, dep_var):
+    for var in [v for v in (param_var, dep_var) if pt[v]]:  # identity at 0
         moved = moved.substitute(var, HomogPoly.variable(3, var)
                                  + chart * (pt[var] / pt[chart_var]))
     f = {(exps[param_var], exps[dep_var]): c

@@ -19,7 +19,8 @@ d'*e when it does not vanish on the curve.  The translation to the point
 is triangular, so the value sets V(0), ..., V(D), the orders of the
 nonzero forms of each degree modulo the curve, are the pivot sets of one
 echelon (see _FinalStage.value_sets); the final form is a*t + b*u, whose
-order is its contact order.  Each call asks series_solve_branch once.
+order is its contact order.  When it is e, Riemann-Roch gives V(d') past
+d0 + 1, d0 = ceil(2g/e), and the echelon stops there, on one branch solve.
 """
 
 from __future__ import annotations
@@ -103,20 +104,22 @@ class _FinalStage(Frozen):
             param_var=self.param, dep_var=self.dep, count=count)
 
     def contact_order(self) -> int:
-        """The order at the point of the final form on the final curve.  It
-        is linear and vanishes there, so in the chart it is a*t + b*u, and
-        its order is the first nonzero coefficient of a*t + b*u(t) to t^e,
-        as a form not vanishing on the curve meets it e times."""
+        """The order at the point of the final form on the final curve."""
+        if order := self._contact(self._branch_powers(2, self._precision(1))):
+            return order
+        raise ZeroSectionError("section vanishes identically on the final "
+                               "curve")
+
+    def _contact(self, powers: tuple[tuple[Scalar, ...], ...]) -> int | None:
+        """The order of the final form, a*t + b*u in the chart, off branch
+        powers to t^e or more: that of a*t + b*u(t), None if it is zero."""
         # a and b are the form at unit vectors; with no dependent coordinate
         # (a line) b is the form at zero, and only u^0 comes back
         a, b = (self.form.evaluate([int(i == var) for i in range(
             len(self.point))]) for var in (self.param, self.dep))
-        u = self._branch_powers(2, self._precision(1))[-1]
-        for k in range(1, self.curve_degree + 1):
-            if (a if k == 1 else 0) + b * u[k]:
-                return k
-        raise ZeroSectionError("section vanishes identically on the final "
-                               "curve")
+        u = powers[len(powers) > 1]
+        return next((k for k in range(1, self.curve_degree + 1)
+                     if (a if k == 1 else 0) + b * u[k]), None)
 
     def value_sets(self, top: int) -> tuple[tuple[int, ...], ...]:
         """V(0), ..., V(top): V(d') is the set of orders at the point of the
@@ -128,16 +131,27 @@ class _FinalStage(Frozen):
         degree order the monomials t^i u^(d'-i) that its leading monomial
         t^a u^b does not divide, min(d'+1, e) in each degree, are a basis.
         The row of t^i u^(d'-i) is a power of the branch shifted by i, so
-        one echelon of length top*e + 1 takes these rows degree by degree,
-        and V(d') is its pivot set after degree d'.
+        one echelon of length D*e + 1 takes these rows degree by degree,
+        and V(d') is its pivot set after degree d' <= D.
 
         Each row is certified as it is added: it must be independent of the
         rows before it, with its pivot at most d'*e.  Else some form has
         all of its coefficients zero, as when the point lies on a component
         of a reducible curve; and f must have degree e, which fails when
-        the curve contains the chart's line at infinity."""
-        precision = self._precision(top)
+        the curve contains the chart's line at infinity.
+
+        D = top, or d0 + 1 (d0 = ceil(2g/e), g = (e-1)(e-2)/2) if top is more
+        and the final form has contact order e at p (off the same powers):
+        then O_C(1) = O_C(e*p) and V(d') = {d'e - w : w in W(p), w <= d'e},
+        W(p) the Weierstrass semigroup, which holds all w >= 2g: past D the
+        rule V(d'+1) = (V(d') + e) | {0, ..., e - 1}, checked at D, goes on."""
+        return self.value_sets_and_rule(top)[0]
+
+    def value_sets_and_rule(self, top: int) -> tuple[
+            tuple[tuple[int, ...], ...], int | None]:
+        """value_sets(top) and d0 when the rule gave them, else None."""
         e = self.curve_degree
+        d0 = -(-(e - 1) * (e - 2) // e)
         # f's degree-e part is the curve's x_chart-free part, shift-invariant
         b = 1 if self.relation is None else max(
             (exps[self.dep] for exps in self.relation.terms
@@ -148,24 +162,33 @@ class _FinalStage(Frozen):
                 f"some form of degree d' = {e - 1} vanishes on its branch at "
                 "the point without vanishing on it")
         # t^a u^b leads f in a degree order with u above t; the rows t^i
-        # u^(d'-i) read u^0 .. u^top if a > 0, u^0 .. u^(e-1) if a = 0
+        # u^(d'-i) read u^0 .. u^D if a > 0, u^0 .. u^(e-1) if a = 0
         a = e - b
-        powers = self._branch_powers(top + 1 if a else min(top + 1, e),
-                                     precision)
-        echelon = Echelon(precision)
-        sets = []
-        for d in range(top + 1):
-            for i in range(d + 1):
-                if i >= a and d - i >= b:
-                    continue
-                row = (0,) * i + powers[d - i][:precision - i]
-                if not echelon.add(row) or echelon.rows[-1][1] > d * e:
-                    raise ZeroSectionError(
-                        f"some form of degree d' = {d} vanishes on the final "
-                        "curve's branch at the point without vanishing on "
-                        "the curve")
-            sets.append(tuple(echelon.pivots()))
-        return tuple(sets)
+        for reach in (d0 + 1, top) if top > d0 + 1 and self.form else (top,):
+            precision = self._precision(reach)
+            powers = self._branch_powers(
+                reach + 1 if a else min(reach + 1, e), precision)
+            if reach < top and self._contact(powers) != e:
+                continue
+            echelon, sets = Echelon(precision), []
+            for d in range(reach + 1):
+                for i in range(d + 1):
+                    if i >= a and d - i >= b:
+                        continue
+                    row = (0,) * i + powers[d - i][:precision - i]
+                    if not echelon.add(row) or echelon.rows[-1][1] > d * e:
+                        raise ZeroSectionError(
+                            f"some form of degree d' = {d} vanishes on the "
+                            "final curve's branch at the point without "
+                            "vanishing on the curve")
+                sets.append(tuple(echelon.pivots()))
+            if reach == top:
+                return tuple(sets), None
+            rule = sets[:-1]
+            while len(rule) <= top:
+                rule.append((*range(e), *(v + e for v in rule[-1])))
+            if rule[reach] == sets[reach]:
+                return tuple(rule), d0
 
 
 class Flag:

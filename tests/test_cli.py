@@ -112,6 +112,19 @@ def test_certify_quadric(capsys):
     assert "generation degree k = 1" in out
 
 
+def test_certify_says_what_it_proved(capsys):
+    # past the old precision cap the cubic's degree is proved at every
+    # level from levels 1..3; at M = 2 the rule is not reached, so the
+    # degree is a witness on the levels computed
+    assert run(["certify", "--case", "fermat_cubic",
+                "--max-level", "300"]) == 0
+    assert ("generation degree k = 1, proved at every level (checked to "
+            "level 3)") in capsys.readouterr().out
+    assert run(["certify", "--case", "fermat_cubic", "--max-level", "2"]) == 0
+    assert ("generation degree k = 1, witness on levels 1..2"
+            in capsys.readouterr().out)
+
+
 def test_certify_refuses_failing_fixture(tmp_path, capsys):
     fixture = tmp_path / "control.json"
     fixture.write_text(case_study_to_json(make_negative_control()))

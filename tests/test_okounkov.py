@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import ceil, comb
 
 import pytest
 
+from okbody import valuation
 from okbody.convex import RationalPolytope, polytope_equal, scaled_simplex
 from okbody.linalg import Echelon, rank
 from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
@@ -347,10 +348,11 @@ def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
 @pytest.mark.parametrize("kind", KINDS)
 def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
     # one semigroup call enters each standard row t^i u^(d'-i) of the final
-    # line, conic or cubic once, for d' <= c*M = 6: the growth
-    # (C(d'+2, 2) - C(d'-e+2, 2)) - (C(d'+1, 2) - C(d'-e+1, 2)) = min(d'+1, e)
-    # of the graded piece's dimension in each degree; a second call keeps
-    # nothing of the first
+    # line, conic or cubic once, for d' <= d0 + 1, d0 = ceil(2g/e) (0 on a
+    # line or conic, 1 on the cubic), as the rule gives the degrees past
+    # it to c*M = 6: the growth (C(d'+2, 2) - C(d'-e+2, 2)) - (C(d'+1, 2) -
+    # C(d'-e+1, 2)) = min(d'+1, e) of the graded piece's dimension in each
+    # degree; a second call keeps nothing of the first
     entered = []
     add = Echelon.add
 
@@ -361,6 +363,7 @@ def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
     for name in ("p3", "quadric_surface", "fermat_cubic"):
         case = make_case(name, 2)
         e = case.flag.final_stage.curve_degree
+        head = ceil((e - 1) * (e - 2) / e) + 1
 
         def dim(d):
             return comb(d + 2, 2) - comb(max(d - e + 2, 0), 2)
@@ -368,8 +371,9 @@ def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
         for _call in range(2):
             entered.append(0)
             semigroup(case, kind, 3)
-        expected = sum(dim(d) - (dim(d - 1) if d else 0) for d in range(7))
-        assert entered == [expected, expected] == [dim(6), dim(6)], name
+        expected = sum(dim(d) - (dim(d - 1) if d else 0)
+                       for d in range(head + 1))
+        assert entered == [expected, expected] == [dim(head)] * 2, name
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -613,6 +617,83 @@ def test_generation_degree_of_seeded_fakes_matches_tuple_oracle():
         sg = _fake(c, steps, curve)
         assert (generation_degree(sg, max_level)
                 == brute_generation_degree(sg.levels, max_level)), curve
+
+
+def _witness(sg):
+    """The same semigroup with no rule recorded, as a fake carries none, so
+    generation_degree searches every level up to M."""
+    return OkounkovSemigroup(sg.case, sg.kind, sg.max_level, sg.curve,
+                             sg.steps)
+
+
+def _lemma_level(sg, k):
+    """max(m*, k) + 1 with m* = max(ceil(d0/c), 1 + ceil((2g - 1)/(c*e)))."""
+    c, e = sg.case.c, sg.case.flag.final_stage.curve_degree
+    genus = (e - 1) * (e - 2) // 2
+    m_star = max(ceil(sg.rule_from / c), 1 + ceil((2 * genus - 1) / (c * e)))
+    return max(m_star, k) + 1
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_proved_generation_degree_matches_the_witness(name):
+    # at M = 40 the rule holds on every shipped case, so generation_degree
+    # checks levels to max(m*, k) + 1 only (3 on the cubic, 2 on the rest),
+    # and finds the degree that the search of every level finds
+    for c in (1, 2, 3):
+        sg = semigroup(make_case(name, c), "complete", 40)
+        assert sg.rule_from is not None
+        degree = generation_degree(sg, 40)
+        assert degree == generation_degree(_witness(sg), 40) == 1, c
+        assert sg.proof_level(degree) == _lemma_level(sg, 1) == (
+            3 if name == "fermat_cubic" else 2), c
+        assert sg.proof_level(4) == 5 and sg.proof_level(40) is None, c
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_levels_past_m_star_are_the_level_below_plus_level_one(name):
+    # the lemma behind the proof, on the vectors themselves: from m* on,
+    # level m + 1 is level m plus level 1
+    for c in (1, 2, 3):
+        sg = semigroup(make_case(name, c), "complete", 6)
+        levels = sg.levels
+        for m in range(_lemma_level(sg, 1) - 1, sg.max_level):
+            sums = {tuple(a + b for a, b in zip(u, v))
+                    for u in levels[m] for v in levels[1]}
+            assert set(levels[m + 1]) <= sums, (c, m)
+
+
+def test_proved_generation_degree_reads_few_levels(monkeypatch):
+    # past the old cap M = 170 the cubic's degree 1 is proved from levels
+    # 1..3 alone, and no branch is solved
+    sg = semigroup(make_case("fermat_cubic"), "complete", 300)
+    read = []
+    fibers = OkounkovSemigroup.fibers
+
+    def counting(self, m):
+        read.append(m)
+        return fibers(self, m)
+    monkeypatch.setattr(OkounkovSemigroup, "fibers", counting)
+    monkeypatch.setattr(valuation, "series_solve_branch", None)
+    assert generation_degree(sg, 300) == 1
+    assert sorted(set(read)) == [1, 2, 3] and sg.proof_level(1) == 3
+
+
+def test_negative_control_takes_the_witness_search():
+    # contact order 1 < 2: no rule is recorded, so nothing is proved and
+    # generation_degree searches every level, as the tuple oracle does
+    for c in (1, 2):
+        sg = semigroup(make_negative_control(c), "complete", 4)
+        assert sg.rule_from is None and sg.proof_level(1) is None
+        assert (generation_degree(sg, 4)
+                == brute_generation_degree(sg.levels, 4) == 1), c
+
+
+def test_no_rule_below_the_rule_degree():
+    # with c*M <= d0 + 1 the echelon runs to c*M, as before the rule, so a
+    # small semigroup proves nothing and keeps the witness search
+    for name, max_level in (("fermat_cubic", 2), ("quadric_surface", 1)):
+        sg = semigroup(make_case(name), "complete", max_level)
+        assert sg.rule_from is None and sg.proof_level(1) is None
 
 
 # -- export -----------------------------------------------------------------------

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from okbody import make_case, valuation
-from okbody.linalg import rank
+from okbody.linalg import Echelon, rank
 from okbody.okounkov import body_estimate, semigroup
 from okbody.polynomials import HomogPoly, graded_monomials
-from okbody.series import (PrecisionError, branch_equation,
+from okbody.series import (PRECISION_CAP, PrecisionError, branch_equation,
                            series_solve_branch)
 from okbody.valuation import Flag, ZeroSectionError, _Step
 from okbody.varieties import (CASE_NAMES, CaseStudy, make_negative_control,
@@ -373,22 +373,123 @@ def test_nested_value_sets_match_per_degree_echelon(name):
         assert stage.value_sets(top) == expected[:top + 1], top
 
 
+def _formless(stage):
+    """The same final stage with no final form, so its echelon always runs
+    to the top degree: the fallback that the rule is checked against."""
+    return valuation._FinalStage(stage.relation, stage.point, stage.chart,
+                                 stage.param, stage.dep)
+
+
+def _rule_degree(stage):
+    """d0 = ceil(2g/e), g = (e-1)(e-2)/2 the genus of the final curve."""
+    e = stage.curve_degree
+    return math.ceil((e - 1) * (e - 2) / e)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_rule_matches_the_full_echelon_to_the_cap(name):
+    # the echelon of length top*e + 1 reaches the cap PRECISION_CAP = 512
+    # at top = 511 // e; to there the rule's value sets are the full
+    # echelon's, and each c reads them through semigroup to c*M <= top
+    stage = make_case(name).flag.final_stage
+    top = (PRECISION_CAP - 1) // stage.curve_degree
+    full, rule_from = _formless(stage).value_sets_and_rule(top)
+    assert rule_from is None
+    assert stage.value_sets_and_rule(top) == (full, _rule_degree(stage))
+    for c in (1, 2, 3):
+        sg = semigroup(make_case(name, c), "complete", top // c)
+        assert sg.curve == full[:c * (top // c) + 1], c
+        assert sg.rule_from is not None, c
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_rule_past_the_old_cap_matches_riemann_roch(name):
+    # top = 300 needs precision 301*e past the cap on the full echelon;
+    # the rule's echelon stops at d0 + 1
+    stage = make_case(name).flag.final_stage
+    sets, rule_from = stage.value_sets_and_rule(300)
+    assert rule_from == _rule_degree(stage)
+    assert sets == tuple(riemann_roch_orders(stage.curve_degree, degree)
+                         for degree in range(301))
+    if stage.curve_degree > 1:
+        with pytest.raises(PrecisionError, match="PRECISION_CAP"):
+            _formless(stage).value_sets(300)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_value_sets_are_prefixes_around_the_rule_degree(name):
+    # below, at and past d0 + 1, where the echelon hands over to the rule,
+    # a lower top gives a prefix of a higher one
+    stage = make_case(name).flag.final_stage
+    d0 = _rule_degree(stage)
+    longest = stage.value_sets(40)
+    for top in range(max(d0 - 1, 0), d0 + 4):
+        assert stage.value_sets(top) == longest[:top + 1], top
+
+
+def test_negative_control_falls_back_to_the_full_echelon():
+    # the final plane {x = 0} meets the conic with contact order 1 < 2, so
+    # the echelon runs to the top, as with no form, and no rule is recorded
+    stage = make_negative_control().flag.final_stage
+    assert stage.contact_order() == 1
+    sets, rule_from = stage.value_sets_and_rule(12)
+    assert rule_from is None
+    assert sets == _formless(stage).value_sets(12) == tuple(
+        per_degree_value_set(stage, d) for d in range(13))
+
+
+def test_a_failed_rule_check_falls_back_to_the_full_echelon(monkeypatch):
+    # an echelon whose V(d0 + 1) is not the rule's step from V(d0), here
+    # with the top order of V(2) dropped at the cubic's rule length
+    # (d0 + 1)*e + 1 = 7, sends value_sets on to the full echelon (length
+    # 16 at top 5), which records no rule
+    pivots = Echelon.pivots
+
+    def dropping(echelon):
+        found = pivots(echelon)
+        dropped = (echelon.length, echelon.rank) == (7, 6)
+        return found[:-1] if dropped else found
+    monkeypatch.setattr(Echelon, "pivots", dropping)
+    stage = make_case("fermat_cubic").flag.final_stage
+    assert stage.value_sets_and_rule(5) == (
+        tuple(riemann_roch_orders(3, degree) for degree in range(6)), None)
+
+
 def test_semigroup_solves_the_branch_once(monkeypatch):
-    # semigroup asks for every degree in one call, so every degree reads
-    # the powers of the branch at full precision
+    # semigroup asks for every degree in one call; at a flex of the cubic
+    # (e = 3, g = 1, d0 = 1) the echelon reads the powers of the branch to
+    # degree d0 + 1, precision (d0 + 1)*e + 1 = 7, and the rule the rest
     computed = _count_branch_solves(monkeypatch)
     semigroup(make_case("fermat_cubic"), "complete", 12)
-    assert computed == [37]
+    assert computed == [7]
 
 
 def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
-    # each value_sets call solves the branch once, at precision top*e + 1,
-    # and keeps nothing for the next call
+    # each value_sets call solves the branch once and keeps nothing for the
+    # next call: at precision top*e + 1 for top <= d0 + 1 = 2, as the
+    # echelon runs to top, and at (d0 + 1)*e + 1 = 7 past it, on the rule
     computed = _count_branch_solves(monkeypatch)
     stage = make_case("fermat_cubic").flag.final_stage
     for top in (2, 1, 5, 12, 3):
         stage.value_sets(top)
-    assert computed == [7, 4, 16, 37, 10]
+    assert computed == [7, 4, 7, 7, 7]
+
+
+def test_branch_powers_of_the_fallback(monkeypatch):
+    # with no final form the echelon runs to top, with one solve at
+    # precision top*e + 1; on the negative control (conic, d0 = 0) the
+    # contact order 1 < 2 is read off the rule's solve at precision 3,
+    # and the echelon then runs to top on a second solve at top*e + 1
+    computed = _count_branch_solves(monkeypatch)
+    stage = make_case("fermat_cubic").flag.final_stage
+    formless = _formless(stage)
+    for top in (5, 12):
+        assert formless.value_sets_and_rule(top)[1] is None
+    assert computed == [16, 37]
+    computed.clear()
+    control = make_negative_control().flag.final_stage
+    assert control.value_sets_and_rule(5)[1] is None
+    assert computed == [3, 11]
 
 
 def test_reading_only_u0_solves_nothing(monkeypatch):
