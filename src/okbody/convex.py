@@ -11,7 +11,7 @@ vertices: (q*e_i, y) for each i when q > 0, and (0, y) when q = 0, and
 these are its vertices, as for q > 0 they lie on distinct rays.  So a
 polytope is stored by this vertex list, lexicographically sorted, and two
 polytopes are equal exactly when their lists are identical: no tolerance
-ever enters.  P comes from Andrew's monotone chain, in exact arithmetic.
+ever enters.  P comes from Andrew's monotone chain, run on integers.
 
 A full-dimensional lift has a facet per edge of P, with P's inward normal
 (alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
@@ -91,10 +91,12 @@ def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
     """The vertices of the convex hull of planar points (ints or
     Fractions), counterclockwise from the lex-least, with no point inside
     an edge (Andrew's monotone chain): one point for a point and two for a
-    segment."""
-    points = sorted(set(points))
-    if len(points) < 3:
-        return tuple(points)
+    segment.  It chains the points times their common denominator, as
+    ints, and returns the first given of equal points."""
+    points = dict.fromkeys(points)
+    scale = lcm(*{_exact(c).denominator for q, y in points for c in (q, y)})
+    given = {(int(p[0] * scale), int(p[1] * scale)): p for p in points}
+    keys = sorted(given)
 
     def chain(run):
         out = []
@@ -108,7 +110,8 @@ def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
             out.append((q, y))
         return out
 
-    return tuple(chain(points)[:-1] + chain(reversed(points))[:-1])
+    hull = chain(keys)[:-1] + chain(reversed(keys))[:-1]
+    return tuple(given[k] for k in hull or keys)  # keys: one point or none
 
 
 def _lift(polygon: Iterable[tuple[Scalar, Scalar]],

@@ -19,20 +19,21 @@ each its own normal form, so the degree-D piece has the value set
 
 in lex order, V(d') being the value set of the degree-d' forms on the final
 curve or line, all from one pass of the final stage.  A semigroup keeps
-only these sets: its count, body corners and generation search read a
-level's fibers (s, V(c*m - s)) over the prefix sums s, and its vectors are
-built only when read.
+only these sets: its generation search reads a level's fibers (s, V(c*m -
+s)) over the prefix sums s, its count is a prefix sum of the |V(d')|, and
+its vectors are built only when read.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; the hull of its quotients v/m is an inner estimate of the
 limit body.  As each fiber is a simplex over its prefix sum s times a set
 of last entries, that hull is the lift {x >= 0, (sum(x), y) in P} of the
 planar hull P of the fibers' pairs (s, min V)/m and (s, max V)/m (see
-okbody.convex).  When every vertex of a candidate polytope that is also a
-valid outer bound already occurs among the level-1 vectors, the semigroup
-generated by the full system is finitely generated (the vertex criterion),
-and the body equals the candidate.  generation_degree proves the degree
-of generation when V follows the Riemann-Roch rule of okbody.valuation.
+okbody.convex), each degree's at its first level being enough.  When every
+vertex of a candidate polytope that is also a valid outer bound already
+occurs among the level-1 vectors, the semigroup generated by the full
+system is finitely generated (the vertex criterion), and the body equals
+the candidate.  generation_degree proves the degree of generation when V
+follows the Riemann-Roch rule of okbody.valuation.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import accumulate
+from math import comb, lcm
 from typing import Iterable, Iterator
 
 from .convex import RationalPolytope, lifted_polygon, planar_hull
@@ -119,6 +121,13 @@ class OkounkovSemigroup(Frozen):
     def levels(self) -> dict[int, tuple[Vector, ...]]:
         return {m: self.level(m) for m in range(1, self.max_level + 1)}
 
+    def sizes(self) -> list[int]:
+        """sizes[c*m] = |level m|, p-fold prefix sums of the |V(d')|."""
+        sizes = [len(values) for values in self.curve]
+        for _step in range(self.steps):
+            sizes = list(accumulate(sizes))
+        return sizes
+
     def proof_level(self, k: int) -> int | None:
         """max(m*, k) + 1 of generation_degree's lemma if <= M, else None."""
         if (d0 := self.rule_from) is None:
@@ -135,7 +144,7 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     GradedSystem); it stays an argument because the benchmark harness
     passes it, in its CASE:KIND:M job specs and in the fermat_powers job
     whose digests are pinned.  A level whose dimension differs from the
-    full piece's, sum_s C(s+n-2, n-2) |V(c*m - s)|, raises ValueError."""
+    full piece's, sg.sizes()[c*m], raises ValueError."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if type(max_level) is not int:
@@ -146,9 +155,7 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
     curve, rule_from = case.flag.final_stage.value_sets_and_rule(
         case.section_degree(max_level))
     sg = OkounkovSemigroup(case, kind, max_level, curve, p, rule_from)
-    for m in range(1, max_level + 1):
-        size = sum((comb(s + p - 1, s) if p else 1) * len(values)
-                   for s, values in sg.fibers(m))
+    for m, size in enumerate(sg.sizes()[case.c::case.c], 1):
         if size != system.dimension(m):
             raise ValueError(f"level {m}: the {kind} system's dimension "
                              f"{system.dimension(m)} is not {size}, "
@@ -157,20 +164,25 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
 
 
 def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
-    """The hull of the quotients v/m of every enumerated vector v of every
-    level m: an exact inner approximation of the limit body, monotone in
-    max_level.  The fiber of prefix sum s is a product, conv(s*e_i) times
-    V(c*m - s), so the hull is the lift of the planar hull P of the pairs
-    (s, min V)/m and (s, max V)/m (see okbody.convex); an empty fiber has
-    none.  Each level's pairs are chained in integers, and only the
-    vertices of that chain are divided by m and chained into P."""
-    quotients = []
-    for m in range(1, sg.max_level + 1):
-        corners = [(s, j) for s, values in sg.fibers(m) if values
-                   for j in (values[0], values[-1])]
-        quotients += [(Fraction(s, m), Fraction(j, m))
-                      for s, j in planar_hull(corners)]
-    return lifted_polygon(sg.steps + 1, quotients)
+    """The hull of the quotients v/m of the vectors v of levels 1..M, an
+    inner estimate of the limit body, monotone in M: the lift of the hull P
+    of the fibers' pairs (s, min V)/m and (s, max V)/m (see okbody.convex).
+    V(d') is the fiber over s = c*m - d' of each level m >= m0 = max(1,
+    ceil(d'/c)), at (c, 0) + (-d', j)/m, between (c, 0) = V(0) over s = c
+    at level 1 and its pair at m0; so P is the hull of the pairs of each d'
+    at its m0 (d' = c*m at m without steps), at most 2(c*M + 1), chained as
+    ints times lcm(1..M).  With steps, V(0) other than {0} is a ValueError."""
+    c, curve, scale = sg.case.c, sg.curve, lcm(*range(1, sg.max_level + 1))
+    if sg.steps and curve[0] != (0,):
+        raise ValueError(f"V(0) is {curve[0]}, not (0,): the constants")
+    corners = []
+    for d in range(0 if sg.steps else c, len(curve), 1 if sg.steps else c):
+        m, values = max(1, -(-d // c)), curve[d]
+        corners += [((c * m - d) * (scale // m), j * (scale // m))
+                    for j in values[:1] + values[-1:]]
+    return lifted_polygon(sg.steps + 1, [
+        (Fraction(q, scale), Fraction(y, scale))
+        for q, y in planar_hull(corners)])
 
 
 def vertex_criterion(candidate: RationalPolytope,

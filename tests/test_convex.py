@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm, log
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,42 @@ def test_hull_idempotent_and_permutation_invariant(points):
     again = planar_hull(hull)
     shuffled = planar_hull(list(reversed(points)) + points)
     assert hull == again == shuffled
+
+
+def test_hull_returns_the_first_given_of_equal_points():
+    first, *rest = [(1, 0), (F(1), F(0)), (F(1), 0)]
+    square = [(0, 0), (F(0), F(0)), (F(2), 0), (2, 2), (0, F(2)),
+              (F(1, 2), F(1, 2))]
+    hull = planar_hull(square[:2] + [first] + rest + square[2:])
+    assert hull == ((0, 0), (2, 0), (2, 2), (0, 2))
+    assert [type(c) for point in hull for c in point] == [
+        int, int, F, int, int, int, int, F]
+    assert hull[0] is square[0]
+    assert planar_hull(rest[::-1] + [first])[0] is rest[1]
+
+
+def test_hull_at_large_denominators_matches_brute_force():
+    # coordinates k + 1/a: the first cloud's a are the 62 largest prime
+    # powers up to 300, one per coordinate, so their lcm, the scale of the
+    # chain's integer keys, is lcm(1..300), a 130-digit integer; the other
+    # clouds draw a from 1..300
+    primes = [p for p in range(2, 301) if all(p % q for q in range(2, p))]
+    powers = [p ** int(log(300, p) + 1e-9) for p in primes]
+    rng = random.Random(300)
+    rng.shuffle(powers)
+    clouds = [list(zip(powers[::2], powers[1::2]))] + [
+        [(rng.randint(1, 300), rng.randint(1, 300))
+         for _ in range(rng.randint(1, 14))] for _trial in range(12)]
+    for number, denominators in enumerate(clouds):
+        points = [(F(rng.randint(-9, 9) * a + 1, a),
+                   F(rng.randint(-9, 9) * b + 1, b)) for a, b in denominators]
+        if not number:
+            assert lcm(*(c.denominator for p in points for c in p)) == lcm(
+                *range(1, 301))
+        chain = planar_hull(points)
+        assert sorted(chain) == brute_hull_vertices_2d(points)
+        assert chain[0] == min(points)
+        assert len(chain) < 3 or _counterclockwise(chain)
 
 
 def test_three_dimensional_hull():
@@ -160,15 +197,16 @@ def test_cone_slice_level_one_points():
 
 
 def test_cone_slice_divides_by_level():
-    # level 1 is empty and level 2 is (0, 6) alone
-    sg = _fake(1, 1, ((), (), (6,)))
-    assert sg.level(1) == () and sg.level(2) == ((0, 6),)
-    assert body_estimate(sg).vertices == ((F(0), F(3)),)
+    # level 1 is empty and level 2 is (6,) alone; with steps level 1 would
+    # hold (1, 0), the pair of V(0) = {0}
+    sg = _fake(1, 0, ((), (), (6,)))
+    assert sg.level(1) == () and sg.level(2) == ((6,),)
+    assert body_estimate(sg).vertices == ((F(3),),)
 
 
 def test_cone_slice_empty_rejected():
     with pytest.raises(ValueError, match="needs a vertex"):
-        body_estimate(_fake(1, 1, ((), ())))
+        body_estimate(_fake(1, 0, ((), ())))
 
 
 def test_cone_slice_mixed_dimensions_rejected():

@@ -5,8 +5,9 @@ from math import ceil, comb
 
 import pytest
 
-from okbody import valuation
-from okbody.convex import RationalPolytope, polytope_equal, scaled_simplex
+from okbody import okounkov, valuation
+from okbody.convex import (RationalPolytope, planar_hull, polytope_equal,
+                           scaled_simplex)
 from okbody.linalg import Echelon, rank
 from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
                              body_estimate, generation_degree, semigroup,
@@ -507,11 +508,13 @@ def test_body_is_the_lifted_chain_of_the_corner_quotients(name):
 def test_body_of_seeded_gapped_fibers_is_the_lifted_chain():
     # V(d') drawn from {0, ..., d'e - 1}, so max V(d') is not d'e and the
     # upper chain does not follow the simplex; some fibers are empty, but
-    # not V(c*M), which is the top level's fiber over s = 0
+    # not V(c*M), which is the top level's fiber over s = 0.  The body takes
+    # each degree's corners at its first level only; the reference hulls
+    # every level's corners
     rng = random.Random(26)
-    for _trial in range(120):
-        c, max_level, e = rng.choice((1, 2)), rng.randint(1, 4), 3
-        steps = rng.choice((0, 1, 2, 3))
+    for _trial in range(400):
+        c, max_level = rng.choice((1, 2, 3)), rng.randint(1, 12)
+        e, steps = rng.choice((2, 3, 4)), rng.choice((0, 1, 2, 3))
         top = c * max_level
         curve = ((0,),) + tuple(
             tuple(sorted(rng.sample(range(d * e), rng.randint(
@@ -519,6 +522,66 @@ def test_body_of_seeded_gapped_fibers_is_the_lifted_chain():
         sg = _fake(c, steps, curve)
         assert matches_reference_hull(body_estimate(sg),
                                        _corner_quotients(sg)), (steps, curve)
+
+
+def test_body_hulls_at_most_two_pairs_per_degree(monkeypatch):
+    # one planar chain of each degree's two corners at its first level,
+    # 2(c*M + 1) pairs at most, where every level's fibers are c*M^2/2
+    handed = []
+
+    def counting_hull(points):
+        points = list(points)
+        handed.append(len(points))
+        return planar_hull(points)
+    monkeypatch.setattr(okounkov, "planar_hull", counting_hull)
+    sg = semigroup(make_case("fermat_cubic"), "complete", 300)
+    assert body_estimate(sg) == scaled_simplex(2, 1, 3)
+    assert len(handed) == 1 and handed[0] <= 2 * (sg.case.c * 300 + 1)
+
+
+@pytest.mark.parametrize("curve", [((),), ((1,),), ((0, 2),)])
+def test_body_refuses_steps_without_the_constants(curve):
+    # with steps, (c, 0), the pair of V(0) = {0} at level 1, is what puts a
+    # degree's pairs at later levels inside the hull of its first; without
+    # steps V(0) never enters
+    for steps in (1, 2, 3):
+        with pytest.raises(ValueError, match=r"V\(0\) is \("):
+            body_estimate(_fake(1, steps, curve + ((0, 3),)))
+    sg = _fake(1, 0, curve + ((0, 3),))
+    assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
+
+
+def _comb_count(sg, m):
+    """The size of level m as sum_s C(s+p-1, s) |V(c*m - s)| over its
+    fibers."""
+    p = sg.steps
+    return sum((comb(s + p - 1, s) if p else 1) * len(values)
+               for s, values in sg.fibers(m))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_level_sizes_are_prefix_sums(name):
+    for c in (1, 2, 3):
+        case = make_case(name, c)
+        sg = semigroup(case, "complete", 8)
+        sizes = sg.sizes()
+        for m in range(1, 9):
+            assert (sizes[c * m] == _comb_count(sg, m) == len(sg.level(m))
+                    == GradedSystem(case).dimension(m)), (c, m)
+
+
+def test_level_sizes_of_seeded_fakes_are_prefix_sums():
+    rng = random.Random(28)
+    for _trial in range(100):
+        c, max_level = rng.choice((1, 2, 3)), rng.randint(1, 6)
+        steps = rng.randint(0, 3)
+        curve = tuple(tuple(sorted(rng.sample(range(9), rng.randint(0, 3))))
+                      for _d in range(c * max_level + 1))
+        sg = _fake(c, steps, curve)
+        sizes = sg.sizes()
+        for m in range(1, max_level + 1):
+            assert sizes[c * m] == _comb_count(sg, m) == len(sg.level(m)), (
+                steps, curve, m)
 
 
 def test_vertex_criterion_examples():
