@@ -2,8 +2,8 @@
 flagged projective hypersurfaces, with finite-generation certification,
 toric limit data and elliptic-curve divisor utilities."""
 
-from .convex import (RationalPolytope, lifted_polygon, normal_fan_rays,
-                     polytope_equal, polytope_to_json, scaled_simplex)
+from .convex import (RationalPolytope, normal_fan_rays, polytope_equal,
+                     polytope_to_json, scaled_simplex)
 from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
                        random_divisor, single_point_member)
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
@@ -25,9 +25,8 @@ __all__ = [
     "PrecisionError", "RationalPolytope", "ZeroSectionError",
     "body_estimate", "case_study_from_json", "case_study_to_json",
     "divisor_class_sum", "generation_degree", "graded_monomials",
-    "has_projective_common_zero", "lifted_polygon",
-    "make_case", "make_negative_control", "normal_fan_rays", "polytope_equal",
-    "polytope_to_json", "random_divisor", "scaled_simplex", "semigroup",
-    "semigroup_to_json", "series_solve_branch", "single_point_member",
-    "verify_flag", "vertex_criterion",
+    "has_projective_common_zero", "make_case", "make_negative_control",
+    "normal_fan_rays", "polytope_equal", "polytope_to_json", "random_divisor",
+    "scaled_simplex", "semigroup", "semigroup_to_json", "series_solve_branch",
+    "single_point_member", "verify_flag", "vertex_criterion",
 ]

@@ -6,12 +6,13 @@ Every polytope here is the lift of a planar polygon P in {q >= 0},
 
 which is what an Okounkov body of these flags is (each fiber of a level
 is a simplex over its prefix sum s times a set of last entries) and what
-the expected simplex is.  The lift is the hull of the lifts of P's
-vertices: (q*e_i, y) for each i when q > 0, and (0, y) when q = 0, and
-these are its vertices, as for q > 0 they lie on distinct rays.  So a
-polytope is stored by this vertex list, lexicographically sorted, and two
-polytopes are equal exactly when their lists are identical: no tolerance
-ever enters.  P comes from Andrew's monotone chain, run on integers.
+the expected simplex is.  A polytope is made from planar points (q, y)
+alone: P is their hull, and the lift is the hull of the lifts of P's
+vertices, (q*e_i, y) for each i when q > 0 and (0, y) when q = 0, which
+are its vertices, as for q > 0 they lie on distinct rays.  A polytope
+keeps P and that vertex list, lexicographically sorted, and two
+polytopes are equal exactly when these are identical: no tolerance ever
+enters.  P comes from Andrew's monotone chain, run on integers.
 
 A full-dimensional lift has a facet per edge of P, with P's inward normal
 (alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
@@ -26,34 +27,45 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .polynomials import Frozen, Scalar, _exact
 
-Point = tuple[Fraction, ...]
 # (a, beta) for a . x >= beta
 Constraint = tuple[tuple[int, ...], Fraction]
 
 
 class RationalPolytope(Frozen):
-    """The lift of a planar polygon, given by its vertex list: exactly the
-    sorted lifts of the vertices of P, the hull of the images (sum(x), y)
-    of the vertices, which is kept as `polygon`, counterclockwise from its
-    lex-least vertex.  Any other list is a ValueError."""
+    """The lift into dimension dim of the hull P of planar points (q, y)
+    with q >= 0.  P is kept as `polygon`, its coordinates Fractions,
+    counterclockwise from its lex-least vertex, and `vertices` are the
+    sorted lifts of P's vertices; in dimension 1, where sum(x) = 0, P is
+    cut to its face on q = 0.  A dim other than an int >= 1, a point
+    other than a pair, q < 0 or no vertex is refused."""
 
-    def __init__(self, dim: int, vertices: Iterable[Sequence[Scalar]]):
-        vertices = tuple(tuple(Fraction(_exact(c)) for c in v)
-                         for v in vertices)
-        if any(len(v) != dim for v in vertices):
-            raise ValueError("vertex of wrong dimension")
-        if not vertices:
+    def __init__(self, dim: int, points: Iterable[tuple[Scalar, Scalar]]):
+        if type(dim) is not int:
+            raise TypeError(f"dim must be an int, not {dim!r}")
+        if dim < 1:
+            raise ValueError("dim must be at least 1")
+        points = [tuple(Fraction(_exact(c)) for c in point)
+                  for point in points]
+        if any(len(point) != 2 for point in points):
+            raise ValueError("a point is not a pair (q, y)")
+        polygon = planar_hull(points)
+        if any(q < 0 for q, _y in polygon):
+            raise ValueError("a point has q < 0")
+        p, lifted = dim - 1, []
+        zero = (Fraction(0),) * p
+        for q, y in polygon:
+            lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,)
+                        for i in range(p)] if q else [zero + (y,)])
+        if not lifted:
             raise ValueError("a polytope needs a vertex")
-        polygon = planar_hull([(sum(v[:-1], Fraction(0)), v[-1])
-                               for v in vertices])
-        if (any(c < 0 for v in vertices for c in v[:-1])
-                or _lift(polygon, dim - 1) != vertices):
-            raise ValueError("not the sorted vertices of a lifted polygon")
-        vars(self).update(dim=dim, vertices=vertices, polygon=polygon)
+        if not p:
+            polygon = tuple(point for point in polygon if not point[0])
+        vars(self).update(dim=dim, vertices=tuple(sorted(lifted)),
+                          polygon=polygon)
 
     def is_full_dimensional(self) -> bool:
         return len(self.polygon) > (1 if self.dim == 1 else 2)
@@ -114,27 +126,6 @@ def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
     return tuple(given[k] for k in hull or keys)  # keys: one point or none
 
 
-def _lift(polygon: Iterable[tuple[Scalar, Scalar]],
-          p: int) -> tuple[Point, ...]:
-    """The sorted lifts of planar points (q, y) into dimension p + 1:
-    (q*e_i, y) for i < p when q > 0, and (0, y) when q = 0."""
-    zero = (Fraction(0),) * p
-    lifted = []
-    for q, y in polygon:
-        q, y = Fraction(_exact(q)), Fraction(_exact(y))
-        lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,) for i in range(p)]
-                   if q else [zero + (y,)])
-    return tuple(sorted(lifted))
-
-
-def lifted_polygon(dim: int, points: Iterable[tuple[Scalar, Scalar]]
-                   ) -> RationalPolytope:
-    """The lift into dimension dim of the hull P of planar points (q, y)
-    with q >= 0; in dimension 1, where sum(x) = 0, that is P's face on
-    q = 0."""
-    return RationalPolytope(dim, _lift(planar_hull(points), dim - 1))
-
-
 def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -146,7 +137,7 @@ def scaled_simplex(n: int, c: int, d: int) -> RationalPolytope:
     lift of conv{(0, 0), (c, 0), (0, c*d)}."""
     if n < 1 or c < 1 or d < 1:
         raise ValueError("n, c and d must be positive")
-    return lifted_polygon(n, [(0, 0), (c, 0), (0, c * d)])
+    return RationalPolytope(n, [(0, 0), (c, 0), (0, c * d)])
 
 
 def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:

@@ -45,7 +45,7 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator
 
-from .convex import RationalPolytope, lifted_polygon, planar_hull
+from .convex import RationalPolytope, planar_hull
 from .polynomials import Frozen
 from .varieties import CaseStudy
 
@@ -180,7 +180,7 @@ def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
         m, values = max(1, -(-d // c)), curve[d]
         corners += [((c * m - d) * (scale // m), j * (scale // m))
                     for j in values[:1] + values[-1:]]
-    return lifted_polygon(sg.steps + 1, [
+    return RationalPolytope(sg.steps + 1, [
         (Fraction(q, scale), Fraction(y, scale))
         for q, y in planar_hull(corners)])
 

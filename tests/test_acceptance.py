@@ -116,7 +116,7 @@ def test_criterion_05_homogeneity():
         body_c1 = body_estimate(cached_semigroup(name, 1, "complete", level))
         body_c2 = body_estimate(cached_semigroup(name, 2, "complete", level))
         assert polytope_equal(body_c2, RationalPolytope(body_c1.dim, (
-            [2 * x for x in v] for v in body_c1.vertices))), name
+            (2 * q, 2 * y) for q, y in body_c1.polygon))), name
     report(5, "doubling c exactly doubles every body at matched M", started)
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.convex import (RationalPolytope, lifted_polygon, normal_fan_rays,
-                           planar_hull, polytope_equal, polytope_to_json,
-                           scaled_simplex)
+import okbody.convex
+import okbody.okounkov
+from okbody.convex import (RationalPolytope, normal_fan_rays, planar_hull,
+                           polytope_equal, polytope_to_json, scaled_simplex)
 from okbody.okounkov import OkounkovSemigroup, body_estimate, semigroup
 from okbody.varieties import CASE_NAMES, make_case
 
@@ -25,17 +26,17 @@ points_2d = st.lists(st.tuples(coords, coords), min_size=1, max_size=14)
 
 
 def test_single_point_hull():
-    assert lifted_polygon(2, [(0, 0)]).vertices == ((F(0), F(0)),)
+    assert RationalPolytope(2, [(0, 0)]).vertices == ((F(0), F(0)),)
     assert planar_hull([(1, 2)] * 3) == ((1, 2),)
 
 
 def test_interior_point_removed():
-    hull = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))])
+    hull = RationalPolytope(2, [(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))])
     assert hull.vertices == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
 
 
 def test_mixed_dimensions_rejected():
-    with pytest.raises(ValueError, match="vertex of wrong dimension"):
+    with pytest.raises(ValueError, match=r"not a pair \(q, y\)"):
         RationalPolytope(2, [(0, 0), (1, 0, 0)])
     with pytest.raises(ValueError, match="needs a vertex"):
         RationalPolytope(2, [])
@@ -44,13 +45,57 @@ def test_mixed_dimensions_rejected():
 def test_inexact_coordinates_rejected():
     # a float would enter as its binary expansion, 0.1 as 3602879701896397/2^55
     with pytest.raises(TypeError, match="0.1"):
-        RationalPolytope(1, [(0.1,)])
+        RationalPolytope(1, [(0, 0.1)])
     with pytest.raises(TypeError, match="0.5"):
         RationalPolytope(2, [(0, 0), (1, 0.5)])
     with pytest.raises(TypeError, match="'1/2'"):
         RationalPolytope(2, [("1/2", 0)])
     with pytest.raises(TypeError, match="0.5"):
-        lifted_polygon(2, [(0, 0), (0.5, 1)])
+        RationalPolytope(2, [(0, 0), (0.5, 1)])
+
+
+def test_dimension_must_be_a_positive_int():
+    for dim in (2.0, "2", None, True):
+        with pytest.raises(TypeError, match="dim must be an int"):
+            RationalPolytope(dim, [(0, 0)])
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            RationalPolytope(dim, [(0, 0)])
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        RationalPolytope(0, [()])
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+def test_negative_q_rejected_in_every_dimension(dim):
+    # in dimension 1 a point with q > 0 has no lift, but one with q < 0 is
+    # still refused rather than dropped
+    for points in ([(-1, 0), (0, 0)], [(-1, 0), (0, 0), (0, 1)],
+                   [(0, 0), (2, 1), (F(-1, 3), 5)], [(-1, 2)]):
+        with pytest.raises(ValueError, match="q < 0"):
+            RationalPolytope(dim, points)
+
+
+def test_each_polytope_is_hulled_once(monkeypatch):
+    # scaled_simplex makes one planar hull; body_estimate makes two, its
+    # chain of the corner pairs and the constructor's hull of P's vertices
+    handed = []
+
+    def counting_hull(points):
+        points = list(points)
+        handed.append(len(points))
+        return planar_hull(points)
+    monkeypatch.setattr(okbody.convex, "planar_hull", counting_hull)
+    monkeypatch.setattr(okbody.okounkov, "planar_hull", counting_hull)
+    for n, c, d in product((1, 2, 3, 4, 5), (1, 2), (1, 3)):
+        handed.clear()
+        scaled_simplex(n, c, d)
+        assert handed == [3], (n, c, d)
+    sg = semigroup(make_case("fermat_cubic"), "complete", 300)
+    handed.clear()
+    body, calls = body_estimate(sg), handed[:]
+    assert body == scaled_simplex(2, 1, 3)
+    assert len(calls) == 2 and calls[0] <= 2 * (sg.case.c * 300 + 1)
+    assert calls[1] == len(body.polygon) == 3
 
 
 def _counterclockwise(chain):
@@ -192,7 +237,7 @@ def _fake(c, steps, curve):
 def test_cone_slice_level_one_points():
     # level 1 of V(0) = {0}, V(1) = {0, 3}: (0, 0), (0, 3) and (1, 0)
     sg = _fake(1, 1, ((0,), (0, 3)))
-    assert body_estimate(sg) == lifted_polygon(2, [(0, 0), (1, 0), (0, 3)])
+    assert body_estimate(sg) == RationalPolytope(2, [(0, 0), (1, 0), (0, 3)])
     assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 
 
@@ -321,20 +366,6 @@ def test_cone_slice_matches_hull_of_quotients(sg):
 # -- lifts -------------------------------------------------------------------------
 
 
-def test_constructor_refuses_a_non_lift():
-    unit = lifted_polygon(3, [(0, 0), (1, 0), (0, 1)]).vertices
-    cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    for vertices in (
-            cube,
-            unit[::-1],                               # not sorted
-            unit + ((F(1, 4), F(1, 4), F(1, 4)),),    # not a vertex
-            unit[:2] + unit[3:],                      # a lift missing
-            [(-1, 0), (0, 0), (0, 1)],                # x < 0
-            [(0, 0, 0), (1, 1, 0)]):                  # off every ray
-        with pytest.raises(ValueError, match="lifted polygon"):
-            RationalPolytope(len(vertices[0]), vertices)
-
-
 def _seeded_polygons():
     """Seeded planar point sets in q >= 0: some reach q = 0, at a vertex or
     along an edge, some lie in q >= 1/2, and some on q = 0 alone."""
@@ -351,14 +382,26 @@ def _seeded_polygons():
     return sets
 
 
+def _lifts(points, dim):
+    """Every point's lifts into dimension dim: (q*e_i, y) for each i when
+    q > 0, (0, y) when q = 0."""
+    zero = (0,) * (dim - 1)
+    return [zero[:i] + (q,) + zero[i + 1:] + (y,) if q else zero + (y,)
+            for q, y in points for i in range(dim - 1 if q else 1)]
+
+
 @pytest.mark.parametrize("dim", (1, 2, 3, 4))
 def test_lifts_match_the_reference_hull(dim):
+    rng = random.Random(dim)
     for points in _seeded_polygons():
         if dim == 1:
             points = [(0, y) for _q, y in points]
-        lift = lifted_polygon(dim, points)
+        lift = RationalPolytope(dim, points)
         assert matches_reference_hull(lift, lift.vertices), points
-        assert lift == RationalPolytope(dim, lift.vertices)
+        assert matches_reference_hull(lift, _lifts(points, dim)), points
+        assert RationalPolytope(dim, lift.polygon) == lift
+        shuffled = rng.sample(points, len(points)) + list(lift.polygon)
+        assert RationalPolytope(dim, shuffled) == lift
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
@@ -374,7 +417,7 @@ def test_scaled_simplex_matches_the_reference_hull(n):
 
 def _dilate(polytope, factor):
     return RationalPolytope(polytope.dim, (
-        [factor * c for c in v] for v in polytope.vertices))
+        (factor * q, factor * y) for q, y in polytope.polygon))
 
 
 def test_dilate_examples():
@@ -394,31 +437,35 @@ def test_dilate_composes(a, b):
 
 def test_polytope_equal_examples():
     unit = scaled_simplex(2, 1, 1)
-    square = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = RationalPolytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert polytope_equal(unit, unit)
     assert not polytope_equal(unit, square)
-    redundant = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2))])
+    redundant = RationalPolytope(2, [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2))])
     assert polytope_equal(redundant, unit)
 
 
 def test_equal_polytopes_are_one_value():
-    # field-wise == and hash: the polygon is read off the vertices, so
-    # equal polytopes collapse in a set
+    # field-wise == and hash: the vertices are read off the polygon, the
+    # hull of the given points, so equal polytopes collapse in a set
     unit = scaled_simplex(2, 1, 1)
-    redundant = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
+    redundant = RationalPolytope(2, [(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
     assert redundant.facets()
     assert unit == redundant and hash(unit) == hash(redundant)
     assert len({unit, redundant, scaled_simplex(2, 1, 1)}) == 1
     assert unit != scaled_simplex(2, 1, 2)
-    assert unit != RationalPolytope(2, unit.vertices[:2])
+    assert unit != RationalPolytope(2, unit.polygon[:2])
     assert unit != unit.vertices
 
 
 def test_vertex_of_wrong_length_rejected():
-    with pytest.raises(ValueError, match="vertex of wrong dimension"):
+    with pytest.raises(ValueError, match=r"not a pair \(q, y\)"):
         RationalPolytope(2, ((F(0), F(0)), (F(1),)))
-    with pytest.raises(ValueError, match="vertex of wrong dimension"):
-        RationalPolytope(1, ((F(0), F(0)),))
+    with pytest.raises(ValueError, match=r"not a pair \(q, y\)"):
+        RationalPolytope(1, ((F(0),),))
+    for dim in (1, 2, 3):
+        for points in ([(0, 0, 0)], [()]):
+            with pytest.raises(ValueError, match=r"not a pair \(q, y\)"):
+                RationalPolytope(dim, points)
 
 
 def test_scaled_simplex_vertices():
@@ -435,7 +482,7 @@ def test_scaled_simplex_vertices():
 
 
 def test_normal_fan_unit_square():
-    square = lifted_polygon(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = RationalPolytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert set(normal_fan_rays(square)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
@@ -451,7 +498,7 @@ def test_normal_fan_weighted_triangle():
 
 
 def test_normal_fan_requires_full_dimension():
-    segment = lifted_polygon(2, [(0, 0), (1, 1)])
+    segment = RationalPolytope(2, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         normal_fan_rays(segment)
 

@@ -415,7 +415,7 @@ def test_homogeneity_of_bodies():
         body_1 = body_estimate(semigroup(make_case(name, 1), "complete", 2))
         body_2 = body_estimate(semigroup(make_case(name, 2), "complete", 2))
         assert polytope_equal(body_2, RationalPolytope(body_1.dim, (
-            [2 * x for x in v] for v in body_1.vertices)))
+            (2 * q, 2 * y) for q, y in body_1.polygon)))
 
 
 def _corner_quotients(sg):
