@@ -3,7 +3,7 @@
 Vectors are plain sequences of rationals (``int`` or ``Fraction``).  One
 fraction-free Gaussian elimination with first-nonzero pivoting serves
 everything, so results are exact and deterministic: ranks and pivot
-columns.
+columns, read off one ``Echelon``.
 """
 
 from __future__ import annotations
@@ -70,15 +70,3 @@ class Echelon:
         self.rows.append(([v // content for v in vec], pivot))
         return True
 
-
-def rank(vectors: Sequence[Vector]) -> int:
-    return len(pivot_columns(vectors))
-
-
-def pivot_columns(vectors: Sequence[Vector]) -> list[int]:
-    """The pivot columns of the row echelon form, in increasing order: the
-    set of first nonzero positions of the nonzero vectors in the span."""
-    form = Echelon(len(vectors[0]) if vectors else 0)
-    for row in vectors:
-        form.add(row)
-    return form.pivots()

@@ -87,7 +87,8 @@ class OkounkovSemigroup(Frozen):
     labelled with its kind, held as curve = (V(0), ..., V(c*M)) and
     steps = n - 1; level m, built when read, is the set of prefix + (j,)
     with sum(prefix) = s <= c*m and j in V(c*m - s); rule_from is the d0
-    of _FinalStage.value_sets_and_rule, None when the rule gave no V."""
+    of _FinalStage.value_sets_and_rule, from which the Riemann-Roch rule,
+    on its premise e in V(1), gave the V; None when it gave none."""
 
     def __init__(self, case: CaseStudy, kind: str, max_level: int,
                  curve: tuple[tuple[int, ...], ...], steps: int,

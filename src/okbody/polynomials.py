@@ -303,7 +303,7 @@ def has_projective_common_zero(forms: Sequence[HomogPoly]) -> bool:
     nonvanishing of the multivariate resultant of the system, and is decided
     here by exact Gaussian elimination.
     """
-    from .linalg import rank
+    from .linalg import Echelon
 
     forms = [f for f in forms if f]
     if not forms:
@@ -315,8 +315,8 @@ def has_projective_common_zero(forms: Sequence[HomogPoly]) -> bool:
         return False  # a nonzero constant lies in the ideal
     nu = sum(f.degree - 1 for f in forms) + 1
     monos = graded_monomials(num_vars, nu)
-    rows = []
+    echelon = Echelon(len(monos))
     for f in forms:
         for mu in graded_monomials(num_vars, nu - f.degree):
-            rows.append((HomogPoly.monomial(mu) * f).coefficient_vector(monos))
-    return rank(rows) < len(monos)
+            echelon.add((HomogPoly.monomial(mu) * f).coefficient_vector(monos))
+    return echelon.rank < len(monos)

@@ -18,9 +18,10 @@ u(t) shifted by a, and its order is its first nonzero coefficient, at most
 d'*e when it does not vanish on the curve.  The translation to the point
 is triangular, so the value sets V(0), ..., V(D), the orders of the
 nonzero forms of each degree modulo the curve, are the pivot sets of one
-echelon (see _FinalStage.value_sets); the final form is a*t + b*u, whose
-order is its contact order.  When it is e, Riemann-Roch gives V(d') past
-d0 + 1, d0 = ceil(2g/e), and the echelon stops there, on one branch solve.
+echelon (see _FinalStage.value_sets).  When e is in V(1), a linear form
+of order e at the point has divisor e*p on the curve, so Riemann-Roch gives
+V(d') past d0 + 1, d0 = ceil(2g/e), and the echelon stops there, on one
+branch solve.  The final form, a*t + b*u, gives only the contact order.
 """
 
 from __future__ import annotations
@@ -104,22 +105,19 @@ class _FinalStage(Frozen):
             param_var=self.param, dep_var=self.dep, count=count)
 
     def contact_order(self) -> int:
-        """The order at the point of the final form on the final curve."""
-        if order := self._contact(self._branch_powers(2, self._precision(1))):
-            return order
-        raise ZeroSectionError("section vanishes identically on the final "
-                               "curve")
-
-    def _contact(self, powers: tuple[tuple[Scalar, ...], ...]) -> int | None:
-        """The order of the final form, a*t + b*u in the chart, off branch
-        powers to t^e or more: that of a*t + b*u(t), None if it is zero."""
+        """The order at the point of the final form on the final curve: the
+        form is a*t + b*u in the chart, so that of a*t + b*u(t) to t^e."""
         # a and b are the form at unit vectors; with no dependent coordinate
         # (a line) b is the form at zero, and only u^0 comes back
         a, b = (self.form.evaluate([int(i == var) for i in range(
             len(self.point))]) for var in (self.param, self.dep))
+        powers = self._branch_powers(2, self._precision(1))
         u = powers[len(powers) > 1]
-        return next((k for k in range(1, self.curve_degree + 1)
-                     if (a if k == 1 else 0) + b * u[k]), None)
+        for k in range(1, self.curve_degree + 1):
+            if (a if k == 1 else 0) + b * u[k]:
+                return k
+        raise ZeroSectionError("section vanishes identically on the final "
+                               "curve")
 
     def value_sets(self, top: int) -> tuple[tuple[int, ...], ...]:
         """V(0), ..., V(top): V(d') is the set of orders at the point of the
@@ -141,10 +139,11 @@ class _FinalStage(Frozen):
         the curve contains the chart's line at infinity.
 
         D = top, or d0 + 1 (d0 = ceil(2g/e), g = (e-1)(e-2)/2) if top is more
-        and the final form has contact order e at p (off the same powers):
-        then O_C(1) = O_C(e*p) and V(d') = {d'e - w : w in W(p), w <= d'e},
-        W(p) the Weierstrass semigroup, which holds all w >= 2g: past D the
-        rule V(d'+1) = (V(d') + e) | {0, ..., e - 1}, checked at D, goes on."""
+        and e is in V(1): a linear form of order e at p that the echelon
+        certifies nonzero on the curve C has divisor e*p by Bezout, so
+        O_C(1) = O_C(e*p) and V(d') = {d'e - w : w in W(p), w <= d'e}, W(p)
+        the Weierstrass semigroup, which holds all w >= 2g: past D the rule
+        V(d'+1) = (V(d') + e) | {0, ..., e - 1}, checked at D, goes on."""
         return self.value_sets_and_rule(top)[0]
 
     def value_sets_and_rule(self, top: int) -> tuple[
@@ -164,12 +163,10 @@ class _FinalStage(Frozen):
         # t^a u^b leads f in a degree order with u above t; the rows t^i
         # u^(d'-i) read u^0 .. u^D if a > 0, u^0 .. u^(e-1) if a = 0
         a = e - b
-        for reach in (d0 + 1, top) if top > d0 + 1 and self.form else (top,):
+        for reach in (d0 + 1, top) if top > d0 + 1 else (top,):
             precision = self._precision(reach)
             powers = self._branch_powers(
                 reach + 1 if a else min(reach + 1, e), precision)
-            if reach < top and self._contact(powers) != e:
-                continue
             echelon, sets = Echelon(precision), []
             for d in range(reach + 1):
                 for i in range(d + 1):
@@ -184,6 +181,8 @@ class _FinalStage(Frozen):
                 sets.append(tuple(echelon.pivots()))
             if reach == top:
                 return tuple(sets), None
+            if e not in sets[1]:
+                continue
             rule = sets[:-1]
             while len(rule) <= top:
                 rule.append((*range(e), *(v + e for v in rule[-1])))

@@ -16,7 +16,6 @@ from okbody.convex import (RationalPolytope, normal_fan_rays, planar_hull,
                            polytope_equal, scaled_simplex)
 from okbody.elliptic import EllipticCurveFp, divisor_class_sum, \
     random_divisor, single_point_member
-from okbody.linalg import rank
 from okbody.okounkov import (GradedSystem, body_estimate, generation_degree,
                              semigroup, vertex_criterion)
 from okbody.polynomials import HomogPoly
@@ -24,7 +23,7 @@ from okbody.varieties import make_case, make_negative_control, verify_flag
 
 from oracles import (brute_hull_vertices_2d, expansion_value_set,
                      oracle_value_set, powers_basis, reduce_section,
-                     standard_basis)
+                     row_reduce, standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 GENERATION_DEGREES = {"p2": 1, "p3": 1, "quadric_surface": 1,
@@ -199,7 +198,7 @@ def test_criterion_09_property_suites():
         while True:
             matrix = [[rng.randrange(-2, 3) for _ in range(dim)]
                       for _ in range(dim)]
-            if rank(matrix) == dim:
+            if len(row_reduce(matrix)[1]) == dim:
                 break
         recombined = []
         for row in matrix:

@@ -8,7 +8,7 @@ import pytest
 from okbody import okounkov, valuation
 from okbody.convex import (RationalPolytope, planar_hull, polytope_equal,
                            scaled_simplex)
-from okbody.linalg import Echelon, rank
+from okbody.linalg import Echelon
 from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
                              body_estimate, generation_degree, semigroup,
                              semigroup_to_json, vertex_criterion)
@@ -20,7 +20,7 @@ from okbody.varieties import (CASE_NAMES, CaseStudy, make_case,
 from oracles import (brute_generation_degree, expansion_value_set,
                      every_quotient, in_hull_nd, linear_solve,
                      matches_reference_hull, oracle_value_set, powers_basis,
-                     reduce_section, standard_basis)
+                     reduce_section, row_reduce, standard_basis)
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
@@ -148,7 +148,7 @@ def test_value_set_invariant_under_basis_change(p3, quadric, fermat):
             while True:
                 matrix = [[rng.randrange(-3, 4) for _ in range(dim)]
                           for _ in range(dim)]
-                if rank(matrix) == dim:
+                if len(row_reduce(matrix)[1]) == dim:
                     break  # invertible
             recombined = []
             for row in matrix:
@@ -741,12 +741,32 @@ def test_proved_generation_degree_reads_few_levels(monkeypatch):
     assert sorted(set(read)) == [1, 2, 3] and sg.proof_level(1) == 3
 
 
-def test_negative_control_takes_the_witness_search():
-    # contact order 1 < 2: no rule is recorded, so nothing is proved and
-    # generation_degree searches every level, as the tuple oracle does
+def test_cubic_off_the_flex_takes_the_witness_search(off_flex_cubic):
+    # V(1) = {0, 1, 2} lacks e = 3: no rule is recorded, so nothing is
+    # proved and generation_degree searches every level, as the tuple
+    # oracle does; at c = 1 level 2 holds 6, no sum of two level-1 values,
+    # so the degree is 2, and the vertex 3 of the expected segment [0, 3]
+    # is no level-1 value
+    for c, degree in ((1, 2), (2, 1), (3, 2)):
+        case = CaseStudy(off_flex_cubic.name, off_flex_cubic.flag, c)
+        sg = semigroup(case, "complete", 4)
+        assert sg.rule_from is None and sg.proof_level(1) is None
+        assert (generation_degree(sg, 4)
+                == brute_generation_degree(sg.levels, 4) == degree), c
+    sg = semigroup(off_flex_cubic, "complete", 4)
+    assert sg.level(1) == ((0,), (1,), (2,))
+    assert not vertex_criterion(off_flex_cubic.expected_body(), sg.level(1))
+
+
+def test_negative_control_takes_the_rule():
+    # its conic and point are the quadric surface's, and its final form
+    # does not enter the value sets: the rule is recorded from d0 = 0 and
+    # generation degree 1 is proved
     for c in (1, 2):
         sg = semigroup(make_negative_control(c), "complete", 4)
-        assert sg.rule_from is None and sg.proof_level(1) is None
+        assert sg.rule_from == 0 and sg.proof_level(1) is not None, c
+        assert sg.curve == semigroup(make_case("quadric_surface", c),
+                                     "complete", 4).curve, c
         assert (generation_degree(sg, 4)
                 == brute_generation_degree(sg.levels, 4) == 1), c
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from okbody import make_case, valuation
-from okbody.linalg import Echelon, rank
+from okbody.linalg import Echelon
 from okbody.okounkov import body_estimate, semigroup
 from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.series import (PRECISION_CAP, PrecisionError, branch_equation,
@@ -17,7 +17,8 @@ from okbody.varieties import (CASE_NAMES, CaseStudy, make_negative_control,
 from oracles import (expansion_value_set, final_series, form_along_branch,
                      grevlex_order, linear_solve, oracle_valuation,
                      oracle_value_set, per_degree_value_set, poly_divmod,
-                     reduce_section, riemann_roch_orders, standard_basis)
+                     reduce_section, riemann_roch_orders, row_reduce,
+                     standard_basis)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -196,7 +197,7 @@ def _coordinate_changes(case, count=3):
     moved = []
     for _ in range(40):
         matrix = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
-        if rank(matrix) == 4:
+        if len(row_reduce(matrix)[1]) == 4:
             moved.append(_transformed_case(case, matrix))
             if len(moved) == count:
                 break
@@ -373,13 +374,6 @@ def test_nested_value_sets_match_per_degree_echelon(name):
         assert stage.value_sets(top) == expected[:top + 1], top
 
 
-def _formless(stage):
-    """The same final stage with no final form, so its echelon always runs
-    to the top degree: the fallback that the rule is checked against."""
-    return valuation._FinalStage(stage.relation, stage.point, stage.chart,
-                                 stage.param, stage.dep)
-
-
 def _rule_degree(stage):
     """d0 = ceil(2g/e), g = (e-1)(e-2)/2 the genus of the final curve."""
     e = stage.curve_degree
@@ -388,17 +382,18 @@ def _rule_degree(stage):
 
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_rule_matches_the_full_echelon_to_the_cap(name):
-    # the echelon of length top*e + 1 reaches the cap PRECISION_CAP = 512
-    # at top = 511 // e; to there the rule's value sets are the full
-    # echelon's, and each c reads them through semigroup to c*M <= top
+    # a full echelon of length top*e + 1 would reach the cap PRECISION_CAP
+    # = 512 at top = 511 // e; to there the rule's value sets are those
+    # that Riemann-Roch predicts, and each c reads them through semigroup
+    # to c*M <= top
     stage = make_case(name).flag.final_stage
     top = (PRECISION_CAP - 1) // stage.curve_degree
-    full, rule_from = _formless(stage).value_sets_and_rule(top)
-    assert rule_from is None
-    assert stage.value_sets_and_rule(top) == (full, _rule_degree(stage))
+    predicted = tuple(riemann_roch_orders(stage.curve_degree, degree)
+                      for degree in range(top + 1))
+    assert stage.value_sets_and_rule(top) == (predicted, _rule_degree(stage))
     for c in (1, 2, 3):
         sg = semigroup(make_case(name, c), "complete", top // c)
-        assert sg.curve == full[:c * (top // c) + 1], c
+        assert sg.curve == predicted[:c * (top // c) + 1], c
         assert sg.rule_from is not None, c
 
 
@@ -411,9 +406,16 @@ def test_rule_past_the_old_cap_matches_riemann_roch(name):
     assert rule_from == _rule_degree(stage)
     assert sets == tuple(riemann_roch_orders(stage.curve_degree, degree)
                          for degree in range(301))
-    if stage.curve_degree > 1:
-        with pytest.raises(PrecisionError, match="PRECISION_CAP"):
-            _formless(stage).value_sets(300)
+
+
+def test_the_full_echelon_past_the_old_cap_names_the_cap(off_flex_cubic):
+    # with no rule, top = 300 needs precision 301*e = 903 on the full
+    # echelon, past the cap; top = 171 needs 514, the first past it
+    stage = off_flex_cubic.flag.final_stage
+    for top in (300, 171):
+        with pytest.raises(PrecisionError, match=rf"precision {top * 3 + 1} "
+                                                 "above the cap PRECISION_CAP"):
+            stage.value_sets(top)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -427,15 +429,56 @@ def test_value_sets_are_prefixes_around_the_rule_degree(name):
         assert stage.value_sets(top) == longest[:top + 1], top
 
 
-def test_negative_control_falls_back_to_the_full_echelon():
-    # the final plane {x = 0} meets the conic with contact order 1 < 2, so
-    # the echelon runs to the top, as with no form, and no rule is recorded
-    stage = make_negative_control().flag.final_stage
-    assert stage.contact_order() == 1
+def test_cubic_off_the_flex_falls_back_to_the_full_echelon(off_flex_cubic):
+    # V(1) = {0, 1, 2} lacks e = 3, as no line meets the cubic at the point
+    # alone, so the echelon runs to the top and no rule is recorded; d'H -
+    # 3d'p is trivial exactly for even d', as H - 3p has order 2, so 3d' is
+    # an order of degree d' for even d' and 3d' - 1 for odd d'
+    stage = off_flex_cubic.flag.final_stage
     sets, rule_from = stage.value_sets_and_rule(12)
     assert rule_from is None
-    assert sets == _formless(stage).value_sets(12) == tuple(
-        per_degree_value_set(stage, d) for d in range(13))
+    assert sets == tuple(per_degree_value_set(stage, d) for d in range(13))
+    assert sets[1] == (0, 1, 2)
+    for degree in range(1, 13):
+        top = 3 * degree
+        expected = ((*range(top - 1), top) if degree % 2 == 0
+                    else tuple(range(top)))
+        assert sets[degree] == expected, degree
+
+
+@pytest.mark.parametrize("name", CASE_NAMES + ("negative_control",))
+def test_value_sets_do_not_depend_on_the_final_form(name, monkeypatch):
+    # the valuation reads the curve and the point alone: seeded integer
+    # lines through the point, a*p = 0, give the shipped flag's value sets
+    # and rule from one branch solve at (d0 + 1)*e + 1 (none on a line);
+    # the negative control's are the quadric surface's, on the same conic
+    shipped = make_case("quadric_surface" if name == "negative_control"
+                        else name).flag.final_stage
+    expected = shipped.value_sets_and_rule(300)
+    flag = (make_negative_control() if name == "negative_control"
+            else make_case(name)).flag
+    point = [int(v) for v in flag.point]
+    pivot = next(i for i, v in enumerate(point) if v)
+    rng = random.Random(30)
+    stages = []
+    while len(stages) < 3:
+        r = [rng.randrange(-4, 5) for _ in point]
+        dot = sum(a * v for a, v in zip(r, point))
+        coeffs = [point[pivot] * a - (i == pivot) * dot
+                  for i, a in enumerate(r)]
+        if any(coeffs):
+            stages.append(Flag(flag.ambient_vars, flag.relation, flag.steps,
+                               HomogPoly.linear_form(coeffs),
+                               flag.point).final_stage)
+    e = shipped.curve_degree
+    if e > 1:
+        assert any(stage.contact_order() < e for stage in stages)
+    computed = _count_branch_solves(monkeypatch)
+    for stage in stages:
+        computed.clear()
+        assert stage.value_sets_and_rule(300) == expected, stage.form
+        assert computed == ([(_rule_degree(stage) + 1) * e + 1] if e > 1
+                            else []), stage.form
 
 
 def test_a_failed_rule_check_falls_back_to_the_full_echelon(monkeypatch):
@@ -475,21 +518,20 @@ def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
     assert computed == [7, 4, 7, 7, 7]
 
 
-def test_branch_powers_of_the_fallback(monkeypatch):
-    # with no final form the echelon runs to top, with one solve at
-    # precision top*e + 1; on the negative control (conic, d0 = 0) the
-    # contact order 1 < 2 is read off the rule's solve at precision 3,
-    # and the echelon then runs to top on a second solve at top*e + 1
+def test_branch_powers_of_the_fallback(monkeypatch, off_flex_cubic):
+    # the echelon first runs to d0 + 1 on one solve at (d0 + 1)*e + 1; off
+    # the cubic's flex (d0 = 1) V(1) lacks e = 3, so it then runs to top on
+    # a second solve at top*e + 1, while the negative control's conic (d0 =
+    # 0) has 2 in V(1) and takes the rule off its one solve at precision 3
     computed = _count_branch_solves(monkeypatch)
-    stage = make_case("fermat_cubic").flag.final_stage
-    formless = _formless(stage)
+    stage = off_flex_cubic.flag.final_stage
     for top in (5, 12):
-        assert formless.value_sets_and_rule(top)[1] is None
-    assert computed == [16, 37]
+        assert stage.value_sets_and_rule(top)[1] is None
+    assert computed == [7, 16, 7, 37]
     computed.clear()
     control = make_negative_control().flag.final_stage
-    assert control.value_sets_and_rule(5)[1] is None
-    assert computed == [3, 11]
+    assert control.value_sets_and_rule(5)[1] == 0
+    assert computed == [3]
 
 
 def test_reading_only_u0_solves_nothing(monkeypatch):

@@ -190,6 +190,17 @@ def test_non_transversal_parameter_fails_contact():
                     stage.form).contact_order()
 
 
+def test_cubic_off_the_flex_fails_only_contact(off_flex_cubic):
+    # its tangent meets y^2 z = x^3 + z^3 at (2:3:1) with contact order 2,
+    # so only the single-point check fails on this smooth curve
+    report = verify_flag(off_flex_cubic)
+    assert [check.name for check in report.checks if not check.passed] == [
+        "single-point contact"]
+    assert report.checks[-1].detail == (
+        "the final form meets the final curve at the point with contact "
+        "order 2 against required d = 3")
+
+
 def test_negative_control_fails_contact_check():
     report = verify_flag(make_negative_control())
     assert not report.passed
