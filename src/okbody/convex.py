@@ -94,10 +94,6 @@ class RationalPolytope(Frozen):
                            (alpha * qa + beta * ya) / g))
         return tuple(sorted(facets))
 
-    def __str__(self) -> str:
-        rows = [" (" + ", ".join(str(c) for c in v) + ")" for v in self.vertices]
-        return "polytope with vertices" + "".join(rows)
-
 
 def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
     """The vertices of the convex hull of planar points (ints or

@@ -1,18 +1,23 @@
 """Independent oracles used to pin expected values in the tests.
 
-The hull oracles are brute-force Caratheodory searches (in the plane by
-orientation tests, in n dimensions by barycentric solves over simplices),
-a facet enumeration over vertex subsets and a reference hull of any
-dimension by double description, all with their own exact elimination; the surface valuation oracles expand sections in explicit
-local coordinates (bivariate series solved by a hand-derived recurrence,
-or exact polynomial substitution), and a form is expanded along a curve's
-branch by sympy polynomial substitution, so agreement with the library is
-meaningful evidence.  The same exact elimination solves linear systems and
-gives the powers system's bases, multiplied out from level-1 monomials
-instead of counted by the library's standard-monomial argument.  Division
-by a single relation, and with it normal forms modulo a case's relation,
-is the oracles' own: the library never divides, since it counts graded
-pieces by their Hilbert function and reads value sets off the final curve.
+The hull oracles are exact and share no code with okbody.convex: a
+planar vertex test by orientations (a point is a vertex when the others
+lie in an open half-plane through it, O(N^3)); a facet enumeration over
+point subsets, which also gives the vertices in n dimensions as the
+points whose tight facets have normals of full rank; and a reference
+hull of any dimension by double description, which shares only the
+oracles' own exact elimination with the facet enumeration.  The surface
+valuation oracles expand sections in explicit local coordinates
+(bivariate series solved by a hand-derived recurrence, or exact
+polynomial substitution), and a form is expanded along a curve's branch
+by sympy polynomial substitution, so agreement with the library is
+meaningful evidence.  The same exact elimination solves linear systems
+and gives the powers system's bases, multiplied out from level-1
+monomials instead of counted by the library's standard-monomial
+argument.  Division by a single relation, and with it normal forms
+modulo a case's relation, is the oracles' own: the library never
+divides, since it counts graded pieces by their Hilbert function and
+reads value sets off the final curve.
 
 The oracles build forms with the library's HomogPoly and graded_monomials,
 which have their own tests, and three reuse more.  The single-point oracle
@@ -31,6 +36,7 @@ only their last entries, fiber by fiber over the prefix sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
@@ -42,44 +48,26 @@ def orient(a, b, c) -> int:
     return (value > 0) - (value < 0)
 
 
-def on_segment(p, a, b) -> bool:
-    if orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def in_triangle(p, a, b, c) -> bool:
-    if orient(a, b, c) == 0:
-        return on_segment(p, a, b) or on_segment(p, b, c) or on_segment(p, a, c)
-    s1 = orient(a, b, p)
-    s2 = orient(b, c, p)
-    s3 = orient(c, a, p)
-    return (s1 >= 0 and s2 >= 0 and s3 >= 0) or (s1 <= 0 and s2 <= 0 and s3 <= 0)
-
-
-def in_hull_2d(p, points) -> bool:
-    """Caratheodory in the plane: p lies in the hull iff it coincides with a
-    point, lies on a segment, or lies in a triangle of the generators."""
-    pts = list(points)
-    if p in pts:
-        return True
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if on_segment(p, pts[i], pts[j]):
-                return True
-            for k in range(j + 1, n):
-                if in_triangle(p, pts[i], pts[j], pts[k]):
-                    return True
-    return False
-
-
 def brute_hull_vertices_2d(points):
-    """Minimal vertex set by testing every point against all the others."""
+    """The vertices of the hull of planar points, lex-sorted.  A point p is
+    a vertex exactly when the others lie in an open half-plane through p:
+    when no other point is given, or when some direction d from p to
+    another point has every other direction e strictly counterclockwise
+    from it, cross(d, e) > 0, or along it, cross(d, e) = 0 < d . e.  Each
+    direction is scaled to integers, which keeps both signs.  O(N^3)."""
     pts = sorted(set(points))
-    return sorted(p for p in pts
-                  if not in_hull_2d(p, [q for q in pts if q != p]))
+
+    def extreme(p):
+        directions = []
+        for q in pts:
+            if q != p:
+                x, y = Fraction(q[0] - p[0]), Fraction(q[1] - p[1])
+                scale = lcm(x.denominator, y.denominator)
+                directions.append((int(x * scale), int(y * scale)))
+        return not directions or any(all(
+            a * y - b * x > 0 or a * y == b * x and a * x + b * y > 0
+            for x, y in directions) for a, b in directions)
+    return [p for p in pts if extreme(p)]
 
 
 # -- exact n-dimensional hull oracles -------------------------------------------
@@ -87,8 +75,15 @@ def brute_hull_vertices_2d(points):
 
 def row_reduce(matrix):
     """Reduced row echelon form over Fraction: the nonzero rows and their
-    pivot columns."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
+    pivot columns.  The elimination runs on integer rows, each cleared of
+    denominators: clearing column col from a row takes lead * row -
+    row[col] * pivot and divides out its content; the pivot rows are
+    divided by their pivots at the end."""
+    rows = []
+    for row in matrix:
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
     width = len(rows[0]) if rows else 0
     pivots = []
     for col in range(width):
@@ -97,13 +92,16 @@ def row_reduce(matrix):
         if found is None:
             continue
         rows[r], rows[found] = rows[found], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot, lead = rows[r], rows[r][col]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if factor and i != r:
+                row = [lead * a - factor * b for a, b in zip(row, pivot)]
+                content = gcd(*row) or 1
+                rows[i] = [a // content for a in row]
         pivots.append(col)
-    return rows[:len(pivots)], pivots
+    return [[Fraction(a, row[p]) for a in row]
+            for row, p in zip(rows, pivots)], pivots
 
 
 def linear_solve(rows, target):
@@ -123,33 +121,29 @@ def linear_solve(rows, target):
     return weights
 
 
-def in_simplex(p, simplex) -> bool:
-    """p is a convex combination of the affinely independent points of the
-    simplex; False also when they are dependent (Caratheodory then finds p
-    in a smaller simplex)."""
-    m = len(simplex)
-    augmented = [[t[j] for t in simplex] + [p[j]] for j in range(len(p))]
-    augmented.append([1] * m + [1])
-    rows, pivots = row_reduce(augmented)
-    if pivots != list(range(m)):  # inconsistent, or dependent columns
-        return False
-    return all(row[m] >= 0 for row in rows)
+def brute_hull_vertices_nd(points):
+    """The vertices of the hull of rational points, lex-sorted: the points
+    whose tight facets have normals of full rank.  The points are projected
+    onto the pivot coordinates of their differences, which is injective on
+    their affine hull and makes them full-dimensional, and the facets there
+    come from brute_facets."""
+    pts = sorted({tuple(Fraction(v) for v in q) for q in points})
+    pivots = row_reduce([[a - b for a, b in zip(q, pts[0])] for q in pts])[1]
+    if not pivots:
+        return pts
+    projected = [tuple(q[j] for j in pivots) for q in pts]
+    facets = brute_facets(projected)
+    return [q for q, x in zip(pts, projected) if len(row_reduce([
+        normal for normal, offset in facets
+        if sum(a * c for a, c in zip(normal, x)) == offset])[1]) == len(pivots)]
 
 
 def in_hull_nd(p, points) -> bool:
-    """Caratheodory in n dimensions: p lies in the hull iff it lies in a
-    simplex of at most n + 1 of the points."""
+    """p lies in the hull of the points when it is one of them or is no
+    vertex of the hull of the points and p."""
     p = tuple(Fraction(v) for v in p)
-    pts = sorted({tuple(Fraction(v) for v in q) for q in points})
-    return any(in_simplex(p, simplex)
-               for size in range(1, len(p) + 2)
-               for simplex in combinations(pts, size))
-
-
-def brute_hull_vertices_nd(points):
-    """Minimal vertex set by testing every point against all the others."""
-    pts = sorted({tuple(Fraction(v) for v in q) for q in points})
-    return [p for p in pts if not in_hull_nd(p, [q for q in pts if q != p])]
+    pts = {tuple(Fraction(v) for v in q) for q in points}
+    return p in pts or p not in brute_hull_vertices_nd(pts | {p})
 
 
 def affine_dimension(points) -> int:
@@ -158,13 +152,17 @@ def affine_dimension(points) -> int:
     return len(row_reduce(differences)[1])
 
 
-def brute_facets(vertices):
+def brute_facets(points):
     """Inward facet inequalities (a, beta), a . x >= beta, of the hull of a
-    full-dimensional vertex list, with a primitive integer: every n-subset
-    of vertices spanning a hyperplane with all vertices on one side."""
-    n = len(vertices[0])
+    full-dimensional point list, with a primitive integer: every n-subset
+    of the points spanning a hyperplane with all points on one side.  The
+    search runs on the points times the lcm of their denominators, which
+    keeps each normal and scales each offset."""
+    n = len(points[0])
+    scale = lcm(*(Fraction(c).denominator for p in points for c in p))
+    scaled = [tuple(int(Fraction(c) * scale) for c in p) for p in points]
     found = set()
-    for subset in combinations(vertices, n):
+    for subset in combinations(scaled, n):
         base = subset[0]
         rows, pivots = row_reduce([[a - b for a, b in zip(v, base)]
                                    for v in subset[1:]])
@@ -180,14 +178,13 @@ def brute_facets(vertices):
         g = gcd(*ints)
         ints = [c // g for c in ints]
         offset = sum(a * c for a, c in zip(ints, base))
-        sides = [sum(a * c for a, c in zip(ints, v)) - offset for v in vertices]
+        sides = [sum(a * c for a, c in zip(ints, v)) - offset for v in scaled]
         if min(sides) < 0 < max(sides):
             continue
         if min(sides) < 0:  # flip to make the normal inward
             ints, offset = [-c for c in ints], -offset
-        found.add((tuple(ints), offset))
+        found.add((tuple(ints), Fraction(offset, scale)))
     return sorted(found)
-
 
 
 def kernel_basis(rows, length):
@@ -248,7 +245,7 @@ def reference_hull(points):
     (positive, negative) pairs that are tight on q.  Two rays are adjacent
     when no third ray is tight on every point that both are tight on.  A
     vertex is the only point tight on all of its facets."""
-    rows = [tuple(Fraction(c) for c in p) for p in points]
+    rows = [tuple(p) for p in points]  # ints and Fractions
     if not rows:
         raise ValueError("empty point set")
     n = len(rows[0])
@@ -256,7 +253,8 @@ def reference_hull(points):
         raise ValueError("mixed dimensions")
     scale = lcm(*(c.denominator for p in rows for c in p))
     ints = sorted(_segment_ends(list({
-        tuple(int(c * scale) for c in p) for p in rows})))
+        tuple(c.numerator * (scale // c.denominator) for c in p)
+        for p in rows})))
     base = ints[0]
     pivots = row_reduce([[a - b for a, b in zip(p, base)] for p in ints])[1]
     k = len(pivots)
@@ -375,12 +373,14 @@ def bi_pow(a: Bi, e: int, order: int) -> Bi:
     return out
 
 
+@cache
 def fermat_branch(order: int) -> Bi:
     """Solve 1 + y^3 + z^3 + w^3 = 0 for y = -1 + eta(z, w) near (z, w) = 0.
 
     Substituting gives 3*eta - 3*eta^2 + eta^3 + z^3 + w^3 = 0, so eta is the
     fixed point of eta = (-z^3 - w^3 + 3*eta^2 - eta^3)/3, and each iteration
-    gains at least three correct orders because eta has order 3.
+    gains at least three correct orders because eta has order 3.  Cached
+    per order: the callers only read it.
     """
     eta: Bi = {}
     base: Bi = {(3, 0): Fraction(-1), (0, 3): Fraction(-1)}  # keys (z, w)

@@ -412,27 +412,27 @@ def test_scaled_simplex_matches_the_reference_hull(n):
         assert len(simplex.vertices) == len(simplex.facets()) == n + 1
 
 
-# -- dilation and equality --------------------------------------------------------
+# -- scaling and equality --------------------------------------------------------
 
 
-def _dilate(polytope, factor):
+def _scaled(polytope, factor):
     return RationalPolytope(polytope.dim, (
         (factor * q, factor * y) for q, y in polytope.polygon))
 
 
-def test_dilate_examples():
+def test_scaling_the_polygon_examples():
     unit = scaled_simplex(2, 1, 1)
-    assert _dilate(unit, 2) == scaled_simplex(2, 2, 1)
-    assert _dilate(unit, 1) == unit
-    assert _dilate(scaled_simplex(2, 1, 3), 2) == scaled_simplex(2, 2, 3)
+    assert _scaled(unit, 2) == scaled_simplex(2, 2, 1)
+    assert _scaled(unit, 1) == unit
+    assert _scaled(scaled_simplex(2, 1, 3), 2) == scaled_simplex(2, 2, 3)
 
 
 @given(a=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
        b=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4))
 @settings(max_examples=40, deadline=None)
-def test_dilate_composes(a, b):
+def test_scaling_the_polygon_composes(a, b):
     simplex = scaled_simplex(2, 1, 3)
-    assert _dilate(_dilate(simplex, a), b) == _dilate(simplex, a * b)
+    assert _scaled(_scaled(simplex, a), b) == _scaled(simplex, a * b)
 
 
 def test_polytope_equal_examples():

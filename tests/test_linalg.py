@@ -85,7 +85,7 @@ def test_kernel_basis_unit_on_free_columns():
 # -- the library's elimination -------------------------------------------------
 
 
-def test_rank_and_independent_indices():
+def test_echelon_keeps_the_rows_that_raise_the_rank():
     rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)]
     form = Echelon(3)
     assert [form.add(row) for row in rows] == [True, False, True, False]

@@ -85,18 +85,6 @@ def test_powers_basis_spans_inside_complete(quadric):
                             p.coefficient_vector(coords)) is not None
 
 
-def test_graded_pieces_multiply_into_higher_levels(quadric):
-    # V_1 . V_2 lands in V_3 for the powers system
-    coords = graded_monomials(4, 3)
-    level_three = [p.coefficient_vector(coords)
-                   for p in powers_basis(quadric, 3)]
-    for a in powers_basis(quadric, 1):
-        for b in powers_basis(quadric, 2):
-            product = reduce_section(quadric, a * b)
-            assert linear_solve(level_three,
-                                product.coefficient_vector(coords)) is not None
-
-
 def test_unknown_kind_rejected(p2):
     with pytest.raises(ValueError, match="kind must be one of"):
         semigroup(p2, "nonsense", 1)
