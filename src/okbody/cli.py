@@ -138,9 +138,7 @@ class _UsageError(Exception):
 
 
 class _VerificationRefused(Exception):
-    def __init__(self, report):
-        super().__init__("flag verification failed")
-        self.report = report
+    """A flag failed verification; _checked has printed its report."""
 
 
 def _checked(case: CaseStudy, verbose: bool) -> CaseStudy:
@@ -148,7 +146,7 @@ def _checked(case: CaseStudy, verbose: bool) -> CaseStudy:
     if verbose or not report.passed:
         print(report)
     if not report.passed:
-        raise _VerificationRefused(report)
+        raise _VerificationRefused
     return case
 
 

@@ -130,11 +130,12 @@ class OkounkovSemigroup(Frozen):
         return sizes
 
     def proof_level(self, k: int) -> int | None:
-        """max(m*, k) + 1 of generation_degree's lemma if <= M, else None."""
-        if (d0 := self.rule_from) is None:
+        """max(m*, k) + 1 of generation_degree's lemma if <= M, else None,
+        m* = 1 + ceil((2g - 1)/(c*e)) when the rule gave V."""
+        if self.rule_from is None:
             return None
         c, e = self.case.c, self.case.flag.final_stage.curve_degree
-        m_star = max(-(-d0 // c), 1 - (1 - (e - 1) * (e - 2)) // (c * e))
+        m_star = 1 - (1 - (e - 1) * (e - 2)) // (c * e)
         return max(m_star, k) + 1 if max(m_star, k) < self.max_level else None
 
 
@@ -152,7 +153,7 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
         raise TypeError(f"max_level must be an int, not {max_level!r}")
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    system, p = GradedSystem(case), len(case.flag.stages)
+    system, p = GradedSystem(case), len(case.flag.steps)
     curve, rule_from = case.flag.final_stage.value_sets_and_rule(
         case.section_degree(max_level))
     sg = OkounkovSemigroup(case, kind, max_level, curve, p, rule_from)
@@ -210,10 +211,11 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
 
     A witness on levels 1..M; a proof at every level when the rule gave V
     from d0 = sg.rule_from on, as then level m + 1 is level m plus level 1
-    for m >= m* = max(ceil(d0/c), 1 + ceil((2g - 1)/(c*e))): (k, j) with s
-    = sum(k) >= c is (k - a, j) + (a, 0), sum(a) = c; else, t = c - s,
-    V(cm + t) = (V(cm) + te) | {0, ..., te - 1}, te and 0 lie in V(t), and
-    {0, ..., cme - 2g} in V(cm).  It reads levels to min(M, max(m*, k) + 1)."""
+    for m >= m* = 1 + ceil((2g - 1)/(c*e)), at least ceil(2g/(c*e)) =
+    ceil(d0/c): (k, j) with s = sum(k) >= c is (k - a, j) + (a, 0), sum(a)
+    = c; else, t = c - s, V(cm + t) = (V(cm) + te) | {0, ..., te - 1}, te
+    and 0 lie in V(t), and {0, ..., cme - 2g} in V(cm).  It reads levels to
+    min(M, max(m*, k) + 1)."""
     if type(kmax) is not int:
         raise TypeError(f"kmax must be an int, not {kmax!r}")
     if kmax < 1:

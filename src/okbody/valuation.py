@@ -1,15 +1,11 @@
-"""Flags: the restriction through each step and the orders at the point
-on the final curve.
+"""Flags: the restriction to the final curve and the orders at the point
+on it.
 
 A flag on an n-dimensional hypersurface (or projective space) is a chain of
-subvarieties cut by linear forms, ending in a rational point.  Each step is
-a linear change of coordinates that turns the step form h into a variable
-y; in the graded reverse lexicographic order with y smallest the leading
-monomial of the relation F is free of y, so {y^k, F} is a Groebner basis
-(Buchberger's coprime leading monomial criterion) and the standard
-monomials of degree D are y^k mu, mu standard on {h = 0}.  Setting y = 0
-restricts a form to {h = 0}; the steps take the relation and the final
-form down to the last curve of degree e (or line, e = 1).
+subvarieties cut by linear forms, ending in a rational point.  Each step
+restricts the relation, the later steps and the final form to {h = 0}, by
+writing the last variable in h through the others, down to the last curve
+of degree e (or line, e = 1); only that curve and the point are kept.
 
 On that curve, in the chart at the point, t is the parameter's offset, u
 the dependent coordinate's and u(t) the curve's branch.  A form of degree
@@ -38,37 +34,6 @@ class ZeroSectionError(ValueError):
     """A form vanishes along the final curve's branch at the point, so its
     order there is undefined: the final form, when it vanishes on the
     curve, or a form of some degree that does not vanish on the curve."""
-
-
-class _Step(Frozen):
-    """Restriction to the divisor {h = 0} of the hypersurface {F = 0} (or of
-    projective space), in coordinates where x_pivot is replaced by
-    y = h(x): ``to_y`` writes the old x_pivot through y and the other
-    coordinates, and ``relation`` is F after that substitution."""
-
-    def __init__(self, pivot: int, to_y: HomogPoly,
-                 relation: HomogPoly | None):
-        vars(self).update(pivot=pivot, to_y=to_y, relation=relation)
-
-    @classmethod
-    def build(cls, h: HomogPoly, relation: HomogPoly | None) -> _Step:
-        coeffs = [h.terms.get(tuple(1 if j == i else 0
-                                    for j in range(h.num_vars)), Fraction(0))
-                  for i in range(h.num_vars)]
-        pivot = max(i for i, c in enumerate(coeffs) if c)
-        to_y = HomogPoly.linear_form(
-            [1 / coeffs[pivot] if i == pivot else -c / coeffs[pivot]
-             for i, c in enumerate(coeffs)])
-        if relation is not None:
-            relation = relation.substitute(pivot, to_y)
-            if not relation.coefficient_of(pivot, 0):
-                raise ValueError("a flag step divides the relation")
-        return cls(pivot, to_y, relation)
-
-    def restrict(self, poly: HomogPoly) -> HomogPoly:
-        """The restriction of a form to {h = 0}."""
-        moved = poly.substitute(self.pivot, self.to_y)
-        return moved.coefficient_of(self.pivot, 0)
 
 
 class _FinalStage(Frozen):
@@ -205,20 +170,13 @@ class Flag:
         self.final_form = self.checked_form(final_form, ambient_vars)
         self.point = self.checked_point(point, ambient_vars, relation,
                                         (*self.steps, self.final_form))
-        self.stages, self.final_stage, self._alive = self._build_stages()
+        self.final_stage, self.chart_var, self.parameter_var = (
+            self._build_final_stage())
 
     @property
     def n(self) -> int:
         """Dimension of the variety the flag lives on."""
         return len(self.steps) + 1
-
-    @property
-    def chart_var(self) -> int:
-        return self._alive[self.final_stage.chart]
-
-    @property
-    def parameter_var(self) -> int:
-        return self._alive[self.final_stage.param]
 
     @staticmethod
     def checked_relation(relation: HomogPoly | None,
@@ -252,25 +210,36 @@ class Flag:
             raise ValueError("the flag point must lie on the hypersurface")
         return point
 
-    def _build_stages(self) -> tuple[list[_Step], _FinalStage, list[int]]:
+    def _build_final_stage(self) -> tuple[_FinalStage, int, int]:
+        """The final stage, and its chart and parameter as ambient indices.
+        Each step restricts the relation, the later steps and the final
+        form to {h = 0}: the pivot is the last variable in h = sum c_i x_i,
+        and on {h = 0} x_pivot is -(sum_{i != pivot} c_i x_i)/c_pivot, the
+        y^0 part of x_pivot written through y = h."""
         alive = list(range(self.ambient_vars))
         relation = self.relation
-        pending = list(self.steps)
-        final_form = self.final_form
+        forms = [*self.steps, self.final_form]
         point = list(self.point)
-        stages: list[_Step] = []
-        for index, form in enumerate(pending):
-            if not form:
+        for index in range(len(self.steps)):
+            h, *forms = forms
+            if not h:
                 raise ValueError(f"flag step {index + 1} vanishes on the "
                                  "flag member before it")
-            step = _Step.build(form, relation)
-            stages.append(step)
+            coeffs = [h.terms.get(tuple(int(j == i) for j in range(
+                h.num_vars)), Fraction(0)) for i in range(h.num_vars)]
+            pivot = max(i for i, c in enumerate(coeffs) if c)
+            on_h = HomogPoly.linear_form(
+                [0 if i == pivot else -c / coeffs[pivot]
+                 for i, c in enumerate(coeffs)])
+
+            def restrict(poly: HomogPoly) -> HomogPoly:
+                return poly.substitute(pivot, on_h).coefficient_of(pivot, 0)
             if relation is not None:
-                relation = step.relation.coefficient_of(step.pivot, 0)
-            pending[index + 1:] = [step.restrict(f) for f in pending[index + 1:]]
-            final_form = step.restrict(final_form)
-            del point[step.pivot]
-            del alive[step.pivot]
+                relation = restrict(relation)
+                if not relation:
+                    raise ValueError("a flag step divides the relation")
+            forms = [restrict(f) for f in forms]
+            del point[pivot], alive[pivot]
         num_vars = self.ambient_vars - len(self.steps)
         if num_vars not in (2, 3):
             raise ValueError("flag does not end on a curve")
@@ -285,5 +254,5 @@ class Flag:
             others.sort(key=lambda i: bool(relation.partial(i).evaluate(point)))
         param, dep = (*others, None)[:2]
         final = _FinalStage(relation, tuple(point), chart, param, dep,
-                            final_form)
-        return stages, final, alive
+                            forms[0])
+        return final, alive[chart], alive[param]

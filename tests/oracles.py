@@ -23,9 +23,10 @@ The oracles build forms with the library's HomogPoly and graded_monomials,
 which have their own tests, and three reuse more.  The single-point oracle
 scans E(F_p) with the library's group law, so it checks the witness tables
 of okbody.elliptic rather than the arithmetic.  The flag-expansion value
-set takes each step's change of coordinates from the flag, and both it and
-the per-degree value set take the branch u(t) of the final curve from the
-library's solver; the series of a form along that branch is their own
+set builds each step's change of coordinates itself, from the flag's
+relation and step forms, but it and the per-degree value set take the
+final curve and its chart from the flag's final stage and the branch u(t)
+from the library's solver; the series of a form along that branch is their own
 (their own translation and truncated products of u, checked against sympy's
 form_along_branch), so they check how value sets are assembled and share
 none of the final stage's power sums.  The generation-degree oracle adds
@@ -641,35 +642,62 @@ def oracle_value_set(case, basis):
     raise RuntimeError("oracle triangularization did not terminate")
 
 
+def step_coordinates(relation, steps):
+    """(pivot, to_y, relation') for each flag step h, in the coordinates of
+    the member before it: the pivot is the last variable in h, to_y writes
+    x_pivot through y = h and the other coordinates, and relation' is the
+    relation after that substitution (None on projective space).  The
+    relation and the later steps go on to {h = 0} as their y^0 part."""
+    from okbody.polynomials import HomogPoly
+
+    coordinates, steps = [], list(steps)
+    while steps:
+        h, *steps = steps
+        units = [tuple(int(j == i) for j in range(h.num_vars))
+                 for i in range(h.num_vars)]
+        coeffs = [h.terms.get(unit, 0) for unit in units]
+        pivot = max(i for i, c in enumerate(coeffs) if c)
+        to_y = HomogPoly.linear_form([
+            (1 if i == pivot else -c) / coeffs[pivot]
+            for i, c in enumerate(coeffs)])
+        moved = (None if relation is None
+                 else relation.substitute(pivot, to_y))
+        coordinates.append((pivot, to_y, moved))
+        relation = None if moved is None else moved.coefficient_of(pivot, 0)
+        steps = [f.substitute(pivot, to_y).coefficient_of(pivot, 0)
+                 for f in steps]
+    return coordinates
+
+
 def expansion_value_set(basis, flag):
     """The value set of the span of a basis independent modulo the
     relation, from the sections' flag expansions.  Each step writes a
-    section in its coordinates (x_pivot through y = h), takes the remainder
-    of one division by the relation in grevlex with y smallest, and splits
-    it by the power k of y into sections on the next member; a final block
-    of prefix (k_1, ..., k_{n-1}) puts its series coefficient j at the
-    point in column (k_1, ..., k_{n-1}, j).  The value set is the pivot
-    columns of the sections' rows, by ``row_reduce``, in lex order."""
+    section in its coordinates (x_pivot through y = h, by
+    ``step_coordinates`` of the flag's relation and steps), takes the
+    remainder of one division by the relation in grevlex with y smallest,
+    and splits it by the power k of y into sections on the next member; a
+    final block of prefix (k_1, ..., k_{n-1}) puts its series coefficient j
+    at the point in column (k_1, ..., k_{n-1}, j).  The value set is the
+    pivot columns of the sections' rows, by ``row_reduce``, in lex order."""
     from okbody.polynomials import HomogPoly
 
-    def expand(section, stages, prefix):
-        if not stages:
+    def expand(section, coordinates, prefix):
+        if not coordinates:
             (series,) = final_series(flag.final_stage, section)
             return {prefix + (j,): c for j, c in enumerate(series) if c}
-        step, split, row = stages[0], {}, {}
-        normal = section.substitute(step.pivot, step.to_y)
-        if step.relation is not None:
-            normal = poly_divmod(normal, step.relation,
-                                 grevlex_order(step.pivot))[1]
+        (pivot, to_y, relation), split, row = coordinates[0], {}, {}
+        normal = section.substitute(pivot, to_y)
+        if relation is not None:
+            normal = poly_divmod(normal, relation, grevlex_order(pivot))[1]
         for e, c in normal.terms.items():
-            split.setdefault(e[step.pivot], {})[
-                e[:step.pivot] + e[step.pivot + 1:]] = c
+            split.setdefault(e[pivot], {})[e[:pivot] + e[pivot + 1:]] = c
         for k, terms in split.items():
             block = HomogPoly(section.num_vars - 1, section.degree - k, terms)
-            row.update(expand(block, stages[1:], prefix + (k,)))
+            row.update(expand(block, coordinates[1:], prefix + (k,)))
         return row
 
-    rows = [expand(section, flag.stages, ()) for section in basis]
+    coordinates = step_coordinates(flag.relation, flag.steps)
+    rows = [expand(section, coordinates, ()) for section in basis]
     columns = sorted(set().union(*rows))
     _reduced, pivots = row_reduce([[row.get(col, 0) for col in columns]
                                    for row in rows])

@@ -77,7 +77,8 @@ def test_negative_q_rejected_in_every_dimension(dim):
 
 def test_each_polytope_is_hulled_once(monkeypatch):
     # scaled_simplex makes one planar hull; body_estimate makes two, its
-    # chain of the corner pairs and the constructor's hull of P's vertices
+    # chain of at most 2(c*M + 1) corner pairs, where every level's fibers
+    # are c*M^2/2, and the constructor's hull of P's vertices
     handed = []
 
     def counting_hull(points):
@@ -90,12 +91,16 @@ def test_each_polytope_is_hulled_once(monkeypatch):
         handed.clear()
         scaled_simplex(n, c, d)
         assert handed == [3], (n, c, d)
-    sg = semigroup(make_case("fermat_cubic"), "complete", 300)
-    handed.clear()
-    body, calls = body_estimate(sg), handed[:]
+    for name, max_level in (("quadric_surface", 7), ("fermat_cubic", 300)):
+        case = make_case(name)
+        sg = semigroup(case, "complete", max_level)
+        handed.clear()
+        body, calls = body_estimate(sg), handed[:]
+        handed.clear()
+        assert body == case.expected_body() and handed == [3], name
+        assert len(calls) == 2 and calls[0] <= 2 * (case.c * max_level + 1)
+        assert calls[1] == len(body.polygon) == 3, name
     assert body == scaled_simplex(2, 1, 3)
-    assert len(calls) == 2 and calls[0] <= 2 * (sg.case.c * 300 + 1)
-    assert calls[1] == len(body.polygon) == 3
 
 
 def _counterclockwise(chain):
@@ -234,14 +239,14 @@ def _fake(c, steps, curve):
                              (len(curve) - 1) // c, curve, steps)
 
 
-def test_cone_slice_level_one_points():
+def test_body_of_level_one_points():
     # level 1 of V(0) = {0}, V(1) = {0, 3}: (0, 0), (0, 3) and (1, 0)
     sg = _fake(1, 1, ((0,), (0, 3)))
     assert body_estimate(sg) == RationalPolytope(2, [(0, 0), (1, 0), (0, 3)])
     assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 
 
-def test_cone_slice_divides_by_level():
+def test_body_divides_by_level():
     # level 1 is empty and level 2 is (6,) alone; with steps level 1 would
     # hold (1, 0), the pair of V(0) = {0}
     sg = _fake(1, 0, ((), (), (6,)))
@@ -249,7 +254,7 @@ def test_cone_slice_divides_by_level():
     assert body_estimate(sg).vertices == ((F(3),),)
 
 
-def test_cone_slice_empty_rejected():
+def test_body_without_vectors_rejected():
     with pytest.raises(ValueError, match="needs a vertex"):
         body_estimate(_fake(1, 0, ((), ())))
 

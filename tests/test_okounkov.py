@@ -5,9 +5,8 @@ from math import ceil, comb
 
 import pytest
 
-from okbody import okounkov, valuation
-from okbody.convex import (RationalPolytope, planar_hull, polytope_equal,
-                           scaled_simplex)
+from okbody import valuation
+from okbody.convex import RationalPolytope, polytope_equal, scaled_simplex
 from okbody.linalg import Echelon
 from okbody.okounkov import (KINDS, GradedSystem, OkounkovSemigroup,
                              body_estimate, generation_degree, semigroup,
@@ -300,14 +299,13 @@ def _frozen_value(name):
     body, report = body_estimate(sg), verify_flag(case)
     return {"RationalPolytope": (body, "vertices"),
             "OkounkovSemigroup": (sg, "curve"),
-            "_Step": (case.flag.stages[0], "to_y"),
             "_FinalStage": (case.flag.final_stage, "point"),
             "FlagCheck": (report.checks[0], "passed"),
             "FlagReport": (report, "checks")}[name]
 
 
 @pytest.mark.parametrize("name", [
-    "RationalPolytope", "OkounkovSemigroup", "_Step", "_FinalStage",
+    "RationalPolytope", "OkounkovSemigroup", "_FinalStage",
     "FlagCheck", "FlagReport"])
 def test_frozen_values_refuse_setattr_and_delattr(name):
     value, field = _frozen_value(name)
@@ -510,21 +508,6 @@ def test_body_of_seeded_gapped_fibers_is_the_lifted_chain():
         sg = _fake(c, steps, curve)
         assert matches_reference_hull(body_estimate(sg),
                                        _corner_quotients(sg)), (steps, curve)
-
-
-def test_body_hulls_at_most_two_pairs_per_degree(monkeypatch):
-    # one planar chain of each degree's two corners at its first level,
-    # 2(c*M + 1) pairs at most, where every level's fibers are c*M^2/2
-    handed = []
-
-    def counting_hull(points):
-        points = list(points)
-        handed.append(len(points))
-        return planar_hull(points)
-    monkeypatch.setattr(okounkov, "planar_hull", counting_hull)
-    sg = semigroup(make_case("fermat_cubic"), "complete", 300)
-    assert body_estimate(sg) == scaled_simplex(2, 1, 3)
-    assert len(handed) == 1 and handed[0] <= 2 * (sg.case.c * 300 + 1)
 
 
 @pytest.mark.parametrize("curve", [((),), ((1,),), ((0, 2),)])

@@ -10,7 +10,7 @@ from okbody.okounkov import body_estimate, semigroup
 from okbody.polynomials import HomogPoly, graded_monomials
 from okbody.series import (PRECISION_CAP, PrecisionError, branch_equation,
                            series_solve_branch)
-from okbody.valuation import Flag, ZeroSectionError, _Step
+from okbody.valuation import Flag, ZeroSectionError
 from okbody.varieties import (CASE_NAMES, CaseStudy, make_negative_control,
                               verify_flag)
 
@@ -18,7 +18,7 @@ from oracles import (expansion_value_set, final_series, form_along_branch,
                      grevlex_order, linear_solve, oracle_valuation,
                      oracle_value_set, per_degree_value_set, poly_divmod,
                      reduce_section, riemann_roch_orders, row_reduce,
-                     standard_basis)
+                     standard_basis, step_coordinates)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -82,21 +82,24 @@ def test_restrict_through_relation_gives_constant():
 
 
 def test_restrict_order_zero():
-    assert _Step.build(W, FERMAT).restrict(X) == HomogPoly.variable(3, 0)
+    # x + y through {w = 0} on the Fermat cubic is x + y in x, y, z
+    flag = Flag(4, FERMAT, [W], X + Y, (1, -1, 0, 0))
+    assert flag.final_stage.form == HomogPoly.linear_form([1, 1, 0])
 
 
 def test_step_dividing_the_relation_rejected():
     with pytest.raises(ValueError, match="divides the relation"):
-        _Step.build(W, W * FERMAT)
+        Flag(4, W * FERMAT, [W], X + Y, (1, -1, 0, 0))
 
 
-def _divided_normal_form(step, section):
-    """The normal form of a section in a step's coordinates, by
-    substitution and one division."""
-    moved = section.substitute(step.pivot, step.to_y)
-    if step.relation is None:
+def _divided_normal_form(coordinates, section):
+    """The normal form of a section in one step's coordinates (pivot,
+    to_y, relation'), by substitution and one division."""
+    pivot, to_y, relation = coordinates
+    moved = section.substitute(pivot, to_y)
+    if relation is None:
         return moved
-    return poly_divmod(moved, step.relation, grevlex_order(step.pivot))[1]
+    return poly_divmod(moved, relation, grevlex_order(pivot))[1]
 
 
 # -- independent Groebner-basis oracle (sympy) ------------------------------------
@@ -132,8 +135,8 @@ def _oracle_sections(rng, h, relation, degree, count):
             section = section + relation * HomogPoly(
                 4, degree - relation.degree,
                 {m: rng.randrange(-2, 3) for m in rng.sample(monos, 1)})
-        if section and _divided_normal_form(_Step.build(h, relation),
-                                            section):
+        if section and _divided_normal_form(
+                step_coordinates(relation, [h])[0], section):
             out.append(section)
     return out
 
@@ -147,11 +150,11 @@ def test_order_and_cofactor_match_groebner_oracle(name, request):
     rng = random.Random(29)
     dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
     for h in (case.flag.steps[0], dense):
-        step = _Step.build(h, relation)
+        (step,) = step_coordinates(relation, [h])
         for degree in (2, 3):
             for section in _oracle_sections(rng, h, relation, degree, 5):
                 normal = _divided_normal_form(step, section)
-                p = step.pivot
+                p = step[0]
                 k = min(e[p] for e in normal.terms)
                 assert _in_ideal(section, [h ** k, relation], symbols)
                 assert not _in_ideal(section, [h ** (k + 1), relation],
