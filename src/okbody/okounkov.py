@@ -18,10 +18,10 @@ each its own normal form, so the degree-D piece has the value set
   {(k_1, ..., k_{n-1}, j) : sum k_i <= D, j in V(D - sum k_i)}
 
 in lex order, V(d') being the value set of the degree-d' forms on the final
-curve or line, all from one pass of the final stage.  A semigroup keeps
-only these sets: its generation search reads a level's fibers (s, V(c*m -
-s)) over the prefix sums s, its count is a prefix sum of the |V(d')|, and
-its vectors are built only when read.
+plane curve (a line on P^n), all from one pass of the final stage.  A
+semigroup keeps only these sets: its generation search reads a level's
+fibers (s, V(c*m - s)) over the prefix sums s, its count is a prefix sum
+of the |V(d')|, and its vectors are built only when read.
 
 Collecting the value sets of levels 1..M gives a finite piece of the graded
 value semigroup; the hull of its quotients v/m is an inner estimate of the
@@ -193,13 +193,9 @@ def vertex_criterion(candidate: RationalPolytope,
     occurring among the level-1 valuation vectors.  Combined with the
     candidate being a valid outer bound, this certifies finite generation of
     the graded value semigroup and pins the body to the candidate."""
-    available = set(level_one)
-    for vertex in candidate.vertices:
-        if any(c.denominator != 1 for c in vertex):
-            return False
-        if tuple(int(c) for c in vertex) not in available:
-            return False
-    return True
+    # a Fraction hashes and compares as its int, and a fractional one
+    # equals no int, so a fractional vertex is in no set of int vectors
+    return set(candidate.vertices) <= set(level_one)
 
 
 def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:

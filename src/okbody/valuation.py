@@ -4,8 +4,10 @@ on it.
 A flag on an n-dimensional hypersurface (or projective space) is a chain of
 subvarieties cut by linear forms, ending in a rational point.  Each step
 restricts the relation, the later steps and the final form to {h = 0}, by
-writing the last variable in h through the others, down to the last curve
-of degree e (or line, e = 1); only that curve and the point are kept.
+writing the last variable in h through the others, down to a plane curve
+of degree e; only that curve and the point are kept.  Projective space is
+read as a hyperplane in one more variable, so its flags end on a line, the
+plane curve of degree e = 1.
 
 On that curve, in the chart at the point, t is the parameter's offset, u
 the dependent coordinate's and u(t) the curve's branch.  A form of degree
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from .linalg import Echelon
 from .polynomials import Frozen, HomogPoly, Scalar, _exact
-from .series import PRECISION_CAP, PrecisionError, series_solve_branch
+from .series import series_solve_branch
 
 
 class ZeroSectionError(ValueError):
@@ -37,34 +39,22 @@ class ZeroSectionError(ValueError):
 
 
 class _FinalStage(Frozen):
-    def __init__(self, relation: HomogPoly | None,
-                 point: tuple[Fraction, ...], chart: int, param: int,
-                 dep: int | None, form: HomogPoly | None = None):
-        # relation is the plane-curve equation, None on a line; form is the
-        # flag's final form restricted to the curve, when built from a flag
+    def __init__(self, relation: HomogPoly, point: tuple[Fraction, ...],
+                 chart: int, param: int, dep: int,
+                 form: HomogPoly | None = None):
+        # relation is the plane curve's equation, linear on a line; form is
+        # the flag's final form restricted to the curve, when built from one
         vars(self).update(relation=relation, point=point, chart=chart,
                           param=param, dep=dep, form=form)
 
     @property
     def curve_degree(self) -> int:
-        return self.relation.degree if self.relation is not None else 1
-
-    def _precision(self, degree: int) -> int:
-        """The series length d'*e + 1 that covers the order of every form of
-        degree d' that does not vanish on the curve."""
-        precision = degree * self.curve_degree + 1
-        if precision > PRECISION_CAP:
-            raise PrecisionError(
-                f"forms of degree {degree} need precision {precision} above "
-                f"the cap PRECISION_CAP = {PRECISION_CAP}")
-        return precision
+        return self.relation.degree
 
     def _branch_powers(self, count: int, precision: int
                        ) -> tuple[tuple[Scalar, ...], ...]:
         """The powers u^0 .. u^(count-1) of the branch to the given
-        precision, from one solve (u^0 alone on a line)."""
-        if self.relation is None:
-            return ((Fraction(1),) + (0,) * (precision - 1),)
+        precision, from one solve."""
         return series_solve_branch(
             self.relation, self.point, precision, chart_var=self.chart,
             param_var=self.param, dep_var=self.dep, count=count)
@@ -72,12 +62,10 @@ class _FinalStage(Frozen):
     def contact_order(self) -> int:
         """The order at the point of the final form on the final curve: the
         form is a*t + b*u in the chart, so that of a*t + b*u(t) to t^e."""
-        # a and b are the form at unit vectors; with no dependent coordinate
-        # (a line) b is the form at zero, and only u^0 comes back
-        a, b = (self.form.evaluate([int(i == var) for i in range(
-            len(self.point))]) for var in (self.param, self.dep))
-        powers = self._branch_powers(2, self._precision(1))
-        u = powers[len(powers) > 1]
+        # a and b are the form at unit vectors
+        a, b = (self.form.evaluate([int(i == var) for i in range(3)])
+                for var in (self.param, self.dep))
+        u = self._branch_powers(2, self.curve_degree + 1)[1]
         for k in range(1, self.curve_degree + 1):
             if (a if k == 1 else 0) + b * u[k]:
                 return k
@@ -117,9 +105,8 @@ class _FinalStage(Frozen):
         e = self.curve_degree
         d0 = -(-(e - 1) * (e - 2) // e)
         # f's degree-e part is the curve's x_chart-free part, shift-invariant
-        b = 1 if self.relation is None else max(
-            (exps[self.dep] for exps in self.relation.terms
-             if not exps[self.chart]), default=None)
+        b = max((exps[self.dep] for exps in self.relation.terms
+                 if not exps[self.chart]), default=None)
         if b is None:
             raise ZeroSectionError(
                 "the final curve contains the chart's line at infinity, so "
@@ -129,7 +116,7 @@ class _FinalStage(Frozen):
         # u^(d'-i) read u^0 .. u^D if a > 0, u^0 .. u^(e-1) if a = 0
         a = e - b
         for reach in (d0 + 1, top) if top > d0 + 1 else (top,):
-            precision = self._precision(reach)
+            precision = reach * e + 1
             powers = self._branch_powers(
                 reach + 1 if a else min(reach + 1, e), precision)
             echelon, sets = Echelon(precision), []
@@ -158,8 +145,8 @@ class _FinalStage(Frozen):
 class Flag:
     """A full flag: linear step forms, a final linear form, and the point.
     The chart at the point is the first surviving coordinate nonzero there;
-    on a curve the dependent coordinate has a nonzero partial there (Euler's
-    relation gives one at a smooth point), so the parameter is transversal."""
+    the dependent coordinate has a nonzero partial there (Euler's relation
+    gives one at a smooth point), so the parameter is transversal."""
 
     def __init__(self, ambient_vars: int, relation: HomogPoly | None,
                  steps: Sequence[HomogPoly], final_form: HomogPoly,
@@ -212,14 +199,26 @@ class Flag:
 
     def _build_final_stage(self) -> tuple[_FinalStage, int, int]:
         """The final stage, and its chart and parameter as ambient indices.
+        P^n is read as the hyperplane {x_N = 0} in one more variable: the
+        steps, the final form and the point get a zero coordinate x_N, and
+        the flag ends on a line in the plane.  x_N is never the chart, being
+        0 at the point, and always the dependent coordinate, being the one
+        with a nonzero partial.
         Each step restricts the relation, the later steps and the final
         form to {h = 0}: the pivot is the last variable in h = sum c_i x_i,
         and on {h = 0} x_pivot is -(sum_{i != pivot} c_i x_i)/c_pivot, the
         y^0 part of x_pivot written through y = h."""
-        alive = list(range(self.ambient_vars))
-        relation = self.relation
+        num_vars, relation = self.ambient_vars, self.relation
         forms = [*self.steps, self.final_form]
         point = list(self.point)
+        if relation is None:
+            num_vars += 1
+            relation = HomogPoly.variable(num_vars, num_vars - 1)
+            forms = [HomogPoly(num_vars, 1, {(*exps, 0): c for exps, c
+                                             in form.terms.items()})
+                     for form in forms]
+            point.append(Fraction(0))
+        alive = list(range(num_vars))
         for index in range(len(self.steps)):
             h, *forms = forms
             if not h:
@@ -234,25 +233,18 @@ class Flag:
 
             def restrict(poly: HomogPoly) -> HomogPoly:
                 return poly.substitute(pivot, on_h).coefficient_of(pivot, 0)
-            if relation is not None:
-                relation = restrict(relation)
-                if not relation:
-                    raise ValueError("a flag step divides the relation")
+            relation = restrict(relation)
+            if not relation:
+                raise ValueError("a flag step divides the relation")
             forms = [restrict(f) for f in forms]
             del point[pivot], alive[pivot]
-        num_vars = self.ambient_vars - len(self.steps)
-        if num_vars not in (2, 3):
+        if len(point) != 3:
             raise ValueError("flag does not end on a curve")
-        if (num_vars == 3) != (relation is not None):
-            raise ValueError("final stage must be a plane curve with a "
-                             "relation or a line without one")
         # the point is nonzero off the pivots, which the other coordinates
         # fix; the dependent coordinate, with a nonzero partial, sorts last
         chart = next(i for i, v in enumerate(point) if v)
-        others = [i for i in range(num_vars) if i != chart]
-        if relation is not None:
-            others.sort(key=lambda i: bool(relation.partial(i).evaluate(point)))
-        param, dep = (*others, None)[:2]
+        param, dep = sorted((i for i in range(3) if i != chart), key=lambda i:
+                            bool(relation.partial(i).evaluate(point)))
         final = _FinalStage(relation, tuple(point), chart, param, dep,
                             forms[0])
         return final, alive[chart], alive[param]

@@ -145,8 +145,6 @@ class FlagReport(Frozen):
 
 
 def _smooth_hypersurface(form: HomogPoly) -> bool:
-    if form.degree == 1:
-        return True
     partials = [form.partial(i) for i in range(form.num_vars)]
     return not has_projective_common_zero(partials)
 
@@ -164,22 +162,16 @@ def verify_flag(case: CaseStudy) -> FlagReport:
             if smooth else "the relation defines a singular hypersurface"))
 
     stage = flag.final_stage
-    if stage.relation is None:
-        checks.append(FlagCheck("final curve smooth", True,
-                                "the final flag curve is a line"))
-    else:
-        smooth = _smooth_hypersurface(stage.relation)
-        checks.append(FlagCheck(
-            "final curve smooth", smooth,
-            f"plane curve of degree {stage.relation.degree}: partial "
-            "derivatives have no common projective zero (full-rank "
-            "resultant certificate)" if smooth
-            else "the final flag curve is singular"))
+    smooth = _smooth_hypersurface(stage.relation)
+    checks.append(FlagCheck(
+        "final curve smooth", smooth,
+        f"plane curve of degree {stage.relation.degree}: partial "
+        "derivatives have no common projective zero (full-rank resultant "
+        "certificate)" if smooth else "the final flag curve is singular"))
 
-    curve = "line" if stage.relation is None else "curve"
     if not stage.form:
         ok, detail = False, ("the final form contains a flag member: its "
-                             f"restriction to the final {curve} is zero")
+                             "restriction to the final curve is zero")
     else:
         try:
             order = stage.contact_order()
@@ -187,7 +179,7 @@ def verify_flag(case: CaseStudy) -> FlagReport:
             ok, detail = False, f"the final form's order at the point: {exc}"
         else:
             ok = order == case.d
-            detail = (f"the final form meets the final {curve} at the point "
+            detail = ("the final form meets the final curve at the point "
                       f"with contact order {order} against required "
                       f"d = {case.d}")
     checks.append(FlagCheck("single-point contact", ok, detail))

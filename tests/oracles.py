@@ -581,20 +581,19 @@ def final_series(stage, *forms):
     """The coefficients of t^0 .. t^(d'*e) of forms of one degree d' along
     a final stage's branch at its point: each form at x_chart = 1, x_param =
     t0 + t and x_dep = u0 + u(t), with (t0, u0) the point in the chart and u
-    the library's branch, as sums of truncated products of these series
-    (on a line no coordinate is dependent).  One list per form."""
+    the library's branch, as sums of truncated products of these series.
+    One list per form."""
     from okbody.series import series_solve_branch
 
     (degree,) = {form.degree for form in forms}
     length = degree * stage.curve_degree + 1
     scale = stage.point[stage.chart]
+    u = series_solve_branch(stage.relation, stage.point, length,
+                            chart_var=stage.chart, param_var=stage.param,
+                            dep_var=stage.dep, count=2)[1]
     values = {stage.chart: [1],
-              stage.param: [stage.point[stage.param] / scale, 1]}
-    if stage.dep is not None:
-        u = series_solve_branch(stage.relation, stage.point, length,
-                                chart_var=stage.chart, param_var=stage.param,
-                                dep_var=stage.dep, count=2)[1]
-        values[stage.dep] = [stage.point[stage.dep] / scale, *u[1:]]
+              stage.param: [stage.point[stage.param] / scale, 1],
+              stage.dep: [stage.point[stage.dep] / scale, *u[1:]]}
     powers = {var: [[1]] for var in values}
     for var, value in values.items():
         while len(powers[var]) <= degree:

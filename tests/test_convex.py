@@ -353,7 +353,7 @@ def fake_semigroups(draw):
 
 @given(fake_semigroups(), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
-def test_cone_slice_monotone(sg, levels):
+def test_body_estimate_monotone(sg, levels):
     # the body at max_level <= M lies in the body at M
     small = _fake(sg.case.c, sg.steps,
                   sg.curve[:sg.case.c * min(levels, sg.max_level) + 1])
@@ -363,7 +363,7 @@ def test_cone_slice_monotone(sg, levels):
 
 @given(fake_semigroups())
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_cone_slice_matches_hull_of_quotients(sg):
+def test_body_estimate_matches_hull_of_quotients(sg):
     # the lifted chain against the reference hull of every quotient
     assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from okbody import make_case, valuation
+from okbody import make_case, series, valuation
 from okbody.linalg import Echelon
 from okbody.okounkov import body_estimate, semigroup
 from okbody.polynomials import HomogPoly, graded_monomials
@@ -238,10 +238,6 @@ def _chart_choices(stage):
         if not value:
             continue
         others = [i for i in range(len(stage.point)) if i != chart]
-        if stage.relation is None:
-            yield valuation._FinalStage(stage.relation, stage.point, chart,
-                                        others[0], stage.dep, stage.form)
-            continue
         for param, dep in (others, others[::-1]):
             try:
                 branch_equation(stage.relation, stage.point, chart_var=chart,
@@ -328,16 +324,20 @@ def test_final_series_matches_chart_expansion(stage):
             form, stage.point, branch, stage.chart, stage.param, stage.dep)
 
 
+LINE = HomogPoly.variable(3, 2)   # the line {x2 = 0} in the plane
+LINE_POINT = (Fraction(3), Fraction(2), Fraction(0))
+
+
 def test_final_series_on_a_line():
-    # at (3:2) in the chart x0 = 1 a binary form is f(1, 2/3 + t)
-    stage = valuation._FinalStage(None, (Fraction(3), Fraction(2)), 0, 1,
-                                  None)
+    # at (3:2:0) on {x2 = 0}, in the chart x0 = 1, the branch is u = 0, so
+    # a form is f(1, 2/3 + t, 0): its terms in x2 drop out
+    stage = valuation._FinalStage(LINE, LINE_POINT, 0, 1, 2)
     rng = random.Random(8)
     for degree in (2, 0, 4, 1):
-        form = _random_form(rng, 2, degree)
+        form = _random_form(rng, 3, degree)
         expected = [sum((c * math.comb(e[1], j) * Fraction(2, 3) ** (e[1] - j)
-                         for e, c in form.terms.items() if e[1] >= j),
-                        Fraction(0))
+                         for e, c in form.terms.items()
+                         if e[1] >= j and not e[2]), Fraction(0))
                     for j in range(degree + 1)]
         assert final_series(stage, form)[0] == expected
 
@@ -345,12 +345,10 @@ def test_final_series_on_a_line():
 def test_final_stage_values():
     # built without a form, a final stage reads None there; stages with
     # equal fields are equal
-    line = valuation._FinalStage(None, (Fraction(3), Fraction(2)), 0, 1, None)
+    line = valuation._FinalStage(LINE, LINE_POINT, 0, 1, 2)
     assert line.form is None
-    assert line == valuation._FinalStage(None, (Fraction(3), Fraction(2)), 0,
-                                         1, None, None)
-    assert line != valuation._FinalStage(None, (Fraction(3), Fraction(2)), 1,
-                                         0, None)
+    assert line == valuation._FinalStage(LINE, LINE_POINT, 0, 1, 2, None)
+    assert line != valuation._FinalStage(LINE, LINE_POINT, 1, 0, 2)
     stage = make_case("quadric_surface").flag.final_stage
     assert stage == make_case("quadric_surface").flag.final_stage
     assert stage.form == HomogPoly.variable(3, 2)
@@ -412,12 +410,13 @@ def test_rule_past_the_old_cap_matches_riemann_roch(name):
 
 
 def test_the_full_echelon_past_the_old_cap_names_the_cap(off_flex_cubic):
-    # with no rule, top = 300 needs precision 301*e = 903 on the full
-    # echelon, past the cap; top = 171 needs 514, the first past it
+    # with no rule, top = 300 needs precision top*e + 1 = 901 on the full
+    # echelon, past the cap; top = 171 needs 514, the first past it; the
+    # branch solver refuses it and names the cap
     stage = off_flex_cubic.flag.final_stage
     for top in (300, 171):
         with pytest.raises(PrecisionError, match=rf"precision {top * 3 + 1} "
-                                                 "above the cap PRECISION_CAP"):
+                           r"exceeds the cap PRECISION_CAP = 512"):
             stage.value_sets(top)
 
 
@@ -453,8 +452,8 @@ def test_cubic_off_the_flex_falls_back_to_the_full_echelon(off_flex_cubic):
 def test_value_sets_do_not_depend_on_the_final_form(name, monkeypatch):
     # the valuation reads the curve and the point alone: seeded integer
     # lines through the point, a*p = 0, give the shipped flag's value sets
-    # and rule from one branch solve at (d0 + 1)*e + 1 (none on a line);
-    # the negative control's are the quadric surface's, on the same conic
+    # and rule from one branch solve at (d0 + 1)*e + 1, 2 on a line; the
+    # negative control's are the quadric surface's, on the same conic
     shipped = make_case("quadric_surface" if name == "negative_control"
                         else name).flag.final_stage
     expected = shipped.value_sets_and_rule(300)
@@ -480,8 +479,7 @@ def test_value_sets_do_not_depend_on_the_final_form(name, monkeypatch):
     for stage in stages:
         computed.clear()
         assert stage.value_sets_and_rule(300) == expected, stage.form
-        assert computed == ([(_rule_degree(stage) + 1) * e + 1] if e > 1
-                            else []), stage.form
+        assert computed == [(_rule_degree(stage) + 1) * e + 1], stage.form
 
 
 def test_a_failed_rule_check_falls_back_to_the_full_echelon(monkeypatch):
@@ -628,7 +626,7 @@ def test_ord_rejects_section_vanishing_on_curve():
 
 def test_order_search_names_the_precision_cap(monkeypatch):
     # the contact order on a cubic reads the branch to t^3, precision 4
-    monkeypatch.setattr(valuation, "PRECISION_CAP", 3)
+    monkeypatch.setattr(series, "PRECISION_CAP", 3)
     with pytest.raises(PrecisionError, match=r"PRECISION_CAP = 3"):
         _flex_contact(HomogPoly.linear_form([1, 1, 0]))
 
@@ -660,10 +658,9 @@ def test_leading_units(p2, fermat):
     assert p2.flag.final_stage.contact_order() == 1
     assert scaled.final_stage.contact_order() == 1
     assert fermat.flag.final_stage.contact_order() == 3
-    for case, curve in ((p2, "line"), (CaseStudy("p2", scaled, 1), "line"),
-                        (fermat, "curve")):
+    for case in (p2, CaseStudy("p2", scaled, 1), fermat):
         assert verify_flag(case).checks[-1].detail == (
-            f"the final form meets the final {curve} at the point with "
+            "the final form meets the final curve at the point with "
             f"contact order {case.d} against required d = {case.d}")
 
 
@@ -726,3 +723,11 @@ def test_flag_rejects_wrong_length():
     x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
     with pytest.raises(ValueError):
         Flag(3, None, [x1, x2], x2, (1, 0, 0))
+
+
+@pytest.mark.parametrize("steps", [[], [X - W, X]], ids=["none", "two"])
+def test_quadric_surface_flag_off_a_curve_rejected(steps):
+    # the quadric surface's flag takes one step to its conic
+    flag = make_case("quadric_surface").flag
+    with pytest.raises(ValueError, match="flag does not end on a curve"):
+        Flag(4, flag.relation, steps, flag.final_form, flag.point)

@@ -1,10 +1,11 @@
 import inspect
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from okbody.convex import polytope_equal
+from okbody.convex import polytope_equal, scaled_simplex
 from okbody.okounkov import body_estimate, semigroup, vertex_criterion
 from okbody.polynomials import HomogPoly
 from okbody.valuation import Flag, _FinalStage
@@ -12,7 +13,7 @@ from okbody.varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
                               case_study_to_json, make_case,
                               make_negative_control, verify_flag)
 
-from oracles import reduce_section
+from oracles import reduce_section, riemann_roch_orders
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -217,6 +218,63 @@ def test_quadric_threefold_body():
     sg = semigroup(case, "complete", 2)
     assert polytope_equal(body_estimate(sg), case.expected_body())
     assert vertex_criterion(case.expected_body(), sg.level(1))
+
+
+def test_projective_line():
+    # P^1 is its own final line: at c = 2, V(d') = {0, ..., d'}, the body
+    # is [0, 2] and the flag verifies
+    x0, x1 = (HomogPoly.variable(2, i) for i in range(2))
+    case = CaseStudy("p1", Flag(2, None, [], x1, (1, 0)), 2)
+    sg = semigroup(case, "complete", 4)
+    assert sg.curve == tuple(tuple(range(d + 1)) for d in range(9))
+    assert body_estimate(sg).vertices == ((0,), (2,))
+    assert verify_flag(case).passed
+
+
+def _seeded_projective_flags(count):
+    """Seeded flags on P^n, n = 1 .. 4, whose steps and final form are
+    seeded integer forms through a seeded integer point, kept when every
+    step cuts the member before it and the final form the final line."""
+    rng = random.Random(33)
+    flags = []
+    while len(flags) < count:
+        n = rng.randint(1, 4)
+        point = [rng.randrange(-3, 4) for _ in range(n + 1)]
+        if not any(point):
+            continue
+        pivot = next(i for i, v in enumerate(point) if v)
+        forms = []
+        for _ in range(n):
+            r = [rng.randrange(-4, 5) for _ in point]
+            dot = sum(a * v for a, v in zip(r, point))
+            forms.append(HomogPoly.linear_form(
+                [point[pivot] * a - (i == pivot) * dot
+                 for i, a in enumerate(r)]))
+        try:
+            flag = Flag(n + 1, None, forms[:-1], forms[-1], point)
+        except ValueError:          # a zero form, or a step off its member
+            continue
+        if flag.final_stage.form:
+            flags.append(flag)
+    return flags
+
+
+def test_seeded_flags_on_projective_space():
+    # a projective change of coordinates of the coordinate flag: each
+    # seeded flag ends on a line, with the value sets of Riemann-Roch,
+    # contact order 1 and the simplex scaled by c
+    flags = _seeded_projective_flags(40)
+    assert {flag.n for flag in flags} == {1, 2, 3, 4}
+    assert all(len(step.terms) > 1 for flag in flags for step in flag.steps)
+    for index, flag in enumerate(flags):
+        stage = flag.final_stage
+        assert stage.value_sets(8) == tuple(riemann_roch_orders(1, degree)
+                                            for degree in range(9))
+        assert stage.contact_order() == 1
+        case = CaseStudy("seeded", flag, 1 + index % 3)
+        assert verify_flag(case).passed
+        assert body_estimate(semigroup(case, "complete", 2)) == (
+            scaled_simplex(flag.n, case.c, 1))
 
 
 # -- fixture files -----------------------------------------------------------------
