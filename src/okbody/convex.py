@@ -12,7 +12,9 @@ vertices, (q*e_i, y) for each i when q > 0 and (0, y) when q = 0, which
 are its vertices, as for q > 0 they lie on distinct rays.  A polytope
 keeps P and that vertex list, lexicographically sorted, and two
 polytopes are equal exactly when these are identical: no tolerance ever
-enters.  P comes from Andrew's monotone chain, run on integers.
+enters.  P comes from Andrew's monotone chain, and the lift, the sort and
+the facets run on P's vertices, all on one integer chain (the points times
+their common denominator); each coordinate becomes a Fraction once.
 
 A full-dimensional lift has a facet per edge of P, with P's inward normal
 (alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
@@ -24,10 +26,9 @@ ints or Fractions; anything else, a float included, is a TypeError.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .polynomials import Frozen, Scalar, _exact
 
@@ -40,32 +41,34 @@ class RationalPolytope(Frozen):
     with q >= 0.  P is kept as `polygon`, its coordinates Fractions,
     counterclockwise from its lex-least vertex, and `vertices` are the
     sorted lifts of P's vertices; in dimension 1, where sum(x) = 0, P is
-    cut to its face on q = 0.  A dim other than an int >= 1, a point
-    other than a pair, q < 0 or no vertex is refused."""
+    cut to its face on q = 0; both are read off P's integer chain, each
+    distinct coordinate one shared Fraction.  A dim other than an int >= 1,
+    a point other than a pair, q < 0 or no vertex is refused."""
 
     def __init__(self, dim: int, points: Iterable[tuple[Scalar, Scalar]]):
         if type(dim) is not int:
             raise TypeError(f"dim must be an int, not {dim!r}")
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        points = [tuple(Fraction(_exact(c)) for c in point)
-                  for point in points]
+        points = [tuple(point) for point in points]
         if any(len(point) != 2 for point in points):
             raise ValueError("a point is not a pair (q, y)")
-        polygon = planar_hull(points)
+        scale, polygon = _integer_chain(planar_hull(points))
         if any(q < 0 for q, _y in polygon):
             raise ValueError("a point has q < 0")
         p, lifted = dim - 1, []
-        zero = (Fraction(0),) * p
+        zero = (0,) * p
         for q, y in polygon:
             lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,)
                         for i in range(p)] if q else [zero + (y,)])
         if not lifted:
             raise ValueError("a polytope needs a vertex")
         if not p:
-            polygon = tuple(point for point in polygon if not point[0])
-        vars(self).update(dim=dim, vertices=tuple(sorted(lifted)),
-                          polygon=polygon)
+            polygon = [point for point in polygon if not point[0]]
+        exact = {c: Fraction(c, scale) for c in {0}.union(*polygon)}
+        vars(self).update(dim=dim, polygon=tuple(
+            (exact[q], exact[y]) for q, y in polygon), vertices=tuple(
+            tuple(map(exact.__getitem__, v)) for v in sorted(lifted)))
 
     def is_full_dimensional(self) -> bool:
         return len(self.polygon) > (1 if self.dim == 1 else 2)
@@ -82,16 +85,15 @@ class RationalPolytope(Frozen):
             return (((-1,), -high), ((1,), low))
         facets = [(tuple(int(i == j) for j in range(p + 1)), Fraction(0))
                   for i in range(p)] if p > 1 else []
-        for (qa, ya), (qb, yb) in zip(polygon, polygon[1:] + polygon[:1]):
+        scale, chain = _integer_chain(polygon)
+        for (qa, ya), (qb, yb) in zip(chain, chain[1:] + chain[:1]):
             if p > 1 and qa == qb == 0:
                 continue
             # the inward normal is the left one on a counterclockwise edge
             alpha, beta = ya - yb, qb - qa
-            scale = lcm(alpha.denominator, beta.denominator)
-            alpha, beta = int(alpha * scale), int(beta * scale)
             g = gcd(alpha, beta)
             facets.append(((alpha // g,) * p + (beta // g,),
-                           (alpha * qa + beta * ya) / g))
+                           Fraction(alpha * qa + beta * ya, g * scale)))
         return tuple(sorted(facets))
 
 
@@ -101,9 +103,8 @@ def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
     an edge (Andrew's monotone chain): one point for a point and two for a
     segment.  It chains the points times their common denominator, as
     ints, and returns the first given of equal points."""
-    points = dict.fromkeys(points)
-    scale = lcm(*{_exact(c).denominator for q, y in points for c in (q, y)})
-    given = {(int(p[0] * scale), int(p[1] * scale)): p for p in points}
+    points = list(dict.fromkeys(points))
+    given = dict(zip(_integer_chain(points)[1], points))
     keys = sorted(given)
 
     def chain(run):
@@ -120,6 +121,15 @@ def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
 
     hull = chain(keys)[:-1] + chain(reversed(keys))[:-1]
     return tuple(given[k] for k in hull or keys)  # keys: one point or none
+
+
+def _integer_chain(points: Sequence[tuple[Scalar, Scalar]]) -> tuple:
+    """The common denominator of planar points (ints or Fractions) and the
+    points times it, as int pairs."""
+    scale = lcm(*{_exact(c).denominator for q, y in points for c in (q, y)})
+    return scale, [(q.numerator * (scale // q.denominator),
+                     y.numerator * (scale // y.denominator))
+                    for q, y in points]
 
 
 def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
@@ -144,10 +154,9 @@ def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:
 
 def polytope_to_json(polytope: RationalPolytope) -> str:
     """Canonical UTF-8 text form, bit-exact across runs: rationals are
-    rendered as "numerator/denominator"."""
-    payload = {
-        "dim": polytope.dim,
-        "vertices": [[f"{c.numerator}/{c.denominator}" for c in v]
-                     for v in polytope.vertices],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    rendered as "numerator/denominator", in the text of
+    json.dumps(payload, indent=2) and a newline, written directly."""
+    rows = ",\n".join("    [\n" + ",\n".join(
+        f'      "{c.numerator}/{c.denominator}"' for c in v) + "\n    ]"
+        for v in polytope.vertices)
+    return f'{{\n  "dim": {polytope.dim},\n  "vertices": [\n{rows}\n  ]\n}}\n'

@@ -46,7 +46,7 @@ from math import comb, lcm
 from typing import Iterable, Iterator
 
 from .convex import RationalPolytope, planar_hull
-from .polynomials import Frozen
+from .polynomials import Frozen, graded_monomials
 from .varieties import CaseStudy
 
 KINDS = ("powers", "complete")
@@ -108,7 +108,6 @@ class OkounkovSemigroup(Frozen):
     def pieces(self, m: int) -> Iterator[tuple[Vector, tuple[int, ...]]]:
         """Level m as pairs (prefix, V(c*m - sum(prefix))), in lex order:
         (prefix, c*m - sum(prefix)) runs over the monomials of degree c*m."""
-        from .polynomials import graded_monomials
         fibers = self.fibers(m)
         degree = self.case.section_degree(m)
         for e in reversed(graded_monomials(self.steps + 1, degree)):
@@ -235,13 +234,19 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
 def semigroup_to_json(sg: OkounkovSemigroup) -> str:
     """Canonical UTF-8 text form with integer entries, levels in increasing
     order and vectors lex-sorted, bit-exact across runs: the text of
-    json.dumps(payload, indent=2) and a newline, written from the pieces."""
+    json.dumps(payload, indent=2) and a newline, written from the value
+    sets, each V(d') turned into strings once: level m's vectors are
+    e[:-1] + (j,), j in V(e[-1]), e over the monomials of degree c*m."""
+    c, texts = sg.case.c, [[str(j) for j in values] for values in sg.curve]
     levels = []
     for m in range(1, sg.max_level + 1):
         vectors = []
-        for prefix, values in sg.pieces(m):
-            head = "".join(f"        {k},\n" for k in prefix)
-            vectors += [f"      [\n{head}        {j}\n      ]" for j in values]
+        for e in reversed(graded_monomials(sg.steps + 1, c * m)):
+            if texts[e[-1]]:
+                head = "".join(f"        {k},\n" for k in e[:-1])
+                between = f"\n      ],\n      [\n{head}        "
+                vectors.append(f"      [\n{head}        "
+                               + between.join(texts[e[-1]]) + "\n      ]")
         body = "[\n" + ",\n".join(vectors) + "\n    ]" if vectors else "[]"
         levels.append(f'    "{m}": {body}')
     return (f'{{\n  "case": {json.dumps(sg.case.name)},\n'

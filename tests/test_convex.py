@@ -332,7 +332,7 @@ def test_cone_slice_matches_oracles_on_segments(name):
 
 @pytest.mark.parametrize("max_level", (1, 2))
 @pytest.mark.parametrize("name", CASE_NAMES)
-def test_cone_slice_of_shipped_cases_matches_oracle(name, max_level):
+def test_body_of_shipped_cases_matches_oracle(name, max_level):
     sg = semigroup(make_case(name), "complete", max_level)
     assert list(body_estimate(sg).vertices) == brute_hull_vertices_nd(
         every_quotient(sg.levels))
@@ -462,6 +462,36 @@ def test_equal_polytopes_are_one_value():
     assert unit != unit.vertices
 
 
+def _mixed(points, rng):
+    """The points with each integral coordinate an int or a Fraction, at
+    random."""
+    return [tuple(int(c) if c.denominator == 1 and rng.random() < .5 else c
+                  for c in point) for point in points]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+def test_ints_fractions_and_a_mix_give_equal_polytopes(dim):
+    # the chain scales ints and Fractions alike, and the polytope keeps
+    # Fractions only, whatever came in
+    rng = random.Random(dim)
+    for points in _seeded_polygons():
+        if dim == 1:
+            points = [(0, y) for _q, y in points]
+        whole = [(F(q * 2), F(y * 2)) for q, y in points]
+        integral = [(int(q), int(y)) for q, y in whole]
+        polytopes = [RationalPolytope(dim, inputs) for inputs in (
+            points, _mixed(points, rng), whole, integral,
+            _mixed(whole, rng))]
+        for first, *rest in (polytopes[:2], polytopes[2:]):
+            assert all(p == first and hash(p) == hash(first)
+                       for p in rest), points
+            if first.is_full_dimensional():
+                assert all(p.facets() == first.facets() for p in rest)
+        for polytope in polytopes:
+            assert all(type(c) is F for v in polytope.vertices for c in v)
+            assert all(type(c) is F for v in polytope.polygon for c in v)
+
+
 def test_vertex_of_wrong_length_rejected():
     with pytest.raises(ValueError, match=r"not a pair \(q, y\)"):
         RationalPolytope(2, ((F(0), F(0)), (F(1),)))
@@ -518,6 +548,37 @@ def test_simplex_vertices_lie_on_dim_facets():
 
 
 # -- export ----------------------------------------------------------------------
+
+
+def _seeded_polytopes():
+    """Seeded polytopes in dimensions 1-5, y of either sign, denominators
+    up to 10^12."""
+    rng = random.Random(34)
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            top = rng.choice((3, 10 ** 12))
+            points = []
+            for _ in range(rng.randrange(1, 9)):
+                dq, dy = rng.randrange(1, top + 1), rng.randrange(1, top + 1)
+                points.append((F(rng.randrange(0, 5 * dq) if dim > 1 else 0,
+                                 dq), F(rng.randrange(-5 * dy, 5 * dy), dy)))
+            yield RationalPolytope(dim, points)
+
+
+def test_polytope_json_matches_json_dumps():
+    polytopes = list(_seeded_polytopes())
+    for name in CASE_NAMES:
+        case = make_case(name)
+        polytopes += [case.expected_body(),
+                      body_estimate(semigroup(case, "complete", 3))]
+    assert any(c.denominator > 10 ** 6 for polytope in polytopes
+               for v in polytope.vertices for c in v)
+    for polytope in polytopes:
+        payload = {"dim": polytope.dim, "vertices": [
+            [f"{c.numerator}/{c.denominator}" for c in v]
+            for v in polytope.vertices]}
+        assert polytope_to_json(polytope) == json.dumps(
+            payload, indent=2) + "\n", polytope.vertices
 
 
 def test_polytope_json_round_trip_and_format():
