@@ -12,9 +12,9 @@ vertices, (q*e_i, y) for each i when q > 0 and (0, y) when q = 0, which
 are its vertices, as for q > 0 they lie on distinct rays.  A polytope
 keeps P and that vertex list, lexicographically sorted, and two
 polytopes are equal exactly when these are identical: no tolerance ever
-enters.  P comes from Andrew's monotone chain, and the lift, the sort and
-the facets run on P's vertices, all on one integer chain (the points times
-their common denominator); each coordinate becomes a Fraction once.
+enters.  Each polytope is hulled once, by Andrew's monotone chain, on one
+integer chain (its points times a common denominator) and lifted, sorted
+and faceted as ints; each coordinate becomes a Fraction once.
 
 A full-dimensional lift has a facet per edge of P, with P's inward normal
 (alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
@@ -41,9 +41,9 @@ class RationalPolytope(Frozen):
     with q >= 0.  P is kept as `polygon`, its coordinates Fractions,
     counterclockwise from its lex-least vertex, and `vertices` are the
     sorted lifts of P's vertices; in dimension 1, where sum(x) = 0, P is
-    cut to its face on q = 0; both are read off P's integer chain, each
-    distinct coordinate one shared Fraction.  A dim other than an int >= 1,
-    a point other than a pair, q < 0 or no vertex is refused."""
+    cut to its face on q = 0; P is hulled once, on the points' integer
+    chain, each distinct coordinate one shared Fraction.  A dim other than
+    an int >= 1, a point other than a pair, q < 0 or no vertex is refused."""
 
     def __init__(self, dim: int, points: Iterable[tuple[Scalar, Scalar]]):
         if type(dim) is not int:
@@ -53,22 +53,7 @@ class RationalPolytope(Frozen):
         points = [tuple(point) for point in points]
         if any(len(point) != 2 for point in points):
             raise ValueError("a point is not a pair (q, y)")
-        scale, polygon = _integer_chain(planar_hull(points))
-        if any(q < 0 for q, _y in polygon):
-            raise ValueError("a point has q < 0")
-        p, lifted = dim - 1, []
-        zero = (0,) * p
-        for q, y in polygon:
-            lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,)
-                        for i in range(p)] if q else [zero + (y,)])
-        if not lifted:
-            raise ValueError("a polytope needs a vertex")
-        if not p:
-            polygon = [point for point in polygon if not point[0]]
-        exact = {c: Fraction(c, scale) for c in {0}.union(*polygon)}
-        vars(self).update(dim=dim, polygon=tuple(
-            (exact[q], exact[y]) for q, y in polygon), vertices=tuple(
-            tuple(map(exact.__getitem__, v)) for v in sorted(lifted)))
+        _lift(self, dim, *_integer_chain(points))
 
     def is_full_dimensional(self) -> bool:
         return len(self.polygon) > (1 if self.dim == 1 else 2)
@@ -100,14 +85,27 @@ class RationalPolytope(Frozen):
 def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
     """The vertices of the convex hull of planar points (ints or
     Fractions), counterclockwise from the lex-least, with no point inside
-    an edge (Andrew's monotone chain): one point for a point and two for a
-    segment.  It chains the points times their common denominator, as
-    ints, and returns the first given of equal points."""
+    an edge: one point for a point and two for a segment.  It hulls the
+    points' integer chain and returns the first given of equal points."""
     points = list(dict.fromkeys(points))
     given = dict(zip(_integer_chain(points)[1], points))
-    keys = sorted(given)
+    return tuple(given[k] for k in _hull(given))
 
-    def chain(run):
+
+def _integer_chain(points: Sequence[tuple[Scalar, Scalar]]) -> tuple:
+    """The common denominator of planar points (ints or Fractions) and the
+    points times it, as int pairs."""
+    scale = lcm(*{_exact(c).denominator for q, y in points for c in (q, y)})
+    return scale, [(q.numerator * (scale // q.denominator),
+                     y.numerator * (scale // y.denominator))
+                    for q, y in points]
+
+
+def _hull(chain: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """planar_hull of int pairs: the one hull routine of every polytope."""
+    keys = sorted(set(chain))
+
+    def half(run):
         out = []
         for q, y in run:
             # drop the last point until it makes a strict left turn
@@ -119,17 +117,30 @@ def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
             out.append((q, y))
         return out
 
-    hull = chain(keys)[:-1] + chain(reversed(keys))[:-1]
-    return tuple(given[k] for k in hull or keys)  # keys: one point or none
+    return half(keys)[:-1] + half(reversed(keys))[:-1] or keys  # one or none
 
 
-def _integer_chain(points: Sequence[tuple[Scalar, Scalar]]) -> tuple:
-    """The common denominator of planar points (ints or Fractions) and the
-    points times it, as int pairs."""
-    scale = lcm(*{_exact(c).denominator for q, y in points for c in (q, y)})
-    return scale, [(q.numerator * (scale // q.denominator),
-                     y.numerator * (scale // y.denominator))
-                    for q, y in points]
+def _lift(polytope, dim: int, scale: int, points: list) -> RationalPolytope:
+    """Fill a new polytope with the lift into dimension dim of the hull P
+    of int pairs over scale: hull, check, lift and sort them as ints, then
+    make each distinct coordinate's Fraction once."""
+    polygon = _hull(points)
+    if any(q < 0 for q, _y in polygon):
+        raise ValueError("a point has q < 0")
+    p, lifted = dim - 1, []
+    zero = (0,) * p
+    for q, y in polygon:
+        lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,)
+                    for i in range(p)] if q else [zero + (y,)])
+    if not lifted:
+        raise ValueError("a polytope needs a vertex")
+    if not p:
+        polygon = [point for point in polygon if not point[0]]
+    exact = {c: Fraction(c, scale) for c in {0}.union(*polygon)}
+    vars(polytope).update(dim=dim, polygon=tuple(
+        (exact[q], exact[y]) for q, y in polygon), vertices=tuple(
+        tuple(map(exact.__getitem__, v)) for v in sorted(lifted)))
+    return polytope
 
 
 def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:

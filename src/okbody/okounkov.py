@@ -28,24 +28,24 @@ value semigroup; the hull of its quotients v/m is an inner estimate of the
 limit body.  As each fiber is a simplex over its prefix sum s times a set
 of last entries, that hull is the lift {x >= 0, (sum(x), y) in P} of the
 planar hull P of the fibers' pairs (s, min V)/m and (s, max V)/m (see
-okbody.convex), each degree's at its first level being enough.  When every
-vertex of a candidate polytope that is also a valid outer bound already
-occurs among the level-1 vectors, the semigroup generated by the full
-system is finitely generated (the vertex criterion), and the body equals
-the candidate.  generation_degree proves the degree of generation when V
-follows the Riemann-Roch rule of okbody.valuation.
+okbody.convex), each degree's at its first level being enough, hulled
+once as ints times lcm(1..M).  When every vertex of a candidate polytope
+that is also a valid outer bound already occurs among the level-1
+vectors, the semigroup generated by the full system is finitely generated
+(the vertex criterion), and the body equals the candidate.
+generation_degree proves the degree of generation when V follows the
+Riemann-Roch rule of okbody.valuation.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator
 
-from .convex import RationalPolytope, planar_hull
+from .convex import RationalPolytope, _lift
 from .polynomials import Frozen, graded_monomials
 from .varieties import CaseStudy
 
@@ -171,8 +171,9 @@ def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
     V(d') is the fiber over s = c*m - d' of each level m >= m0 = max(1,
     ceil(d'/c)), at (c, 0) + (-d', j)/m, between (c, 0) = V(0) over s = c
     at level 1 and its pair at m0; so P is the hull of the pairs of each d'
-    at its m0 (d' = c*m at m without steps), at most 2(c*M + 1), chained as
-    ints times lcm(1..M).  With steps, V(0) other than {0} is a ValueError."""
+    at its m0 (d' = c*m at m without steps), at most 2(c*M + 1), hulled and
+    lifted once as ints times lcm(1..M).  With steps, V(0) other than {0}
+    is a ValueError."""
     c, curve, scale = sg.case.c, sg.curve, lcm(*range(1, sg.max_level + 1))
     if sg.steps and curve[0] != (0,):
         raise ValueError(f"V(0) is {curve[0]}, not (0,): the constants")
@@ -181,9 +182,8 @@ def body_estimate(sg: OkounkovSemigroup) -> RationalPolytope:
         m, values = max(1, -(-d // c)), curve[d]
         corners += [((c * m - d) * (scale // m), j * (scale // m))
                     for j in values[:1] + values[-1:]]
-    return RationalPolytope(sg.steps + 1, [
-        (Fraction(q, scale), Fraction(y, scale))
-        for q, y in planar_hull(corners)])
+    return _lift(RationalPolytope.__new__(RationalPolytope), sg.steps + 1,
+                 scale, corners)
 
 
 def vertex_criterion(candidate: RationalPolytope,
@@ -235,19 +235,22 @@ def semigroup_to_json(sg: OkounkovSemigroup) -> str:
     """Canonical UTF-8 text form with integer entries, levels in increasing
     order and vectors lex-sorted, bit-exact across runs: the text of
     json.dumps(payload, indent=2) and a newline, written from the value
-    sets, each V(d') turned into strings once: level m's vectors are
-    e[:-1] + (j,), j in V(e[-1]), e over the monomials of degree c*m."""
+    sets, each V(d') and each prefix's text made once: level m's vectors
+    are e[:-1] + (j,), j in V(e[-1]), e over the monomials of degree c*m."""
     c, texts = sg.case.c, [[str(j) for j in values] for values in sg.curve]
-    levels = []
+    heads, levels = {}, []  # heads[prefix]: a vector's opening, separator
     for m in range(1, sg.max_level + 1):
         vectors = []
         for e in reversed(graded_monomials(sg.steps + 1, c * m)):
             if texts[e[-1]]:
-                head = "".join(f"        {k},\n" for k in e[:-1])
-                between = f"\n      ],\n      [\n{head}        "
-                vectors.append(f"      [\n{head}        "
-                               + between.join(texts[e[-1]]) + "\n      ]")
-        body = "[\n" + ",\n".join(vectors) + "\n    ]" if vectors else "[]"
+                if (prefix := e[:-1]) not in heads:
+                    head = "".join(f"        {k},\n" for k in prefix)
+                    heads[prefix] = (f"      [\n{head}        ",
+                                     f"\n      ],\n      [\n{head}        ")
+                opening, between = heads[prefix]
+                vectors.append(opening + between.join(texts[e[-1]]))
+        body = ("[\n" + "\n      ],\n".join(vectors) + "\n      ]\n    ]"
+                if vectors else "[]")
         levels.append(f'    "{m}": {body}')
     return (f'{{\n  "case": {json.dumps(sg.case.name)},\n'
             f'  "kind": {json.dumps(sg.kind)},\n  "M": {sg.max_level},\n'

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import okbody.convex
-import okbody.okounkov
 from okbody.convex import (RationalPolytope, normal_fan_rays, planar_hull,
                            polytope_equal, polytope_to_json, scaled_simplex)
-from okbody.okounkov import OkounkovSemigroup, body_estimate, semigroup
+from okbody.okounkov import body_estimate, semigroup
 from okbody.varieties import CASE_NAMES, make_case
 
 from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
                      brute_hull_vertices_nd, every_quotient, in_hull_nd,
                      matches_reference_hull, orient, reference_hull)
+from strategies import fake_semigroup, fake_semigroups
 
 F = Fraction
 
@@ -76,17 +76,16 @@ def test_negative_q_rejected_in_every_dimension(dim):
 
 
 def test_each_polytope_is_hulled_once(monkeypatch):
-    # scaled_simplex makes one planar hull; body_estimate makes two, its
-    # chain of at most 2(c*M + 1) corner pairs, where every level's fibers
-    # are c*M^2/2, and the constructor's hull of P's vertices
-    handed = []
+    # the one hull routine runs once per polytope: on scaled_simplex's 3
+    # points, and on body_estimate's chain of at most 2(c*M + 1) corner
+    # pairs, where every level's fibers are c*M^2/2
+    handed, hull = [], okbody.convex._hull
 
     def counting_hull(points):
         points = list(points)
         handed.append(len(points))
-        return planar_hull(points)
-    monkeypatch.setattr(okbody.convex, "planar_hull", counting_hull)
-    monkeypatch.setattr(okbody.okounkov, "planar_hull", counting_hull)
+        return hull(points)
+    monkeypatch.setattr(okbody.convex, "_hull", counting_hull)
     for n, c, d in product((1, 2, 3, 4, 5), (1, 2), (1, 3)):
         handed.clear()
         scaled_simplex(n, c, d)
@@ -98,8 +97,9 @@ def test_each_polytope_is_hulled_once(monkeypatch):
         body, calls = body_estimate(sg), handed[:]
         handed.clear()
         assert body == case.expected_body() and handed == [3], name
-        assert len(calls) == 2 and calls[0] <= 2 * (case.c * max_level + 1)
-        assert calls[1] == len(body.polygon) == 3, name
+        assert len(calls) == 1, name
+        assert len(body.polygon) == 3 < calls[0], name
+        assert calls[0] <= 2 * (case.c * max_level + 1), name
     assert body == scaled_simplex(2, 1, 3)
 
 
@@ -225,23 +225,12 @@ def test_hull_matches_nd_oracles(name):
         assert inequalities == brute_facets(vertices)
 
 
-# -- cone slice: the body against the reference hull of its quotients ----------
-
-
-def _quotients(graded):
-    """The points value/level of (value, level) pairs."""
-    return [tuple(F(v, level) for v in value) for value, level in graded]
-
-
-def _fake(c, steps, curve):
-    """The semigroup of a made-up curve V(0), ..., V(c*M)."""
-    return OkounkovSemigroup(make_case("p2", c), "complete",
-                             (len(curve) - 1) // c, curve, steps)
+# -- the body against the reference hull of its quotients -----------------------
 
 
 def test_body_of_level_one_points():
     # level 1 of V(0) = {0}, V(1) = {0, 3}: (0, 0), (0, 3) and (1, 0)
-    sg = _fake(1, 1, ((0,), (0, 3)))
+    sg = fake_semigroup(1, 1, ((0,), (0, 3)))
     assert body_estimate(sg) == RationalPolytope(2, [(0, 0), (1, 0), (0, 3)])
     assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 
@@ -249,85 +238,14 @@ def test_body_of_level_one_points():
 def test_body_divides_by_level():
     # level 1 is empty and level 2 is (6,) alone; with steps level 1 would
     # hold (1, 0), the pair of V(0) = {0}
-    sg = _fake(1, 0, ((), (), (6,)))
+    sg = fake_semigroup(1, 0, ((), (), (6,)))
     assert sg.level(1) == () and sg.level(2) == ((6,),)
     assert body_estimate(sg).vertices == ((F(3),),)
 
 
 def test_body_without_vectors_rejected():
     with pytest.raises(ValueError, match="needs a vertex"):
-        body_estimate(_fake(1, 0, ((), ())))
-
-
-def test_cone_slice_mixed_dimensions_rejected():
-    # the reference checks the dimensions before it takes the segment ends,
-    # which would index past the end of the shorter points
-    with pytest.raises(ValueError, match="mixed dimensions"):
-        reference_hull(_quotients([((0, 0), 1), ((1, 0, 0), 1)]))
-    with pytest.raises(ValueError, match="mixed dimensions"):
-        reference_hull(_quotients([((0, 0, 5), 1), ((1, 0), 2), ((0, 3), 1)]))
-    with pytest.raises(ValueError, match="empty point set"):
-        reference_hull(iter([]))
-
-
-def _segment_clouds():
-    """Seeded clouds dense along axis-parallel lines: graded clouds, each
-    point q given as its quotient (q * m)/m at a random level m, and runs
-    with negative and fractional coordinates."""
-    rng = random.Random(23)
-    lattice = {}
-    # staircases: one segment from 0 to a random top per prefix, the shape
-    # of a full graded piece
-    for dim, prefixes, top in (
-            (2, [(i,) for i in range(5)], 5),
-            (3, [(i, j) for i in range(3) for j in range(3) if i + j <= 2], 4),
-            (4, [(i, j, k) for i in range(2) for j in range(2)
-                 for k in range(2) if i + j + k <= 1], 5)):
-        lattice[f"staircase_{dim}d"] = [
-            prefix + (j,) for prefix in prefixes
-            for j in range(rng.randrange(1, top))]
-    for shape, holes in (((4, 4), 3), ((3, 2, 2), 2)):
-        grid = list(product(*map(range, shape)))
-        dropped = rng.sample(grid, holes)
-        lattice[f"holed_grid_{len(shape)}d"] = [
-            p for p in grid if p not in dropped]
-    # lines along random axes through random points, each point
-    # listed several times
-    for dim, lines in ((2, 3), (3, 3), (4, 2)):
-        cloud = []
-        for _ in range(lines):
-            base = [rng.randrange(0, 4) for _ in range(dim)]
-            axis = rng.randrange(dim)
-            for t in range(rng.randrange(2, 5)):
-                point = base[:axis] + [base[axis] + t] + base[axis + 1:]
-                cloud += [tuple(point)] * rng.randrange(1, 3)
-        lattice[f"repeated_lines_{dim}d"] = cloud
-    clouds = {name: _quotients((tuple(m * x for x in q), m) for q in cloud
-                               for m in [rng.randrange(1, 4)])
-              for name, cloud in lattice.items()}
-    # runs along random axes in steps of 1/3 from signed fractional bases
-    runs = []
-    for _ in range(4):
-        base = [F(rng.randrange(-9, 4), rng.randrange(1, 4)) for _ in range(3)]
-        axis = rng.randrange(3)
-        for t in range(rng.randrange(3, 5)):
-            runs.append(tuple(c + F(t, 3) if a == axis else c
-                              for a, c in enumerate(base)))
-    clouds["signed_fractional_runs_3d"] = runs
-    return clouds
-
-
-SEGMENT_CLOUDS = _segment_clouds()
-
-
-@pytest.mark.parametrize("name", sorted(SEGMENT_CLOUDS))
-def test_cone_slice_matches_oracles_on_segments(name):
-    # the reference's segment ends against the brute-force oracles
-    points = SEGMENT_CLOUDS[name]
-    dimension, vertices, inequalities = reference_hull(points)
-    assert vertices == brute_hull_vertices_nd(points)
-    if dimension == len(points[0]):
-        assert inequalities == brute_facets(vertices)
+        body_estimate(fake_semigroup(1, 0, ((), ())))
 
 
 @pytest.mark.parametrize("max_level", (1, 2))
@@ -338,25 +256,13 @@ def test_body_of_shipped_cases_matches_oracle(name, max_level):
         every_quotient(sg.levels))
 
 
-@st.composite
-def fake_semigroups(draw):
-    """A semigroup of a made-up curve: c, the steps and V(0), ..., V(c*M)
-    drawn, V(d') a set in {0, ..., 3d'}, empty only when c does not divide
-    d', so that no level is empty."""
-    c, steps, top = (draw(st.integers(1, 2)), draw(st.integers(0, 3)),
-                     draw(st.integers(1, 4)))
-    curve = [draw(st.frozensets(st.integers(0, 3 * d), max_size=3,
-                                min_size=int(d % c == 0)))
-             for d in range(c * top + 1)]
-    return _fake(c, steps, tuple(tuple(sorted(v)) for v in curve))
-
-
 @given(fake_semigroups(), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_body_estimate_monotone(sg, levels):
     # the body at max_level <= M lies in the body at M
-    small = _fake(sg.case.c, sg.steps,
-                  sg.curve[:sg.case.c * min(levels, sg.max_level) + 1])
+    small = fake_semigroup(
+        sg.case.c, sg.steps,
+        sg.curve[:sg.case.c * min(levels, sg.max_level) + 1])
     large = body_estimate(sg).vertices
     assert all(in_hull_nd(v, large) for v in body_estimate(small).vertices)
 
@@ -366,6 +272,47 @@ def test_body_estimate_monotone(sg, levels):
 def test_body_estimate_matches_hull_of_quotients(sg):
     # the lifted chain against the reference hull of every quotient
     assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
+
+
+def _fraction_corners(sg):
+    """Every level's fiber pairs (s, min V)/m and (s, max V)/m, as
+    Fractions."""
+    return [(F(s, m), F(j, m)) for m in range(1, sg.max_level + 1)
+            for s, values in sg.fibers(m) for j in values[:1] + values[-1:]]
+
+
+def _assert_one_polytope(body, polytope):
+    assert body == polytope and hash(body) == hash(polytope)
+    assert body.polygon == polytope.polygon
+    assert body.vertices == polytope.vertices
+    assert polytope_to_json(body) == polytope_to_json(polytope)
+    if polytope.is_full_dimensional():
+        assert body.facets() == polytope.facets()
+    else:
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            body.facets()
+
+
+@pytest.mark.parametrize("max_level", (1, 2, 3, 7, 12))
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_body_chain_matches_the_fraction_corners(name, max_level):
+    # body_estimate lifts its chain over lcm(1..M) as it is; the
+    # constructor scales Fraction corners over their own denominator
+    scale, reduced = lcm(*range(1, max_level + 1)), []
+    for c in (1, 2, 3):
+        sg = semigroup(make_case(name, c), "complete", max_level)
+        body = body_estimate(sg)
+        _assert_one_polytope(body, RationalPolytope(
+            sg.steps + 1, _fraction_corners(sg)))
+        reduced.append(lcm(*(x.denominator for v in body.polygon for x in v)))
+    assert max_level == 1 or any(d < scale for d in reduced), reduced
+
+
+@given(fake_semigroups())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_body_chain_matches_the_fraction_corners_of_made_up_curves(sg):
+    _assert_one_polytope(body_estimate(sg), RationalPolytope(
+        sg.steps + 1, _fraction_corners(sg)))
 
 
 # -- lifts -------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import product
 from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
 
 from okbody import valuation
 from okbody.convex import RationalPolytope, polytope_equal, scaled_simplex
@@ -20,6 +21,7 @@ from oracles import (brute_generation_degree, expansion_value_set,
                      every_quotient, in_hull_nd, linear_solve,
                      matches_reference_hull, oracle_value_set, powers_basis,
                      reduce_section, row_reduce, standard_basis)
+from strategies import fake_semigroup, fake_semigroups
 
 FERMAT_LEVEL_ONE = ((0, 0), (0, 1), (0, 3), (1, 0))
 FERMAT_LEVEL_TWO = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
@@ -505,7 +507,7 @@ def test_body_of_seeded_gapped_fibers_is_the_lifted_chain():
         curve = ((0,),) + tuple(
             tuple(sorted(rng.sample(range(d * e), rng.randint(
                 d == top, min(3, d * e))))) for d in range(1, top + 1))
-        sg = _fake(c, steps, curve)
+        sg = fake_semigroup(c, steps, curve)
         assert matches_reference_hull(body_estimate(sg),
                                        _corner_quotients(sg)), (steps, curve)
 
@@ -517,8 +519,8 @@ def test_body_refuses_steps_without_the_constants(curve):
     # steps V(0) never enters
     for steps in (1, 2, 3):
         with pytest.raises(ValueError, match=r"V\(0\) is \("):
-            body_estimate(_fake(1, steps, curve + ((0, 3),)))
-    sg = _fake(1, 0, curve + ((0, 3),))
+            body_estimate(fake_semigroup(1, steps, curve + ((0, 3),)))
+    sg = fake_semigroup(1, 0, curve + ((0, 3),))
     assert matches_reference_hull(body_estimate(sg), every_quotient(sg.levels))
 
 
@@ -548,7 +550,7 @@ def test_level_sizes_of_seeded_fakes_are_prefix_sums():
         steps = rng.randint(0, 3)
         curve = tuple(tuple(sorted(rng.sample(range(9), rng.randint(0, 3))))
                       for _d in range(c * max_level + 1))
-        sg = _fake(c, steps, curve)
+        sg = fake_semigroup(c, steps, curve)
         sizes = sg.sizes()
         for m in range(1, max_level + 1):
             assert sizes[c * m] == _comb_count(sg, m) == len(sg.level(m)), (
@@ -598,11 +600,6 @@ def test_generation_degree_matches_tuple_oracle(name):
                     == 1), (c, max_level)
 
 
-def _fake(c, steps, curve):
-    return OkounkovSemigroup(make_case("p2", c), "complete",
-                             (len(curve) - 1) // c, curve, steps)
-
-
 FAKES = [
     (1, 0, ((0,), (0,), (1,), (2,)), 3),      # None below kmax = 3
     (1, 1, ((0,), (0, 2), (1, 3)), 2),
@@ -618,7 +615,7 @@ FAKES = [
 @pytest.mark.parametrize("c, steps, curve, expected", FAKES)
 def test_generation_degree_of_fakes_matches_tuple_oracle(c, steps, curve,
                                                          expected):
-    sg = _fake(c, steps, curve)
+    sg = fake_semigroup(c, steps, curve)
     for kmax in range(1, sg.max_level + 1):
         oracle = brute_generation_degree(sg.levels, kmax)
         assert generation_degree(sg, kmax) == oracle
@@ -633,7 +630,7 @@ def test_generation_degree_does_not_depend_on_the_steps(c, curve):
     # number of steps
     degrees = set()
     for steps in (1, 2, 3):
-        sg = _fake(c, steps, curve)
+        sg = fake_semigroup(c, steps, curve)
         degree = generation_degree(sg, sg.max_level)
         assert degree == brute_generation_degree(sg.levels, sg.max_level), \
             steps
@@ -648,7 +645,7 @@ def test_generation_degree_of_seeded_fakes_matches_tuple_oracle():
         steps = rng.choice((0, 1, 2, 3))
         curve = tuple(tuple(sorted(rng.sample(range(9), rng.randint(1, 3))))
                       for _d in range(c * max_level + 1))
-        sg = _fake(c, steps, curve)
+        sg = fake_semigroup(c, steps, curve)
         assert (generation_degree(sg, max_level)
                 == brute_generation_degree(sg.levels, max_level)), curve
 
@@ -764,18 +761,28 @@ def test_semigroup_json_deterministic(fermat):
     assert data["kind"] == "complete"
 
 
+def _json_dumps(sg):
+    import json
+    payload = {"case": sg.case.name, "kind": sg.kind, "M": sg.max_level,
+               "levels": {str(m): [list(vec) for vec in level]
+                          for m, level in sg.levels.items()}}
+    return json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_semigroup_json_matches_json_dumps(name):
-    import json
     for c in (1, 2):
         for kind in KINDS:
             sg = semigroup(make_case(name, c), kind, 3)
-            payload = {"case": sg.case.name, "kind": sg.kind,
-                       "M": sg.max_level,
-                       "levels": {str(m): [list(vec) for vec in level]
-                                  for m, level in sg.levels.items()}}
-            assert (semigroup_to_json(sg)
-                    == json.dumps(payload, indent=2) + "\n"), (c, kind)
+            assert semigroup_to_json(sg) == _json_dumps(sg), (c, kind)
+
+
+@given(fake_semigroups())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_semigroup_json_of_made_up_curves_matches_json_dumps(sg):
+    # up to 3 steps and 4 levels: each prefix's text is made once and
+    # reused at every later level where the prefix recurs
+    assert semigroup_to_json(sg) == _json_dumps(sg)
 
 
 def test_semigroup_json_of_empty_levels_matches_json_dumps(p2):

@@ -4,12 +4,15 @@ another, and run no `src/` code beyond the forms the oracles build."""
 
 import random
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from okbody.polynomials import graded_monomials
 
-from oracles import (brute_hull_vertices_2d, brute_hull_vertices_nd,
-                     in_hull_nd, linear_solve, powers_basis, reduce_section,
-                     reference_hull, row_reduce)
+from oracles import (brute_facets, brute_hull_vertices_2d,
+                     brute_hull_vertices_nd, in_hull_nd, linear_solve,
+                     powers_basis, reduce_section, reference_hull, row_reduce)
 
 F = Fraction
 
@@ -83,6 +86,85 @@ def test_hull_membership_examples():
     assert in_hull_nd((F(1, 2),) * 3, segment)
     assert not in_hull_nd((1, 1, 0), segment)
     assert not in_hull_nd((3, 3, 3), segment)
+
+
+# -- the reference hull on segments ---------------------------------------------
+
+
+def _quotients(graded):
+    """The points value/level of (value, level) pairs."""
+    return [tuple(F(v, level) for v in value) for value, level in graded]
+
+
+def test_reference_hull_mixed_dimensions_rejected():
+    # the reference checks the dimensions before it takes the segment ends,
+    # which would index past the end of the shorter points
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        reference_hull(_quotients([((0, 0), 1), ((1, 0, 0), 1)]))
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        reference_hull(_quotients([((0, 0, 5), 1), ((1, 0), 2), ((0, 3), 1)]))
+    with pytest.raises(ValueError, match="empty point set"):
+        reference_hull(iter([]))
+
+
+def _segment_clouds():
+    """Seeded clouds dense along axis-parallel lines: graded clouds, each
+    point q given as its quotient (q * m)/m at a random level m, and runs
+    with negative and fractional coordinates."""
+    rng = random.Random(23)
+    lattice = {}
+    # staircases: one segment from 0 to a random top per prefix, the shape
+    # of a full graded piece
+    for dim, prefixes, top in (
+            (2, [(i,) for i in range(5)], 5),
+            (3, [(i, j) for i in range(3) for j in range(3) if i + j <= 2], 4),
+            (4, [(i, j, k) for i in range(2) for j in range(2)
+                 for k in range(2) if i + j + k <= 1], 5)):
+        lattice[f"staircase_{dim}d"] = [
+            prefix + (j,) for prefix in prefixes
+            for j in range(rng.randrange(1, top))]
+    for shape, holes in (((4, 4), 3), ((3, 2, 2), 2)):
+        grid = list(product(*map(range, shape)))
+        dropped = rng.sample(grid, holes)
+        lattice[f"holed_grid_{len(shape)}d"] = [
+            p for p in grid if p not in dropped]
+    # lines along random axes through random points, each point
+    # listed several times
+    for dim, lines in ((2, 3), (3, 3), (4, 2)):
+        cloud = []
+        for _ in range(lines):
+            base = [rng.randrange(0, 4) for _ in range(dim)]
+            axis = rng.randrange(dim)
+            for t in range(rng.randrange(2, 5)):
+                point = base[:axis] + [base[axis] + t] + base[axis + 1:]
+                cloud += [tuple(point)] * rng.randrange(1, 3)
+        lattice[f"repeated_lines_{dim}d"] = cloud
+    clouds = {name: _quotients((tuple(m * x for x in q), m) for q in cloud
+                               for m in [rng.randrange(1, 4)])
+              for name, cloud in lattice.items()}
+    # runs along random axes in steps of 1/3 from signed fractional bases
+    runs = []
+    for _ in range(4):
+        base = [F(rng.randrange(-9, 4), rng.randrange(1, 4)) for _ in range(3)]
+        axis = rng.randrange(3)
+        for t in range(rng.randrange(3, 5)):
+            runs.append(tuple(c + F(t, 3) if a == axis else c
+                              for a, c in enumerate(base)))
+    clouds["signed_fractional_runs_3d"] = runs
+    return clouds
+
+
+SEGMENT_CLOUDS = _segment_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_CLOUDS))
+def test_reference_hull_matches_oracles_on_segments(name):
+    # the reference's segment ends against the brute-force oracles
+    points = SEGMENT_CLOUDS[name]
+    dimension, vertices, inequalities = reference_hull(points)
+    assert vertices == brute_hull_vertices_nd(points)
+    if dimension == len(points[0]):
+        assert inequalities == brute_facets(vertices)
 
 
 # -- the powers system's bases ------------------------------------------------------
