@@ -1,11 +1,10 @@
 """Exact computation of graded value semigroups and Okounkov bodies of
-flagged projective hypersurfaces, with finite-generation certification,
-toric limit data and elliptic-curve divisor utilities."""
+flagged projective hypersurfaces, with finite-generation certification and
+toric limit data.  The elliptic-curve submodule, okbody.elliptic, is not
+loaded here; it serves only the benchmark's ec_sweep workload."""
 
 from .convex import (RationalPolytope, normal_fan_rays, polytope_equal,
                      polytope_to_json, scaled_simplex)
-from .elliptic import (INFINITY, EllipticCurveFp, divisor_class_sum,
-                       random_divisor, single_point_member)
 from .okounkov import (GradedSystem, OkounkovSemigroup, body_estimate,
                        generation_degree, semigroup, semigroup_to_json,
                        vertex_criterion)
@@ -20,13 +19,12 @@ from .varieties import (CASE_NAMES, CaseStudy, FlagReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_NAMES", "CaseStudy", "EllipticCurveFp", "Flag", "FlagReport",
-    "GradedSystem", "HomogPoly", "INFINITY", "OkounkovSemigroup",
-    "PrecisionError", "RationalPolytope", "ZeroSectionError",
-    "body_estimate", "case_study_from_json", "case_study_to_json",
-    "divisor_class_sum", "generation_degree", "graded_monomials",
+    "CASE_NAMES", "CaseStudy", "Flag", "FlagReport", "GradedSystem",
+    "HomogPoly", "OkounkovSemigroup", "PrecisionError", "RationalPolytope",
+    "ZeroSectionError", "body_estimate", "case_study_from_json",
+    "case_study_to_json", "generation_degree", "graded_monomials",
     "has_projective_common_zero", "make_case", "make_negative_control",
-    "normal_fan_rays", "polytope_equal", "polytope_to_json", "random_divisor",
+    "normal_fan_rays", "polytope_equal", "polytope_to_json",
     "scaled_simplex", "semigroup", "semigroup_to_json", "series_solve_branch",
-    "single_point_member", "verify_flag", "vertex_criterion",
+    "verify_flag", "vertex_criterion",
 ]

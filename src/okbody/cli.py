@@ -7,8 +7,6 @@ Subcommands:
   certify           vertex-criterion certification plus the generation
                     degree, proved at every level or witnessed up to M
   verify-flag       run the exact flag verifier and print its report
-  ec-single-point   sweep random divisor classes on an elliptic curve over
-                    F_p, searching single-point representatives
   export-toric      write the normal fan rays of the computed body
   demo              one table row per shipped case study
 
@@ -23,15 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .convex import (RationalPolytope, normal_fan_rays, polytope_equal,
                      polytope_to_json)
-from .elliptic import EllipticCurveFp, divisor_class_sum, random_divisor, \
-    single_point_member
 from .okounkov import (OkounkovSemigroup, body_estimate, generation_degree,
                        semigroup, semigroup_to_json, vertex_criterion)
 from .series import PrecisionError
@@ -86,17 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-flag", help="exact flag verification")
     add_case_options(p_verify, computes=False, writes=False)
-
-    p_ec = sub.add_parser("ec-single-point",
-                          help="single-point representatives of divisor "
-                               "classes on an elliptic curve over F_p")
-    p_ec.add_argument("--p", type=int, default=101, help="field prime")
-    p_ec.add_argument("--a", type=int, default=0, help="Weierstrass a")
-    p_ec.add_argument("--b", type=int, default=1, help="Weierstrass b")
-    p_ec.add_argument("--d", type=int, default=3, help="divisor degree")
-    p_ec.add_argument("--samples", type=int, default=200)
-    p_ec.add_argument("--seed", type=int, default=0)
-    p_ec.add_argument("--verbose", action="store_true")
 
     p_toric = sub.add_parser("export-toric", help="normal fan rays of the "
                              "computed body")
@@ -214,37 +198,6 @@ def cmd_verify_flag(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def cmd_ec_single_point(args) -> int:
-    if args.d < 1 or args.samples < 1:
-        raise _UsageError("--d and --samples must be positive")
-    try:
-        curve = EllipticCurveFp(args.p, args.a, args.b)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    rng = random.Random(args.seed)
-    found = 0
-    missing = 0
-    for index in range(args.samples):
-        divisor = random_divisor(curve, args.d, rng)
-        witness = single_point_member(curve, divisor)
-        if witness is None:
-            missing += 1
-            if args.verbose:
-                print(f"sample {index}: class {divisor_class_sum(curve, divisor)} "
-                      f"has no F_{args.p}-witness")
-        else:
-            found += 1
-            assert curve.mul(args.d, witness) == divisor_class_sum(curve, divisor)
-            if args.verbose:
-                print(f"sample {index}: witness {witness}")
-    print(f"curve y^2 = x^3 + {args.a}x + {args.b} over F_{args.p}: "
-          f"{curve.order()} points")
-    print(f"degree {args.d}: {found}/{args.samples} sampled classes have a "
-          f"single-point representative over F_{args.p}; {missing} do not "
-          f"(division can fail over a finite field)")
-    return EXIT_OK
-
-
 def cmd_export_toric(args) -> int:
     case = _checked(_load_case(args), args.verbose)
     sg = semigroup(case, "complete", args.max_level)
@@ -289,7 +242,6 @@ _HANDLERS = {
     "compute": cmd_compute,
     "certify": cmd_certify,
     "verify-flag": cmd_verify_flag,
-    "ec-single-point": cmd_ec_single_point,
     "export-toric": cmd_export_toric,
     "demo": cmd_demo,
 }

@@ -82,16 +82,6 @@ class RationalPolytope(Frozen):
         return tuple(sorted(facets))
 
 
-def planar_hull(points: Iterable[tuple[Scalar, Scalar]]) -> tuple:
-    """The vertices of the convex hull of planar points (ints or
-    Fractions), counterclockwise from the lex-least, with no point inside
-    an edge: one point for a point and two for a segment.  It hulls the
-    points' integer chain and returns the first given of equal points."""
-    points = list(dict.fromkeys(points))
-    given = dict(zip(_integer_chain(points)[1], points))
-    return tuple(given[k] for k in _hull(given))
-
-
 def _integer_chain(points: Sequence[tuple[Scalar, Scalar]]) -> tuple:
     """The common denominator of planar points (ints or Fractions) and the
     points times it, as int pairs."""
@@ -102,7 +92,9 @@ def _integer_chain(points: Sequence[tuple[Scalar, Scalar]]) -> tuple:
 
 
 def _hull(chain: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """planar_hull of int pairs: the one hull routine of every polytope."""
+    """The vertices of the convex hull of int pairs, counterclockwise from
+    the lex-least, with no point inside an edge: one for a point and two
+    for a segment.  The one hull routine of every polytope."""
     keys = sorted(set(chain))
 
     def half(run):
@@ -144,6 +136,8 @@ def _lift(polytope, dim: int, scale: int, points: list) -> RationalPolytope:
 
 
 def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
+    """a == b for polytopes of one dimension; a dimension mismatch is a
+    ValueError.  It stays because the benchmark worker calls it."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     return a.vertices == b.vertices

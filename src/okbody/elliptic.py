@@ -12,13 +12,16 @@ Membership is answered from a per-curve table of d*E(F_p), built on the
 first query of each degree d: it maps each class d*P to the first P in the
 enumeration order of the points, so a query costs one group-law sum and one
 lookup.  Points are checked once, where they enter the group law (``add``,
-``mul``, ``negate``, ``divisor_class_sum``): a point is INFINITY or a pair
-of integers reduced modulo p that satisfies the equation.
+``mul``, ``negate``, ``single_point_member``): a point is INFINITY or a
+pair of integers reduced modulo p that satisfies the equation.
+
+No part of the semigroup, body or certificate path uses this module, and
+``import okbody`` does not load it: it stays, as a submodule, for the
+benchmark's ``ec_sweep`` workload.
 """
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
@@ -166,32 +169,17 @@ class EllipticCurveFp:
         return f"EllipticCurveFp(p={self.p}, a={self.a}, b={self.b})"
 
 
-def divisor_class_sum(curve: EllipticCurveFp, points: Sequence[Point]) -> Point:
-    """Group-law sum of the points of an effective divisor: with the point at
-    infinity as origin, two effective divisors of the same degree are
-    linearly equivalent exactly when their sums agree."""
-    total: Point = INFINITY
-    for point in points:
-        curve._require(point)
-        total = curve._add(total, point)
-    return total
-
-
 def single_point_member(curve: EllipticCurveFp, points: Sequence[Point]
                         ) -> Optional[Point]:
     """A point P with d*P linearly equivalent to the given degree-d effective
     divisor, the first one in the enumeration order of E(F_p), or None when
-    no F_p-rational witness exists."""
+    no F_p-rational witness exists.  With the point at infinity as origin,
+    two effective divisors of one degree are linearly equivalent exactly
+    when the group-law sums of their points agree."""
     if not points:
         raise ValueError("the divisor must have positive degree")
-    target = divisor_class_sum(curve, points)
+    target: Point = INFINITY
+    for point in points:
+        curve._require(point)
+        target = curve._add(target, point)
     return curve.division_witnesses(len(points)).get(target)
-
-
-def random_divisor(curve: EllipticCurveFp, degree: int,
-                   rng: random.Random) -> list[Point]:
-    """A random effective divisor: degree-many uniform points of E(F_p),
-    with repetition."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    return [rng.choice(curve.points) for _ in range(degree)]

@@ -117,10 +117,6 @@ class OkounkovSemigroup(Frozen):
         return tuple(prefix + (j,) for prefix, values in self.pieces(m)
                      for j in values)
 
-    @property
-    def levels(self) -> dict[int, tuple[Vector, ...]]:
-        return {m: self.level(m) for m in range(1, self.max_level + 1)}
-
     def sizes(self) -> list[int]:
         """sizes[c*m] = |level m|, p-fold prefix sums of the |V(d')|."""
         sizes = [len(values) for values in self.curve]

@@ -115,10 +115,6 @@ class HomogPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int, degree: int = 0) -> HomogPoly:
-        return cls(num_vars, degree, {})
-
-    @classmethod
     def constant(cls, num_vars: int, value: Scalar) -> HomogPoly:
         return cls(num_vars, 0, {(0,) * num_vars: value})
 

@@ -37,7 +37,7 @@ only their last entries, fiber by fiber over the prefix sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
@@ -320,11 +320,16 @@ def reference_hull(points):
     return k, vertices, sorted(inequalities)
 
 
-def every_quotient(levels):
-    """The quotients v/m of every vector v of every level m, from a dict
-    of levels such as OkounkovSemigroup.levels."""
+def all_levels(sg):
+    """Levels 1..M of a semigroup, as the dict {m: sg.level(m)}."""
+    return {m: sg.level(m) for m in range(1, sg.max_level + 1)}
+
+
+def every_quotient(sg):
+    """The quotients v/m of every vector v of every level m of a
+    semigroup."""
     return [tuple(Fraction(x, m) for x in v)
-            for m, level in levels.items() for v in level]
+            for m, level in all_levels(sg).items() for v in level]
 
 
 def matches_reference_hull(polytope, points):
@@ -814,10 +819,9 @@ def form_along_branch(form, point, branch, chart, param, dep):
 def oracle_single_point_member(curve, points):
     """The exhaustive scan: the first point P of E(F_p), in enumeration
     order, with d*P equal to the class of the degree-d divisor, or None."""
-    from okbody.elliptic import divisor_class_sum
+    from okbody.elliptic import INFINITY
 
-    d = len(points)
-    target = divisor_class_sum(curve, points)
+    d, target = len(points), reduce(curve.add, points, INFINITY)
     for candidate in curve.points:
         if curve.mul(d, candidate) == target:
             return candidate
@@ -827,10 +831,11 @@ def oracle_single_point_member(curve, points):
 # -- generation degree by tuple sums ------------------------------------------
 
 
-def brute_generation_degree(levels, kmax):
-    """Smallest k <= kmax such that every vector of each level m > k is a sum
-    of vectors of levels j_1 + ... + j_r = m with every j_i <= k, or None;
-    levels maps 1..M to tuples of equal-length int vectors."""
+def brute_generation_degree(sg, kmax):
+    """Smallest k <= kmax such that every vector of each level m > k of a
+    semigroup is a sum of vectors of levels j_1 + ... + j_r = m with every
+    j_i <= k, or None."""
+    levels = all_levels(sg)
     zero = (0,) * len(next(v for level in levels.values() for v in level))
     for k in range(1, kmax + 1):
         generated = {0: {zero}}

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,15 +310,17 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_ec_single_point(capsys):
-    assert run(["ec-single-point", "--d", "2", "--samples", "10",
-                "--seed", "3"]) == 0
-    assert "102 points" in capsys.readouterr().out
-
-
-def test_ec_usage_errors(capsys):
-    assert run(["ec-single-point", "--p", "10"]) == 1
-    assert run(["ec-single-point", "--samples", "0"]) == 1
+def test_ec_single_point_is_an_unknown_command():
+    # the elliptic sweep is no command: the okbody process refuses it with
+    # a usage message and exit code 1, and prints no traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "okbody.cli", "ec-single-point", "--p", "101"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage: okbody ")
+    assert "invalid choice: 'ec-single-point'" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_export_toric_p2(tmp_path, capsys):

@@ -37,11 +37,12 @@ def test_package_imports_only_itself_and_the_standard_library():
 def test_import_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, so that no earlier import hides one: dataclasses
     # pulls in inspect, ast, dis and tokenize, most of what the package's
-    # cold import used to cost
+    # cold import used to cost; okbody.elliptic, off the body's path, is
+    # loaded only when imported by name
     probe = ("import sys; before = set(sys.modules); import okbody; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     added = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                            capture_output=True, text=True).stdout.split()
     assert "okbody.varieties" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    assert not {"dataclasses", "inspect", "okbody.elliptic"} & set(added)

@@ -10,7 +10,7 @@ import pytest
 
 from okbody.polynomials import graded_monomials
 
-from oracles import (brute_facets, brute_hull_vertices_2d,
+from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
                      brute_hull_vertices_nd, in_hull_nd, linear_solve,
                      powers_basis, reduce_section, reference_hull, row_reduce)
 
@@ -164,6 +164,65 @@ def test_reference_hull_matches_oracles_on_segments(name):
     dimension, vertices, inequalities = reference_hull(points)
     assert vertices == brute_hull_vertices_nd(points)
     if dimension == len(points[0]):
+        assert inequalities == brute_facets(vertices)
+
+
+# -- the reference hull in higher dimensions ---------------------------------------
+
+
+def test_reference_hull_of_a_cube():
+    cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    dimension, vertices, inequalities = reference_hull(
+        cube + [(F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0)])
+    assert (dimension, len(vertices), len(inequalities)) == (3, 8, 6)
+
+
+def _nd_clouds():
+    rng = random.Random(17)
+    clouds = {}
+    for dim, size in ((3, 8), (4, 7)):
+        for index in range(3):
+            clouds[f"random_{dim}d_{index}"] = [
+                tuple(F(rng.randrange(-4, 5), rng.randrange(1, 3))
+                      for _ in range(dim)) for _ in range(size)]
+    cube = [(i, j, k) for i in (0, 2) for j in (0, 2) for k in (0, 2)]
+    clouds["repeated"] = cube + cube[:3] + [(1, 1, 1), (1, 1, 1)]
+    clouds["coplanar"] = cube + [(1, 1, 0), (1, 0, 0), (2, 1, 1)]
+    clouds["segment"] = [(t, 2 * t, -t, F(3, 2)) for t in (F(1, 2), 0, 2, 1)]
+    clouds["polygon_in_3space"] = [(x, y, x + y) for x, y in (
+        (0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0), (F(1, 2), F(3, 2)),
+        (3, F(1, 2)))]
+    clouds["single_point"] = [(F(1, 3), 2, -1)] * 3
+    clouds["simplex_4d"] = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0),
+                            (0, 0, 2, 0), (0, 0, 0, 2), (F(1, 2),) * 4,
+                            (1, 1, 0, 0)]
+    # points inside edges that lie on four facets: their tight facets have
+    # rank 3 < 4, so only the rank test rejects them as vertices
+    clouds["edge_points_4d"] = [
+        (1, -3, 0, 2), (-2, 0, 2, -3), (1, -2, 3, 0), (0, 1, -2, -1),
+        (-2, 2, -2, 3), (0, -1, -3, 0), (3, 1, 2, -3),
+        (F(3, 2), 0, F(-1, 2), F(-3, 2)), (F(1, 2), -2, F(-3, 2), 1)]
+    # building this hull meets two rays with at least four common tight
+    # vertices that are not adjacent; without the combinatorial adjacency
+    # test their combination would survive as a redundant facet
+    clouds["adjacency_5d"] = [
+        (0, 0, -1, -1, 0), (1, 1, 0, 0, 0), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1),
+        (0, -1, -1, -1, 1), (1, 1, 0, -1, -1), (1, -1, 1, -1, 1),
+        (1, -1, 0, -1, 1), (0, -1, 0, 1, 0)]
+    return clouds
+
+
+ND_CLOUDS = _nd_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(ND_CLOUDS))
+def test_reference_hull_matches_oracles_on_nd_clouds(name):
+    cloud = ND_CLOUDS[name]
+    dimension, hull, inequalities = reference_hull(cloud)
+    vertices = brute_hull_vertices_nd(cloud)
+    assert hull == vertices
+    assert dimension == affine_dimension(vertices)
+    if dimension == len(cloud[0]):
         assert inequalities == brute_facets(vertices)
 
 
