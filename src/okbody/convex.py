@@ -10,11 +10,13 @@ the expected simplex is.  A polytope is made from planar points (q, y)
 alone: P is their hull, and the lift is the hull of the lifts of P's
 vertices, (q*e_i, y) for each i when q > 0 and (0, y) when q = 0, which
 are its vertices, as for q > 0 they lie on distinct rays.  A polytope
-keeps P and that vertex list, lexicographically sorted, and two
+keeps only integers: P's vertices times their least common denominator,
+the scale, and the lifts of that chain, lexicographically sorted; two
 polytopes are equal exactly when these are identical: no tolerance ever
 enters.  Each polytope is hulled once, by Andrew's monotone chain, on one
-integer chain (its points times a common denominator) and lifted, sorted
-and faceted as ints; each coordinate becomes a Fraction once.
+integer chain (its points times a common denominator) and lifted, sorted,
+faceted and written as ints: Fractions are made only for facet offsets
+and for readers of `polygon` and `vertices`.
 
 A full-dimensional lift has a facet per edge of P, with P's inward normal
 (alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
@@ -38,12 +40,12 @@ Constraint = tuple[tuple[int, ...], Fraction]
 
 class RationalPolytope(Frozen):
     """The lift into dimension dim of the hull P of planar points (q, y)
-    with q >= 0.  P is kept as `polygon`, its coordinates Fractions,
-    counterclockwise from its lex-least vertex, and `vertices` are the
-    sorted lifts of P's vertices; in dimension 1, where sum(x) = 0, P is
-    cut to its face on q = 0; P is hulled once, on the points' integer
-    chain, each distinct coordinate one shared Fraction.  A dim other than
-    an int >= 1, a point other than a pair, q < 0 or no vertex is refused."""
+    with q >= 0.  P's vertices, counterclockwise from the lex-least, are
+    kept as `chain`, int pairs over `scale`, their least common
+    denominator, and the lifts of the chain, sorted, as `lifted`; in
+    dimension 1, where sum(x) = 0, P is cut to its face on q = 0.
+    `polygon` and `vertices` read them as Fractions.  A dim other than an
+    int >= 1, a point other than a pair, q < 0 or no vertex is refused."""
 
     def __init__(self, dim: int, points: Iterable[tuple[Scalar, Scalar]]):
         if type(dim) is not int:
@@ -55,8 +57,18 @@ class RationalPolytope(Frozen):
             raise ValueError("a point is not a pair (q, y)")
         _lift(self, dim, *_integer_chain(points))
 
+    @property
+    def polygon(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(q, self.scale), Fraction(y, self.scale))
+                     for q, y in self.chain)
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, self.scale) for c in v)
+                     for v in self.lifted)
+
     def is_full_dimensional(self) -> bool:
-        return len(self.polygon) > (1 if self.dim == 1 else 2)
+        return len(self.chain) > (1 if self.dim == 1 else 2)
 
     def facets(self) -> tuple[Constraint, ...]:
         """Inward facet inequalities (a, beta) with a . x >= beta on the
@@ -64,13 +76,12 @@ class RationalPolytope(Frozen):
         Full-dimensional only."""
         if not self.is_full_dimensional():
             raise ValueError("polytope is not full-dimensional")
-        p, polygon = self.dim - 1, self.polygon
+        p, scale, chain = self.dim - 1, self.scale, self.chain
         if not p:  # a segment on q = 0: its two ends
-            (_q, low), (_q, high) = polygon
+            (_q, low), (_q, high) = self.polygon
             return (((-1,), -high), ((1,), low))
         facets = [(tuple(int(i == j) for j in range(p + 1)), Fraction(0))
                   for i in range(p)] if p > 1 else []
-        scale, chain = _integer_chain(polygon)
         for (qa, ya), (qb, yb) in zip(chain, chain[1:] + chain[:1]):
             if p > 1 and qa == qb == 0:
                 continue
@@ -114,24 +125,23 @@ def _hull(chain: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _lift(polytope, dim: int, scale: int, points: list) -> RationalPolytope:
     """Fill a new polytope with the lift into dimension dim of the hull P
-    of int pairs over scale: hull, check, lift and sort them as ints, then
-    make each distinct coordinate's Fraction once."""
+    of int pairs over scale: hull and check them, divide P's vertices and
+    scale by their gcd, then lift and sort them as ints."""
     polygon = _hull(points)
     if any(q < 0 for q, _y in polygon):
         raise ValueError("a point has q < 0")
     p, lifted = dim - 1, []
-    zero = (0,) * p
-    for q, y in polygon:
-        lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,)
-                    for i in range(p)] if q else [zero + (y,)])
-    if not lifted:
-        raise ValueError("a polytope needs a vertex")
     if not p:
         polygon = [point for point in polygon if not point[0]]
-    exact = {c: Fraction(c, scale) for c in {0}.union(*polygon)}
-    vars(polytope).update(dim=dim, polygon=tuple(
-        (exact[q], exact[y]) for q, y in polygon), vertices=tuple(
-        tuple(map(exact.__getitem__, v)) for v in sorted(lifted)))
+    if not polygon:
+        raise ValueError("a polytope needs a vertex")
+    g, zero = gcd(scale, *(c for point in polygon for c in point)), (0,) * p
+    chain = tuple((q // g, y // g) for q, y in polygon)
+    for q, y in chain:
+        lifted += ([zero[:i] + (q,) + zero[i + 1:] + (y,)
+                    for i in range(p)] if q else [zero + (y,)])
+    vars(polytope).update(dim=dim, scale=scale // g, chain=chain,
+                          lifted=tuple(sorted(lifted)))
     return polytope
 
 
@@ -140,15 +150,19 @@ def polytope_equal(a: RationalPolytope, b: RationalPolytope) -> bool:
     ValueError.  It stays because the benchmark worker calls it."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return a.vertices == b.vertices
+    return a.scale == b.scale and a.lifted == b.lifted
 
 
 def scaled_simplex(n: int, c: int, d: int) -> RationalPolytope:
     """The simplex with vertices 0, c*e_1, ..., c*e_{n-1} and c*d*e_n: the
-    lift of conv{(0, 0), (c, 0), (0, c*d)}."""
+    lift of conv{(0, 0), (c, 0), (0, c*d)}, an int chain over 1.  n, c
+    and d must be ints (a bool is none): anything else is a TypeError."""
     if n < 1 or c < 1 or d < 1:
         raise ValueError("n, c and d must be positive")
-    return RationalPolytope(n, [(0, 0), (c, 0), (0, c * d)])
+    if not type(n) is type(c) is type(d) is int:
+        raise TypeError(f"n, c and d must be ints, not {n!r}, {c!r}, {d!r}")
+    return _lift(RationalPolytope.__new__(RationalPolytope), n, 1,
+                 [(0, 0), (c, 0), (0, c * d)])
 
 
 def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:
@@ -160,8 +174,9 @@ def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:
 def polytope_to_json(polytope: RationalPolytope) -> str:
     """Canonical UTF-8 text form, bit-exact across runs: rationals are
     rendered as "numerator/denominator", in the text of
-    json.dumps(payload, indent=2) and a newline, written directly."""
+    json.dumps(payload, indent=2) and a newline, written from the ints."""
+    scale = polytope.scale
     rows = ",\n".join("    [\n" + ",\n".join(
-        f'      "{c.numerator}/{c.denominator}"' for c in v) + "\n    ]"
-        for v in polytope.vertices)
+        f'      "{c // (g := gcd(c, scale))}/{scale // g}"' for c in v)
+        + "\n    ]" for v in polytope.lifted)
     return f'{{\n  "dim": {polytope.dim},\n  "vertices": [\n{rows}\n  ]\n}}\n'

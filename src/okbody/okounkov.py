@@ -40,7 +40,6 @@ Riemann-Roch rule of okbody.valuation.
 from __future__ import annotations
 
 import json
-from functools import cache
 from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator
@@ -188,9 +187,8 @@ def vertex_criterion(candidate: RationalPolytope,
     occurring among the level-1 valuation vectors.  Combined with the
     candidate being a valid outer bound, this certifies finite generation of
     the graded value semigroup and pins the body to the candidate."""
-    # a Fraction hashes and compares as its int, and a fractional one
-    # equals no int, so a fractional vertex is in no set of int vectors
-    return set(candidate.vertices) <= set(level_one)
+    # scale is the vertices' least common denominator: over 1 they are ints
+    return candidate.scale == 1 and set(candidate.lifted) <= set(level_one)
 
 
 def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
@@ -211,16 +209,17 @@ def generation_degree(sg: OkounkovSemigroup, kmax: int) -> int | None:
         raise TypeError(f"kmax must be an int, not {kmax!r}")
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    fibers = cache(sg.fibers)
+    fibers = {}  # fibers[m]: level m's, read once per call
     for k in range(1, kmax + 1):
         generated = {0: [{0}]}  # generated[m][s]: sums over s at level m
         for m in range(1, (sg.proof_level(k) or sg.max_level) + 1):
-            sums = generated[m] = [set() for _ in fibers(m)]
+            fibers[m] = fibers.get(m) or sg.fibers(m)
+            sums = generated[m] = [set() for _ in fibers[m]]
             for j in range(1, min(k, m) + 1):
                 for s1, lower in enumerate(generated[m - j]):
-                    for s2, values in fibers(j):
+                    for s2, values in fibers[j]:
                         sums[s1 + s2] |= {a + b for a in lower for b in values}
-            if m > k and any(set(values) - sums[s] for s, values in fibers(m)):
+            if m > k and any(set(values) - sums[s] for s, values in fibers[m]):
                 break
         else:
             return k

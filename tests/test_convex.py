@@ -9,10 +9,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import okbody.convex
-from okbody.convex import (RationalPolytope, normal_fan_rays, polytope_equal,
-                           polytope_to_json, scaled_simplex)
-from okbody.okounkov import body_estimate, semigroup
-from okbody.varieties import CASE_NAMES, make_case
+from okbody.convex import (RationalPolytope, _lift, normal_fan_rays,
+                           polytope_equal, polytope_to_json, scaled_simplex)
+from okbody.okounkov import body_estimate, semigroup, vertex_criterion
+from okbody.varieties import CASE_NAMES, make_case, make_negative_control
 
 from oracles import (brute_hull_vertices_2d, brute_hull_vertices_nd,
                      every_quotient, in_hull_nd, matches_reference_hull,
@@ -103,6 +103,48 @@ def test_each_polytope_is_hulled_once(monkeypatch):
     assert body == scaled_simplex(2, 1, 3)
 
 
+def test_readers_put_no_polytope_on_a_chain_again(monkeypatch):
+    # facets, the normal fan and the text read the chain and scale kept at
+    # construction; none rescales the polytope's coordinates
+    polytopes = []
+    for name, c in product(CASE_NAMES, (1, 2)):
+        case = make_case(name, c)
+        polytopes += [case.expected_body(),
+                      body_estimate(semigroup(case, "complete", 3))]
+
+    def refuse(points):
+        raise AssertionError("a reader rescaled a polytope")
+    monkeypatch.setattr(okbody.convex, "_integer_chain", refuse)
+    for polytope in polytopes:
+        rays = normal_fan_rays(polytope)
+        assert rays == tuple(normal for normal, _ in polytope.facets())
+        assert json.loads(polytope_to_json(polytope))["dim"] == polytope.dim
+
+
+def test_one_polygon_over_any_scale_is_one_polytope():
+    # a polygon handed to the lift over denominators 1, 2 and 6 times its
+    # own, or to the constructor with a point inside, keeps the chain over
+    # its least common denominator (in dimension 1, that of its face on
+    # q = 0)
+    for polygon, least, on_q0 in (
+            ([(0, 0), (2, 0), (0, 2)], 1, 1),
+            ([(0, 0), (F(1, 2), 0), (0, F(3, 2))], 2, 2),
+            ([(0, F(-1, 3)), (F(5, 6), 1), (0, 2)], 6, 3)):
+        inside = tuple(F(sum(point), 6) for point in zip(*polygon))
+        for dim in (1, 2, 3):
+            made = [_lift(RationalPolytope.__new__(RationalPolytope), dim,
+                          k * least, [(int(q * k * least), int(y * k * least))
+                                      for q, y in polygon])
+                    for k in (1, 2, 6)]
+            made.append(RationalPolytope(dim, polygon + [inside]))
+            first = made[0]
+            assert first.scale == (on_q0 if dim == 1 else least)
+            for polytope in made:
+                assert (polytope.scale, polytope.chain) == (first.scale,
+                                                            first.chain)
+                assert polytope == first and hash(polytope) == hash(first)
+
+
 def _counterclockwise(chain):
     return all(orient(a, b, c) > 0 for a, b, c in zip(
         chain, chain[1:] + chain[:1], chain[2:] + chain[:2]))
@@ -133,16 +175,21 @@ def test_hull_idempotent_and_permutation_invariant(points):
 
 
 def test_hull_merges_equal_points_given_as_ints_or_fractions():
-    # the polygon's coordinates are Fractions, one per distinct value
+    # equal points merge whatever their types; the polygon reads back as
+    # Fractions, and the polytope keeps the chain over its least scale
     first, *rest = [(1, 0), (F(1), F(0)), (F(1), 0)]
     square = [(0, 0), (F(0), F(0)), (F(2), 0), (2, 2), (0, F(2)),
               (F(1, 2), F(1, 2))]
-    hull = RationalPolytope(2, square[:2] + [first] + rest + square[2:]).polygon
+    polytope = RationalPolytope(2, square[:2] + [first] + rest + square[2:])
+    hull = polytope.polygon
     assert hull == ((0, 0), (2, 0), (2, 2), (0, 2))
     assert {type(c) for point in hull for c in point} == {F}
-    assert hull[0][0] is hull[0][1] is hull[1][1] is hull[3][0]
-    assert hull[1][0] is hull[2][0] is hull[2][1] is hull[3][1]
-    assert RationalPolytope(2, rest[::-1] + [first]).polygon == ((1, 0),)
+    assert [F(0)] * 4 == [hull[0][0], hull[0][1], hull[1][1], hull[3][0]]
+    assert [F(2)] * 4 == [hull[1][0], hull[2][0], hull[2][1], hull[3][1]]
+    assert (polytope.scale, polytope.chain) == (1, ((0, 0), (2, 0), (2, 2),
+                                                    (0, 2)))
+    point = RationalPolytope(2, rest[::-1] + [first])
+    assert point.polygon == ((1, 0),) and point.chain == ((1, 0),)
 
 
 def test_hull_at_large_denominators_matches_brute_force():
@@ -228,6 +275,8 @@ def _fraction_corners(sg):
 
 def _assert_one_polytope(body, polytope):
     assert body == polytope and hash(body) == hash(polytope)
+    assert (body.scale, body.chain, body.lifted) == (
+        polytope.scale, polytope.chain, polytope.lifted)
     assert body.polygon == polytope.polygon
     assert body.vertices == polytope.vertices
     assert polytope_to_json(body) == polytope_to_json(polytope)
@@ -342,8 +391,9 @@ def test_polytope_equal_examples():
 
 
 def test_equal_polytopes_are_one_value():
-    # field-wise == and hash: the vertices are read off the polygon, the
-    # hull of the given points, so equal polytopes collapse in a set
+    # field-wise == and hash: the lifts are read off the chain, the hull of
+    # the given points over its least scale, so equal polytopes collapse
+    # in a set
     unit = scaled_simplex(2, 1, 1)
     redundant = RationalPolytope(2, [(0, 0), (1, 0), (0, 1), (F(1, 3), F(1, 3))])
     assert redundant.facets()
@@ -363,8 +413,8 @@ def _mixed(points, rng):
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 4))
 def test_ints_fractions_and_a_mix_give_equal_polytopes(dim):
-    # the chain scales ints and Fractions alike, and the polytope keeps
-    # Fractions only, whatever came in
+    # the chain scales ints and Fractions alike, and the polytope reads
+    # back Fractions only, whatever came in
     rng = random.Random(dim)
     for points in _seeded_polygons():
         if dim == 1:
@@ -393,6 +443,20 @@ def test_vertex_of_wrong_length_rejected():
         for points in ([(0, 0, 0)], [()]):
             with pytest.raises(ValueError, match=r"not a pair \(q, y\)"):
                 RationalPolytope(dim, points)
+
+
+def test_scaled_simplex_refusals():
+    # the refusals of the constructor it once called, and any c or d other
+    # than an int
+    for n in (2.0, "2", None, True):
+        with pytest.raises(TypeError):
+            scaled_simplex(n, 1, 1)
+    for c, d in ((1.0, 1), (1, 1.5), ("1", 1), (None, 1), (F(3, 2), 1)):
+        with pytest.raises(TypeError):
+            scaled_simplex(2, c, d)
+    for n, c, d in ((0, 1, 1), (2, 0, 1), (2, 1, -1), (0.0, 1, 1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            scaled_simplex(n, c, d)
 
 
 def test_scaled_simplex_vertices():
@@ -457,8 +521,20 @@ def _seeded_polytopes():
             yield RationalPolytope(dim, points)
 
 
+def _seeded_lifts():
+    """The seeded polygons lifted into dimensions 1-4, as given, doubled
+    and thirded, so that some lifts are integral and some are not."""
+    for dim in (1, 2, 3, 4):
+        for points in _seeded_polygons():
+            if dim == 1:
+                points = [(0, y) for _q, y in points]
+            for factor in (1, 2, F(1, 3)):
+                yield RationalPolytope(dim, [(factor * q, factor * y)
+                                             for q, y in points])
+
+
 def test_polytope_json_matches_json_dumps():
-    polytopes = list(_seeded_polytopes())
+    polytopes = list(_seeded_polytopes()) + list(_seeded_lifts())
     for name in CASE_NAMES:
         case = make_case(name)
         polytopes += [case.expected_body(),
@@ -471,6 +547,56 @@ def test_polytope_json_matches_json_dumps():
             for v in polytope.vertices]}
         assert polytope_to_json(polytope) == json.dumps(
             payload, indent=2) + "\n", polytope.vertices
+
+
+def _fraction_rule(candidate, level_one):
+    """The vertex criterion read off the Fraction vertices: a Fraction
+    equals an int exactly when it is integral."""
+    return set(candidate.vertices) <= set(level_one)
+
+
+def test_criterion_matches_the_fraction_vertices():
+    # level-1 sets that hold every vertex, miss one, or hold only the
+    # vertices' floors
+    outcomes = set()
+    for polytope in _seeded_lifts():
+        vertices = polytope.vertices
+        integral = [tuple(map(int, v)) for v in vertices
+                    if all(c.denominator == 1 for c in v)]
+        floors = [tuple(c.numerator // c.denominator for c in v)
+                  for v in vertices]
+        for level_one in (integral, integral[1:], floors,
+                          floors + integral + [(7,) * polytope.dim]):
+            rule = _fraction_rule(polytope, level_one)
+            assert vertex_criterion(polytope, level_one) == rule, vertices
+            outcomes.add(rule)
+    assert outcomes == {False, True}
+
+
+def test_criterion_matches_the_fraction_vertices_on_the_cases(
+        off_flex_cubic):
+    # every shipped case, the negative control and the cubic off its flex,
+    # whose expected segment [0, 3] has a vertex missing from level 1, and
+    # made-up curves whose bodies have fractional vertices
+    cases = [make_case(name, c) for name in CASE_NAMES for c in (1, 2)]
+    outcomes = set()
+    for case in cases + [make_negative_control(), off_flex_cubic]:
+        for max_level in (1, 2, 3, 5):
+            sg = semigroup(case, "complete", max_level)
+            for candidate in (case.expected_body(), body_estimate(sg)):
+                rule = _fraction_rule(candidate, sg.level(1))
+                assert vertex_criterion(candidate, sg.level(1)) == rule
+                outcomes.add(rule)
+    for steps, curve in ((1, ((0,), (0, 1), (5,))), (0, ((), (1,), (3,))),
+                         (2, ((0,), (), (1,)))):
+        sg = fake_semigroup(1, steps, curve)
+        body = body_estimate(sg)
+        assert body.scale == 2
+        for level_one in (sg.level(1), [tuple(map(int, v))
+                                        for v in body.vertices]):
+            assert vertex_criterion(body, level_one) is False
+            assert _fraction_rule(body, level_one) is False
+    assert outcomes == {False, True}
 
 
 def test_polytope_json_round_trip_and_format():

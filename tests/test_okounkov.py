@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb
@@ -708,6 +709,25 @@ def test_proved_generation_degree_reads_few_levels(monkeypatch):
     monkeypatch.setattr(valuation, "series_solve_branch", None)
     assert generation_degree(sg, 300) == 1
     assert sorted(set(read)) == [1, 2, 3] and sg.proof_level(1) == 3
+
+
+def test_generation_degree_reads_each_level_once(monkeypatch, off_flex_cubic):
+    # a call reads a level's fibers once, however many k it tries: the
+    # proved cubic, and the cubic off its flex, which searches every level
+    sgs = [semigroup(make_case("fermat_cubic"), "complete", 300)] + [
+        semigroup(CaseStudy(off_flex_cubic.name, off_flex_cubic.flag, c),
+                  "complete", 8) for c in (1, 2, 3)]
+    read, fibers = Counter(), OkounkovSemigroup.fibers
+
+    def counting(self, m):
+        read[m] += 1
+        return fibers(self, m)
+    monkeypatch.setattr(OkounkovSemigroup, "fibers", counting)
+    for sg in sgs:
+        read.clear()
+        degree = generation_degree(sg, sg.max_level)
+        assert read and set(read.values()) == {1}, (degree, read)
+    assert degree == 2 and sorted(read) == list(range(1, 9))
 
 
 def test_cubic_off_the_flex_takes_the_witness_search(off_flex_cubic):
