@@ -25,8 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .convex import (RationalPolytope, normal_fan_rays, polytope_equal,
-                     polytope_to_json)
+from .convex import RationalPolytope, normal_fan_rays, polytope_to_json
 from .okounkov import (OkounkovSemigroup, body_estimate, generation_degree,
                        semigroup, semigroup_to_json, vertex_criterion)
 from .series import PrecisionError
@@ -162,7 +161,7 @@ def cmd_compute(args) -> int:
            args.verbose)
     _write(args.out / f"{_stem(sg)}_body.json", polytope_to_json(body),
            args.verbose)
-    equal = polytope_equal(body, expected)
+    equal = body == expected
     status = "equals" if equal else "DIFFERS FROM"
     print(f"{case.name} ({sg.kind}, M={args.max_level}): body "
           f"{_format_vertices(body)} {status} expected simplex "
@@ -222,7 +221,7 @@ def cmd_demo(args) -> int:
         sg = semigroup(case, "complete", args.max_level)
         body = body_estimate(sg)
         expected = case.expected_body()
-        equal = polytope_equal(body, expected)
+        equal = body == expected
         certified = vertex_criterion(expected, sg.level(1))
         degree = generation_degree(sg, kmax=args.max_level)
         ok = ok and equal and certified and report.passed

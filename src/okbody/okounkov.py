@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate
 from math import comb, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .convex import RationalPolytope, _lift
 from .polynomials import Frozen, graded_monomials
@@ -75,7 +75,7 @@ class GradedSystem:
         if level < 1:
             raise ValueError("levels start at 1")
         n = self.case.flag.ambient_vars - 1
-        degree = self.case.section_degree(level)
+        degree = self.case.c * level
         relation = self.case.flag.relation
         low = degree - relation.degree if relation is not None else -1
         return comb(n + degree, n) - (comb(n + low, n) if low >= 0 else 0)
@@ -100,21 +100,17 @@ class OkounkovSemigroup(Frozen):
         sums (0 alone without steps)."""
         if not 1 <= m <= self.max_level:
             raise KeyError(m)
-        degree = self.case.section_degree(m)
+        degree = self.case.c * m
         return [(s, self.curve[degree - s])
                 for s in range(degree + 1 if self.steps else 1)]
 
-    def pieces(self, m: int) -> Iterator[tuple[Vector, tuple[int, ...]]]:
-        """Level m as pairs (prefix, V(c*m - sum(prefix))), in lex order:
-        (prefix, c*m - sum(prefix)) runs over the monomials of degree c*m."""
-        fibers = self.fibers(m)
-        degree = self.case.section_degree(m)
-        for e in reversed(graded_monomials(self.steps + 1, degree)):
-            yield e[:-1], fibers[degree - e[-1]][1]
-
     def level(self, m: int) -> tuple[Vector, ...]:
-        return tuple(prefix + (j,) for prefix, values in self.pieces(m)
-                     for j in values)
+        """Level m, lex-sorted: e[:-1] + (j,), j in V(e[-1]), deg e = c*m."""
+        if not 1 <= m <= self.max_level:
+            raise KeyError(m)
+        return tuple(e[:-1] + (j,) for e in reversed(
+            graded_monomials(self.steps + 1, self.case.c * m))
+            for j in self.curve[e[-1]])
 
     def sizes(self) -> list[int]:
         """sizes[c*m] = |level m|, p-fold prefix sums of the |V(d')|."""
@@ -149,7 +145,7 @@ def semigroup(case: CaseStudy, kind: str, max_level: int) -> OkounkovSemigroup:
         raise ValueError("max_level must be at least 1")
     system, p = GradedSystem(case), len(case.flag.steps)
     curve, rule_from = case.flag.final_stage.value_sets_and_rule(
-        case.section_degree(max_level))
+        case.c * max_level)
     sg = OkounkovSemigroup(case, kind, max_level, curve, p, rule_from)
     for m, size in enumerate(sg.sizes()[case.c::case.c], 1):
         if size != system.dimension(m):

@@ -16,10 +16,11 @@ u(t) shifted by a, and its order is its first nonzero coefficient, at most
 d'*e when it does not vanish on the curve.  The translation to the point
 is triangular, so the value sets V(0), ..., V(D), the orders of the
 nonzero forms of each degree modulo the curve, are the pivot sets of one
-echelon (see _FinalStage.value_sets).  When e is in V(1), a linear form
-of order e at the point has divisor e*p on the curve, so Riemann-Roch gives
-V(d') past d0 + 1, d0 = ceil(2g/e), and the echelon stops there, on one
-branch solve.  The final form, a*t + b*u, gives only the contact order.
+echelon (see _FinalStage.value_sets_and_rule).  When e is in V(1), a
+linear form of order e at the point has divisor e*p on the curve, so
+Riemann-Roch gives V(d') past d0 + 1, d0 = ceil(2g/e), and the echelon
+stops there, on one branch solve.  The final form, a*t + b*u, gives only
+the contact order.
 """
 
 from __future__ import annotations
@@ -72,9 +73,11 @@ class _FinalStage(Frozen):
         raise ZeroSectionError("section vanishes identically on the final "
                                "curve")
 
-    def value_sets(self, top: int) -> tuple[tuple[int, ...], ...]:
-        """V(0), ..., V(top): V(d') is the set of orders at the point of the
-        nonzero forms of degree d' modulo the curve, increasing.
+    def value_sets_and_rule(self, top: int) -> tuple[
+            tuple[tuple[int, ...], ...], int | None]:
+        """(V(0), ..., V(top)), and d0 when the rule gave them, else None:
+        V(d') is the set of orders at the point of the nonzero forms of
+        degree d' modulo the curve, increasing.
 
         In the chart at the point these forms are the polynomials of degree
         at most d' in t and u modulo the curve's f(t, u) (u on a line, the
@@ -97,11 +100,6 @@ class _FinalStage(Frozen):
         O_C(1) = O_C(e*p) and V(d') = {d'e - w : w in W(p), w <= d'e}, W(p)
         the Weierstrass semigroup, which holds all w >= 2g: past D the rule
         V(d'+1) = (V(d') + e) | {0, ..., e - 1}, checked at D, goes on."""
-        return self.value_sets_and_rule(top)[0]
-
-    def value_sets_and_rule(self, top: int) -> tuple[
-            tuple[tuple[int, ...], ...], int | None]:
-        """value_sets(top) and d0 when the rule gave them, else None."""
         e = self.curve_degree
         d0 = -(-(e - 1) * (e - 2) // e)
         # f's degree-e part is the curve's x_chart-free part, shift-invariant

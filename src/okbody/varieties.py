@@ -37,6 +37,7 @@ import json
 import re
 from fractions import Fraction
 
+from .convex import scaled_simplex
 from .polynomials import Frozen, HomogPoly, has_projective_common_zero
 from .valuation import Flag
 
@@ -69,11 +70,7 @@ class CaseStudy:
         relation = self.flag.relation
         return self.flag.ambient_vars - (relation.degree if relation else 0)
 
-    def section_degree(self, level: int) -> int:
-        return level * self.c
-
     def expected_body(self):
-        from .convex import scaled_simplex
         return scaled_simplex(self.n, self.c, self.d)
 
 

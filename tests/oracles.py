@@ -719,7 +719,7 @@ def standard_basis(case, level):
     from okbody.polynomials import HomogPoly, graded_monomials
 
     flag = case.flag
-    monos = graded_monomials(flag.ambient_vars, case.section_degree(level))
+    monos = graded_monomials(flag.ambient_vars, case.c * level)
     if flag.relation is not None:
         lead = leading_monomial(flag.relation, flag.ambient_vars - 1)
         monos = [m for m in monos if not all(a >= b for a, b in zip(m, lead))]

@@ -1,5 +1,8 @@
-"""Semigroups of made-up curves, for the body and text tests: the value
-sets V(0), ..., V(c*M) are given or drawn rather than read off a flag."""
+"""The tests' shared strategies: semigroups of made-up curves, for the
+body and text tests, whose value sets V(0), ..., V(c*M) are given or drawn
+rather than read off a flag, and small rationals."""
+
+from fractions import Fraction
 
 import hypothesis.strategies as st
 
@@ -24,3 +27,12 @@ def fake_semigroups(draw):
                                 min_size=int(d % c == 0)))
              for d in range(c * top + 1)]
     return fake_semigroup(c, steps, tuple(tuple(sorted(v)) for v in curve))
+
+
+def small_fractions(bound, max_denominator):
+    """The values of st.fractions(-bound, bound, max_denominator=...),
+    sampled from their sorted list, which draws several times faster; in
+    the order (|v|, v), so that shrinking still heads to 0."""
+    values = {Fraction(p, q) for q in range(1, max_denominator + 1)
+              for p in range(-bound * q, bound * q + 1)}
+    return st.sampled_from(sorted(values, key=lambda v: (abs(v), v)))

@@ -202,8 +202,7 @@ def test_criterion_09_property_suites():
                 break
         recombined = []
         for row in matrix:
-            section = HomogPoly(case.flag.ambient_vars,
-                                case.section_degree(m), {})
+            section = HomogPoly(case.flag.ambient_vars, case.c * m, {})
             for coeff, vec in zip(row, basis):
                 section = section + coeff * vec
             recombined.append(reduce_section(case, section))

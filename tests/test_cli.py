@@ -345,6 +345,17 @@ def test_demo(capsys):
         assert all(i >= len(line) or line[i] == " " for i in gaps), line
 
 
+def test_a_body_other_than_the_simplex_fails(monkeypatch, tmp_path, capsys):
+    # compute and demo compare the body with the expected simplex
+    from okbody import cli as cli_module
+    monkeypatch.setattr(cli_module, "body_estimate", lambda sg: scaled_simplex(
+        sg.case.n, sg.case.c, sg.case.d + 1))
+    assert run(["compute", "--case", "p2", "--max-level", "2",
+                "--out", tmp_path]) == 2
+    assert "DIFFERS FROM expected simplex" in capsys.readouterr().out
+    assert run(["demo", "--max-level", "2"]) == 2
+
+
 def test_computational_failure_exit_code(monkeypatch, tmp_path, capsys):
     from okbody import cli as cli_module
     from okbody.series import PrecisionError

@@ -17,11 +17,11 @@ from okbody.varieties import CASE_NAMES, make_case, make_negative_control
 from oracles import (brute_hull_vertices_2d, brute_hull_vertices_nd,
                      every_quotient, in_hull_nd, matches_reference_hull,
                      orient, reference_hull)
-from strategies import fake_semigroup, fake_semigroups
+from strategies import fake_semigroup, fake_semigroups, small_fractions
 
 F = Fraction
 
-coords = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+coords = small_fractions(6, 5)
 points_2d = st.lists(st.tuples(coords, coords), min_size=1, max_size=14)
 
 

@@ -7,10 +7,21 @@ import hypothesis.strategies as st
 from okbody.linalg import Echelon
 
 from oracles import kernel_basis, row_reduce
+from strategies import small_fractions
 
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
-large = st.fractions(min_value=-10**9, max_value=10**9,
-                     max_denominator=10**12)
+rationals = small_fractions(8, 6)
+
+
+@st.composite
+def large_fractions(draw):
+    """The values of st.fractions(-10**9, 10**9, max_denominator=10**12):
+    a denominator q, then a numerator in [-10**9 q, 10**9 q], drawn without
+    the strategy that st.fractions builds for each q."""
+    q = draw(st.integers(1, 10**12))
+    return Fraction(draw(st.integers(-10**9 * q, 10**9 * q)), q)
+
+
+large = large_fractions()
 
 
 # -- the library's elimination -------------------------------------------------

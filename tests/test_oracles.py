@@ -1,6 +1,9 @@
 """Checks of the oracles themselves: each is exact and independent of the
-library, so these tests hold them to hand-made examples and to one
-another, and run no `src/` code beyond the forms the oracles build."""
+library, so these tests hold them to hand-made examples, to sympy and to
+one another, and run no `src/` code beyond the forms the oracles build
+and what oracles.py says they reuse: the flag-expansion value set reads
+the final curve off a flag's final stage and its branch off the
+library's solver."""
 
 import random
 from fractions import Fraction
@@ -10,15 +13,21 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from okbody.polynomials import graded_monomials
+from okbody.polynomials import HomogPoly, graded_monomials
 
 from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
-                     brute_hull_vertices_nd, in_hull_nd, kernel_basis,
-                     linear_solve, powers_basis, reduce_section,
-                     reference_hull, row_reduce)
+                     brute_hull_vertices_nd, expansion_value_set,
+                     grevlex_order, in_hull_nd, kernel_basis, lex_order,
+                     linear_solve, normal_form, oracle_valuation,
+                     poly_divmod, powers_basis, reduce_section,
+                     reference_hull, row_reduce, standard_basis,
+                     step_coordinates)
+from strategies import small_fractions
 
 F = Fraction
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+rationals = small_fractions(8, 6)
+X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
+FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
 
 
 # -- the vertex oracles -----------------------------------------------------------
@@ -243,6 +252,303 @@ def test_powers_basis_products_lie_in_higher_levels(quadric):
             product = reduce_section(quadric, a * b)
             assert linear_solve(level_three,
                                 product.coefficient_vector(coords)) is not None
+
+
+def test_powers_basis_spans_inside_standard_basis(quadric):
+    coords = graded_monomials(4, 2)
+    complete_rows = [p.coefficient_vector(coords)
+                     for p in standard_basis(quadric, 2)]
+    for p in powers_basis(quadric, 2):
+        assert linear_solve(complete_rows,
+                            p.coefficient_vector(coords)) is not None
+
+
+# -- division by one relation -------------------------------------------------
+
+
+coefficients = small_fractions(10, 8)
+
+
+def random_poly(draw, num_vars=4, degree=3, max_terms=4):
+    monos = graded_monomials(num_vars, degree)
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=0,
+                           max_size=max_terms))
+    coeffs = draw(st.lists(coefficients, min_size=len(chosen),
+                           max_size=len(chosen)))
+    terms = {}
+    for m, c in zip(chosen, coeffs):
+        terms[m] = terms.get(m, Fraction(0)) + c
+    return HomogPoly(num_vars, degree, terms)
+
+
+@st.composite
+def homog_cubics(draw):
+    return random_poly(draw, num_vars=4, degree=3)
+
+
+def test_normal_form_single_substitution():
+    p = W ** 3 * X
+    expected = -(X ** 4) - X * Y ** 3 - X * Z ** 3
+    assert normal_form(p, FERMAT, 3) == expected
+
+
+def test_normal_form_already_reduced():
+    p = W ** 2 * X + Y * Z * W
+    assert normal_form(p, FERMAT, 3) == p
+
+
+def test_normal_form_of_relation_is_zero():
+    assert not normal_form(FERMAT, FERMAT, 3)
+
+
+def test_normal_form_quadric_leading_monomial():
+    quadric = X * W - Y * Z
+    # x*w is the leading monomial, so it rewrites to y*z
+    assert normal_form(X * W, quadric) == Y * Z
+
+
+def test_grevlex_order_leading_monomial_avoids_the_smallest_variable():
+    quadric = X * W - Y * Z
+    # x*w is divisible by w, the smallest variable, so y*z leads
+    assert poly_divmod(X * Y * Z, quadric, grevlex_order(3))[1] == X * X * W
+    assert poly_divmod(X * X * W, quadric, grevlex_order(3))[1] == X * X * W
+
+
+def test_poly_divmod_reconstructs():
+    p = W ** 3 * X + X * Y * Z * W
+    q, r = poly_divmod(p, FERMAT, lex_order(3))
+    assert q * FERMAT + r == p
+
+
+@given(homog_cubics())
+@settings(max_examples=60)
+def test_normal_form_idempotent(p):
+    r = normal_form(p, FERMAT, 3)
+    assert normal_form(r, FERMAT, 3) == r
+
+
+@given(homog_cubics(), homog_cubics())
+@settings(max_examples=60)
+def test_normal_form_linear(p, q):
+    lhs = normal_form(p + q, FERMAT, 3)
+    rhs = normal_form(p, FERMAT, 3) + normal_form(q, FERMAT, 3)
+    assert lhs == rhs
+
+
+@given(homog_cubics())
+@settings(max_examples=60)
+def test_poly_divmod_difference_is_divisible_by_relation(p):
+    q, r = poly_divmod(p, FERMAT, lex_order(3))
+    assert p - r == q * FERMAT
+
+
+def test_reduce_section_is_identity_without_relation(p2):
+    section = HomogPoly.variable(3, 0) ** 2
+    assert reduce_section(p2, section) == section
+
+
+def _divided_normal_form(coordinates, section):
+    """The normal form of a section in one step's coordinates (pivot,
+    to_y, relation'), by substitution and one division."""
+    pivot, to_y, relation = coordinates
+    moved = section.substitute(pivot, to_y)
+    if relation is None:
+        return moved
+    return poly_divmod(moved, relation, grevlex_order(pivot))[1]
+
+
+def _in_ideal(poly, generators, symbols):
+    """Ideal membership decided by a sympy Groebner basis."""
+    import sympy
+
+    def expr(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}, *symbols).as_expr()
+
+    basis = sympy.groebner([expr(g) for g in generators], *symbols,
+                           order="grevlex")
+    return basis.reduce(expr(poly))[1] == 0
+
+
+def _oracle_sections(rng, h, relation, degree, count):
+    """Random sections with a planted factor h^j, plus multiples of the
+    relation that the order must see through."""
+    out = []
+    while len(out) < count:
+        j = rng.randrange(degree + 1)
+        monos = graded_monomials(4, degree - j)
+        picked = rng.sample(monos, min(2, len(monos)))
+        free = HomogPoly(4, degree - j,
+                         {m: rng.randrange(-3, 4) for m in picked})
+        section = h ** j * free
+        if degree >= relation.degree:
+            monos = graded_monomials(4, degree - relation.degree)
+            section = section + relation * HomogPoly(
+                4, degree - relation.degree,
+                {m: rng.randrange(-2, 3) for m in rng.sample(monos, 1)})
+        if section and _divided_normal_form(
+                step_coordinates(relation, [h])[0], section):
+            out.append(section)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fermat", "quadric"])
+def test_step_division_order_and_cofactor_match_sympy_groebner(name,
+                                                               request):
+    # the order along h that one division in the step's coordinates reads
+    # off, and its cofactor, against ideal membership by sympy
+    sympy = pytest.importorskip("sympy")
+    case = request.getfixturevalue(name)
+    relation = case.flag.relation
+    symbols = sympy.symbols("x y z w")
+    rng = random.Random(29)
+    dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
+    for h in (case.flag.steps[0], dense):
+        (step,) = step_coordinates(relation, [h])
+        for degree in (2, 3):
+            for section in _oracle_sections(rng, h, relation, degree, 5):
+                normal = _divided_normal_form(step, section)
+                p = step[0]
+                k = min(e[p] for e in normal.terms)
+                assert _in_ideal(section, [h ** k, relation], symbols)
+                assert not _in_ideal(section, [h ** (k + 1), relation],
+                                     symbols)
+                # the cofactor r / y^k, back in the original coordinates
+                cofactor = HomogPoly(4, degree - k, {
+                    e[:p] + (e[p] - k,) + e[p + 1:]: c
+                    for e, c in normal.terms.items()}).substitute(p, h)
+                assert _in_ideal(section - h ** k * cofactor, [relation],
+                                 symbols)
+
+
+# -- the flag-expansion value set ---------------------------------------------
+
+
+def _valuation(section, flag):
+    """The valuation vector of one section, by the flag-expansion oracle
+    that the semigroup tests take as their reference."""
+    (vector,) = expansion_value_set([section], flag)
+    return vector
+
+
+def test_expansion_value_set_order_of_explicit_power(fermat):
+    assert _valuation(W ** 2 * X, fermat.flag)[0] == 2
+
+
+def test_expansion_value_set_order_found_through_the_relation(fermat):
+    # x^3+y^3+z^3 = -w^3 on the Fermat cubic
+    assert _valuation(X ** 3 + Y ** 3 + Z ** 3, fermat.flag)[0] == 3
+
+
+def test_expansion_value_set_order_of_nonvanishing_section(fermat):
+    assert _valuation(X, fermat.flag)[0] == 0
+
+
+def test_expansion_value_set_rejects_zero_section(fermat):
+    with pytest.raises(ValueError, match="not linearly independent"):
+        _valuation(FERMAT, fermat.flag)
+
+
+def test_expansion_value_set_order_rises_by_one_times_h(fermat):
+    rng = random.Random(3)
+    monos = graded_monomials(4, 2)
+    for _ in range(15):
+        terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, 3)}
+        s = HomogPoly(4, 2, terms)
+        if not s:
+            continue
+        assert _valuation(s * W, fermat.flag)[0] == \
+            _valuation(s, fermat.flag)[0] + 1
+
+
+def test_expansion_value_set_restricts_explicit_power(fermat):
+    # w^2 x divided by w^2 restricts to x, a unit at the point
+    assert _valuation(W ** 2 * X, fermat.flag) == (2, 0)
+
+
+def test_expansion_value_set_restricts_through_relation_to_a_constant(fermat):
+    # x^3+y^3+z^3 divided by w^3 restricts to the constant -1
+    assert _valuation(X ** 3 + Y ** 3 + Z ** 3, fermat.flag) == (3, 0)
+
+
+def test_expansion_value_set_p2_coordinate_valuations(p2):
+    x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
+    assert _valuation(x0, p2.flag) == (0, 0)
+    assert _valuation(x1, p2.flag) == (1, 0)
+    assert _valuation(x2, p2.flag) == (0, 1)
+
+
+def test_expansion_value_set_fermat_flag_valuations(fermat):
+    assert _valuation(W, fermat.flag) == (1, 0)
+    assert _valuation(X + Y, fermat.flag) == (0, 3)
+
+
+def test_expansion_value_set_nowhere_vanishing_section_has_zero_vector(
+        quadric):
+    assert _valuation(Y, quadric.flag) == (0, 0)
+
+
+def test_expansion_value_set_of_a_singleton_basis(fermat):
+    section = HomogPoly.variable(4, 3)
+    assert expansion_value_set([section], fermat.flag) == ((1, 0),)
+
+
+def test_expansion_value_set_rejects_a_dependent_basis(fermat):
+    x = HomogPoly.variable(4, 0)
+    y = HomogPoly.variable(4, 1)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        expansion_value_set([x, y, x + y], fermat.flag)
+
+
+def test_expansion_value_set_invariant_under_basis_change(p3, quadric,
+                                                          fermat):
+    # p3 ends on a line; the others end on a conic and a cubic
+    rng = random.Random(23)
+    for case, m in ((quadric, 2), (fermat, 1), (quadric, 4), (fermat, 3),
+                    (p3, 3)):
+        basis = list(standard_basis(case, m))
+        reference = expansion_value_set(basis, case.flag)
+        dim = len(basis)
+        for _trial in range(10):
+            while True:
+                matrix = [[rng.randrange(-3, 4) for _ in range(dim)]
+                          for _ in range(dim)]
+                if len(row_reduce(matrix)[1]) == dim:
+                    break  # invertible
+            recombined = []
+            for row in matrix:
+                section = HomogPoly(case.flag.ambient_vars, case.c * m, {})
+                for coeff, vec in zip(row, basis):
+                    section = section + coeff * vec
+                recombined.append(reduce_section(case, section))
+            assert expansion_value_set(recombined, case.flag) == reference
+
+
+def test_expansion_value_set_matches_local_oracles_on_monomial_bases(
+        p2, p3, quadric, fermat):
+    for case in (p2, p3, quadric, fermat):
+        for degree in (1, 2):
+            for mono in graded_monomials(case.flag.ambient_vars, degree):
+                section = HomogPoly.monomial(mono)
+                if not reduce_section(case, section):
+                    continue
+                assert _valuation(section, case.flag) == \
+                    oracle_valuation(case.name, section)[0]
+
+
+def test_expansion_value_set_matches_local_oracles_on_random_sections(
+        quadric, fermat):
+    rng = random.Random(11)
+    for case in (quadric, fermat):
+        monos = graded_monomials(4, 2)
+        for _ in range(25):
+            terms = {m: rng.randrange(-4, 5) for m in rng.sample(monos, 3)}
+            section = HomogPoly(4, 2, terms)
+            if not section or not reduce_section(case, section):
+                continue
+            assert _valuation(section, case.flag) == \
+                oracle_valuation(case.name, section)[0]
 
 
 # -- the linear solve and kernel, which the tests use ---------------------------

@@ -1,38 +1,19 @@
 import re
-from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
+from hypothesis import given
 
 from okbody.polynomials import (HomogPoly, graded_monomials,
                                 has_projective_common_zero)
-from oracles import grevlex_order, lex_order, normal_form, poly_divmod
+from strategies import small_fractions
 
 x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
 
-rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+rationals = small_fractions(10, 8)
 nonzero_rationals = rationals.filter(bool)
-
-
-def random_poly(draw, num_vars=4, degree=3, max_terms=4):
-    monos = graded_monomials(num_vars, degree)
-    chosen = draw(st.lists(st.sampled_from(monos), min_size=0,
-                           max_size=max_terms))
-    coeffs = draw(st.lists(rationals, min_size=len(chosen),
-                           max_size=len(chosen)))
-    terms = {}
-    for m, c in zip(chosen, coeffs):
-        terms[m] = terms.get(m, Fraction(0)) + c
-    return HomogPoly(num_vars, degree, terms)
-
-
-@st.composite
-def homog_cubics(draw):
-    return random_poly(draw, num_vars=4, degree=3)
 
 
 def test_graded_monomials_two_vars_degree_one():
@@ -123,35 +104,7 @@ def test_rational_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-# -- normal form: the oracles' division by one relation -----------------------
-
-
-def test_normal_form_single_substitution():
-    p = W ** 3 * X
-    expected = -(X ** 4) - X * Y ** 3 - X * Z ** 3
-    assert normal_form(p, FERMAT, 3) == expected
-
-
-def test_normal_form_already_reduced():
-    p = W ** 2 * X + Y * Z * W
-    assert normal_form(p, FERMAT, 3) == p
-
-
-def test_normal_form_of_relation_is_zero():
-    assert not normal_form(FERMAT, FERMAT, 3)
-
-
-def test_normal_form_quadric_leading_monomial():
-    quadric = X * W - Y * Z
-    # x*w is the leading monomial, so it rewrites to y*z
-    assert normal_form(X * W, quadric) == Y * Z
-
-
-def test_grevlex_leading_monomial_avoids_the_smallest_variable():
-    quadric = X * W - Y * Z
-    # x*w is divisible by w, the smallest variable, so y*z leads
-    assert poly_divmod(X * Y * Z, quadric, grevlex_order(3))[1] == X * X * W
-    assert poly_divmod(X * X * W, quadric, grevlex_order(3))[1] == X * X * W
+# -- substitution and coefficients ----------------------------------------------
 
 
 def test_substitute_and_coefficient_of():
@@ -160,34 +113,6 @@ def test_substitute_and_coefficient_of():
     x, y, z = (HomogPoly.variable(3, i) for i in range(3))
     assert moved.coefficient_of(3, 0) == x * x + z * x
     assert moved.coefficient_of(3, 1) == -x - z
-
-
-def test_divmod_reconstructs():
-    p = W ** 3 * X + X * Y * Z * W
-    q, r = poly_divmod(p, FERMAT, lex_order(3))
-    assert q * FERMAT + r == p
-
-
-@given(homog_cubics())
-@settings(max_examples=60)
-def test_normal_form_idempotent(p):
-    r = normal_form(p, FERMAT, 3)
-    assert normal_form(r, FERMAT, 3) == r
-
-
-@given(homog_cubics(), homog_cubics())
-@settings(max_examples=60)
-def test_normal_form_linear(p, q):
-    lhs = normal_form(p + q, FERMAT, 3)
-    rhs = normal_form(p, FERMAT, 3) + normal_form(q, FERMAT, 3)
-    assert lhs == rhs
-
-
-@given(homog_cubics())
-@settings(max_examples=60)
-def test_difference_is_divisible_by_relation(p):
-    q, r = poly_divmod(p, FERMAT, lex_order(3))
-    assert p - r == q * FERMAT
 
 
 # -- common projective zeros ----------------------------------------------------

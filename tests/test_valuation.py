@@ -14,11 +14,9 @@ from okbody.valuation import Flag, ZeroSectionError
 from okbody.varieties import (CASE_NAMES, CaseStudy, make_negative_control,
                               verify_flag)
 
-from oracles import (all_levels, expansion_value_set, final_series,
-                     form_along_branch, grevlex_order, linear_solve,
-                     oracle_valuation, oracle_value_set, per_degree_value_set,
-                     poly_divmod, reduce_section, riemann_roch_orders,
-                     row_reduce, standard_basis, step_coordinates)
+from oracles import (all_levels, final_series, form_along_branch,
+                     linear_solve, oracle_value_set, per_degree_value_set,
+                     riemann_roch_orders, row_reduce, standard_basis)
 
 X, Y, Z, W = (HomogPoly.variable(4, i) for i in range(4))
 FERMAT = X ** 3 + Y ** 3 + Z ** 3 + W ** 3
@@ -26,59 +24,7 @@ PLANE_CUBIC = (HomogPoly.variable(3, 0) ** 3 + HomogPoly.variable(3, 1) ** 3
                + HomogPoly.variable(3, 2) ** 3)
 
 
-FERMAT_FLAG = make_case("fermat_cubic").flag  # one step, {w = 0}
-
-
-def _valuation(section, flag=FERMAT_FLAG):
-    """The valuation vector of one section, by the flag-expansion oracle
-    that the semigroup tests take as their reference."""
-    (vector,) = expansion_value_set([section], flag)
-    return vector
-
-
-# -- orders along a flag member, by the flag-expansion oracle -------------------
-
-
-def test_order_of_explicit_power():
-    assert _valuation(W ** 2 * X)[0] == 2
-
-
-def test_order_found_through_the_relation():
-    # x^3+y^3+z^3 = -w^3 on the Fermat cubic
-    assert _valuation(X ** 3 + Y ** 3 + Z ** 3)[0] == 3
-
-
-def test_order_of_nonvanishing_section():
-    assert _valuation(X)[0] == 0
-
-
-def test_order_rejects_zero_section():
-    with pytest.raises(ValueError, match="not linearly independent"):
-        _valuation(FERMAT)
-
-
-def test_order_consistency_multiplying_by_h():
-    rng = random.Random(3)
-    monos = graded_monomials(4, 2)
-    for _ in range(15):
-        terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, 3)}
-        s = HomogPoly(4, 2, terms)
-        if not s:
-            continue
-        assert _valuation(s * W)[0] == _valuation(s)[0] + 1
-
-
 # -- restriction -----------------------------------------------------------------
-
-
-def test_restrict_explicit_power():
-    # w^2 x divided by w^2 restricts to x, a unit at the point
-    assert _valuation(W ** 2 * X) == (2, 0)
-
-
-def test_restrict_through_relation_gives_constant():
-    # x^3+y^3+z^3 divided by w^3 restricts to the constant -1
-    assert _valuation(X ** 3 + Y ** 3 + Z ** 3) == (3, 0)
 
 
 def test_restrict_order_zero():
@@ -90,81 +36,6 @@ def test_restrict_order_zero():
 def test_step_dividing_the_relation_rejected():
     with pytest.raises(ValueError, match="divides the relation"):
         Flag(4, W * FERMAT, [W], X + Y, (1, -1, 0, 0))
-
-
-def _divided_normal_form(coordinates, section):
-    """The normal form of a section in one step's coordinates (pivot,
-    to_y, relation'), by substitution and one division."""
-    pivot, to_y, relation = coordinates
-    moved = section.substitute(pivot, to_y)
-    if relation is None:
-        return moved
-    return poly_divmod(moved, relation, grevlex_order(pivot))[1]
-
-
-# -- independent Groebner-basis oracle (sympy) ------------------------------------
-
-
-def _in_ideal(poly, generators, symbols):
-    """Ideal membership decided by a sympy Groebner basis."""
-    import sympy
-
-    def expr(p):
-        return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator)
-             for e, c in p.terms.items()}, *symbols).as_expr()
-
-    basis = sympy.groebner([expr(g) for g in generators], *symbols,
-                           order="grevlex")
-    return basis.reduce(expr(poly))[1] == 0
-
-
-def _oracle_sections(rng, h, relation, degree, count):
-    """Random sections with a planted factor h^j, plus multiples of the
-    relation that the order must see through."""
-    out = []
-    while len(out) < count:
-        j = rng.randrange(degree + 1)
-        monos = graded_monomials(4, degree - j)
-        picked = rng.sample(monos, min(2, len(monos)))
-        free = HomogPoly(4, degree - j,
-                         {m: rng.randrange(-3, 4) for m in picked})
-        section = h ** j * free
-        if degree >= relation.degree:
-            monos = graded_monomials(4, degree - relation.degree)
-            section = section + relation * HomogPoly(
-                4, degree - relation.degree,
-                {m: rng.randrange(-2, 3) for m in rng.sample(monos, 1)})
-        if section and _divided_normal_form(
-                step_coordinates(relation, [h])[0], section):
-            out.append(section)
-    return out
-
-
-@pytest.mark.parametrize("name", ["fermat", "quadric"])
-def test_order_and_cofactor_match_groebner_oracle(name, request):
-    sympy = pytest.importorskip("sympy")
-    case = request.getfixturevalue(name)
-    relation = case.flag.relation
-    symbols = sympy.symbols("x y z w")
-    rng = random.Random(29)
-    dense = HomogPoly.linear_form([rng.randrange(1, 4) for _ in range(4)])
-    for h in (case.flag.steps[0], dense):
-        (step,) = step_coordinates(relation, [h])
-        for degree in (2, 3):
-            for section in _oracle_sections(rng, h, relation, degree, 5):
-                normal = _divided_normal_form(step, section)
-                p = step[0]
-                k = min(e[p] for e in normal.terms)
-                assert _in_ideal(section, [h ** k, relation], symbols)
-                assert not _in_ideal(section, [h ** (k + 1), relation],
-                                     symbols)
-                # the cofactor r / y^k, back in the original coordinates
-                cofactor = HomogPoly(4, degree - k, {
-                    e[:p] + (e[p] - k,) + e[p + 1:]: c
-                    for e, c in normal.terms.items()}).substitute(p, h)
-                assert _in_ideal(section - h ** k * cofactor, [relation],
-                                 symbols)
 
 
 # -- invariance under projective changes of coordinates ----------------------------
@@ -256,11 +127,12 @@ def test_orders_do_not_depend_on_the_chart(quadric, fermat):
     alternatives = 0
     for case in cases:
         stage = case.flag.final_stage
-        expected = (stage.value_sets(3), stage.contact_order())
+        expected = (stage.value_sets_and_rule(3)[0], stage.contact_order())
         choices = list(_chart_choices(stage))
         assert stage in choices
         for choice in choices:
-            assert (choice.value_sets(3), choice.contact_order()) == expected
+            assert (choice.value_sets_and_rule(3)[0],
+                    choice.contact_order()) == expected
         alternatives += len(choices) - 1
     assert alternatives >= 20
 
@@ -358,7 +230,7 @@ def test_final_stage_values():
 def test_final_value_sets_match_riemann_roch(name):
     # a line (p2, p3), a conic (the quadrics) and a cubic at a flex
     stage = make_case(name).flag.final_stage
-    for degree, orders in enumerate(stage.value_sets(12)):
+    for degree, orders in enumerate(stage.value_sets_and_rule(12)[0]):
         assert orders == riemann_roch_orders(stage.curve_degree,
                                              degree), degree
 
@@ -372,7 +244,7 @@ def test_nested_value_sets_match_per_degree_echelon(name):
     expected = tuple(per_degree_value_set(reference, d) for d in range(13))
     stage = make_case(name).flag.final_stage
     for top in (12, 0, 5, 12):
-        assert stage.value_sets(top) == expected[:top + 1], top
+        assert stage.value_sets_and_rule(top)[0] == expected[:top + 1], top
 
 
 def _rule_degree(stage):
@@ -417,7 +289,7 @@ def test_the_full_echelon_past_the_old_cap_names_the_cap(off_flex_cubic):
     for top in (300, 171):
         with pytest.raises(PrecisionError, match=rf"precision {top * 3 + 1} "
                            r"exceeds the cap PRECISION_CAP = 512"):
-            stage.value_sets(top)
+            stage.value_sets_and_rule(top)[0]
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -426,9 +298,9 @@ def test_value_sets_are_prefixes_around_the_rule_degree(name):
     # a lower top gives a prefix of a higher one
     stage = make_case(name).flag.final_stage
     d0 = _rule_degree(stage)
-    longest = stage.value_sets(40)
+    longest = stage.value_sets_and_rule(40)[0]
     for top in range(max(d0 - 1, 0), d0 + 4):
-        assert stage.value_sets(top) == longest[:top + 1], top
+        assert stage.value_sets_and_rule(top)[0] == longest[:top + 1], top
 
 
 def test_cubic_off_the_flex_falls_back_to_the_full_echelon(off_flex_cubic):
@@ -515,7 +387,7 @@ def test_branch_powers_solve_at_the_precision_asked(monkeypatch):
     computed = _count_branch_solves(monkeypatch)
     stage = make_case("fermat_cubic").flag.final_stage
     for top in (2, 1, 5, 12, 3):
-        stage.value_sets(top)
+        stage.value_sets_and_rule(top)[0]
     assert computed == [7, 4, 7, 7, 7]
 
 
@@ -541,7 +413,7 @@ def test_reading_only_u0_solves_nothing(monkeypatch):
     calls = []
     _count_branch_solves(monkeypatch, calls)
     stage = make_case("fermat_cubic").flag.final_stage
-    assert stage.value_sets(0) == ((0,),)
+    assert stage.value_sets_and_rule(0)[0] == ((0,),)
     assert calls == [(1, 1)]
     with pytest.raises(ValueError, match="does not lie on the curve"):
         series_solve_branch(PLANE_CUBIC, (1, 1, 1), 4, chart_var=0,
@@ -558,7 +430,7 @@ def test_value_sets_refuse_a_curve_through_the_chart_line():
         stage = valuation._FinalStage(curve, (Fraction(1), Fraction(0),
                                               Fraction(0)), 0, 1, 2)
         with pytest.raises(ZeroSectionError, match="d' = 2"):
-            stage.value_sets(top)
+            stage.value_sets_and_rule(top)[0]
 
 
 def _flex_contact(final, curve=PLANE_CUBIC):
@@ -631,23 +503,7 @@ def test_order_search_names_the_precision_cap(monkeypatch):
         _flex_contact(HomogPoly.linear_form([1, 1, 0]))
 
 
-# -- full flag valuations, by the flag-expansion oracle ----------------------------
-
-
-def test_p2_coordinate_valuations(p2):
-    x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
-    assert _valuation(x0, p2.flag) == (0, 0)
-    assert _valuation(x1, p2.flag) == (1, 0)
-    assert _valuation(x2, p2.flag) == (0, 1)
-
-
-def test_fermat_flag_valuations(fermat):
-    assert _valuation(W, fermat.flag) == (1, 0)
-    assert _valuation(X + Y, fermat.flag) == (0, 3)
-
-
-def test_nowhere_vanishing_section_has_zero_vector(quadric):
-    assert _valuation(Y, quadric.flag) == (0, 0)
+# -- the final form's contact order ------------------------------------------------
 
 
 def test_leading_units(p2, fermat):
@@ -675,33 +531,6 @@ def test_zero_section_rejected(fermat):
     contact = verify_flag(CaseStudy("zero", moved, 1)).checks[-1]
     assert contact.detail == ("the final form contains a flag member: its "
                               "restriction to the final curve is zero")
-
-
-# -- agreement with the independent local-expansion oracles --------------------------
-
-
-def test_valuations_match_oracles_on_monomial_bases(p2, p3, quadric, fermat):
-    for case in (p2, p3, quadric, fermat):
-        for degree in (1, 2):
-            for mono in graded_monomials(case.flag.ambient_vars, degree):
-                section = HomogPoly.monomial(mono)
-                if not reduce_section(case, section):
-                    continue
-                assert _valuation(section, case.flag) == \
-                    oracle_valuation(case.name, section)[0]
-
-
-def test_valuations_match_oracles_on_random_sections(quadric, fermat):
-    rng = random.Random(11)
-    for case in (quadric, fermat):
-        monos = graded_monomials(4, 2)
-        for _ in range(25):
-            terms = {m: rng.randrange(-4, 5) for m in rng.sample(monos, 3)}
-            section = HomogPoly(4, 2, terms)
-            if not section or not reduce_section(case, section):
-                continue
-            assert _valuation(section, case.flag) == \
-                oracle_valuation(case.name, section)[0]
 
 
 # -- flag construction validation ------------------------------------------------------
