@@ -14,16 +14,15 @@ keeps only integers: P's vertices times their least common denominator,
 the scale, and the lifts of that chain, lexicographically sorted; two
 polytopes are equal exactly when these are identical: no tolerance ever
 enters.  Each polytope is hulled once, by Andrew's monotone chain, on one
-integer chain (its points times a common denominator) and lifted, sorted,
-faceted and written as ints: Fractions are made only for facet offsets
-and for readers of `polygon` and `vertices`.
+integer chain (its points times a common denominator), lifted, sorted and
+written as ints: only `polygon` and `vertices` make Fractions.
 
 A full-dimensional lift has a facet per edge of P, with P's inward normal
 (alpha, beta) repeated as (alpha, ..., alpha, beta), and for n - 1 >= 2
-the facets x_i >= 0 in place of P's edge on q = 0.  Facets carry
-primitive integer inward normals, which are the rays of the normal fan
-(the combinatorial data of the associated toric variety).  Coordinates are
-ints or Fractions; anything else, a float included, is a TypeError.
+the facets x_i >= 0 in place of P's edge on q = 0.  `normal_fan_rays`
+reads their primitive integer normals, the rays of the normal fan (the
+toric variety's combinatorial data), off the chain.  Coordinates are ints
+or Fractions; anything else, a float included, is a TypeError.
 """
 
 from __future__ import annotations
@@ -34,17 +33,14 @@ from typing import Iterable, Sequence
 
 from .polynomials import Frozen, Scalar, _exact
 
-# (a, beta) for a . x >= beta
-Constraint = tuple[tuple[int, ...], Fraction]
-
 
 class RationalPolytope(Frozen):
     """The lift into dimension dim of the hull P of planar points (q, y)
-    with q >= 0.  P's vertices, counterclockwise from the lex-least, are
-    kept as `chain`, int pairs over `scale`, their least common
-    denominator, and the lifts of the chain, sorted, as `lifted`; in
-    dimension 1, where sum(x) = 0, P is cut to its face on q = 0.
-    `polygon` and `vertices` read them as Fractions.  A dim other than an
+    with q >= 0, kept as ints: `chain`, P's vertices counterclockwise from
+    the lex-least over `scale`, their least common denominator, and
+    `lifted`, the chain's sorted lifts; in dimension 1, where sum(x) = 0,
+    P is cut to its face on q = 0.  `polygon` and `vertices` read them as
+    Fractions, `normal_fan_rays` as facet normals.  A dim other than an
     int >= 1, a point other than a pair, q < 0 or no vertex is refused."""
 
     def __init__(self, dim: int, points: Iterable[tuple[Scalar, Scalar]]):
@@ -69,28 +65,6 @@ class RationalPolytope(Frozen):
 
     def is_full_dimensional(self) -> bool:
         return len(self.chain) > (1 if self.dim == 1 else 2)
-
-    def facets(self) -> tuple[Constraint, ...]:
-        """Inward facet inequalities (a, beta) with a . x >= beta on the
-        polytope, a a primitive integer vector, lex-sorted.
-        Full-dimensional only."""
-        if not self.is_full_dimensional():
-            raise ValueError("polytope is not full-dimensional")
-        p, scale, chain = self.dim - 1, self.scale, self.chain
-        if not p:  # a segment on q = 0: its two ends
-            (_q, low), (_q, high) = self.polygon
-            return (((-1,), -high), ((1,), low))
-        facets = [(tuple(int(i == j) for j in range(p + 1)), Fraction(0))
-                  for i in range(p)] if p > 1 else []
-        for (qa, ya), (qb, yb) in zip(chain, chain[1:] + chain[:1]):
-            if p > 1 and qa == qb == 0:
-                continue
-            # the inward normal is the left one on a counterclockwise edge
-            alpha, beta = ya - yb, qb - qa
-            g = gcd(alpha, beta)
-            facets.append(((alpha // g,) * p + (beta // g,),
-                           Fraction(alpha * qa + beta * ya, g * scale)))
-        return tuple(sorted(facets))
 
 
 def _integer_chain(points: Sequence[tuple[Scalar, Scalar]]) -> tuple:
@@ -166,9 +140,24 @@ def scaled_simplex(n: int, c: int, d: int) -> RationalPolytope:
 
 
 def normal_fan_rays(polytope: RationalPolytope) -> tuple[tuple[int, ...], ...]:
-    """Primitive inward facet normals, lex-sorted: the rays of the normal fan
-    of the polytope, i.e. the fan of the toric variety it defines."""
-    return tuple(normal for normal, _offset in polytope.facets())
+    """The primitive inward facet normals, lex-sorted: e_i for each i when
+    p = dim - 1 >= 2, P's inward normal on each other edge, and -1 and 1
+    on a segment; the rays of the normal fan of the polytope, i.e. the fan
+    of the toric variety it defines.  Full-dimensional only."""
+    if not polytope.is_full_dimensional():
+        raise ValueError("polytope is not full-dimensional")
+    p, chain = polytope.dim - 1, polytope.chain
+    if not p:  # a segment on q = 0: its two ends
+        return ((-1,), (1,))
+    rays = [(0,) * i + (1,) + (0,) * (p - i) for i in range(p) if p > 1]
+    for (qa, ya), (qb, yb) in zip(chain, chain[1:] + chain[:1]):
+        if p > 1 and qa == qb == 0:
+            continue
+        # the inward normal is the left one on a counterclockwise edge
+        alpha, beta = ya - yb, qb - qa
+        g = gcd(alpha, beta)
+        rays.append((alpha // g,) * p + (beta // g,))
+    return tuple(sorted(rays))
 
 
 def polytope_to_json(polytope: RationalPolytope) -> str:

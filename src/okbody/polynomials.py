@@ -60,16 +60,6 @@ class Frozen:
         return hash(tuple(vars(self).values()))
 
 
-_VAR_NAMES = "xyzwv"
-
-
-def var_name(index: int, num_vars: int) -> str:
-    """Short display name for a variable (x, y, z, w, v for small rings)."""
-    if num_vars <= len(_VAR_NAMES):
-        return _VAR_NAMES[index]
-    return f"x{index}"
-
-
 @lru_cache(maxsize=None)
 def graded_monomials(num_vars: int, degree: int) -> tuple[Exponent, ...]:
     """All exponent tuples with the given total degree, lexicographically
@@ -263,26 +253,8 @@ class HomogPoly:
         degree = max(self.degree - power, 0)
         return HomogPoly(self.num_vars - 1, degree, terms)
 
-    # -- display -----------------------------------------------------------
-
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                var_name(i, self.num_vars) + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps) if e > 0)
-            if not mono:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append(mono)
-            elif c == -1:
-                pieces.append(f"-{mono}")
-            else:
-                pieces.append(f"{c}*{mono}")
-        text = " + ".join(pieces).replace("+ -", "- ")
-        return text
+        return f"HomogPoly({self.num_vars}, {self.degree}, {self.terms!r})"
 
 
 # -- projective common zeros -------------------------------------------------

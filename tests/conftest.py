@@ -2,10 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from okbody import CaseStudy, Flag, HomogPoly, make_case
+
+# every @given test draws the same examples on every run, and no example
+# saved by an earlier run is replayed; a test's own @settings keep these
+settings.register_profile("okbody", derandomize=True, database=None)
+settings.load_profile("okbody")
 
 
 @pytest.fixture(scope="session")

@@ -334,12 +334,17 @@ def every_quotient(sg):
 
 def matches_reference_hull(polytope, points):
     """Whether a library polytope has the vertices, the dimension and, when
-    full-dimensional, the facets of the reference hull of the points."""
+    full-dimensional, the facet normals of the reference hull of the
+    points; no two of its facets share a normal, so the normals alone keep
+    the order of the inequalities."""
+    from okbody.convex import normal_fan_rays
+
     dimension, vertices, inequalities = reference_hull(points)
     full = dimension == polytope.dim
     return (polytope.vertices == tuple(vertices)
             and polytope.is_full_dimensional() == full
-            and (not full or polytope.facets() == tuple(inequalities)))
+            and (not full or normal_fan_rays(polytope) == tuple(
+                normal for normal, _offset in inequalities)))
 
 # -- truncated bivariate series ----------------------------------------------
 
@@ -582,15 +587,14 @@ def _series_product(a, b, length):
     return out
 
 
-def final_series(stage, *forms):
-    """The coefficients of t^0 .. t^(d'*e) of forms of one degree d' along
-    a final stage's branch at its point: each form at x_chart = 1, x_param =
-    t0 + t and x_dep = u0 + u(t), with (t0, u0) the point in the chart and u
-    the library's branch, as sums of truncated products of these series.
-    One list per form."""
+def _branch_powers(stage, degree):
+    """The powers 0 .. d' of x_chart = 1, x_param = t0 + t and x_dep = u0 +
+    u(t), as coefficients of t^0 .. t^(d'*e), keyed by variable: (t0, u0)
+    is a final stage's point in the chart and u the library's branch there,
+    solved once.  Truncated further, they are the powers of a lower
+    degree, as a shorter branch is a prefix of a longer one."""
     from okbody.series import series_solve_branch
 
-    (degree,) = {form.degree for form in forms}
     length = degree * stage.curve_degree + 1
     scale = stage.point[stage.chart]
     u = series_solve_branch(stage.relation, stage.point, length,
@@ -604,16 +608,29 @@ def final_series(stage, *forms):
         while len(powers[var]) <= degree:
             powers[var].append(_series_product(powers[var][-1], value,
                                                length))
-    rows = []
-    for form in forms:
-        row = [Fraction(0)] * length
-        for exps, c in form.terms.items():
-            term = [c]
-            for var, e in enumerate(exps):
-                term = _series_product(term, powers[var][e], length)
-            row = [x + y for x, y in zip(row, term)]
-        rows.append(row)
-    return rows
+    return powers
+
+
+def _along_branch(powers, form, length):
+    """The coefficients of t^0 .. t^(length-1) of a form along the branch,
+    as a sum of truncated products of the powers from _branch_powers."""
+    row = [Fraction(0)] * length
+    for exps, c in form.terms.items():
+        term = [c]
+        for var, e in enumerate(exps):
+            term = _series_product(term, powers[var][e], length)
+        row = [x + y for x, y in zip(row, term)]
+    return row
+
+
+def final_series(stage, *forms):
+    """The coefficients of t^0 .. t^(d'*e) of forms of one degree d' along
+    a final stage's branch at its point, by _branch_powers and
+    _along_branch.  One list per form."""
+    (degree,) = {form.degree for form in forms}
+    powers = _branch_powers(stage, degree)
+    return [_along_branch(powers, form, degree * stage.curve_degree + 1)
+            for form in forms]
 
 
 # -- value sets ---------------------------------------------------------------
@@ -681,13 +698,18 @@ def expansion_value_set(basis, flag):
     remainder of one division by the relation in grevlex with y smallest,
     and splits it by the power k of y into sections on the next member; a
     final block of prefix (k_1, ..., k_{n-1}) puts its series coefficient j
-    at the point in column (k_1, ..., k_{n-1}, j).  The value set is the
+    at the point in column (k_1, ..., k_{n-1}, j), every block's series
+    read off one branch solved at the basis degree.  The value set is the
     pivot columns of the sections' rows, by ``row_reduce``, in lex order."""
     from okbody.polynomials import HomogPoly
 
+    stage = flag.final_stage
+    powers = _branch_powers(stage, max((s.degree for s in basis), default=0))
+
     def expand(section, coordinates, prefix):
         if not coordinates:
-            (series,) = final_series(flag.final_stage, section)
+            series = _along_branch(powers, section,
+                                   section.degree * stage.curve_degree + 1)
             return {prefix + (j,): c for j, c in enumerate(series) if c}
         (pivot, to_y, relation), split, row = coordinates[0], {}, {}
         normal = section.substitute(pivot, to_y)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -46,3 +47,19 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                            capture_output=True, text=True).stdout.split()
     assert "okbody.varieties" in added
     assert not {"dataclasses", "inspect", "okbody.elliptic"} & set(added)
+
+
+def test_every_hypothesis_test_draws_fixed_examples():
+    # conftest.py loads one profile: each @given test is derandomized and
+    # reads no saved examples, on top of its own example count and deadline
+    from hypothesis import settings
+
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    tests = [test for path in sorted(Path(__file__).parent.glob("test_*.py"))
+             for name, test in vars(importlib.import_module(path.stem)).items()
+             if name.startswith("test_") and hasattr(test, "hypothesis")]
+    assert len(tests) >= 15
+    for test in tests:
+        drawn = test._hypothesis_internal_use_settings
+        assert drawn.derandomize and drawn.database is None, test.__name__

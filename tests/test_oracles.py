@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from okbody import series
 from okbody.polynomials import HomogPoly, graded_monomials
 
 from oracles import (affine_dimension, brute_facets, brute_hull_vertices_2d,
@@ -523,6 +524,23 @@ def test_expansion_value_set_invariant_under_basis_change(p3, quadric,
                     section = section + coeff * vec
                 recombined.append(reduce_section(case, section))
             assert expansion_value_set(recombined, case.flag) == reference
+
+
+def test_expansion_value_set_solves_the_branch_once(monkeypatch, p3, quadric,
+                                                   fermat):
+    # one solve per call, at the basis degree, whatever the number of
+    # final blocks; each block reads a prefix of it
+    solves, solve = [], series.series_solve_branch
+
+    def counting(curve, point, precision, **kwargs):
+        solves.append(precision)
+        return solve(curve, point, precision, **kwargs)
+    monkeypatch.setattr(series, "series_solve_branch", counting)
+    for case, m in ((quadric, 4), (fermat, 3), (p3, 3)):
+        solves.clear()
+        expansion_value_set(standard_basis(case, m), case.flag)
+        assert solves == [case.c * m * case.flag.final_stage.curve_degree
+                          + 1], case.name
 
 
 def test_expansion_value_set_matches_local_oracles_on_monomial_bases(

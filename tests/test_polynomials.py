@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 
 from okbody.polynomials import (HomogPoly, graded_monomials,
                                 has_projective_common_zero)
+from okbody.varieties import CASE_NAMES, make_case, make_negative_control
 from strategies import small_fractions
 
 x0, x1, x2 = (HomogPoly.variable(3, i) for i in range(3))
@@ -86,6 +88,21 @@ def test_zero_coefficient_term_still_checked(terms):
     # coefficient drops it
     with pytest.raises(ValueError, match="exponent tuple"):
         HomogPoly(3, 1, terms)
+
+
+def test_repr_is_the_constructor_call(off_flex_cubic):
+    # eval of the repr gives back an equal form: on every form of every
+    # shipped flag, its final curve included, and on made-up ones
+    assert repr(x0) == "HomogPoly(3, 1, {(1, 0, 0): Fraction(1, 1)})"
+    forms = [F(-2, 3) * x0 * x1 + x2 ** 2, HomogPoly(4, 3, {}), FERMAT]
+    for case in [make_case(name, 2) for name in CASE_NAMES] + [
+            make_negative_control(), off_flex_cubic]:
+        flag = case.flag
+        forms += [f for f in (flag.relation, *flag.steps, flag.final_form,
+                              flag.final_stage.relation) if f is not None]
+    for form in forms:
+        again = eval(repr(form), {"HomogPoly": HomogPoly, "Fraction": F})
+        assert again == form and again.degree == form.degree, form
 
 
 def test_partial():
