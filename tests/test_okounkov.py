@@ -297,16 +297,6 @@ def test_frozen_values_refuse_setattr_and_delattr(name):
     assert vars(value) == before
 
 
-def test_semigroup_rejects_a_system_of_another_dimension(monkeypatch,
-                                                          quadric):
-    dimension = GradedSystem.dimension
-    monkeypatch.setattr(GradedSystem, "dimension",
-                        lambda system, level: dimension(system, level)
-                        - (level == 2))
-    with pytest.raises(ValueError, match="level 2"):
-        semigroup(quadric, "powers", 3)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_semigroup_echelons_each_final_degree_once(monkeypatch, kind):
     # one semigroup call enters each standard row t^i u^(d'-i) of the final
@@ -505,15 +495,27 @@ def _comb_count(sg, m):
                for s, values in sg.fibers(m))
 
 
-@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("name", CASE_NAMES + ("negative_control",))
 def test_level_sizes_are_prefix_sums(name):
     for c in (1, 2, 3):
-        case = make_case(name, c)
+        case = (make_negative_control(c) if name == "negative_control"
+                else make_case(name, c))
         sg = semigroup(case, "complete", 8)
-        sizes = sg.sizes()
         for m in range(1, 9):
-            assert (sizes[c * m] == _comb_count(sg, m) == len(sg.level(m))
+            assert (_comb_count(sg, m) == len(sg.level(m))
                     == GradedSystem(case).dimension(m)), (c, m)
+
+
+def test_level_sizes_off_the_flex(off_flex_cubic):
+    # the value sets of the full echelon, with no rule, give each level the
+    # Hilbert function's size too
+    for c in (1, 2):
+        case = CaseStudy(off_flex_cubic.name, off_flex_cubic.flag, c)
+        sg = semigroup(case, "complete", 6)
+        assert sg.rule_from is None
+        for m in range(1, 7):
+            assert len(sg.level(m)) == GradedSystem(case).dimension(m), (
+                c, m)
 
 
 def test_level_sizes_of_seeded_fakes_are_prefix_sums():
@@ -524,10 +526,8 @@ def test_level_sizes_of_seeded_fakes_are_prefix_sums():
         curve = tuple(tuple(sorted(rng.sample(range(9), rng.randint(0, 3))))
                       for _d in range(c * max_level + 1))
         sg = fake_semigroup(c, steps, curve)
-        sizes = sg.sizes()
         for m in range(1, max_level + 1):
-            assert sizes[c * m] == _comb_count(sg, m) == len(sg.level(m)), (
-                steps, curve, m)
+            assert _comb_count(sg, m) == len(sg.level(m)), (steps, curve, m)
 
 
 def test_vertex_criterion_examples():

@@ -519,9 +519,11 @@ def test_expansion_value_set_invariant_under_basis_change(p3, quadric,
                     break  # invertible
             recombined = []
             for row in matrix:
-                section = HomogPoly(case.flag.ambient_vars, case.c * m, {})
+                summed = {}
                 for coeff, vec in zip(row, basis):
-                    section = section + coeff * vec
+                    for exps, value in vec.terms.items():
+                        summed[exps] = summed.get(exps, 0) + coeff * value
+                section = HomogPoly(case.flag.ambient_vars, case.c * m, summed)
                 recombined.append(reduce_section(case, section))
             assert expansion_value_set(recombined, case.flag) == reference
 

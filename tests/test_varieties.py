@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from okbody.convex import polytope_equal, scaled_simplex
-from okbody.okounkov import body_estimate, semigroup, vertex_criterion
+from okbody.okounkov import (GradedSystem, body_estimate, semigroup,
+                             vertex_criterion)
 from okbody.polynomials import HomogPoly
 from okbody.valuation import Flag, _FinalStage
 from okbody.varieties import (CASE_NAMES, CaseStudy, case_study_from_json,
@@ -262,7 +263,8 @@ def _seeded_projective_flags(count):
 def test_seeded_flags_on_projective_space():
     # a projective change of coordinates of the coordinate flag: each
     # seeded flag ends on a line, with the value sets of Riemann-Roch,
-    # contact order 1 and the simplex scaled by c
+    # contact order 1, the simplex scaled by c and levels of the Hilbert
+    # function's size
     flags = _seeded_projective_flags(40)
     assert {flag.n for flag in flags} == {1, 2, 3, 4}
     assert all(len(step.terms) > 1 for flag in flags for step in flag.steps)
@@ -275,6 +277,9 @@ def test_seeded_flags_on_projective_space():
         assert verify_flag(case).passed
         assert body_estimate(semigroup(case, "complete", 2)) == (
             scaled_simplex(flag.n, case.c, 1))
+        sg = semigroup(case, "complete", 3)
+        assert [len(sg.level(m)) for m in (1, 2, 3)] == [
+            GradedSystem(case).dimension(m) for m in (1, 2, 3)]
 
 
 # -- fixture files -----------------------------------------------------------------
